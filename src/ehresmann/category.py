@@ -10,13 +10,11 @@ away.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     FiniteBiunarySemigroup,
-    HomCandidate,
     InternalInconsistency,
     LawReport,
     NotOrderedEhresmann,
@@ -30,7 +28,6 @@ from .orders import (
     PartialOrder,
     check_ehresmann_order,
     derive_orders,
-    is_ordered_hom,
 )
 
 CompTable = tuple[tuple[int | None, ...], ...]
@@ -933,6 +930,108 @@ def _all_epi_witness(c: FiniteOrderedCategory) -> tuple[int, ...] | None:
     return None
 
 
+def _semigroup_clauses(s_os: OrderedSemigroup, t_os: OrderedSemigroup) -> list:
+    """The ordered-homomorphism clauses of ``is_ordered_hom``: mul, D, R, order.
+
+    Each clause is (source elements it reads, test on a map held as a list).
+    """
+    s = s_os.base
+    tmul, tdmap, trmap, trel = t_os.base.mul, t_os.base.dmap, t_os.base.rmap, t_os.order.rel
+    clauses = []
+    for a in range(s.n):
+        for b in range(s.n):
+            m = s.mul[a][b]
+            clauses.append(((a, b, m), lambda fm, a=a, b=b, m=m: fm[m] == tmul[fm[a]][fm[b]]))
+        d, r = s.dmap[a], s.rmap[a]
+        clauses.append(((a, d), lambda fm, a=a, d=d: fm[d] == tdmap[fm[a]]))
+        clauses.append(((a, r), lambda fm, a=a, r=r: fm[r] == trmap[fm[a]]))
+    for a, b in s_os.order.pairs(strict=True):
+        clauses.append(((a, b), lambda fm, a=a, b=b: trel[fm[a]][fm[b]]))
+    return clauses
+
+
+def _category_clauses(c1: FiniteOrderedCategory, c2: FiniteOrderedCategory) -> list:
+    """The clauses of ``_is_eoc_morphism_unchecked``: functor, order, meet, restriction.
+
+    Restrictions and corestrictions are tabulated once.  The target's meet,
+    restriction and corestriction tables hold None where the operation is
+    undefined (an image that is not an identity, or a failed precondition),
+    so a clause landing there fails, as the explicit checks there do.
+    """
+    n1, n2 = c1.n, c2.n
+    dmap2, rmap2, comp2, meet2 = c2.dmap, c2.rmap, c2.comp, c2.meet
+    rel1, rel2 = c1.order.rel, c2.order.rel
+    ids1 = c1.identities()
+    res2 = [[None] * n2 for _ in range(n2)]
+    cores2 = [[None] * n2 for _ in range(n2)]
+    for e in c2.identities():
+        for y in range(n2):
+            if rel2[e][dmap2[y]]:
+                res2[e][y] = restriction(c2, e, y)
+            if rel2[e][rmap2[y]]:
+                cores2[y][e] = corestriction(c2, y, e)
+    clauses = []
+    for x in range(n1):
+        d, r = c1.dmap[x], c1.rmap[x]
+        clauses.append(((x, d), lambda fm, x=x, d=d: fm[d] == dmap2[fm[x]]))
+        clauses.append(((x, r), lambda fm, x=x, r=r: fm[r] == rmap2[fm[x]]))
+        for y in range(n1):
+            v = c1.comp[x][y]
+            if v is not None:
+                clauses.append(((x, y, v), lambda fm, x=x, y=y, v=v: comp2[fm[x]][fm[y]] == fm[v]))
+    for a, b in c1.order.pairs(strict=True):
+        clauses.append(((a, b), lambda fm, a=a, b=b: rel2[fm[a]][fm[b]]))
+    for e in ids1:
+        for f in ids1:
+            m = c1.meet[e][f]
+            clauses.append(((e, f, m), lambda fm, e=e, f=f, m=m: meet2[fm[e]][fm[f]] == fm[m]))
+    for s in range(n1):
+        for e in ids1:
+            if rel1[e][c1.dmap[s]]:
+                r = restriction(c1, e, s)
+                clauses.append(((e, s, r), lambda fm, e=e, s=s, r=r: res2[fm[e]][fm[s]] == fm[r]))
+            if rel1[e][c1.rmap[s]]:
+                r = corestriction(c1, s, e)
+                clauses.append(((e, s, r), lambda fm, e=e, s=s, r=r: cores2[fm[s]][fm[e]] == fm[r]))
+    return clauses
+
+
+def _by_last_read(n: int, clauses: list) -> list[list]:
+    """Group clause tests by the largest source element they read."""
+    levels: list[list] = [[] for _ in range(n)]
+    for reads, test in clauses:
+        levels[max(reads)].append(test)
+    return levels
+
+
+def _accepted_maps(
+    images: list[int],
+    k: int,
+    n2: int,
+    sem_levels: list[list],
+    cat_levels: list[list],
+    sem_alive: bool = True,
+    cat_alive: bool = True,
+) -> Iterator[tuple[tuple[int, ...], bool, bool]]:
+    """Yield (map, semigroup verdict, category verdict) in lexicographic order.
+
+    Extends ``images[:k]`` one source element at a time; at each step a
+    side still alive checks only its clauses the new element completes.
+    Maps that both sides reject are skipped a subtree at a time: their
+    verdicts agree (both false), so they hold no failure and no morphism.
+    """
+    for v in range(n2):
+        images[k] = v
+        sem = sem_alive and all(test(images) for test in sem_levels[k])
+        cat = cat_alive and all(test(images) for test in cat_levels[k])
+        if not (sem or cat):
+            continue
+        if k + 1 < len(images):
+            yield from _accepted_maps(images, k + 1, n2, sem_levels, cat_levels, sem, cat)
+        else:
+            yield tuple(images), sem, cat
+
+
 def morphism_correspondence(
     s_os: OrderedSemigroup, t_os: OrderedSemigroup, ceiling: int = 10_000_000
 ) -> LawReport:
@@ -941,7 +1040,8 @@ def morphism_correspondence(
     For every map S -> T the ordered-homomorphism verdict must agree with
     the Ehresmann-ordered category morphism verdict on the corresponding
     categories, and every passing map must also preserve the derived
-    biaction.
+    biaction.  Map prefixes are pruned side by side (``_accepted_maps``);
+    the failure reported is the lexicographically least failing map.
     """
     total = t_os.base.n**s_os.base.n
     if total > ceiling:
@@ -951,11 +1051,11 @@ def morphism_correspondence(
     b1 = derive_biaction(c1)
     b2 = derive_biaction(c2)
     ids1 = c1.identities()
+    n1 = s_os.base.n
+    sem_levels = _by_last_read(n1, _semigroup_clauses(s_os, t_os))
+    cat_levels = _by_last_read(n1, _category_clauses(c1, c2))
     passing = 0
-    for fm in itertools.product(range(t_os.base.n), repeat=s_os.base.n):
-        f = HomCandidate("S", "T", fm)
-        sem = is_ordered_hom(f, s_os, t_os).holds
-        cat = _is_eoc_morphism_unchecked(fm, c1, c2).holds
+    for fm, sem, cat in _accepted_maps([0] * n1, 0, t_os.base.n, sem_levels, cat_levels):
         if sem != cat:
             return LawReport(
                 "morphism-correspondence",
@@ -963,19 +1063,19 @@ def morphism_correspondence(
                 witness=fm,
                 detail=f"verdicts disagree on {fm}: semigroup={sem}, category={cat}",
             )
-        if sem:
-            passing += 1
-            for e in ids1:
-                for x in range(s_os.base.n):
-                    if fm[b1.left[e][x]] != b2.left[fm[e]][fm[x]] or (
-                        fm[b1.right[x][e]] != b2.right[fm[x]][fm[e]]
-                    ):
-                        return LawReport(
-                            "morphism-correspondence",
-                            False,
-                            witness=fm,
-                            detail=f"passing map {fm} does not preserve the biaction at ({e}, {x})",
-                        )
+        # both sides accept: no map both reject is ever yielded
+        passing += 1
+        for e in ids1:
+            for x in range(n1):
+                if fm[b1.left[e][x]] != b2.left[fm[e]][fm[x]] or (
+                    fm[b1.right[x][e]] != b2.right[fm[x]][fm[e]]
+                ):
+                    return LawReport(
+                        "morphism-correspondence",
+                        False,
+                        witness=fm,
+                        detail=f"passing map {fm} does not preserve the biaction at ({e}, {x})",
+                    )
     return LawReport(
         "morphism-correspondence",
         True,

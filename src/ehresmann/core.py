@@ -9,7 +9,6 @@ instance so the failure can be replayed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -503,11 +502,3 @@ def is_ehresmann_hom(
 
     holds = witness is None
     return LawReport("ehresmann-homomorphism", holds, witness=witness, detail=detail, parts=tuple(parts))
-
-
-def all_total_maps(src_n: int, tgt_n: int, ceiling: int = 10_000_000) -> Iterator[tuple[int, ...]]:
-    """Yield every total map src -> tgt in lexicographic order."""
-    total = tgt_n**src_n
-    if total > ceiling:
-        raise TooLargeError(f"{total} candidate maps exceed the ceiling of {ceiling}")
-    yield from itertools.product(range(tgt_n), repeat=src_n)

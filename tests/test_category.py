@@ -9,6 +9,8 @@ from ehresmann import (
     FiniteBiunarySemigroup,
     FiniteOrderedCategory,
     FunctorCandidate,
+    HomCandidate,
+    LawReport,
     NotOrderedEhresmann,
     OC6Violation,
     OrderedSemigroup,
@@ -28,13 +30,15 @@ from ehresmann import (
     esn_round_trip,
     esn_round_trip_category,
     is_eoc_morphism,
+    is_ordered_hom,
     morphism_correspondence,
     partial_product_category,
     restriction,
     semigroup_of,
     verify_biaction,
 )
-from ehresmann import zoo
+from ehresmann import category, zoo
+from ehresmann.category import _is_eoc_morphism_unchecked
 
 
 ONE = FiniteBiunarySemigroup(1, ((0,),), (0,), (0,))
@@ -417,7 +421,125 @@ class TestEocMorphism:
         }
 
 
+def reference_correspondence(s_os: OrderedSemigroup, t_os: OrderedSemigroup) -> LawReport:
+    """Brute force over all |T|^|S| maps in lexicographic order, both deciders per map.
+
+    Prerequisites go through the ``category`` module so that a monkeypatch
+    there reaches this reference and ``morphism_correspondence`` alike.
+    """
+    c1 = category.category_of(s_os)
+    c2 = category.category_of(t_os)
+    b1 = category.derive_biaction(c1)
+    b2 = category.derive_biaction(c2)
+    ids1 = c1.identities()
+    passing = 0
+    for fm in itertools.product(range(t_os.base.n), repeat=s_os.base.n):
+        sem = is_ordered_hom(HomCandidate("S", "T", fm), s_os, t_os).holds
+        cat = _is_eoc_morphism_unchecked(fm, c1, c2).holds
+        if sem != cat:
+            return LawReport(
+                "morphism-correspondence",
+                False,
+                witness=fm,
+                detail=f"verdicts disagree on {fm}: semigroup={sem}, category={cat}",
+            )
+        if sem:
+            passing += 1
+            for e in ids1:
+                for x in range(s_os.base.n):
+                    if fm[b1.left[e][x]] != b2.left[fm[e]][fm[x]] or (
+                        fm[b1.right[x][e]] != b2.right[fm[x]][fm[e]]
+                    ):
+                        return LawReport(
+                            "morphism-correspondence",
+                            False,
+                            witness=fm,
+                            detail=f"passing map {fm} does not preserve the biaction at ({e}, {x})",
+                        )
+    total = t_os.base.n**s_os.base.n
+    return LawReport(
+        "morphism-correspondence",
+        True,
+        detail=f"{total} maps checked, {passing} are morphisms on both sides",
+    )
+
+
+SWEEP_ORDERED = [
+    (f"{name}#{oname}", name, oname)
+    for name in zoo.SWEEP_NAMES
+    for oname in zoo.get(name).order_names()
+]
+ORACLE_PAIRS = [
+    pytest.param(s[1:], t[1:], id=f"{s[0]}->{t[0]}")
+    for s in SWEEP_ORDERED
+    for t in SWEEP_ORDERED
+    if zoo.get(t[1]).structure.n ** zoo.get(s[1]).structure.n <= 10**4
+]
+
+
 class TestMorphismCorrespondence:
+    def test_oracle_pair_count(self):
+        assert len(ORACLE_PAIRS) == 65
+
+    @pytest.mark.parametrize("src,tgt", ORACLE_PAIRS)
+    def test_matches_brute_force(self, src, tgt):
+        s_os = zoo.get(src[0]).ordered(src[1])
+        t_os = zoo.get(tgt[0]).ordered(tgt[1])
+        got = morphism_correspondence(s_os, t_os).to_dict()
+        assert got == reference_correspondence(s_os, t_os).to_dict()
+
+    def test_biaction_failure_witness_matches_brute_force(self, monkeypatch):
+        s_os = zoo.get("pt-1").ordered()
+        t_os = zoo.get("inj-2").ordered()
+        target = category_of(t_os)
+        derive = category.derive_biaction
+        good = derive(target)
+        witnesses = set()
+        for side in ("left", "right"):
+            table = getattr(good, side)
+            for i, j in itertools.product(range(target.n), repeat=2):
+                if table[i][j] is None:
+                    continue
+                rows = [list(row) for row in table]
+                rows[i][j] = (rows[i][j] + 1) % target.n
+                bad = Biaction(rows, good.right) if side == "left" else Biaction(good.left, rows)
+                monkeypatch.setattr(
+                    category,
+                    "derive_biaction",
+                    lambda c, bad=bad: bad if c == target else derive(c),
+                )
+                got = morphism_correspondence(s_os, t_os).to_dict()
+                assert got == reference_correspondence(s_os, t_os).to_dict()
+                if not got["holds"]:
+                    assert "does not preserve the biaction" in got["detail"]
+                    witnesses.add(tuple(got["witness"]))
+        assert len(witnesses) > 1
+
+    def test_disagreement_witness_matches_brute_force(self, monkeypatch):
+        s_os = zoo.get("pt-1").ordered()
+        t_os = zoo.get("inj-2").ordered()
+        target = category_of(t_os)
+        res = category.restriction
+        witnesses = set()
+        for e in target.identities():
+            for x in range(target.n):
+                if not target.order.rel[e][target.dmap[x]]:
+                    continue
+                wrong = (res(target, e, x) + 1) % target.n
+                monkeypatch.setattr(
+                    category,
+                    "restriction",
+                    lambda c, f, y, e=e, x=x, wrong=wrong: (
+                        wrong if c == target and (f, y) == (e, x) else res(c, f, y)
+                    ),
+                )
+                got = morphism_correspondence(s_os, t_os).to_dict()
+                assert got == reference_correspondence(s_os, t_os).to_dict()
+                if not got["holds"]:
+                    assert "verdicts disagree" in got["detail"]
+                    witnesses.add(tuple(got["witness"]))
+        assert len(witnesses) > 1
+
     def test_monoid_self_maps(self):
         osg = zoo.example_two_element_monoid().ordered("leq1")
         rep = morphism_correspondence(osg, osg)
@@ -429,8 +551,6 @@ class TestMorphismCorrespondence:
         target = zoo.example_zero_one_nabla().ordered()
         assert morphism_correspondence(one, target).holds
         # only maps onto projections are morphisms
-        from ehresmann import HomCandidate, is_ordered_hom
-
         passing = [
             v
             for v in range(3)

@@ -1,11 +1,14 @@
 """Command surface: exit codes, JSON schema, and report contents."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ehresmann
 from ehresmann.cli import run_command
 
 
@@ -197,31 +200,26 @@ class TestSweepCommand:
         assert a.raw_json == b.raw_json
 
 
-def test_console_entry_point():
-    out = subprocess.run(
-        [sys.executable, "-m", "ehresmann.cli", "orders", "example://two-element-monoid", "--count-only"],
+def run_cli_module(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python -m ehresmann.cli`` on the package under test, installed or not."""
+    src = str(Path(ehresmann.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "ehresmann.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entry_point():
+    out = run_cli_module("orders", "example://two-element-monoid", "--count-only")
     assert out.returncode == 0
     assert "ehresmann orders: 2" in out.stdout
 
 
 def test_console_json_output():
-    out = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "ehresmann.cli",
-            "--json",
-            "check",
-            "example://two-element-monoid",
-            "--law",
-            "ehresmann",
-        ],
-        capture_output=True,
-        text=True,
-    )
+    out = run_cli_module("--json", "check", "example://two-element-monoid", "--law", "ehresmann")
     assert out.returncode == 0
     payload = json.loads(out.stdout)
     assert payload["schema"] == "ehresmann-report/1"
