@@ -14,19 +14,30 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .core import (
+    Evaluation,
     FiniteBiunarySemigroup,
     InternalInconsistency,
+    Law,
     LawReport,
     NotOrderedEhresmann,
     OC6Violation,
     PreconditionError,
     StructureError,
     TooLargeError,
+    check_ehresmann,
+    evaluate,
+    property_key,
+    register,
 )
 from .orders import (
     OrderedSemigroup,
     PartialOrder,
+    _matching_pair_witness,
+    _os2_witness,
+    _os3_witness,
+    _osi_witness,
     check_ehresmann_order,
+    compose_relations,
     derive_orders,
 )
 
@@ -231,20 +242,20 @@ class FunctorCandidate:
         object.__setattr__(self, "map", tuple(self.map))
 
 
+def _composition_table(s: FiniteBiunarySemigroup) -> CompTable:
+    """The products x*y with R(x) = D(y); None elsewhere."""
+    return tuple(
+        tuple(s.mul[x][y] if s.rmap[x] == s.dmap[y] else None for y in range(s.n))
+        for x in range(s.n)
+    )
+
+
 def partial_product_category(s: FiniteBiunarySemigroup) -> FiniteCategory:
     """The category of an Ehresmann semigroup: keep products with R(x) = D(y)."""
-    from .core import check_ehresmann
-
     rep = check_ehresmann(s)
     if not rep.holds:
         raise PreconditionError(f"structure is not an Ehresmann semigroup: {rep.detail}")
-    comp = tuple(
-        tuple(
-            s.mul[x][y] if s.rmap[x] == s.dmap[y] else None for y in range(s.n)
-        )
-        for x in range(s.n)
-    )
-    return FiniteCategory(s.n, s.dmap, s.rmap, comp, s.names)
+    return FiniteCategory(s.n, s.dmap, s.rmap, _composition_table(s), s.names)
 
 
 def category_of(os: OrderedSemigroup) -> FiniteOrderedCategory:
@@ -259,47 +270,20 @@ def category_of(os: OrderedSemigroup) -> FiniteOrderedCategory:
             f"not an ordered Ehresmann semigroup: {rep.detail}"
         )
     s = os.base
-    comp = tuple(
-        tuple(s.mul[x][y] if s.rmap[x] == s.dmap[y] else None for y in range(s.n))
-        for x in range(s.n)
-    )
     ids = sorted({s.dmap[x] for x in range(s.n)})
     meet = [[None] * s.n for _ in range(s.n)]
     for e in ids:
         for f in ids:
             meet[e][f] = s.mul[e][f]
     return FiniteOrderedCategory(
-        s.n, s.dmap, s.rmap, comp, os.order, tuple(tuple(row) for row in meet), s.names
+        s.n, s.dmap, s.rmap, _composition_table(s), os.order, tuple(tuple(row) for row in meet), s.names
     )
 
 
-def _oc2_witness(c: FiniteOrderedCategory | None, dmap, rmap, rel, n) -> tuple[int, ...] | None:
-    for a in range(n):
-        for b in range(n):
-            if rel[a][b] and (not rel[dmap[a]][dmap[b]] or not rel[rmap[a]][rmap[b]]):
-                return (a, b)
-    return None
-
-
-def _oc3_witness(comp, rel, n) -> tuple[int, ...] | None:
-    pairs = [(a, b) for a in range(n) for b in range(n) if rel[a][b]]
-    for a, b in pairs:
-        for c, d in pairs:
-            ac, bd = comp[a][c], comp[b][d]
-            if ac is not None and bd is not None and not rel[ac][bd]:
-                return (a, b, c, d)
-    return None
-
-
-def check_omega_structured(c: FiniteOrderedCategory) -> LawReport:
-    """Decide OC1 (category plus poset), OC2, and OC3.
-
-    OC1 holds by construction: both the category axioms and the poset
-    axioms are validated when the structure is built.
-    """
+def _omega_structured(c: FiniteOrderedCategory, ev: Evaluation) -> LawReport:
     rel = c.order.rel
-    w2 = _oc2_witness(c, c.dmap, c.rmap, rel, c.n)
-    w3 = _oc3_witness(c.comp, rel, c.n)
+    w2 = _os2_witness(c.n, c.dmap, c.rmap, rel)
+    w3 = _os3_witness(c.n, c.comp, rel)
     parts = (("OC1", True), ("OC2", w2 is None), ("OC3", w3 is None))
     if w2 is not None:
         names = ", ".join(c.name_of(i) for i in w2)
@@ -312,6 +296,15 @@ def check_omega_structured(c: FiniteOrderedCategory) -> LawReport:
             "omega-structured", False, witness=w3, detail=f"OC3 fails at ({names})", parts=parts
         )
     return LawReport("omega-structured", True, parts=parts)
+
+
+def check_omega_structured(c: FiniteOrderedCategory) -> LawReport:
+    """Decide OC1 (category plus poset), OC2, and OC3.
+
+    OC1 holds by construction: both the category axioms and the poset
+    axioms are validated when the structure is built.
+    """
+    return evaluate("omega-structured", c)
 
 
 def _max_below_with(rel, pool: list[int]) -> int | None:
@@ -376,17 +369,7 @@ def corestriction(c: FiniteOrderedCategory, x: int, e: int) -> int:
 
 
 def _oc4_family_witness(c: FiniteOrderedCategory, need_d: bool, need_r: bool):
-    rel = c.order.rel
-    for a in range(c.n):
-        for b in range(c.n):
-            if a == b or not rel[a][b]:
-                continue
-            if need_d and c.dmap[a] != c.dmap[b]:
-                continue
-            if need_r and c.rmap[a] != c.rmap[b]:
-                continue
-            return (a, b)
-    return None
+    return _matching_pair_witness(c.n, c.dmap, c.rmap, c.order.rel, need_d, need_r)
 
 
 def _oc6a_witness(c: FiniteOrderedCategory):
@@ -441,107 +424,73 @@ def _oc7_witness(c: FiniteOrderedCategory, prime: bool):
     return None
 
 
-def _oc8a_witness(c: FiniteOrderedCategory):
-    rel = c.order.rel
-    for x in range(c.n):
-        for e in c.identities():
-            if not rel[e][c.dmap[x]]:
-                continue
-            ys = [y for y in range(c.n) if rel[y][x] and c.dmap[y] == e]
-            if len(ys) != 1:
+def _unique_below(n: int, idmap, rel, x: int, e: int) -> int | None:
+    ys = [y for y in range(n) if rel[y][x] and idmap[y] == e]
+    return ys[0] if len(ys) == 1 else None
+
+
+def _oc8_witness(n: int, ids, idmap, rel) -> tuple[int, ...] | None:
+    """Least (x, e) with e <= idmap(x) but not exactly one y <= x with idmap(y) = e."""
+    for x in range(n):
+        for e in ids:
+            if rel[e][idmap[x]] and _unique_below(n, idmap, rel, x, e) is None:
                 return (x, e)
     return None
+
+
+def _oc8a_witness(c: FiniteOrderedCategory):
+    return _oc8_witness(c.n, c.identities(), c.dmap, c.order.rel)
 
 
 def _oc8b_witness(c: FiniteOrderedCategory):
-    rel = c.order.rel
-    for x in range(c.n):
-        for e in c.identities():
-            if not rel[e][c.rmap[x]]:
-                continue
-            ys = [y for y in range(c.n) if rel[y][x] and c.rmap[y] == e]
-            if len(ys) != 1:
-                return (x, e)
-    return None
+    return _oc8_witness(c.n, c.identities(), c.rmap, c.order.rel)
 
 
 def _oci_witness(c: FiniteOrderedCategory):
-    rel = c.order.rel
-    ids = set(c.dmap)
-    for a in range(c.n):
-        if a in ids:
-            continue
-        for e in sorted(ids):
-            if rel[a][e]:
-                return (a, e)
-    return None
+    return _osi_witness(c.n, c.identities(), c.order.rel)
 
 
-_OC_DISPATCH = {
-    "OC4": lambda c: _oc4_family_witness(c, True, True),
-    "OC4A": lambda c: _oc4_family_witness(c, True, False),
-    "OC4B": lambda c: _oc4_family_witness(c, False, True),
-    "OC6A": _oc6a_witness,
-    "OC6B": _oc6b_witness,
-    "OC7": lambda c: _oc7_witness(c, prime=False),
-    "OC7'": lambda c: _oc7_witness(c, prime=True),
-    "OC8A": _oc8a_witness,
-    "OC8B": _oc8b_witness,
-    "OCI": _oci_witness,
-}
+def _oc_law(name: str, witness, aliases: tuple[str, ...] = ()) -> Law:
+    """An optional OC law decided by one witness function."""
+
+    def decide(c: FiniteOrderedCategory, ev: Evaluation) -> LawReport:
+        w = witness(c)
+        if w is None:
+            return LawReport(name, True)
+        return LawReport(name, False, witness=w, detail=f"fails at ({_names(c, w)})")
+
+    return Law(name, "category", decide, pre="omega-structured", aliases=aliases)
+
+
+def _oc_pair_law(name: str, first, second) -> Law:
+    """OC6 or OC8: both halves as parts, the first failing half as the witness."""
+    halves = (name.lower() + "a", name.lower() + "b")
+
+    def decide(c: FiniteOrderedCategory, ev: Evaluation) -> LawReport:
+        wa, wb = first(c), second(c)
+        parts = ((halves[0], wa is None), (halves[1], wb is None))
+        if wa is None and wb is None:
+            return LawReport(name, True, parts=parts)
+        side, w = (halves[0], wa) if wa is not None else (halves[1], wb)
+        return LawReport(name, False, witness=w, detail=f"{side} fails at ({_names(c, w)})", parts=parts)
+
+    return Law(name, "category", decide, pre="omega-structured")
+
+
+def _names(c: FiniteOrderedCategory, w: tuple[int, ...]) -> str:
+    return ", ".join(c.name_of(i) for i in w)
 
 
 def check_OC_property(c: FiniteOrderedCategory, prop: str) -> LawReport:
     """Decide one of the optional OC laws by exhaustive search.
 
-    Accepts OC4, OC4A, OC4B, OC6 (and its halves OC6a/OC6b), OC7, OC7',
-    OC8 (and OC8a/OC8b), OCI.
+    Accepts OC4, OC4A, OC4B, OC6 (and its halves OC6a/OC6b), OC7, OC7'
+    (also spelled OC7p), OC8 (and OC8a/OC8b), OCI, in any case.
     """
-    name = prop.upper().replace("OC7P", "OC7'")
-    pre = check_omega_structured(c)
-    if not pre.holds:
-        return LawReport(
-            prop,
-            False,
-            witness=pre.witness,
-            detail=f"prerequisite omega-structured fails: {pre.detail}",
-            applicable=False,
-        )
-    if name in ("OC6", "OC8"):
-        halves = ("OC6A", "OC6B") if name == "OC6" else ("OC8A", "OC8B")
-        wa = _OC_DISPATCH[halves[0]](c)
-        wb = _OC_DISPATCH[halves[1]](c)
-        parts = ((halves[0].lower(), wa is None), (halves[1].lower(), wb is None))
-        w = wa if wa is not None else wb
-        side = halves[0] if wa is not None else halves[1]
-        if w is None:
-            return LawReport(name, True, parts=parts)
-        names = ", ".join(c.name_of(i) for i in w)
-        return LawReport(name, False, witness=w, detail=f"{side.lower()} fails at ({names})", parts=parts)
-    if name not in _OC_DISPATCH:
-        raise ValueError(f"unknown OC property {prop!r}")
-    w = _OC_DISPATCH[name](c)
-    if w is None:
-        return LawReport(name, True)
-    names = ", ".join(c.name_of(i) for i in w)
-    return LawReport(name, False, witness=w, detail=f"fails at ({names})")
+    return evaluate(property_key(prop, "OC"), c)
 
 
-def check_prop_oc_equivalences(c: FiniteOrderedCategory) -> LawReport:
-    """Evaluate both sides of the OC8 equivalences independently.
-
-    First: OC8a versus OC4A and OC6.  Second: OC8 versus OC4A, OC4B and
-    OC6.  The report holds when both biconditionals do.
-    """
-    pre = check_omega_structured(c)
-    if not pre.holds:
-        return LawReport(
-            "oc-equivalences",
-            False,
-            witness=pre.witness,
-            detail=f"prerequisite omega-structured fails: {pre.detail}",
-            applicable=False,
-        )
+def _oc_equivalences(c: FiniteOrderedCategory, ev: Evaluation) -> LawReport:
     oc8a = _oc8a_witness(c) is None
     oc8b = _oc8b_witness(c) is None
     oc4a = _oc4_family_witness(c, True, False) is None
@@ -563,13 +512,17 @@ def check_prop_oc_equivalences(c: FiniteOrderedCategory) -> LawReport:
     return LawReport("oc-equivalences", first and second, detail=detail, parts=parts)
 
 
-def check_ehresmann_ordered_category(c: FiniteOrderedCategory) -> LawReport:
-    """Decide the Ehresmann-ordered category laws.
+def check_prop_oc_equivalences(c: FiniteOrderedCategory) -> LawReport:
+    """Evaluate both sides of the OC8 equivalences independently.
 
-    Requires the category to be Omega-structured and satisfy OC6, OC7',
-    OCI, with the identities forming a meet-semilattice under the order.
+    First: OC8a versus OC4A and OC6.  Second: OC8 versus OC4A, OC4B and
+    OC6.  The report holds when both biconditionals do.
     """
-    omega = check_omega_structured(c)
+    return evaluate("oc-equivalences", c)
+
+
+def _ehresmann_ordered_category(c: FiniteOrderedCategory, ev: Evaluation) -> LawReport:
+    omega = ev("omega-structured", c)
     results: list[tuple[str, tuple[int, ...] | None]] = []
     if omega.holds:
         results.append(("OC6a", _oc6a_witness(c)))
@@ -606,6 +559,15 @@ def check_ehresmann_ordered_category(c: FiniteOrderedCategory) -> LawReport:
             parts=tuple(parts),
         )
     return LawReport("ehresmann-ordered-category", True, parts=tuple(parts))
+
+
+def check_ehresmann_ordered_category(c: FiniteOrderedCategory) -> LawReport:
+    """Decide the Ehresmann-ordered category laws.
+
+    Requires the category to be Omega-structured and satisfy OC6, OC7',
+    OCI, with the identities forming a meet-semilattice under the order.
+    """
+    return evaluate("ehresmann-ordered-category", c)
 
 
 def derive_biaction(c: FiniteOrderedCategory) -> Biaction:
@@ -777,20 +739,8 @@ def esn_round_trip(os: OrderedSemigroup) -> LawReport:
                 break
         if sem_witness is not None:
             break
-    sem_ok = (
-        sem_witness is None
-        and back.base.dmap == os.base.dmap
-        and back.base.rmap == os.base.rmap
-        and back.order.rel == os.order.rel
-    )
-    c2 = category_of(back)
-    cat_ok = (
-        c2.comp == c.comp
-        and c2.dmap == c.dmap
-        and c2.rmap == c.rmap
-        and c2.order.rel == c.order.rel
-        and c2.meet == c.meet
-    )
+    sem_ok = back == os
+    cat_ok = category_of(back) == c
     parts = (("semigroup-direction", sem_ok), ("category-direction", cat_ok))
     if sem_ok and cat_ok:
         return LawReport("esn-round-trip", True, parts=parts)
@@ -806,14 +756,7 @@ def esn_round_trip_category(c: FiniteOrderedCategory) -> LawReport:
         os = semigroup_of(c)
     except (PreconditionError, OC6Violation) as exc:
         return LawReport("esn-round-trip", False, detail=str(exc), applicable=False)
-    c2 = category_of(os)
-    ok = (
-        c2.comp == c.comp
-        and c2.dmap == c.dmap
-        and c2.rmap == c.rmap
-        and c2.order.rel == c.order.rel
-        and c2.meet == c.meet
-    )
+    ok = category_of(os) == c
     return LawReport(
         "esn-round-trip",
         ok,
@@ -1083,53 +1026,25 @@ def morphism_correspondence(
     )
 
 
-def check_special_correspondences(os: OrderedSemigroup) -> LawReport:
-    """Verify the law-by-law transfer between the semigroup and its category.
-
-    Branches: OS4/OC4, OS7/OC7, OS4A/OC4A, OS4B/OC4B, restriction with the
-    natural order against inductive-1 (OC8 plus meet-semilattice), and
-    functional left restriction with range against OC4A with every element
-    an epimorphism.
-    """
-    from .core import (
-        check_functional,
-        check_left_restriction_with_range,
-        check_restriction,
-    )
-    from .orders import check_OS_property
-
-    pre = check_ehresmann_order(os)
-    if not pre.holds:
-        return LawReport(
-            "special-correspondences",
-            False,
-            witness=pre.witness,
-            detail=f"prerequisite ehresmann-order fails: {pre.detail}",
-            applicable=False,
-        )
+def _special_correspondences(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
     c = category_of(os)
     leq_e = derive_orders(os.base).leq_e
     natural = os.order.rel == leq_e.rel
 
-    os_side = {
-        "OS4": check_OS_property(os, "OS4").holds,
-        "OS7": check_OS_property(os, "OS7").holds,
-        "OS4A": check_OS_property(os, "OS4A").holds,
-        "OS4B": check_OS_property(os, "OS4B").holds,
-    }
+    os_side = {name: ev(name.lower(), os).holds for name in ("OS4", "OS7", "OS4A", "OS4B")}
     oc_side = {
         "OC4": _oc4_family_witness(c, True, True) is None,
         "OC7": _oc7_witness(c, prime=False) is None,
         "OC4A": _oc4_family_witness(c, True, False) is None,
         "OC4B": _oc4_family_witness(c, False, True) is None,
     }
-    restriction_sem = check_restriction(os.base).holds and natural
+    restriction_sem = ev("restriction", os.base).holds and natural
     inductive1 = (
         _oc8a_witness(c) is None and _oc8b_witness(c) is None and c.meet is not None
     )
     functional_sem = (
-        check_functional(os.base).holds
-        and check_left_restriction_with_range(os.base).holds
+        ev("functional", os.base).holds
+        and ev("left-restriction-with-range", os.base).holds
         and natural
     )
     functional_cat = (
@@ -1152,9 +1067,31 @@ def check_special_correspondences(os: OrderedSemigroup) -> LawReport:
     return LawReport("special-correspondences", holds, detail=detail, parts=parts)
 
 
-def _unique_below(n: int, dmap, rel, x: int, e: int) -> int | None:
-    ys = [y for y in range(n) if rel[y][x] and dmap[y] == e]
-    return ys[0] if len(ys) == 1 else None
+def check_special_correspondences(os: OrderedSemigroup) -> LawReport:
+    """Verify the law-by-law transfer between the semigroup and its category.
+
+    Branches: OS4/OC4, OS7/OC7, OS4A/OC4A, OS4B/OC4B, restriction with the
+    natural order against inductive-1 (OC8 plus meet-semilattice), and
+    functional left restriction with range against OC4A with every element
+    an epimorphism.
+    """
+    return evaluate("special-correspondences", os)
+
+
+def _monotone_witness(n: int, ids, idmap, rel_unique, rel, meet) -> tuple[int, ...] | None:
+    """Least x <= y under ``rel`` and identity e whose unique parts below, taken
+    under ``rel_unique`` with ``idmap`` at (``idmap``(x) meet e), are missing or unrelated.
+    """
+    for x in range(n):
+        for y in range(n):
+            if not rel[x][y]:
+                continue
+            for e in ids:
+                u = _unique_below(n, idmap, rel_unique, x, meet[(idmap[x], e)])
+                v = _unique_below(n, idmap, rel_unique, y, meet[(idmap[y], e)])
+                if u is None or v is None or not rel[u][v]:
+                    return (x, y, e)
+    return None
 
 
 def check_ehresmann_category_two_orders(
@@ -1169,8 +1106,6 @@ def check_ehresmann_category_two_orders(
     monotone in the stated mixed sense.  Later clauses that need earlier
     ones are only evaluated when those hold.
     """
-    from .orders import compose_relations
-
     n = c0.n
     if leq_l.n != n or leq_r.n != n:
         raise StructureError("order and carrier sizes differ")
@@ -1179,28 +1114,12 @@ def check_ehresmann_category_two_orders(
 
     def omega_ok(rel) -> bool:
         return (
-            _oc2_witness(None, c0.dmap, c0.rmap, rel, n) is None
-            and _oc3_witness(c0.comp, rel, n) is None
+            _os2_witness(n, c0.dmap, c0.rmap, rel) is None
+            and _os3_witness(n, c0.comp, rel) is None
         )
 
-    def oc8a_ok() -> bool:
-        return all(
-            len([y for y in range(n) if rel_l[y][x] and c0.dmap[y] == e]) == 1
-            for x in range(n)
-            for e in ids
-            if rel_l[e][c0.dmap[x]]
-        )
-
-    def oc8b_ok() -> bool:
-        return all(
-            len([y for y in range(n) if rel_r[y][x] and c0.rmap[y] == e]) == 1
-            for x in range(n)
-            for e in ids
-            if rel_r[e][c0.rmap[x]]
-        )
-
-    b1 = omega_ok(rel_l) and oc8a_ok()
-    b2 = omega_ok(rel_r) and oc8b_ok()
+    b1 = omega_ok(rel_l) and _oc8_witness(n, ids, c0.dmap, rel_l) is None
+    b2 = omega_ok(rel_r) and _oc8_witness(n, ids, c0.rmap, rel_r) is None
     b3 = all(rel_l[e][f] == rel_r[e][f] for e in ids for f in ids)
     meet = None
     if b3:
@@ -1216,38 +1135,10 @@ def check_ehresmann_category_two_orders(
     b6 = b7 = False
     witness67: tuple[int, ...] | None = None
     if b1 and b2 and b3 and b4:
-        b6 = True
-        for x in range(n):
-            for y in range(n):
-                if not rel_r[x][y]:
-                    continue
-                for e in ids:
-                    u = _unique_below(n, c0.dmap, rel_l, x, meet[(c0.dmap[x], e)])
-                    v = _unique_below(n, c0.dmap, rel_l, y, meet[(c0.dmap[y], e)])
-                    if u is None or v is None or not rel_r[u][v]:
-                        b6 = False
-                        witness67 = witness67 or (x, y, e)
-                        break
-                if not b6:
-                    break
-            if not b6:
-                break
-        b7 = True
-        for x in range(n):
-            for y in range(n):
-                if not rel_l[x][y]:
-                    continue
-                for e in ids:
-                    u = _unique_below(n, c0.rmap, rel_r, x, meet[(c0.rmap[x], e)])
-                    v = _unique_below(n, c0.rmap, rel_r, y, meet[(c0.rmap[y], e)])
-                    if u is None or v is None or not rel_l[u][v]:
-                        b7 = False
-                        witness67 = witness67 or (x, y, e)
-                        break
-                if not b7:
-                    break
-            if not b7:
-                break
+        w6 = _monotone_witness(n, ids, c0.dmap, rel_l, rel_r, meet)
+        w7 = _monotone_witness(n, ids, c0.rmap, rel_r, rel_l, meet)
+        b6, b7 = w6 is None, w7 is None
+        witness67 = w6 or w7
     parts = (
         ("left-order-oc8a", b1),
         ("right-order-oc8b", b2),
@@ -1268,3 +1159,23 @@ def check_ehresmann_category_two_orders(
         detail=detail,
         parts=parts,
     )
+
+
+register(
+    Law("omega-structured", "category", _omega_structured, ladder=True),
+    Law("ehresmann-ordered-category", "category", _ehresmann_ordered_category, ladder=True),
+    Law("oc-equivalences", "category", _oc_equivalences, pre="omega-structured", ladder=True),
+    _oc_law("OC4", lambda c: _oc4_family_witness(c, True, True)),
+    _oc_law("OC4A", lambda c: _oc4_family_witness(c, True, False)),
+    _oc_law("OC4B", lambda c: _oc4_family_witness(c, False, True)),
+    _oc_pair_law("OC6", _oc6a_witness, _oc6b_witness),
+    _oc_law("OC6A", _oc6a_witness),
+    _oc_law("OC6B", _oc6b_witness),
+    _oc_law("OC7", lambda c: _oc7_witness(c, prime=False)),
+    _oc_law("OC7'", lambda c: _oc7_witness(c, prime=True), aliases=("oc7p",)),
+    _oc_pair_law("OC8", _oc8a_witness, _oc8b_witness),
+    _oc_law("OC8A", _oc8a_witness),
+    _oc_law("OC8B", _oc8b_witness),
+    _oc_law("OCI", _oci_witness),
+    Law("special-correspondences", "ordered", _special_correspondences, pre="ehresmann-order"),
+)

@@ -16,10 +16,6 @@ from .category import (
     FiniteOrderedCategory,
     category_of,
     check_ehresmann_category_two_orders,
-    check_ehresmann_ordered_category,
-    check_omega_structured,
-    check_OC_property,
-    check_prop_oc_equivalences,
     check_special_correspondences,
     derive_biaction,
     esn_round_trip,
@@ -28,57 +24,20 @@ from .category import (
     verify_biaction,
 )
 from .core import (
+    LAWS,
+    Evaluation,
     FiniteBiunarySemigroup,
+    Law,
     LawReport,
     StructureError,
     WorkbenchError,
-    check_associativity,
-    check_de_barros_equational,
-    check_ehresmann,
-    check_functional,
-    check_left_restriction_with_range,
-    check_localisable,
-    check_restriction,
-    check_right_restriction_with_domain,
+    ladder,
 )
 from .fileformat import StructureFile, emit_structure, resolve, semigroup_file
-from .orders import (
-    OrderedSemigroup,
-    check_OS_property,
-    check_ehresmann_order,
-    check_leq_e_partial_laws,
-    derive_orders,
-    enumerate_ehresmann_orders,
-    is_de_barros,
-    leq_e_containment,
-    semilattice_order_agreement,
-    smallest_order_check,
-)
+from .orders import OrderedSemigroup, derive_orders, enumerate_ehresmann_orders
 from .sweep import run_sweep
 
 SCHEMA = "ehresmann-report/1"
-
-SEMIGROUP_LADDER = (
-    "associativity",
-    "localisable",
-    "ehresmann",
-    "left-restriction-with-range",
-    "right-restriction-with-domain",
-    "restriction",
-    "functional",
-    "de-barros",
-)
-ORDER_LADDER = (
-    "ehresmann-order",
-    "semilattice-order-agreement",
-    "leq-e-containment",
-    "os4",
-    "os4a",
-    "os4b",
-    "os7",
-)
-CATEGORY_LADDER = ("omega-structured", "ehresmann-ordered-category", "oc-equivalences")
-
 
 @dataclass
 class RunReport:
@@ -137,51 +96,32 @@ def _summary_of(sf: StructureFile) -> dict:
     }
 
 
-def _semigroup_law_runners(sf: StructureFile) -> dict:
-    s = sf.semigroup
-
-    def with_order(fn):
-        def run():
-            if sf.order is None:
-                return LawReport(
-                    "order-law", False, detail="the file carries no order section", applicable=False
-                )
-            return fn(OrderedSemigroup(s, sf.order))
-
-        return run
-
-    return {
-        "associativity": lambda: check_associativity(s),
-        "localisable": lambda: check_localisable(s),
-        "ehresmann": lambda: check_ehresmann(s),
-        "left-restriction-with-range": lambda: check_left_restriction_with_range(s),
-        "right-restriction-with-domain": lambda: check_right_restriction_with_domain(s),
-        "restriction": lambda: check_restriction(s),
-        "functional": lambda: check_functional(s),
-        "de-barros": lambda: is_de_barros(s),
-        "de-barros-equational": lambda: check_de_barros_equational(s),
-        "leq-e-partial-laws": lambda: check_leq_e_partial_laws(s),
-        "smallest-ehresmann-order": lambda: smallest_order_check(s),
-        "ehresmann-order": with_order(check_ehresmann_order),
-        "semilattice-order-agreement": with_order(semilattice_order_agreement),
-        "leq-e-containment": with_order(leq_e_containment),
-        "os4": with_order(lambda o: check_OS_property(o, "OS4")),
-        "os4a": with_order(lambda o: check_OS_property(o, "OS4A")),
-        "os4b": with_order(lambda o: check_OS_property(o, "OS4B")),
-        "os7": with_order(lambda o: check_OS_property(o, "OS7")),
-    }
+def _subjects(sf: StructureFile) -> dict:
+    """What each law subject kind is decided on for this file; None when absent."""
+    if sf.kind == "category":
+        return {"category": sf.category}
+    ordered = None if sf.order is None else OrderedSemigroup(sf.semigroup, sf.order)
+    return {"semigroup": sf.semigroup, "ordered": ordered}
 
 
-def _category_law_runners(c: FiniteOrderedCategory) -> dict:
-    runners = {
-        "omega-structured": lambda: check_omega_structured(c),
-        "ehresmann-ordered-category": lambda: check_ehresmann_ordered_category(c),
-        "oc-equivalences": lambda: check_prop_oc_equivalences(c),
-    }
-    for prop in ("OC4", "OC4A", "OC4B", "OC6", "OC6A", "OC6B", "OC7", "OC7'", "OC8", "OC8A", "OC8B", "OCI"):
-        runners[prop.lower()] = lambda p=prop: check_OC_property(c, p)
-    runners["oc7p"] = runners["oc7'"]  # apostrophe-free spelling for shells
-    return runners
+def _laws_named(names: list[str], subjects: dict, what: str) -> list[Law]:
+    """The registered laws called ``names`` that apply to ``subjects``."""
+    wanted = [w.lower() for w in names]
+    unknown = [w for w in wanted if w not in LAWS or LAWS[w].subject not in subjects]
+    if unknown:
+        raise StructureError(f"unknown {what}(s): {', '.join(unknown)}")
+    return [LAWS[w] for w in wanted]
+
+
+_NO_ORDER = LawReport("order-law", False, detail="the file carries no order section", applicable=False)
+
+
+def _decide(laws: list[Law], subjects: dict, ev: Evaluation) -> list[LawReport]:
+    """Each law's verdict on its subject, through one evaluation."""
+    return [
+        _NO_ORDER if subjects[law.subject] is None else ev(law.key, subjects[law.subject])
+        for law in laws
+    ]
 
 
 def _order_pairs_named(s, order) -> list[str]:
@@ -192,30 +132,12 @@ def _cmd_check(args, report: RunReport) -> None:
     sf = resolve(args.file)
     report.kind = sf.kind
     report.summary = _summary_of(sf)
-    if sf.kind == "semigroup":
-        runners = _semigroup_law_runners(sf)
-        if args.law:
-            wanted = [w.lower() for w in args.law]
-            unknown = [w for w in wanted if w not in runners]
-            if unknown:
-                raise StructureError(f"unknown law name(s): {', '.join(unknown)}")
-        else:
-            wanted = list(SEMIGROUP_LADDER)
-            if sf.order is not None:
-                wanted += list(ORDER_LADDER)
-        for name in wanted:
-            report.reports.append(runners[name]())
+    subjects = _subjects(sf)
+    if args.law:
+        laws = _laws_named(args.law, subjects, "law name")
     else:
-        runners = _category_law_runners(sf.category)
-        if args.law:
-            wanted = [w.lower() for w in args.law]
-            unknown = [w for w in wanted if w not in runners]
-            if unknown:
-                raise StructureError(f"unknown law name(s): {', '.join(unknown)}")
-        else:
-            wanted = list(CATEGORY_LADDER)
-        for name in wanted:
-            report.reports.append(runners[name]())
+        laws = [law for kind, x in subjects.items() if x is not None for law in ladder(kind)]
+    report.reports.extend(_decide(laws, subjects, Evaluation()))
     report.exit_code = 0 if all(r.holds for r in report.reports) else 1
 
 
@@ -226,7 +148,7 @@ def _cmd_orders(args, report: RunReport) -> None:
     s = sf.semigroup
     report.kind = sf.kind
     report.summary = _summary_of(sf)
-    found = enumerate_ehresmann_orders(s, up_to_iso=args.up_to_iso, jobs=args.jobs)
+    found = enumerate_ehresmann_orders(s, up_to_iso=args.up_to_iso)
     report.artifacts["count"] = len(found)
     report.artifacts["up_to_iso"] = bool(args.up_to_iso)
     report.text_lines.append(f"ehresmann orders: {len(found)}")
@@ -279,13 +201,9 @@ def _cmd_cat(args, report: RunReport) -> None:
         report.exit_code = 0 if all(r.holds for r in report.reports) else 1
         return
     c = _load_category(sf)
-    runners = _category_law_runners(c)
-    wanted = [w.lower() for w in args.check] if args.check else list(CATEGORY_LADDER)
-    unknown = [w for w in wanted if w not in runners]
-    if unknown:
-        raise StructureError(f"unknown OC law name(s): {', '.join(unknown)}")
-    for name in wanted:
-        report.reports.append(runners[name]())
+    subjects = {"category": c}
+    laws = _laws_named(args.check, subjects, "OC law name") if args.check else ladder("category")
+    report.reports.extend(_decide(laws, subjects, Evaluation()))
     if args.biaction:
         b = derive_biaction(c)
         report.reports.append(verify_biaction(c, b))
@@ -327,16 +245,15 @@ def _cmd_enumerate(args, report: RunReport) -> None:
     stream = zoo.enumerate_ehresmann_semigroups(
         args.size, up_to_iso=args.up_to_iso, allow_large=args.allow_large, jobs=args.jobs
     )
+    law = None
+    if args.filter:
+        law = LAWS.get(args.filter.lower())
+        if law is None or law.subject not in ("semigroup", "ordered"):
+            raise StructureError(f"unknown law name {args.filter!r}")
     structures = []
     for s in stream:
-        if args.filter:
-            runners = _semigroup_law_runners(semigroup_file(s))
-            name = args.filter.lower()
-            if name not in runners:
-                raise StructureError(f"unknown law name {args.filter!r}")
-            if not runners[name]().holds:
-                continue
-        structures.append(s)
+        if law is None or _decide([law], {"semigroup": s, "ordered": None}, Evaluation())[0].holds:
+            structures.append(s)
     report.summary = {"size": args.size, "count": len(structures)}
     report.artifacts["count"] = len(structures)
     report.artifacts["structures"] = [_structure_as_dict(s) for s in structures]
@@ -405,7 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--up-to-iso", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=_cmd_orders)
 
     p = sub.add_parser("derive", parents=[common], help="derive an algebraic order")

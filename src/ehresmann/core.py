@@ -9,8 +9,8 @@ instance so the failure can be replayed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Iterator
 
 
 class WorkbenchError(Exception):
@@ -165,8 +165,116 @@ def _fmt(s: FiniteBiunarySemigroup, *indices: int) -> str:
     return ", ".join(s.name_of(i) for i in indices)
 
 
-def check_associativity(s: FiniteBiunarySemigroup) -> LawReport:
-    """Decide (ab)c = a(bc) over all triples."""
+@dataclass(frozen=True)
+class Law:
+    """One registered law: what it is decided on, what it presupposes, how.
+
+    ``name`` is the report's ``law``; its lower-case form (or an alias) is
+    the command-line name.  ``subject`` is the kind decided on:
+    ``"semigroup"``, ``"ordered"`` (an OrderedSemigroup) or ``"category"``
+    (a FiniteOrderedCategory).  ``decide(subject, evaluation)`` returns the
+    verdict and may ask the evaluation for other laws.
+
+    When the prerequisite ``pre`` fails (or holds but is itself not
+    applicable), a ``flag`` law is decided anyway
+    and marked not applicable, with ``note`` appended to its detail; any
+    other law returns the prerequisite's witness.  Such a short-circuit
+    report carries the one part ``part`` when given, and when ``prefix`` is
+    given it opens the detail with it and inherits ``applicable`` from the
+    prerequisite.  ``ladder`` puts the law in its subject's default ladder.
+    """
+
+    name: str
+    subject: str
+    decide: Callable[[Any, "Evaluation"], LawReport]
+    pre: str | None = None
+    flag: bool = False
+    note: str = ""
+    prefix: str | None = None
+    part: str | None = None
+    ladder: bool = False
+    aliases: tuple[str, ...] = ()
+
+    @property
+    def key(self) -> str:
+        return self.name.lower()
+
+
+# every law by key and alias, in registration order: core, orders, category
+LAWS: dict[str, Law] = {}
+
+
+def register(*laws: Law) -> None:
+    """Add laws to ``LAWS`` under their keys and aliases."""
+    for law in laws:
+        for key in (law.key, *law.aliases):
+            LAWS[key] = law
+
+
+def ladder(subject: str) -> list[Law]:
+    """The default ladder of a subject kind, in registration order."""
+    return [law for law in LAWS.values() if law.ladder and law.subject == subject]
+
+
+class Evaluation:
+    """Verdicts of one unit of work, each law decided once per subject.
+
+    Make one per command or sweep record and drop it with that work; each
+    public ``check_*`` function makes its own.  Verdicts are keyed by the
+    subject's identity, which is cheaper than hashing a whole table; each
+    entry holds its subject, so no id is reused while the evaluation lives.
+    """
+
+    def __init__(self) -> None:
+        self.verdicts: dict[tuple[str, int], tuple[Any, LawReport]] = {}
+
+    def __call__(self, key: str, x: Any) -> LawReport:
+        """The verdict of the law registered as ``key`` on the subject ``x``."""
+        law = LAWS[key]
+        memo = (law.key, id(x))
+        entry = self.verdicts.get(memo)
+        if entry is None:
+            entry = self.verdicts[memo] = (x, self._decide(law, x))
+        return entry[1]
+
+    def _decide(self, law: Law, x: Any) -> LawReport:
+        if law.pre is None:
+            return law.decide(x, self)
+        # an ordered-semigroup law may presuppose a law of its base semigroup
+        pre = self(law.pre, x.base if LAWS[law.pre].subject != law.subject else x)
+        if pre.holds and pre.applicable:
+            return law.decide(x, self)
+        failed = f"prerequisite {pre.law} fails"
+        if law.flag:
+            rep = law.decide(x, self)
+            return replace(rep, detail=f"{rep.detail}; not applicable: {failed}{law.note}", applicable=False)
+        return LawReport(
+            law.name,
+            False,
+            witness=pre.witness,
+            detail=(law.prefix or f"{failed}: ") + pre.detail,
+            applicable=law.prefix is not None and pre.applicable,
+            parts=((law.part, False),) if law.part else (),
+        )
+
+
+def property_key(prop: str, family: str) -> str:
+    """Registry key of the optional property ``prop`` (any case) of ``family``, OS or OC.
+
+    Raises ValueError for a name that is not such a property.
+    """
+    law = LAWS.get(prop.lower())
+    if law is None or not law.name.startswith(family):
+        raise ValueError(f"unknown {family} property {prop!r}")
+    return law.key
+
+
+def evaluate(key: str, x: Any) -> LawReport:
+    """Decide one registered law on one subject in a fresh evaluation."""
+    return Evaluation()(key, x)
+
+
+def _associativity(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
     mul = s.mul
     for a in range(s.n):
         for b in range(s.n):
@@ -184,6 +292,11 @@ def check_associativity(s: FiniteBiunarySemigroup) -> LawReport:
                         ),
                     )
     return LawReport("associativity", True)
+
+
+def check_associativity(s: FiniteBiunarySemigroup) -> LawReport:
+    """Decide (ab)c = a(bc) over all triples."""
+    return evaluate("associativity", s)
 
 
 def _l1(s: FiniteBiunarySemigroup) -> tuple[int, ...] | None:
@@ -222,24 +335,7 @@ def _l4(s: FiniteBiunarySemigroup) -> tuple[int, ...] | None:
 _LOCALISABLE_SUBLAWS = (("L1", _l1), ("L2", _l2), ("L3", _l3), ("L4", _l4))
 
 
-def check_localisable(s: FiniteBiunarySemigroup) -> LawReport:
-    """Decide the four domain/range laws L1..L4.
-
-    L1: D(x)x = x and xR(x) = x.
-    L2: D(R(x)) = R(x) and R(D(x)) = D(x).
-    L3: D(xy) = D(xD(y)) and R(xy) = R(R(x)y).
-    L4: D(D(x)D(y)) = D(x)D(y).
-    """
-    assoc = check_associativity(s)
-    if not assoc.holds:
-        return LawReport(
-            "localisable",
-            False,
-            witness=assoc.witness,
-            detail=f"prerequisite associativity fails: {assoc.detail}",
-            applicable=False,
-            parts=(("associativity", False),),
-        )
+def _localisable(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
     parts: list[tuple[str, bool]] = []
     first: tuple[str, tuple[int, ...]] | None = None
     for name, fn in _LOCALISABLE_SUBLAWS:
@@ -259,18 +355,18 @@ def check_localisable(s: FiniteBiunarySemigroup) -> LawReport:
     )
 
 
-def check_ehresmann(s: FiniteBiunarySemigroup) -> LawReport:
-    """Decide localisability plus commutation of the projections."""
-    loc = check_localisable(s)
-    if not loc.holds:
-        return LawReport(
-            "ehresmann",
-            False,
-            witness=loc.witness,
-            detail=f"not localisable: {loc.detail}",
-            applicable=loc.applicable,
-            parts=(("localisable", False),),
-        )
+def check_localisable(s: FiniteBiunarySemigroup) -> LawReport:
+    """Decide the four domain/range laws L1..L4.
+
+    L1: D(x)x = x and xR(x) = x.
+    L2: D(R(x)) = R(x) and R(D(x)) = D(x).
+    L3: D(xy) = D(xD(y)) and R(xy) = R(R(x)y).
+    L4: D(D(x)D(y)) = D(x)D(y).
+    """
+    return evaluate("localisable", s)
+
+
+def _ehresmann(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
     proj = sorted({s.dmap[x] for x in range(s.n)})
     for e in proj:
         for f in proj:
@@ -288,6 +384,11 @@ def check_ehresmann(s: FiniteBiunarySemigroup) -> LawReport:
     return LawReport(
         "ehresmann", True, parts=(("localisable", True), ("commuting-projections", True))
     )
+
+
+def check_ehresmann(s: FiniteBiunarySemigroup) -> LawReport:
+    """Decide localisability plus commutation of the projections."""
+    return evaluate("ehresmann", s)
 
 
 def projections(s: FiniteBiunarySemigroup) -> ProjectionSet:
@@ -314,36 +415,35 @@ def projections(s: FiniteBiunarySemigroup) -> ProjectionSet:
     return ProjectionSet(frozenset(dimg))
 
 
-def _law_check_with_pre(
-    s: FiniteBiunarySemigroup,
-    law: str,
-    witness: tuple[int, ...] | None,
-    detail: str,
-    pre: LawReport,
-) -> LawReport:
-    applicable = pre.holds and pre.applicable
-    note = "" if applicable else f"; not applicable: prerequisite {pre.law} fails"
-    return LawReport(law, witness is None, witness=witness, detail=detail + note, applicable=applicable)
-
-
-def check_left_restriction_with_range(s: FiniteBiunarySemigroup) -> LawReport:
-    """Decide the left restriction law xD(y) = D(xy)x."""
-    pre = check_ehresmann(s)
+def _left_restriction_with_range(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
     mul, D = s.mul, s.dmap
-    witness = None
-    detail = ""
     for x in range(s.n):
         for y in range(s.n):
             if mul[x][D[y]] != mul[D[mul[x][y]]][x]:
-                witness = (x, y)
                 detail = (
                     f"{_fmt(s, x)}*D({_fmt(s, y)}) = {_fmt(s, mul[x][D[y]])} but "
                     f"D({_fmt(s, x)}*{_fmt(s, y)})*{_fmt(s, x)} = {_fmt(s, mul[D[mul[x][y]]][x])}"
                 )
-                break
-        if witness is not None:
-            break
-    return _law_check_with_pre(s, "left-restriction-with-range", witness, detail, pre)
+                return LawReport("left-restriction-with-range", False, witness=(x, y), detail=detail)
+    return LawReport("left-restriction-with-range", True)
+
+
+def check_left_restriction_with_range(s: FiniteBiunarySemigroup) -> LawReport:
+    """Decide the left restriction law xD(y) = D(xy)x."""
+    return evaluate("left-restriction-with-range", s)
+
+
+def _right_restriction_with_domain(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
+    mul, R = s.mul, s.rmap
+    for x in range(s.n):
+        for y in range(s.n):
+            if mul[R[y]][x] != mul[x][R[mul[y][x]]]:
+                detail = (
+                    f"R({_fmt(s, y)})*{_fmt(s, x)} = {_fmt(s, mul[R[y]][x])} but "
+                    f"{_fmt(s, x)}*R({_fmt(s, y)}*{_fmt(s, x)}) = {_fmt(s, mul[x][R[mul[y][x]]])}"
+                )
+                return LawReport("right-restriction-with-domain", False, witness=(x, y), detail=detail)
+    return LawReport("right-restriction-with-domain", True)
 
 
 def check_right_restriction_with_domain(s: FiniteBiunarySemigroup) -> LawReport:
@@ -352,28 +452,12 @@ def check_right_restriction_with_domain(s: FiniteBiunarySemigroup) -> LawReport:
     The dual is obtained by reversing products and swapping D with R; it is
     isolated here so a different reading can be swapped in at one place.
     """
-    pre = check_ehresmann(s)
-    mul, R = s.mul, s.rmap
-    witness = None
-    detail = ""
-    for x in range(s.n):
-        for y in range(s.n):
-            if mul[R[y]][x] != mul[x][R[mul[y][x]]]:
-                witness = (x, y)
-                detail = (
-                    f"R({_fmt(s, y)})*{_fmt(s, x)} = {_fmt(s, mul[R[y]][x])} but "
-                    f"{_fmt(s, x)}*R({_fmt(s, y)}*{_fmt(s, x)}) = {_fmt(s, mul[x][R[mul[y][x]]])}"
-                )
-                break
-        if witness is not None:
-            break
-    return _law_check_with_pre(s, "right-restriction-with-domain", witness, detail, pre)
+    return evaluate("right-restriction-with-domain", s)
 
 
-def check_restriction(s: FiniteBiunarySemigroup) -> LawReport:
-    """Decide both one-sided restriction laws together."""
-    left = check_left_restriction_with_range(s)
-    right = check_right_restriction_with_domain(s)
+def _restriction(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
+    left = ev("left-restriction-with-range", s)
+    right = ev("right-restriction-with-domain", s)
     holds = left.holds and right.holds
     failing = left if not left.holds else right
     return LawReport(
@@ -386,57 +470,38 @@ def check_restriction(s: FiniteBiunarySemigroup) -> LawReport:
     )
 
 
-def check_functional(s: FiniteBiunarySemigroup) -> LawReport:
-    """Decide the quasi-identity xy = xz implies R(x)y = R(x)z.
+def check_restriction(s: FiniteBiunarySemigroup) -> LawReport:
+    """Decide both one-sided restriction laws together."""
+    return evaluate("restriction", s)
 
-    The law is stated for left restriction semigroups with range; on other
-    inputs the verdict is still computed but flagged not applicable.
-    """
-    pre = check_left_restriction_with_range(s)
+
+def _functional(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
     mul, R = s.mul, s.rmap
-    witness = None
-    detail = ""
     for x in range(s.n):
         row = mul[x]
         rrow = mul[R[x]]
         for y in range(s.n):
             for z in range(s.n):
                 if row[y] == row[z] and rrow[y] != rrow[z]:
-                    witness = (x, y, z)
                     detail = (
                         f"{_fmt(s, x)}*{_fmt(s, y)} = {_fmt(s, x)}*{_fmt(s, z)}"
                         f" = {_fmt(s, row[y])} but R({_fmt(s, x)})*{_fmt(s, y)} ="
                         f" {_fmt(s, rrow[y])} and R({_fmt(s, x)})*{_fmt(s, z)} = {_fmt(s, rrow[z])}"
                     )
-                    break
-            if witness is not None:
-                break
-        if witness is not None:
-            break
-    rep = _law_check_with_pre(s, "functional", witness, detail, pre)
-    if not rep.applicable:
-        rep = LawReport(
-            rep.law,
-            rep.holds,
-            witness=rep.witness,
-            detail=rep.detail
-            + " (the functional law is defined within left restriction semigroups with range)",
-            applicable=False,
-        )
-    return rep
+                    return LawReport("functional", False, witness=(x, y, z), detail=detail)
+    return LawReport("functional", True)
 
 
-def check_de_barros_equational(s: FiniteBiunarySemigroup) -> LawReport:
-    """Decide the identity xey = D(xey) xy R(xey) for all x, y and projections e."""
-    pre = check_ehresmann(s)
-    if not pre.holds:
-        return LawReport(
-            "de-barros-equational",
-            False,
-            witness=pre.witness,
-            detail=f"prerequisite ehresmann fails: {pre.detail}",
-            applicable=False,
-        )
+def check_functional(s: FiniteBiunarySemigroup) -> LawReport:
+    """Decide the quasi-identity xy = xz implies R(x)y = R(x)z.
+
+    The law is stated for left restriction semigroups with range; on other
+    inputs the verdict is still computed but flagged not applicable.
+    """
+    return evaluate("functional", s)
+
+
+def _de_barros_equational(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
     mul, D, R = s.mul, s.dmap, s.rmap
     proj = projections(s).sorted_members
     for x in range(s.n):
@@ -456,6 +521,29 @@ def check_de_barros_equational(s: FiniteBiunarySemigroup) -> LawReport:
                         ),
                     )
     return LawReport("de-barros-equational", True)
+
+
+def check_de_barros_equational(s: FiniteBiunarySemigroup) -> LawReport:
+    """Decide the identity xey = D(xey) xy R(xey) for all x, y and projections e."""
+    return evaluate("de-barros-equational", s)
+
+
+register(
+    Law("associativity", "semigroup", _associativity, ladder=True),
+    Law("localisable", "semigroup", _localisable, pre="associativity",
+        part="associativity", ladder=True),
+    Law("ehresmann", "semigroup", _ehresmann, pre="localisable",
+        prefix="not localisable: ", part="localisable", ladder=True),
+    Law("left-restriction-with-range", "semigroup", _left_restriction_with_range,
+        pre="ehresmann", flag=True, ladder=True),
+    Law("right-restriction-with-domain", "semigroup", _right_restriction_with_domain,
+        pre="ehresmann", flag=True, ladder=True),
+    Law("restriction", "semigroup", _restriction, ladder=True),
+    Law("functional", "semigroup", _functional, pre="left-restriction-with-range", flag=True,
+        note=" (the functional law is defined within left restriction semigroups with range)",
+        ladder=True),
+    Law("de-barros-equational", "semigroup", _de_barros_equational, pre="ehresmann"),
+)
 
 
 def is_ehresmann_hom(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import zoo
 from .core import FiniteBiunarySemigroup, StructureError
 from .orders import OrderedSemigroup, PartialOrder
 from .category import FiniteOrderedCategory
@@ -235,8 +236,6 @@ def category_file(c: FiniteOrderedCategory) -> StructureFile:
 def resolve(source: str) -> StructureFile:
     """Load a structure from a path or an ``example://NAME[#order]`` URI."""
     if source.startswith("example://"):
-        from . import zoo
-
         ref = source[len("example://") :]
         name, _, order_name = ref.partition("#")
         entry = zoo.get(name)

@@ -7,21 +7,23 @@ enumerator for all Ehresmann orders on a finite Ehresmann semigroup.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import (
+    Evaluation,
     FiniteBiunarySemigroup,
     HomCandidate,
     InternalInconsistency,
+    Law,
     LawReport,
     PreconditionError,
     StructureError,
-    check_ehresmann,
-    check_localisable,
+    evaluate,
     is_ehresmann_hom,
     projections,
+    property_key,
+    register,
 )
 
 
@@ -173,21 +175,22 @@ def derive_orders(s: FiniteBiunarySemigroup) -> DerivedOrders:
     return DerivedOrders(leq_l, leq_r, leq_e)
 
 
-def _os2_witness(os: OrderedSemigroup) -> tuple[int, ...] | None:
-    s, rel = os.base, os.order.rel
-    for a in range(s.n):
-        for b in range(s.n):
-            if rel[a][b] and (not rel[s.dmap[a]][s.dmap[b]] or not rel[s.rmap[a]][s.rmap[b]]):
+def _os2_witness(n: int, dmap, rmap, rel) -> tuple[int, ...] | None:
+    """Least a <= b with D(a) <= D(b) or R(a) <= R(b) failing: OS2, and OC2 on categories."""
+    for a in range(n):
+        for b in range(n):
+            if rel[a][b] and (not rel[dmap[a]][dmap[b]] or not rel[rmap[a]][rmap[b]]):
                 return (a, b)
     return None
 
 
-def _os3_witness(os: OrderedSemigroup) -> tuple[int, ...] | None:
-    s, rel = os.base, os.order.rel
-    pairs = os.order.pairs()
+def _os3_witness(n: int, mul, rel) -> tuple[int, ...] | None:
+    """Least a <= b, c <= d with ac <= bd failing: OS3, and OC3 where ``mul`` is partial."""
+    pairs = [(a, b) for a in range(n) for b in range(n) if rel[a][b]]
     for a, b in pairs:
         for c, d in pairs:
-            if not rel[s.mul[a][c]][s.mul[b][d]]:
+            ac, bd = mul[a][c], mul[b][d]
+            if ac is not None and bd is not None and not rel[ac][bd]:
                 return (a, b, c, d)
     return None
 
@@ -201,10 +204,10 @@ def _os6_witness(os: OrderedSemigroup, proj: Sequence[int]) -> tuple[int, ...] |
     return None
 
 
-def _osi_witness(os: OrderedSemigroup, proj: Sequence[int]) -> tuple[int, ...] | None:
-    rel = os.order.rel
+def _osi_witness(n: int, proj: Sequence[int], rel) -> tuple[int, ...] | None:
+    """Least a outside ``proj`` below some e in ``proj``: OSI, and OCI on categories."""
     pset = set(proj)
-    for a in range(os.base.n):
+    for a in range(n):
         if a in pset:
             continue
         for e in proj:
@@ -213,34 +216,19 @@ def _osi_witness(os: OrderedSemigroup, proj: Sequence[int]) -> tuple[int, ...] |
     return None
 
 
-def check_ehresmann_order(os: OrderedSemigroup) -> LawReport:
-    """Decide whether the order makes the semigroup an ordered Ehresmann semigroup.
-
-    Sub-laws: OS1 (localisable base; poset is enforced by the type), OS2
-    (D and R monotone), OS3 (product monotone), OS6 (products with
-    projections go down), OSI (projections form an order ideal).
-    """
-    loc = check_localisable(os.base)
-    if not loc.holds:
-        return LawReport(
-            "ehresmann-order",
-            False,
-            witness=loc.witness,
-            detail=f"OS1 fails, base not localisable: {loc.detail}",
-            applicable=loc.applicable,
-            parts=(("OS1", False),),
-        )
-    proj = projections(os.base).sorted_members
+def _ehresmann_order(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
+    s = os.base
+    proj = projections(s).sorted_members
     checks = (
-        ("OS2", _os2_witness(os)),
-        ("OS3", _os3_witness(os)),
+        ("OS2", _os2_witness(s.n, s.dmap, s.rmap, os.order.rel)),
+        ("OS3", _os3_witness(s.n, s.mul, os.order.rel)),
         ("OS6", _os6_witness(os, proj)),
-        ("OSI", _osi_witness(os, proj)),
+        ("OSI", _osi_witness(s.n, proj, os.order.rel)),
     )
     parts = [("OS1", True)] + [(name, w is None) for name, w in checks]
     for name, w in checks:
         if w is not None:
-            names = ", ".join(os.base.name_of(i) for i in w)
+            names = ", ".join(s.name_of(i) for i in w)
             return LawReport(
                 "ehresmann-order",
                 False,
@@ -251,73 +239,71 @@ def check_ehresmann_order(os: OrderedSemigroup) -> LawReport:
     return LawReport("ehresmann-order", True, parts=tuple(parts))
 
 
-def check_OS_property(os: OrderedSemigroup, prop: str) -> LawReport:
-    """Decide one of the optional order properties OS4, OS4A, OS4B, OS7."""
-    pre = check_ehresmann_order(os)
-    if not pre.holds:
+def check_ehresmann_order(os: OrderedSemigroup) -> LawReport:
+    """Decide whether the order makes the semigroup an ordered Ehresmann semigroup.
+
+    Sub-laws: OS1 (localisable base; poset is enforced by the type), OS2
+    (D and R monotone), OS3 (product monotone), OS6 (products with
+    projections go down), OSI (projections form an order ideal).
+    """
+    return evaluate("ehresmann-order", os)
+
+
+def _matching_pair_witness(n: int, dmap, rmap, rel, need_d: bool, need_r: bool):
+    """Least a < b with D(a) = D(b) when ``need_d`` and R(a) = R(b) when ``need_r``."""
+    for a in range(n):
+        for b in range(n):
+            if a == b or not rel[a][b]:
+                continue
+            if need_d and dmap[a] != dmap[b]:
+                continue
+            if need_r and rmap[a] != rmap[b]:
+                continue
+            return (a, b)
+    return None
+
+
+def _os4_law(name: str, need_d: bool, need_r: bool) -> Law:
+    def decide(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
+        s = os.base
+        w = _matching_pair_witness(s.n, s.dmap, s.rmap, os.order.rel, need_d, need_r)
+        if w is None:
+            return LawReport(name, True)
         return LawReport(
-            prop,
-            False,
-            witness=pre.witness,
-            detail=f"prerequisite ehresmann-order fails: {pre.detail}",
-            applicable=False,
+            name, False, witness=w, detail=f"{s.name_of(w[0])} < {s.name_of(w[1])} with matching maps"
         )
+
+    return Law(name, "ordered", decide, pre="ehresmann-order", ladder=True)
+
+
+def _os7(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
     s, rel = os.base, os.order.rel
-    witness = None
-    detail = ""
-    if prop in ("OS4", "OS4A", "OS4B"):
-        for a in range(s.n):
-            for b in range(s.n):
-                if a == b or not rel[a][b]:
-                    continue
-                d_eq = s.dmap[a] == s.dmap[b]
-                r_eq = s.rmap[a] == s.rmap[b]
-                bad = (
-                    (prop == "OS4" and d_eq and r_eq)
-                    or (prop == "OS4A" and d_eq)
-                    or (prop == "OS4B" and r_eq)
-                )
-                if bad:
-                    witness = (a, b)
-                    detail = f"{s.name_of(a)} < {s.name_of(b)} with matching maps"
-                    break
-            if witness is not None:
-                break
-    elif prop == "OS7":
-        below = [[y for y in range(s.n) if rel[y][x]] for x in range(s.n)]
-        for a in range(s.n):
-            for b in range(s.n):
-                ab = s.mul[a][b]
-                for u in below[ab]:
-                    if not any(
-                        s.mul[x][y] == u for x in below[a] for y in below[b]
-                    ):
-                        witness = (a, b, u)
-                        detail = (
+    below = [[y for y in range(s.n) if rel[y][x]] for x in range(s.n)]
+    for a in range(s.n):
+        for b in range(s.n):
+            ab = s.mul[a][b]
+            for u in below[ab]:
+                if not any(
+                    s.mul[x][y] == u for x in below[a] for y in below[b]
+                ):
+                    return LawReport(
+                        "OS7",
+                        False,
+                        witness=(a, b, u),
+                        detail=(
                             f"{s.name_of(u)} <= {s.name_of(a)}*{s.name_of(b)} has no"
                             " factorisation below the factors"
-                        )
-                        break
-                if witness is not None:
-                    break
-            if witness is not None:
-                break
-    else:
-        raise ValueError(f"unknown OS property {prop!r}")
-    return LawReport(prop, witness is None, witness=witness, detail=detail)
+                        ),
+                    )
+    return LawReport("OS7", True)
 
 
-def semilattice_order_agreement(os: OrderedSemigroup) -> LawReport:
-    """Decide that on projections, e <= f iff e = ef."""
-    pre = check_ehresmann_order(os)
-    if not pre.holds:
-        return LawReport(
-            "semilattice-order-agreement",
-            False,
-            witness=pre.witness,
-            detail=f"prerequisite ehresmann-order fails: {pre.detail}",
-            applicable=False,
-        )
+def check_OS_property(os: OrderedSemigroup, prop: str) -> LawReport:
+    """Decide one of the optional order properties OS4, OS4A, OS4B, OS7."""
+    return evaluate(property_key(prop, "OS"), os)
+
+
+def _semilattice_order_agreement(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
     s = os.base
     proj = projections(s).sorted_members
     for e in proj:
@@ -332,17 +318,12 @@ def semilattice_order_agreement(os: OrderedSemigroup) -> LawReport:
     return LawReport("semilattice-order-agreement", True)
 
 
-def leq_e_containment(os: OrderedSemigroup) -> LawReport:
-    """Decide that the order contains the derived e-order."""
-    pre = check_ehresmann_order(os)
-    if not pre.holds:
-        return LawReport(
-            "leq-e-containment",
-            False,
-            witness=pre.witness,
-            detail=f"prerequisite ehresmann-order fails: {pre.detail}",
-            applicable=False,
-        )
+def semilattice_order_agreement(os: OrderedSemigroup) -> LawReport:
+    """Decide that on projections, e <= f iff e = ef."""
+    return evaluate("semilattice-order-agreement", os)
+
+
+def _leq_e_containment(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
     leq_e = derive_orders(os.base).leq_e
     for a, b in leq_e.pairs(strict=True):
         if not os.order.rel[a][b]:
@@ -355,36 +336,26 @@ def leq_e_containment(os: OrderedSemigroup) -> LawReport:
     return LawReport("leq-e-containment", True)
 
 
-def check_leq_e_partial_laws(s: FiniteBiunarySemigroup) -> LawReport:
-    """Evaluate OS1, OS2, OS6, OSI and OS3 for the derived e-order.
+def leq_e_containment(os: OrderedSemigroup) -> LawReport:
+    """Decide that the order contains the derived e-order."""
+    return evaluate("leq-e-containment", os)
 
-    The first four always hold on an Ehresmann semigroup; a failure there
-    raises InternalInconsistency.  OS3 may genuinely fail and its verdict
-    is the de Barros test, so the overall verdict equals the OS3 verdict.
-    """
-    pre = check_ehresmann(s)
-    if not pre.holds:
-        return LawReport(
-            "leq-e-partial-laws",
-            False,
-            witness=pre.witness,
-            detail=f"prerequisite ehresmann fails: {pre.detail}",
-            applicable=False,
-        )
+
+def _leq_e_partial_laws(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
     os = OrderedSemigroup(s, derive_orders(s).leq_e)
     proj = projections(s).sorted_members
     verdicts = (
         ("OS1", None),  # partial order: enforced by construction of leq_e
-        ("OS2", _os2_witness(os)),
+        ("OS2", _os2_witness(s.n, s.dmap, s.rmap, os.order.rel)),
         ("OS6", _os6_witness(os, proj)),
-        ("OSI", _osi_witness(os, proj)),
+        ("OSI", _osi_witness(s.n, proj, os.order.rel)),
     )
     for name, w in verdicts:
         if w is not None:
             raise InternalInconsistency(
                 f"{name} fails for the derived e-order at {w}; this law is guaranteed"
             )
-    w3 = _os3_witness(os)
+    w3 = _os3_witness(s.n, s.mul, os.order.rel)
     parts = tuple([(name, True) for name, _ in verdicts] + [("OS3", w3 is None)])
     if w3 is None:
         return LawReport("leq-e-partial-laws", True, parts=parts)
@@ -398,26 +369,19 @@ def check_leq_e_partial_laws(s: FiniteBiunarySemigroup) -> LawReport:
     )
 
 
-def is_de_barros(s: FiniteBiunarySemigroup) -> LawReport:
-    """Decide whether the derived e-order is compatible with multiplication.
+def check_leq_e_partial_laws(s: FiniteBiunarySemigroup) -> LawReport:
+    """Evaluate OS1, OS2, OS6, OSI and OS3 for the derived e-order.
 
-    Cross-validated against the equational form; the two verdicts must
-    agree, otherwise InternalInconsistency is raised.
+    The first four always hold on an Ehresmann semigroup; a failure there
+    raises InternalInconsistency.  OS3 may genuinely fail and its verdict
+    is the de Barros test, so the overall verdict equals the OS3 verdict.
     """
-    from .core import check_de_barros_equational
+    return evaluate("leq-e-partial-laws", s)
 
-    pre = check_ehresmann(s)
-    if not pre.holds:
-        return LawReport(
-            "de-barros",
-            False,
-            witness=pre.witness,
-            detail=f"prerequisite ehresmann fails: {pre.detail}",
-            applicable=False,
-        )
-    os = OrderedSemigroup(s, derive_orders(s).leq_e)
-    w3 = _os3_witness(os)
-    eq = check_de_barros_equational(s)
+
+def _de_barros(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
+    w3 = _os3_witness(s.n, s.mul, derive_orders(s).leq_e.rel)
+    eq = ev("de-barros-equational", s)
     if (w3 is None) != eq.holds:
         raise InternalInconsistency(
             "order-based and equational de Barros verdicts disagree"
@@ -431,6 +395,15 @@ def is_de_barros(s: FiniteBiunarySemigroup) -> LawReport:
         witness=w3,
         detail=f"OS3 fails for the e-order at ({names}); equational criterion agrees",
     )
+
+
+def is_de_barros(s: FiniteBiunarySemigroup) -> LawReport:
+    """Decide whether the derived e-order is compatible with multiplication.
+
+    Cross-validated against the equational form; the two verdicts must
+    agree, otherwise InternalInconsistency is raised.
+    """
+    return evaluate("de-barros", s)
 
 
 def is_ordered_hom(
@@ -609,31 +582,9 @@ class _OrderSearch:
         self._solve(mat, excluded, idx + 1, out)
         excluded.remove((a, b))
 
-    def prefixes(self, depth: int) -> list[tuple[list[list[bool]], set[tuple[int, int]], int]]:
-        """Consistent decision prefixes over the first ``depth`` candidates."""
-        states = [([list(row) for row in self.root], set(), 0)]
-        for _ in range(depth):
-            nxt = []
-            for mat, excluded, idx in states:
-                cands = self.candidates
-                while idx < len(cands) and (mat[cands[idx][0]][cands[idx][1]] or cands[idx] in excluded):
-                    idx += 1
-                if idx >= len(cands):
-                    nxt.append((mat, excluded, idx))
-                    continue
-                a, b = cands[idx]
-                if not mat[b][a]:
-                    inc = [list(row) for row in mat]
-                    inc[a][b] = True
-                    if self._close(inc, [(a, b)], frozenset(excluded)):
-                        nxt.append((inc, set(excluded), idx + 1))
-                nxt.append((mat, excluded | {(a, b)}, idx + 1))
-            states = nxt
-        return states
-
 
 def enumerate_ehresmann_orders(
-    s: FiniteBiunarySemigroup, up_to_iso: bool = False, jobs: int = 1
+    s: FiniteBiunarySemigroup, up_to_iso: bool = False
 ) -> list[PartialOrder]:
     """All partial orders making ``s`` an ordered Ehresmann semigroup.
 
@@ -643,32 +594,19 @@ def enumerate_ehresmann_orders(
     as a bit string; with ``up_to_iso`` one representative per orbit of
     the automorphism group is kept.
     """
-    pre = check_ehresmann(s)
+    ev = Evaluation()
+    pre = ev("ehresmann", s)
     if not pre.holds:
         raise PreconditionError(f"structure is not an Ehresmann semigroup: {pre.detail}")
     search = _OrderSearch(s)
     if not search.root_ok:
         return []
     mats: list[tuple[tuple[bool, ...], ...]] = []
-    if jobs <= 1 or len(search.candidates) < 2:
-        search._solve([list(row) for row in search.root], set(), 0, mats)
-    else:
-        depth = min(len(search.candidates), max(1, (2 * jobs - 1).bit_length()))
-        states = search.prefixes(depth)
-
-        def run(state):
-            mat, excluded, idx = state
-            chunk: list[tuple[tuple[bool, ...], ...]] = []
-            search._solve([list(row) for row in mat], set(excluded), idx, chunk)
-            return chunk
-
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            for chunk in ex.map(run, states):
-                mats.extend(chunk)
+    search._solve(search.root, set(), 0, mats)
     orders = []
     for mat in sorted(set(mats)):
         order = PartialOrder(s.n, mat)
-        rep = check_ehresmann_order(OrderedSemigroup(s, order))
+        rep = ev("ehresmann-order", OrderedSemigroup(s, order))
         if not rep.holds:
             raise InternalInconsistency(
                 f"enumerated order fails the law check: {rep.detail}"
@@ -689,17 +627,7 @@ def enumerate_ehresmann_orders(
     return orders
 
 
-def smallest_order_check(s: FiniteBiunarySemigroup) -> LawReport:
-    """Decide that the e-order is the least Ehresmann order on a de Barros semigroup."""
-    db = is_de_barros(s)
-    if not db.holds:
-        return LawReport(
-            "smallest-ehresmann-order",
-            False,
-            witness=db.witness,
-            detail=f"prerequisite de-barros fails: {db.detail}",
-            applicable=False,
-        )
+def _smallest_order(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
     leq_e = derive_orders(s).leq_e
     found = enumerate_ehresmann_orders(s)
     if leq_e.key() not in {o.key() for o in found}:
@@ -724,3 +652,24 @@ def smallest_order_check(s: FiniteBiunarySemigroup) -> LawReport:
         True,
         detail=f"e-order is least among {len(found)} Ehresmann orders",
     )
+
+
+def smallest_order_check(s: FiniteBiunarySemigroup) -> LawReport:
+    """Decide that the e-order is the least Ehresmann order on a de Barros semigroup."""
+    return evaluate("smallest-ehresmann-order", s)
+
+
+register(
+    Law("ehresmann-order", "ordered", _ehresmann_order, pre="localisable",
+        prefix="OS1 fails, base not localisable: ", part="OS1", ladder=True),
+    Law("semilattice-order-agreement", "ordered", _semilattice_order_agreement,
+        pre="ehresmann-order", ladder=True),
+    Law("leq-e-containment", "ordered", _leq_e_containment, pre="ehresmann-order", ladder=True),
+    _os4_law("OS4", True, True),
+    _os4_law("OS4A", True, False),
+    _os4_law("OS4B", False, True),
+    Law("OS7", "ordered", _os7, pre="ehresmann-order", ladder=True),
+    Law("de-barros", "semigroup", _de_barros, pre="ehresmann", ladder=True),
+    Law("leq-e-partial-laws", "semigroup", _leq_e_partial_laws, pre="ehresmann"),
+    Law("smallest-ehresmann-order", "semigroup", _smallest_order, pre="de-barros"),
+)

@@ -13,44 +13,27 @@ from concurrent.futures import ThreadPoolExecutor
 from . import zoo
 from .category import (
     category_of,
-    check_prop_oc_equivalences,
     check_ehresmann_category_two_orders,
     derive_biaction,
     esn_round_trip,
     partial_product_category,
     verify_biaction,
 )
-from .core import (
-    check_de_barros_equational,
-    check_left_restriction_with_range,
-    check_restriction,
-    check_right_restriction_with_domain,
-)
-from .orders import (
-    OrderedSemigroup,
-    check_OS_property,
-    check_leq_e_partial_laws,
-    derive_orders,
-    enumerate_ehresmann_orders,
-    is_de_barros,
-    leq_e_containment,
-    semilattice_order_agreement,
-    smallest_order_check,
-)
-from .category import check_special_correspondences
+from .core import Evaluation
+from .orders import OrderedSemigroup, derive_orders, enumerate_ehresmann_orders
 
 SCHEMA = "ehresmann-sweep/1"
 
 
-def _ordered_instance_record(osg: OrderedSemigroup, natural: bool) -> dict:
+def _ordered_instance_record(osg: OrderedSemigroup, natural: bool, ev: Evaluation) -> dict:
     s = osg.base
-    os4 = check_OS_property(osg, "OS4").holds
-    os7 = check_OS_property(osg, "OS7").holds
-    os4a = check_OS_property(osg, "OS4A").holds
-    os4b = check_OS_property(osg, "OS4B").holds
-    lrr = check_left_restriction_with_range(s).holds
-    rrd = check_right_restriction_with_domain(s).holds
-    restr = check_restriction(s).holds
+    os4 = ev("os4", osg).holds
+    os7 = ev("os7", osg).holds
+    os4a = ev("os4a", osg).holds
+    os4b = ev("os4b", osg).holds
+    lrr = ev("left-restriction-with-range", s).holds
+    rrd = ev("right-restriction-with-domain", s).holds
+    restr = ev("restriction", s).holds
     c = category_of(osg)
     bia = verify_biaction(c, derive_biaction(c))
     return {
@@ -61,19 +44,19 @@ def _ordered_instance_record(osg: OrderedSemigroup, natural: bool) -> dict:
         "os4a_bicond": os4a == (lrr and natural),
         "os4b_bicond": os4b == (rrd and natural),
         "restriction_bicond": (os4a and os4b) == (restr and natural),
-        "lemma_containment": leq_e_containment(osg).holds,
-        "semilattice_agreement": semilattice_order_agreement(osg).holds,
+        "lemma_containment": ev("leq-e-containment", osg).holds,
+        "semilattice_agreement": ev("semilattice-order-agreement", osg).holds,
         "esn_round_trip": esn_round_trip(osg).holds,
         "biaction": bia.holds,
-        "oc_equivalences": check_prop_oc_equivalences(c).holds,
-        "special_correspondences": check_special_correspondences(osg).holds,
+        "oc_equivalences": ev("oc-equivalences", c).holds,
+        "special_correspondences": ev("special-correspondences", osg).holds,
     }
 
 
-def _base_record(s) -> dict:
-    partial = check_leq_e_partial_laws(s)
-    db = is_de_barros(s)
-    eq = check_de_barros_equational(s)
+def _base_record(s, ev: Evaluation) -> dict:
+    partial = ev("leq-e-partial-laws", s)
+    db = ev("de-barros", s)
+    eq = ev("de-barros-equational", s)
     rec = {
         "n": s.n,
         "leq_e_partial_laws": dict((k, v) for k, v in partial.parts),
@@ -92,7 +75,8 @@ def _base_record(s) -> dict:
 
 def _enumerated_record(item: tuple[str, object]) -> tuple[str, dict]:
     sid, s = item
-    rec = _base_record(s)
+    ev = Evaluation()
+    rec = _base_record(s, ev)
     leq_e = derive_orders(s).leq_e
     orders = enumerate_ehresmann_orders(s)
     rec["order_count"] = len(orders)
@@ -100,24 +84,25 @@ def _enumerated_record(item: tuple[str, object]) -> tuple[str, dict]:
     os4_seen = False
     for order in orders:
         osg = OrderedSemigroup(s, order)
-        inst = _ordered_instance_record(osg, natural=order.rel == leq_e.rel)
+        inst = _ordered_instance_record(osg, natural=order.rel == leq_e.rel, ev=ev)
         os4_seen = os4_seen or inst["os4"]
         per_order.append(inst)
     rec["orders"] = per_order
     rec["os4_exists_iff_de_barros"] = os4_seen == rec["de_barros"]
     if rec["de_barros"]:
-        rec["smallest_order"] = smallest_order_check(s).holds
+        rec["smallest_order"] = ev("smallest-ehresmann-order", s).holds
     return sid, rec
 
 
 def _zoo_record(name: str) -> tuple[str, dict]:
     entry = zoo.get(name)
-    rec = _base_record(entry.structure)
+    ev = Evaluation()
+    rec = _base_record(entry.structure, ev)
     rec["orders"] = []
     for oname, order in entry.orders:
         osg = OrderedSemigroup(entry.structure, order)
         leq_e = derive_orders(entry.structure).leq_e
-        inst = _ordered_instance_record(osg, natural=order.rel == leq_e.rel)
+        inst = _ordered_instance_record(osg, natural=order.rel == leq_e.rel, ev=ev)
         inst["order_name"] = oname
         rec["orders"].append(inst)
     return name, rec
@@ -158,25 +143,24 @@ def _criteria(records: list[dict]) -> dict:
     }
 
 
+def _map(fn, items: list, jobs: int) -> list:
+    """``fn`` over ``items`` in order, on ``jobs`` threads when more than one."""
+    if jobs <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=jobs) as ex:
+        return list(ex.map(fn, items))
+
+
 def run_sweep(max_size: int = 3, jobs: int = 1, include_zoo: bool = True) -> dict:
     """Run the full theorem sweep and return a JSON-ready report."""
     items: list[tuple[str, object]] = []
     for n in range(1, max_size + 1):
         for i, s in enumerate(zoo.enumerate_ehresmann_semigroups(n)):
             items.append((f"n{n}-{i:04d}", s))
-    if jobs <= 1:
-        enumerated = [_enumerated_record(item) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            enumerated = list(ex.map(_enumerated_record, items))
+    enumerated = _map(_enumerated_record, items, jobs)
     zoo_records: list[tuple[str, dict]] = []
     if include_zoo:
-        names = list(zoo.SWEEP_NAMES) + ["orderless-band"]
-        if jobs <= 1:
-            zoo_records = [_zoo_record(name) for name in names]
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as ex:
-                zoo_records = list(ex.map(_zoo_record, names))
+        zoo_records = _map(_zoo_record, list(zoo.SWEEP_NAMES) + ["orderless-band"], jobs)
     all_records = [rec for _, rec in enumerated] + [rec for _, rec in zoo_records]
     criteria = _criteria(all_records)
     return {

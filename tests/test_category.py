@@ -52,6 +52,13 @@ def nabla_cat():
     return category_of(zoo.example_zero_one_nabla().ordered())
 
 
+def nabla_cat_below_02():
+    """zero-one-nabla's category ordered only by 0 <= nabla: OC2 fails at (0, 2)."""
+    c = nabla_cat()
+    order = PartialOrder.from_pairs(c.n, [(0, 2)])
+    return FiniteOrderedCategory(c.n, c.dmap, c.rmap, c.comp, order, names=c.names)
+
+
 def rel2_cat():
     return category_of(zoo.gen_rel(2).ordered())
 
@@ -199,6 +206,21 @@ class TestOCProperties:
         rep = check_OC_property(c, "OC4")
         assert not rep.holds
         assert rep.witness == (1, 0)
+
+    def test_unknown_property_rejected_before_the_prerequisite(self):
+        c = nabla_cat_below_02()
+        assert check_omega_structured(c).witness == (0, 2)
+        for prop in ("nonsense", "os4", "oc-equivalences"):
+            with pytest.raises(ValueError):
+                check_OC_property(c, prop)
+
+    def test_reports_carry_the_canonical_name(self):
+        for spelling in ("OC7'", "oc7'", "oc7p", "OC7P"):
+            rep = check_OC_property(nabla_cat_below_02(), spelling)
+            assert (rep.law, rep.applicable, rep.witness) == ("OC7'", False, (0, 2))
+            assert check_OC_property(nabla_cat(), spelling).law == "OC7'"
+        for spelling in ("OC6A", "oc6a"):
+            assert check_OC_property(nabla_cat_below_02(), spelling).law == "OC6A"
 
     def test_nabla_oc8_fails(self):
         rep = check_OC_property(nabla_cat(), "OC8")

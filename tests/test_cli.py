@@ -1,5 +1,6 @@
 """Command surface: exit codes, JSON schema, and report contents."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import ehresmann
 from ehresmann.cli import run_command
+from ehresmann.core import LAWS
 
 
 def parse_json(report):
@@ -45,6 +47,19 @@ class TestCheck:
         assert payload["exit_code"] == 0
         assert payload["reports"][0]["law"] == "ehresmann"
         assert payload["reports"][0]["holds"] is True
+
+    def test_ladder_decides_each_prerequisite_once(self, monkeypatch):
+        law = LAWS["associativity"]
+        decided = []
+
+        def counting(s, ev):
+            decided.append(s)
+            return law.decide(s, ev)
+
+        monkeypatch.setitem(LAWS, "associativity", dataclasses.replace(law, decide=counting))
+        r = run_command(["check", "example://pt-3"])
+        assert [rep.law for rep in r.reports][:2] == ["associativity", "localisable"]
+        assert len(decided) == 1
 
     def test_witnesses_replay(self):
         r = run_command(["check", "example://orderless-band", "--law", "de-barros-equational"])

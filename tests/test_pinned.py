@@ -1,0 +1,84 @@
+"""Byte pins: the sweep JSON and the CLI's --json reports may not drift.
+
+Each digest is the sha256 of output recorded from a known-good build.  Any
+change to a verdict, witness, detail, part or layout changes a digest.
+Update one only for an intended output change, and record why in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from ehresmann import zoo
+from ehresmann.cli import run_command
+from ehresmann.sweep import run_sweep
+
+SWEEP_3 = "eba66f7150dc7720742dba68d975684fb3ee4f6fdbb04f79ef454d64f281f582"
+
+COMMANDS = {
+    "check": ("check",),
+    "cat --biaction": ("cat", "--biaction"),
+    "cat --two-orders": ("cat", "--two-orders"),
+    "esn": ("esn",),
+}
+
+REPORTS = {
+    ("check", "two-element-monoid"): "0c664def62821d0f019e0bf7f3dc0bd9083cf257e6e3d76b739afa562b4379f7",
+    ("cat --biaction", "two-element-monoid"): "574e9c31d42ac8fb4313f0263a2b547c540642926214140bdfe43e2c10df13c5",
+    ("cat --two-orders", "two-element-monoid"): "2f2f378d5af78d344c58851dff13f11caed94f4d0d30e35936f73c2d7b5aa070",
+    ("esn", "two-element-monoid"): "0d12b564b7545a5d35dfeb9de6ffe0721996e5469d509fb1cf0978a1838cd2a0",
+    ("check", "zero-one-nabla"): "e75f4706a09d0f8fff25c402f77d426ee757893a542d59d097eb962a83879541",
+    ("cat --biaction", "zero-one-nabla"): "e3f323d6d119c2a21ca33bd4c697a9c5e3bd1df9d9190861aeff9ae7b0e2d44b",
+    ("cat --two-orders", "zero-one-nabla"): "787e7dea57e9cfaa9831545df3d77e5fdd6548f4cd738bca8e2838dabd81433c",
+    ("esn", "zero-one-nabla"): "672fc4e5cc64eadb27111060ed762f76385e829e1098c984e49028e17d32343e",
+    ("check", "rel-1"): "af978c96e70b5ec9739b60520e1a1fc6d24401033cd72afd3bc386a826921c76",
+    ("cat --biaction", "rel-1"): "5e813aebf9dd92bbae2b5ea280c2829b40dfe24602c09dc13885efa2b5b56630",
+    ("cat --two-orders", "rel-1"): "d3ec1dd788146089df83993ce567223681348a5d6f66fc05423d20f4b4218b2e",
+    ("esn", "rel-1"): "4a53f2b38f2f54b41588638caf23ae930e91c60649636047f051b2e81965f00f",
+    ("check", "rel-2"): "459737290b82e8574faba4392d6d71ce58e57f16fa931e75dc1ac1a3389d22c1",
+    ("cat --biaction", "rel-2"): "24f46ed972cefaaf0efa44315e5265fb85694256369a3f9d96b048067e2200ca",
+    ("cat --two-orders", "rel-2"): "c94a274e01d80a033920dec5ad7734ca72c2f2ce0e71fb1ecf6136d3e7f1ef24",
+    ("esn", "rel-2"): "869e6ab98fb352b99dbec41612b56fbd3cca6aa33e212b19801dd162eac8988b",
+    ("check", "pt-1"): "82dad82a455976ba77d38e935a230a6d4e456882bb3ad30bffd5b719cc72da62",
+    ("cat --biaction", "pt-1"): "3af1377a74703c7e91f56aed7f444506827073bebfb339e645c32a0098da18a9",
+    ("cat --two-orders", "pt-1"): "1695d50894222b519a23b88183416d48ef65ddb9465f4b9b53d6b4aa69a0d63d",
+    ("esn", "pt-1"): "19159988c5aa43031bc12deb7c4e7a623b0fb500d11d6ee1b7f603b3f0b81de4",
+    ("check", "pt-2"): "2d7e5ed6bb365e110388f749da651c681fc60467dfc6cca4503c5c6408630628",
+    ("cat --biaction", "pt-2"): "b6aaf15f50a606166fc51054a085c6348b3e4b002a530a586215ce2d53cd2468",
+    ("cat --two-orders", "pt-2"): "18c79731ac69f178db9aeee2d3072c514ffe8f6ac59ebf07037fbfb35afaaef4",
+    ("esn", "pt-2"): "c0f86213af742b3a9670e53d74188a73424923ccca3a5394b861aa45e9d72c0d",
+    ("check", "inj-1"): "6f86a380ef4e3ecd399d43895ee290d63d09089eeb07fba265c437fd1571ab00",
+    ("cat --biaction", "inj-1"): "22e214d09e13a9b5e060733e570587df1392579f2eba030a44ad0e3b282dc1c2",
+    ("cat --two-orders", "inj-1"): "ac125e6868e806eb60d95f5c2843715c8719e3997c5a907c06e156399b7dbe34",
+    ("esn", "inj-1"): "b672f1c8a452aafb79a51f2456bf14d908b7aae8a5b8a5f25fa2e5d0f399b708",
+    ("check", "inj-2"): "81c030cc625aaf30a9319ab2ef366065d74390d66ae207845ca953a19f580e70",
+    ("cat --biaction", "inj-2"): "9254074276c3ab6fc6c14fa48ef40fd09a2125bbce48fe2bb8759135a0778a0d",
+    ("cat --two-orders", "inj-2"): "17f937cc27489b3b8c287df52acfa299d00bfd3935918a849474e8634f686d76",
+    ("esn", "inj-2"): "12f2d715797dee977baf0e7b12f47fa10d01406caa57a0d461373dc7de3f46d3",
+    ("check", "orderless-band"): "25b192c33486e06da32aac6010466fd95ed7d55ab591a7489c5090a9a90ec43a",
+    ("cat --biaction", "orderless-band"): "9170d338a6c9b5466f3e76d81fd4d124eeb632a9c5df6bd4d436b97574a52e8b",
+    ("cat --two-orders", "orderless-band"): "2fb259fe951b5a23de181ef36b6aed5de3277affe63c84ea5c8a0fcb2f4e3151",
+    ("esn", "orderless-band"): "70a48523829aec6ad6a9d74219e12b51b277e24672d9a859204661818e0bb489",
+}
+
+SUBJECTS = list(zoo.SWEEP_NAMES) + ["orderless-band"]
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_every_subject_and_command_is_pinned():
+    assert set(REPORTS) == {(label, name) for label in COMMANDS for name in SUBJECTS}
+
+
+def test_sweep_json_is_pinned():
+    assert digest(json.dumps(run_sweep(max_size=3), sort_keys=True, indent=2)) == SWEEP_3
+
+
+@pytest.mark.parametrize("label,name", sorted(REPORTS))
+def test_cli_json_report_is_pinned(label, name):
+    cmd, *flags = COMMANDS[label]
+    report = run_command([cmd, f"example://{name}", *flags, "--json"])
+    assert digest(report.to_json()) == REPORTS[(label, name)]
