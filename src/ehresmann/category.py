@@ -24,6 +24,7 @@ from .core import (
     PreconditionError,
     StructureError,
     TooLargeError,
+    _fmt,
     check_ehresmann,
     evaluate,
     property_key,
@@ -180,34 +181,19 @@ class FiniteOrderedCategory:
     meet: tuple[tuple[int | None, ...], ...] | None = None
     names: tuple[str, ...] | None = None
 
+    identities = FiniteCategory.identities
+    name_of = FiniteCategory.name_of
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dmap", tuple(self.dmap))
-        object.__setattr__(self, "rmap", tuple(self.rmap))
-        object.__setattr__(self, "comp", _coerce_comp(self.comp))
-        if self.names is not None:
-            object.__setattr__(self, "names", tuple(str(x) for x in self.names))
-        _validate_category(self.n, self.dmap, self.rmap, self.comp)
+        FiniteCategory.__post_init__(self)
         if self.order.n != self.n:
             raise StructureError("order and carrier sizes differ")
-        ids = tuple(sorted(set(self.dmap)))
+        ids = self.identities()
         if self.meet is None:
             object.__setattr__(self, "meet", _derive_meet(self.n, ids, self.order))
         else:
-            object.__setattr__(
-                self,
-                "meet",
-                tuple(tuple(None if v is None else int(v) for v in row) for row in self.meet),
-            )
+            object.__setattr__(self, "meet", _coerce_comp(self.meet))
             _validate_meet(self.n, ids, self.order, self.meet)
-
-    def identities(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.dmap)))
-
-    def unordered(self) -> FiniteCategory:
-        return FiniteCategory(self.n, self.dmap, self.rmap, self.comp, self.names)
-
-    def name_of(self, i: int) -> str:
-        return self.names[i] if self.names is not None else str(i)
 
 
 @dataclass(frozen=True)
@@ -222,12 +208,8 @@ class Biaction:
     right: tuple[tuple[int | None, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "left", tuple(tuple(None if v is None else int(v) for v in row) for row in self.left)
-        )
-        object.__setattr__(
-            self, "right", tuple(tuple(None if v is None else int(v) for v in row) for row in self.right)
-        )
+        object.__setattr__(self, "left", _coerce_comp(self.left))
+        object.__setattr__(self, "right", _coerce_comp(self.right))
 
 
 @dataclass(frozen=True)
@@ -286,14 +268,12 @@ def _omega_structured(c: FiniteOrderedCategory, ev: Evaluation) -> LawReport:
     w3 = _os3_witness(c.n, c.comp, rel)
     parts = (("OC1", True), ("OC2", w2 is None), ("OC3", w3 is None))
     if w2 is not None:
-        names = ", ".join(c.name_of(i) for i in w2)
         return LawReport(
-            "omega-structured", False, witness=w2, detail=f"OC2 fails at ({names})", parts=parts
+            "omega-structured", False, witness=w2, detail=f"OC2 fails at ({_fmt(c, *w2)})", parts=parts
         )
     if w3 is not None:
-        names = ", ".join(c.name_of(i) for i in w3)
         return LawReport(
-            "omega-structured", False, witness=w3, detail=f"OC3 fails at ({names})", parts=parts
+            "omega-structured", False, witness=w3, detail=f"OC3 fails at ({_fmt(c, *w3)})", parts=parts
         )
     return LawReport("omega-structured", True, parts=parts)
 
@@ -307,23 +287,39 @@ def check_omega_structured(c: FiniteOrderedCategory) -> LawReport:
     return evaluate("omega-structured", c)
 
 
-def _max_below_with(rel, pool: list[int]) -> int | None:
+def _max_below(c: FiniteOrderedCategory, idmap, x: int, e: int) -> int | None:
+    """The maximum y <= x with idmap(y) <= e, or None when there is none."""
+    rel = c.order.rel
+    pool = [y for y in range(c.n) if rel[y][x] and rel[idmap[y]][e]]
     for m in pool:
         if all(rel[y][m] for y in pool):
             return m
     return None
 
 
-def _restriction_raw(c: FiniteOrderedCategory, e: int, x: int) -> tuple[int | None, list[int]]:
-    rel = c.order.rel
-    pool = [y for y in range(c.n) if rel[y][x] and rel[c.dmap[y]][e]]
-    return _max_below_with(rel, pool), pool
+def _restrict(c: FiniteOrderedCategory, idmap, x: int, e: int, words: tuple[str, str, str]) -> int:
+    """The maximum y <= x with idmap(y) <= e, which must have idmap(y) = e.
 
-
-def _corestriction_raw(c: FiniteOrderedCategory, x: int, e: int) -> tuple[int | None, list[int]]:
-    rel = c.order.rel
-    pool = [y for y in range(c.n) if rel[y][x] and rel[c.rmap[y]][e]]
-    return _max_below_with(rel, pool), pool
+    ``words`` names the side in messages: the operation, the letter of
+    ``idmap`` and what it gives.
+    """
+    op, letter, noun = words
+    for v in (e, x):
+        if not 0 <= v < c.n:
+            raise StructureError(f"{op} element {v!r} out of range 0..{c.n - 1}")
+    if e not in set(c.dmap):
+        raise PreconditionError(f"{c.name_of(e)} is not an identity")
+    if not c.order.rel[e][idmap[x]]:
+        raise PreconditionError(f"{op} needs {c.name_of(e)} <= {letter}({c.name_of(x)})")
+    m = _max_below(c, idmap, x, e)
+    if m is None:
+        raise OC6Violation(f"no maximum below {c.name_of(x)} with {noun} under {c.name_of(e)}")
+    if idmap[m] != e:
+        raise OC6Violation(
+            f"maximum {c.name_of(m)} below {c.name_of(x)} has {noun}"
+            f" {c.name_of(idmap[m])}, not {c.name_of(e)}"
+        )
+    return m
 
 
 def restriction(c: FiniteOrderedCategory, e: int, x: int) -> int:
@@ -332,66 +328,28 @@ def restriction(c: FiniteOrderedCategory, e: int, x: int) -> int:
     Raises OC6Violation when the maximum is missing or has the wrong
     domain; that is a failure of law OC6a at this instance.
     """
-    if e not in set(c.dmap):
-        raise PreconditionError(f"{c.name_of(e)} is not an identity")
-    if not c.order.rel[e][c.dmap[x]]:
-        raise PreconditionError(
-            f"restriction needs {c.name_of(e)} <= D({c.name_of(x)})"
-        )
-    m, _pool = _restriction_raw(c, e, x)
-    if m is None:
-        raise OC6Violation(f"no maximum below {c.name_of(x)} with domain under {c.name_of(e)}")
-    if c.dmap[m] != e:
-        raise OC6Violation(
-            f"maximum {c.name_of(m)} below {c.name_of(x)} has domain"
-            f" {c.name_of(c.dmap[m])}, not {c.name_of(e)}"
-        )
-    return m
+    return _restrict(c, c.dmap, x, e, ("restriction", "D", "domain"))
 
 
 def corestriction(c: FiniteOrderedCategory, x: int, e: int) -> int:
     """The maximum y <= x with R(y) <= e, which must have range e."""
-    if e not in set(c.dmap):
-        raise PreconditionError(f"{c.name_of(e)} is not an identity")
-    if not c.order.rel[e][c.rmap[x]]:
-        raise PreconditionError(
-            f"corestriction needs {c.name_of(e)} <= R({c.name_of(x)})"
-        )
-    m, _pool = _corestriction_raw(c, x, e)
-    if m is None:
-        raise OC6Violation(f"no maximum below {c.name_of(x)} with range under {c.name_of(e)}")
-    if c.rmap[m] != e:
-        raise OC6Violation(
-            f"maximum {c.name_of(m)} below {c.name_of(x)} has range"
-            f" {c.name_of(c.rmap[m])}, not {c.name_of(e)}"
-        )
-    return m
+    return _restrict(c, c.rmap, x, e, ("corestriction", "R", "range"))
 
 
 def _oc4_family_witness(c: FiniteOrderedCategory, need_d: bool, need_r: bool):
     return _matching_pair_witness(c.n, c.dmap, c.rmap, c.order.rel, need_d, need_r)
 
 
-def _oc6a_witness(c: FiniteOrderedCategory):
+def _oc6_witness(c: FiniteOrderedCategory, idmap) -> tuple[int, ...] | None:
+    """Least (x, e) with e <= idmap(x) whose maximum below x with idmap under e
+    is missing or off e: OC6a with D, OC6b with R."""
     rel = c.order.rel
     for x in range(c.n):
         for e in c.identities():
-            if not rel[e][c.dmap[x]]:
+            if not rel[e][idmap[x]]:
                 continue
-            m, _ = _restriction_raw(c, e, x)
-            if m is None or c.dmap[m] != e:
-                return (x, e)
-    return None
-
-
-def _oc6b_witness(c: FiniteOrderedCategory):
-    rel = c.order.rel
-    for x in range(c.n):
-        for e in c.identities():
-            if not rel[e][c.rmap[x]]:
-                continue
-            m, _ = _corestriction_raw(c, x, e)
-            if m is None or c.rmap[m] != e:
+            m = _max_below(c, idmap, x, e)
+            if m is None or idmap[m] != e:
                 return (x, e)
     return None
 
@@ -438,18 +396,6 @@ def _oc8_witness(n: int, ids, idmap, rel) -> tuple[int, ...] | None:
     return None
 
 
-def _oc8a_witness(c: FiniteOrderedCategory):
-    return _oc8_witness(c.n, c.identities(), c.dmap, c.order.rel)
-
-
-def _oc8b_witness(c: FiniteOrderedCategory):
-    return _oc8_witness(c.n, c.identities(), c.rmap, c.order.rel)
-
-
-def _oci_witness(c: FiniteOrderedCategory):
-    return _osi_witness(c.n, c.identities(), c.order.rel)
-
-
 def _oc_law(name: str, witness, aliases: tuple[str, ...] = ()) -> Law:
     """An optional OC law decided by one witness function."""
 
@@ -457,28 +403,31 @@ def _oc_law(name: str, witness, aliases: tuple[str, ...] = ()) -> Law:
         w = witness(c)
         if w is None:
             return LawReport(name, True)
-        return LawReport(name, False, witness=w, detail=f"fails at ({_names(c, w)})")
+        return LawReport(name, False, witness=w, detail=f"fails at ({_fmt(c, *w)})")
 
     return Law(name, "category", decide, pre="omega-structured", aliases=aliases)
 
 
-def _oc_pair_law(name: str, first, second) -> Law:
-    """OC6 or OC8: both halves as parts, the first failing half as the witness."""
+def _oc_pair_laws(name: str, witness) -> tuple[Law, Law, Law]:
+    """OC6 or OC8 and its halves: ``witness(c, idmap)`` with D decides the
+    a-half, with R the b-half; the pair reports both halves as parts and the
+    first failing half as the witness.
+    """
     halves = (name.lower() + "a", name.lower() + "b")
 
     def decide(c: FiniteOrderedCategory, ev: Evaluation) -> LawReport:
-        wa, wb = first(c), second(c)
+        wa, wb = witness(c, c.dmap), witness(c, c.rmap)
         parts = ((halves[0], wa is None), (halves[1], wb is None))
         if wa is None and wb is None:
             return LawReport(name, True, parts=parts)
         side, w = (halves[0], wa) if wa is not None else (halves[1], wb)
-        return LawReport(name, False, witness=w, detail=f"{side} fails at ({_names(c, w)})", parts=parts)
+        return LawReport(name, False, witness=w, detail=f"{side} fails at ({_fmt(c, *w)})", parts=parts)
 
-    return Law(name, "category", decide, pre="omega-structured")
-
-
-def _names(c: FiniteOrderedCategory, w: tuple[int, ...]) -> str:
-    return ", ".join(c.name_of(i) for i in w)
+    return (
+        Law(name, "category", decide, pre="omega-structured"),
+        _oc_law(name + "A", lambda c: witness(c, c.dmap)),
+        _oc_law(name + "B", lambda c: witness(c, c.rmap)),
+    )
 
 
 def check_OC_property(c: FiniteOrderedCategory, prop: str) -> LawReport:
@@ -491,11 +440,11 @@ def check_OC_property(c: FiniteOrderedCategory, prop: str) -> LawReport:
 
 
 def _oc_equivalences(c: FiniteOrderedCategory, ev: Evaluation) -> LawReport:
-    oc8a = _oc8a_witness(c) is None
-    oc8b = _oc8b_witness(c) is None
+    oc8a = _oc8_witness(c.n, c.identities(), c.dmap, c.order.rel) is None
+    oc8b = _oc8_witness(c.n, c.identities(), c.rmap, c.order.rel) is None
     oc4a = _oc4_family_witness(c, True, False) is None
     oc4b = _oc4_family_witness(c, False, True) is None
-    oc6 = _oc6a_witness(c) is None and _oc6b_witness(c) is None
+    oc6 = _oc6_witness(c, c.dmap) is None and _oc6_witness(c, c.rmap) is None
     first = oc8a == (oc4a and oc6)
     second = (oc8a and oc8b) == (oc4a and oc4b and oc6)
     parts = (
@@ -525,10 +474,10 @@ def _ehresmann_ordered_category(c: FiniteOrderedCategory, ev: Evaluation) -> Law
     omega = ev("omega-structured", c)
     results: list[tuple[str, tuple[int, ...] | None]] = []
     if omega.holds:
-        results.append(("OC6a", _oc6a_witness(c)))
-        results.append(("OC6b", _oc6b_witness(c)))
+        results.append(("OC6a", _oc6_witness(c, c.dmap)))
+        results.append(("OC6b", _oc6_witness(c, c.rmap)))
         results.append(("OC7'", _oc7_witness(c, prime=True)))
-        results.append(("OCI", _oci_witness(c)))
+        results.append(("OCI", _osi_witness(c.n, c.identities(), c.order.rel)))
     meet_ok = c.meet is not None
     parts = [("omega-structured", omega.holds)]
     parts += [(name, w is None) for name, w in results]
@@ -543,12 +492,11 @@ def _ehresmann_ordered_category(c: FiniteOrderedCategory, ev: Evaluation) -> Law
         )
     for name, w in results:
         if w is not None:
-            names = ", ".join(c.name_of(i) for i in w)
             return LawReport(
                 "ehresmann-ordered-category",
                 False,
                 witness=w,
-                detail=f"{name} fails at ({names})",
+                detail=f"{name} fails at ({_fmt(c, *w)})",
                 parts=tuple(parts),
             )
     if not meet_ok:
@@ -905,14 +853,18 @@ def _category_clauses(c1: FiniteOrderedCategory, c2: FiniteOrderedCategory) -> l
     dmap2, rmap2, comp2, meet2 = c2.dmap, c2.rmap, c2.comp, c2.meet
     rel1, rel2 = c1.order.rel, c2.order.rel
     ids1 = c1.identities()
-    res2 = [[None] * n2 for _ in range(n2)]
-    cores2 = [[None] * n2 for _ in range(n2)]
-    for e in c2.identities():
-        for y in range(n2):
-            if rel2[e][dmap2[y]]:
-                res2[e][y] = restriction(c2, e, y)
-            if rel2[e][rmap2[y]]:
-                cores2[y][e] = corestriction(c2, y, e)
+    # per side: the identity maps of c1 and c2, the operation, c2's table by [e][y]
+    sides = []
+    for idmap1, idmap2, restrict in (
+        (c1.dmap, dmap2, lambda c, e, y: restriction(c, e, y)),
+        (c1.rmap, rmap2, lambda c, e, y: corestriction(c, y, e)),
+    ):
+        table2 = [[None] * n2 for _ in range(n2)]
+        for e in c2.identities():
+            for y in range(n2):
+                if rel2[e][idmap2[y]]:
+                    table2[e][y] = restrict(c2, e, y)
+        sides.append((idmap1, restrict, table2))
     clauses = []
     for x in range(n1):
         d, r = c1.dmap[x], c1.rmap[x]
@@ -930,12 +882,10 @@ def _category_clauses(c1: FiniteOrderedCategory, c2: FiniteOrderedCategory) -> l
             clauses.append(((e, f, m), lambda fm, e=e, f=f, m=m: meet2[fm[e]][fm[f]] == fm[m]))
     for s in range(n1):
         for e in ids1:
-            if rel1[e][c1.dmap[s]]:
-                r = restriction(c1, e, s)
-                clauses.append(((e, s, r), lambda fm, e=e, s=s, r=r: res2[fm[e]][fm[s]] == fm[r]))
-            if rel1[e][c1.rmap[s]]:
-                r = corestriction(c1, s, e)
-                clauses.append(((e, s, r), lambda fm, e=e, s=s, r=r: cores2[fm[s]][fm[e]] == fm[r]))
+            for idmap1, restrict, t2 in sides:
+                if rel1[e][idmap1[s]]:
+                    r = restrict(c1, e, s)
+                    clauses.append(((e, s, r), lambda fm, e=e, s=s, r=r, t2=t2: t2[fm[e]][fm[s]] == fm[r]))
     return clauses
 
 
@@ -1040,7 +990,9 @@ def _special_correspondences(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
     }
     restriction_sem = ev("restriction", os.base).holds and natural
     inductive1 = (
-        _oc8a_witness(c) is None and _oc8b_witness(c) is None and c.meet is not None
+        _oc8_witness(c.n, c.identities(), c.dmap, c.order.rel) is None
+        and _oc8_witness(c.n, c.identities(), c.rmap, c.order.rel) is None
+        and c.meet is not None
     )
     functional_sem = (
         ev("functional", os.base).holds
@@ -1168,14 +1120,10 @@ register(
     _oc_law("OC4", lambda c: _oc4_family_witness(c, True, True)),
     _oc_law("OC4A", lambda c: _oc4_family_witness(c, True, False)),
     _oc_law("OC4B", lambda c: _oc4_family_witness(c, False, True)),
-    _oc_pair_law("OC6", _oc6a_witness, _oc6b_witness),
-    _oc_law("OC6A", _oc6a_witness),
-    _oc_law("OC6B", _oc6b_witness),
+    *_oc_pair_laws("OC6", _oc6_witness),
     _oc_law("OC7", lambda c: _oc7_witness(c, prime=False)),
     _oc_law("OC7'", lambda c: _oc7_witness(c, prime=True), aliases=("oc7p",)),
-    _oc_pair_law("OC8", _oc8a_witness, _oc8b_witness),
-    _oc_law("OC8A", _oc8a_witness),
-    _oc_law("OC8B", _oc8b_witness),
-    _oc_law("OCI", _oci_witness),
+    *_oc_pair_laws("OC8", lambda c, idmap: _oc8_witness(c.n, c.identities(), idmap, c.order.rel)),
+    _oc_law("OCI", lambda c: _osi_witness(c.n, c.identities(), c.order.rel)),
     Law("special-correspondences", "ordered", _special_correspondences, pre="ehresmann-order"),
 )

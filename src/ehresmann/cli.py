@@ -243,7 +243,7 @@ def _structure_as_dict(s: FiniteBiunarySemigroup) -> dict:
 def _cmd_enumerate(args, report: RunReport) -> None:
     report.kind = "enumeration"
     stream = zoo.enumerate_ehresmann_semigroups(
-        args.size, up_to_iso=args.up_to_iso, allow_large=args.allow_large, jobs=args.jobs
+        args.size, up_to_iso=args.up_to_iso, allow_large=args.allow_large
     )
     law = None
     if args.filter:
@@ -349,7 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", help="keep only structures satisfying the named law")
     p.add_argument("--up-to-iso", action="store_true")
     p.add_argument("--allow-large", action="store_true", help="permit the long-running size 4")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("example", parents=[common], help="show a catalogued example")

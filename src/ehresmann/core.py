@@ -161,7 +161,8 @@ class HomCandidate:
         object.__setattr__(self, "map", tuple(self.map))
 
 
-def _fmt(s: FiniteBiunarySemigroup, *indices: int) -> str:
+def _fmt(s, *indices: int) -> str:
+    """The display names of ``indices`` in ``s`` (a semigroup or category), comma-separated."""
     return ", ".join(s.name_of(i) for i in indices)
 
 
@@ -247,7 +248,10 @@ class Evaluation:
         failed = f"prerequisite {pre.law} fails"
         if law.flag:
             rep = law.decide(x, self)
-            return replace(rep, detail=f"{rep.detail}; not applicable: {failed}{law.note}", applicable=False)
+            why = failed if not pre.holds else f"prerequisite {pre.law} is not applicable"
+            note = f"not applicable: {why}{law.note}"
+            detail = f"{rep.detail}; {note}" if rep.detail else note
+            return replace(rep, detail=detail, applicable=False)
         return LawReport(
             law.name,
             False,
@@ -415,17 +419,25 @@ def projections(s: FiniteBiunarySemigroup) -> ProjectionSet:
     return ProjectionSet(frozenset(dimg))
 
 
-def _left_restriction_with_range(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
-    mul, D = s.mul, s.dmap
-    for x in range(s.n):
-        for y in range(s.n):
-            if mul[x][D[y]] != mul[D[mul[x][y]]][x]:
-                detail = (
-                    f"{_fmt(s, x)}*D({_fmt(s, y)}) = {_fmt(s, mul[x][D[y]])} but "
-                    f"D({_fmt(s, x)}*{_fmt(s, y)})*{_fmt(s, x)} = {_fmt(s, mul[D[mul[x][y]]][x])}"
-                )
-                return LawReport("left-restriction-with-range", False, witness=(x, y), detail=detail)
-    return LawReport("left-restriction-with-range", True)
+def _one_sided_restriction(name: str, side: Callable, template: str) -> Law:
+    """The law x*I(y) = I(x*y)*x on the table and identity map I that ``side`` picks.
+
+    ``template`` words a failure at (x, y) in the side's own terms.
+    """
+
+    def decide(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
+        mul, idmap = side(s)
+        for x in range(s.n):
+            for y in range(s.n):
+                lhs, rhs = mul[x][idmap[y]], mul[idmap[mul[x][y]]][x]
+                if lhs != rhs:
+                    detail = template.format(
+                        x=_fmt(s, x), y=_fmt(s, y), lhs=_fmt(s, lhs), rhs=_fmt(s, rhs)
+                    )
+                    return LawReport(name, False, witness=(x, y), detail=detail)
+        return LawReport(name, True)
+
+    return Law(name, "semigroup", decide, pre="ehresmann", flag=True, ladder=True)
 
 
 def check_left_restriction_with_range(s: FiniteBiunarySemigroup) -> LawReport:
@@ -433,24 +445,11 @@ def check_left_restriction_with_range(s: FiniteBiunarySemigroup) -> LawReport:
     return evaluate("left-restriction-with-range", s)
 
 
-def _right_restriction_with_domain(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
-    mul, R = s.mul, s.rmap
-    for x in range(s.n):
-        for y in range(s.n):
-            if mul[R[y]][x] != mul[x][R[mul[y][x]]]:
-                detail = (
-                    f"R({_fmt(s, y)})*{_fmt(s, x)} = {_fmt(s, mul[R[y]][x])} but "
-                    f"{_fmt(s, x)}*R({_fmt(s, y)}*{_fmt(s, x)}) = {_fmt(s, mul[x][R[mul[y][x]]])}"
-                )
-                return LawReport("right-restriction-with-domain", False, witness=(x, y), detail=detail)
-    return LawReport("right-restriction-with-domain", True)
-
-
 def check_right_restriction_with_domain(s: FiniteBiunarySemigroup) -> LawReport:
     """Decide the dual law R(y)x = xR(yx).
 
     The dual is obtained by reversing products and swapping D with R; it is
-    isolated here so a different reading can be swapped in at one place.
+    decided as the left law on the transposed table with R.
     """
     return evaluate("right-restriction-with-domain", s)
 
@@ -534,10 +533,10 @@ register(
         part="associativity", ladder=True),
     Law("ehresmann", "semigroup", _ehresmann, pre="localisable",
         prefix="not localisable: ", part="localisable", ladder=True),
-    Law("left-restriction-with-range", "semigroup", _left_restriction_with_range,
-        pre="ehresmann", flag=True, ladder=True),
-    Law("right-restriction-with-domain", "semigroup", _right_restriction_with_domain,
-        pre="ehresmann", flag=True, ladder=True),
+    _one_sided_restriction("left-restriction-with-range", lambda s: (s.mul, s.dmap),
+                           "{x}*D({y}) = {lhs} but D({x}*{y})*{x} = {rhs}"),
+    _one_sided_restriction("right-restriction-with-domain", lambda s: (tuple(zip(*s.mul)), s.rmap),
+                           "R({y})*{x} = {lhs} but {x}*R({y}*{x}) = {rhs}"),
     Law("restriction", "semigroup", _restriction, ladder=True),
     Law("functional", "semigroup", _functional, pre="left-restriction-with-range", flag=True,
         note=" (the functional law is defined within left restriction semigroups with range)",

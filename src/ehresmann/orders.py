@@ -19,6 +19,7 @@ from .core import (
     LawReport,
     PreconditionError,
     StructureError,
+    _fmt,
     evaluate,
     is_ehresmann_hom,
     projections,
@@ -106,6 +107,9 @@ class PartialOrder:
 
     def glb(self, a: int, b: int, within: Sequence[int] | None = None) -> int | None:
         """Greatest lower bound of a and b, restricted to ``within`` if given."""
+        for v in (a, b):
+            if not 0 <= v < self.n:
+                raise StructureError(f"glb element {v!r} out of range 0..{self.n - 1}")
         pool = range(self.n) if within is None else within
         lower = [c for c in pool if self.rel[c][a] and self.rel[c][b]]
         for m in lower:
@@ -228,12 +232,11 @@ def _ehresmann_order(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
     parts = [("OS1", True)] + [(name, w is None) for name, w in checks]
     for name, w in checks:
         if w is not None:
-            names = ", ".join(s.name_of(i) for i in w)
             return LawReport(
                 "ehresmann-order",
                 False,
                 witness=w,
-                detail=f"{name} fails at ({names})",
+                detail=f"{name} fails at ({_fmt(s, *w)})",
                 parts=tuple(parts),
             )
     return LawReport("ehresmann-order", True, parts=tuple(parts))
@@ -359,12 +362,11 @@ def _leq_e_partial_laws(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
     parts = tuple([(name, True) for name, _ in verdicts] + [("OS3", w3 is None)])
     if w3 is None:
         return LawReport("leq-e-partial-laws", True, parts=parts)
-    names = ", ".join(s.name_of(i) for i in w3)
     return LawReport(
         "leq-e-partial-laws",
         False,
         witness=w3,
-        detail=f"OS3 fails for the e-order at ({names})",
+        detail=f"OS3 fails for the e-order at ({_fmt(s, *w3)})",
         parts=parts,
     )
 
@@ -388,12 +390,11 @@ def _de_barros(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
         )
     if w3 is None:
         return LawReport("de-barros", True, detail="equational criterion agrees")
-    names = ", ".join(s.name_of(i) for i in w3)
     return LawReport(
         "de-barros",
         False,
         witness=w3,
-        detail=f"OS3 fails for the e-order at ({names}); equational criterion agrees",
+        detail=f"OS3 fails for the e-order at ({_fmt(s, *w3)}); equational criterion agrees",
     )
 
 

@@ -8,7 +8,6 @@ partial transformations are tuples over 0..k with 0 meaning undefined.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -257,25 +256,22 @@ def _assoc_consistent(t: list[list[int]], n: int) -> bool:
     return True
 
 
-def _tables_with_first_row(n: int, row0: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-    table = [list(row0)] + [[-1] * n for _ in range(n - 1)]
-    if not _assoc_consistent(table, n):
-        return []
-    out: list[tuple[tuple[int, ...], ...]] = []
+def _tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every associative n x n table in lexicographic order, filled cell by cell."""
+    table = [[-1] * n for _ in range(n)]
 
-    def fill(idx: int) -> None:
+    def fill(idx: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         if idx == n * n:
-            out.append(tuple(tuple(row) for row in table))
+            yield tuple(tuple(row) for row in table)
             return
         i, j = divmod(idx, n)
         for v in range(n):
             table[i][j] = v
             if _assoc_consistent(table, n):
-                fill(idx + 1)
+                yield from fill(idx + 1)
         table[i][j] = -1
 
-    fill(n)
-    return out
+    return fill(0)
 
 
 def _d_laws_ok(mul, dmap, n: int) -> bool:
@@ -348,37 +344,23 @@ def _is_canonical_rep(s: FiniteBiunarySemigroup) -> bool:
 
 
 def enumerate_ehresmann_semigroups(
-    n: int, up_to_iso: bool = False, *, allow_large: bool = False, jobs: int = 1
+    n: int, up_to_iso: bool = False, *, allow_large: bool = False
 ) -> Iterator[FiniteBiunarySemigroup]:
     """Stream every Ehresmann semigroup on the indexed carrier 0..n-1.
 
     Tables are found by backtracking with associativity pruning; the
     compatible (D, R) assignments are then filtered against the remaining
     laws.  Emission order is lexicographic in (mul, D, R) and therefore
-    stable across runs and worker counts.  Size 4 is permitted only behind
-    ``allow_large``; anything beyond is refused.
+    stable across runs.  Size 4 is permitted only behind ``allow_large``;
+    anything beyond is refused.
     """
     if n < 1 or n > 4:
         raise TooLargeError("exhaustive enumeration supports sizes 1..4")
     if n == 4 and not allow_large:
         raise TooLargeError("size 4 is long-running; pass allow_large=True to proceed")
-
-    def for_first_row(row0: tuple[int, ...]) -> list[FiniteBiunarySemigroup]:
-        found: list[FiniteBiunarySemigroup] = []
-        for mul in _tables_with_first_row(n, row0):
-            for s in _structures_for_table(n, mul):
-                if not up_to_iso or _is_canonical_rep(s):
-                    found.append(s)
-        return found
-
-    def stream() -> Iterator[FiniteBiunarySemigroup]:
-        first_rows = list(itertools.product(range(n), repeat=n))
-        if jobs <= 1:
-            for row0 in first_rows:
-                yield from for_first_row(row0)
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as ex:
-                for chunk in ex.map(for_first_row, first_rows):
-                    yield from chunk
-
-    return stream()
+    return (
+        s
+        for mul in _tables(n)
+        for s in _structures_for_table(n, mul)
+        if not up_to_iso or _is_canonical_rep(s)
+    )

@@ -189,6 +189,20 @@ class TestRestrictionCorestriction:
         with pytest.raises(Exception):
             restriction(c, 1, 0)  # 1 is not below D(0) = 0
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c: restriction(c, 1, 7),
+            lambda c: corestriction(c, 7, 1),
+            # the element named in the message is out of range too
+            lambda c: restriction(c, 9, 0),
+        ],
+        ids=["restriction-x", "corestriction-x", "restriction-e"],
+    )
+    def test_out_of_range_elements_raise_structure_error(self, call):
+        with pytest.raises(StructureError, match="out of range 0..2"):
+            call(nabla_cat())
+
     def test_oc6_violation_raised_when_maximum_missing(self):
         c = rel2_cat()
         # removing {(1,1)} <= {(1,1),(1,2)} leaves the candidates below

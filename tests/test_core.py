@@ -238,6 +238,20 @@ class TestFunctional:
         rep = check_functional(s)
         assert not rep.applicable
 
+    def test_flag_note_names_a_prerequisite_that_holds_but_is_not_applicable(self):
+        # not localisable (L1 fails at 1), yet xD(y) = D(xy)x holds: the
+        # prerequisite of functional holds and is only flagged
+        s = FiniteBiunarySemigroup(2, ((0, 0), (0, 1)), (0, 0), (0, 0))
+        left = check_left_restriction_with_range(s)
+        assert (left.holds, left.applicable) == (True, False)
+        assert left.detail == "not applicable: prerequisite ehresmann fails"
+        rep = check_functional(s)
+        assert (rep.holds, rep.applicable) == (True, False)
+        assert rep.detail == (
+            "not applicable: prerequisite left-restriction-with-range is not applicable"
+            " (the functional law is defined within left restriction semigroups with range)"
+        )
+
 
 class TestDeBarrosEquational:
     def test_band_fails(self):

@@ -1,0 +1,153 @@
+"""Left/right mirror: each right-handed law on S is its left-handed twin on dual(S).
+
+The dual reverses products and swaps D with R, keeping the order (and, for
+categories, the meet of identities).  The right-handed laws are written
+once, with the side as a parameter, so these tests hold the two sides to
+the same verdicts and the same witnesses.
+"""
+
+import itertools
+
+import pytest
+
+from ehresmann import (
+    FiniteBiunarySemigroup,
+    FiniteOrderedCategory,
+    OrderedSemigroup,
+    PartialOrder,
+    StructureError,
+    WorkbenchError,
+    category_of,
+    check_OC_property,
+    check_OS_property,
+    check_left_restriction_with_range,
+    check_omega_structured,
+    check_right_restriction_with_domain,
+    corestriction,
+    enumerate_ehresmann_orders,
+    partial_product_category,
+    restriction,
+    zoo,
+)
+
+
+def dual_semigroup(s: FiniteBiunarySemigroup) -> FiniteBiunarySemigroup:
+    """Transpose the product and swap D with R."""
+    return FiniteBiunarySemigroup(s.n, tuple(zip(*s.mul)), s.rmap, s.dmap, s.names)
+
+
+def dual_category(c: FiniteOrderedCategory) -> FiniteOrderedCategory:
+    """Transpose the composition and swap D with R; same order and meet."""
+    return FiniteOrderedCategory(
+        c.n, c.rmap, c.dmap, tuple(zip(*c.comp)), c.order, c.meet, c.names
+    )
+
+
+def labelled_posets(n: int) -> list[PartialOrder]:
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    posets = []
+    for chosen in itertools.product((False, True), repeat=len(pairs)):
+        rel = [[a == b for b in range(n)] for a in range(n)]
+        for (a, b), on in zip(pairs, chosen):
+            rel[a][b] = on
+        try:
+            posets.append(PartialOrder(n, rel))
+        except StructureError:
+            pass
+    return posets
+
+
+def ordered_subjects() -> list[OrderedSemigroup]:
+    """Every n <= 3 Ehresmann semigroup under each Ehresmann order, then the zoo's orders."""
+    subjects = [
+        OrderedSemigroup(s, order)
+        for n in (1, 2, 3)
+        for s in zoo.enumerate_ehresmann_semigroups(n)
+        for order in enumerate_ehresmann_orders(s)
+    ]
+    for name in zoo.SWEEP_NAMES:
+        entry = zoo.get(name)
+        subjects += [entry.ordered(oname) for oname in entry.order_names()]
+    return subjects
+
+
+def omega_structured_categories() -> list[FiniteOrderedCategory]:
+    """Each n <= 3 partial-product category under every labelled poset passing OC2/OC3."""
+    cats = []
+    for n in (1, 2, 3):
+        posets = labelled_posets(n)
+        for s in zoo.enumerate_ehresmann_semigroups(n):
+            c0 = partial_product_category(s)
+            for order in posets:
+                c = FiniteOrderedCategory(c0.n, c0.dmap, c0.rmap, c0.comp, order)
+                if check_omega_structured(c).holds:
+                    cats.append(c)
+    return cats
+
+
+SUBJECTS = ordered_subjects()
+CATEGORIES = omega_structured_categories()
+
+
+def verdict(rep):
+    return rep.holds, rep.witness, rep.applicable
+
+
+def test_subject_counts():
+    assert (len(SUBJECTS), len(CATEGORIES)) == (204, 723)
+
+
+@pytest.mark.parametrize(
+    "right,left",
+    [
+        (
+            lambda os: check_right_restriction_with_domain(os.base),
+            lambda os: check_left_restriction_with_range(os.base),
+        ),
+        (lambda os: check_OS_property(os, "OS4B"), lambda os: check_OS_property(os, "OS4A")),
+    ],
+    ids=["restriction-with-domain", "OS4B"],
+)
+def test_semigroup_right_law_is_left_law_on_dual(right, left):
+    seen = set()
+    for os in SUBJECTS:
+        dual = OrderedSemigroup(dual_semigroup(os.base), os.order)
+        on_s = right(os)
+        assert verdict(on_s) == verdict(left(dual))
+        seen.add(on_s.holds)
+    assert seen == {True, False}
+
+
+def test_category_of_dual_is_dual_category():
+    for os in SUBJECTS:
+        dual = OrderedSemigroup(dual_semigroup(os.base), os.order)
+        assert category_of(dual) == dual_category(category_of(os))
+
+
+@pytest.mark.parametrize("half", ["OC4", "OC6", "OC8"])
+def test_category_b_half_is_a_half_on_dual(half):
+    seen = set()
+    for c in CATEGORIES:
+        on_c = check_OC_property(c, half + "B")
+        on_dual = check_OC_property(dual_category(c), half + "A")
+        assert verdict(on_c) == verdict(on_dual)
+        seen.add(on_c.holds)
+    assert seen == {True, False}
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except WorkbenchError as exc:
+        return type(exc)
+
+
+def test_corestriction_is_restriction_on_dual():
+    seen = set()
+    for c in CATEGORIES:
+        dual = dual_category(c)
+        for x, e in itertools.product(range(c.n), repeat=2):
+            got = outcome(corestriction, c, x, e)
+            assert got == outcome(restriction, dual, e, x)
+            seen.add(got if isinstance(got, type) else int)
+    assert len(seen) == 3  # values, PreconditionError and OC6Violation

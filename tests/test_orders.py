@@ -110,6 +110,10 @@ class TestPartialOrder:
         assert chain.glb(1, 2) == 1
         assert chain.glb(1, 2, within=(0, 2)) == 0
 
+    def test_glb_rejects_out_of_range_elements(self):
+        with pytest.raises(StructureError, match="out of range 0..1"):
+            PartialOrder.equality(2).glb(0, 5)
+
 
 class TestDeriveOrders:
     def test_monoid_e_order_is_equality(self):

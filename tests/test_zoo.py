@@ -329,12 +329,6 @@ class TestEnumeration:
                     seen.add(zoo._permuted_key(s, perm))
             assert len(reps) == orbits
 
-    def test_jobs_do_not_change_the_stream(self):
-        for n in (2, 3):
-            a = [s.key() for s in enumerate_ehresmann_semigroups(n, jobs=1)]
-            b = [s.key() for s in enumerate_ehresmann_semigroups(n, jobs=4)]
-            assert a == b
-
     def test_size_limits(self):
         with pytest.raises(TooLargeError):
             enumerate_ehresmann_semigroups(5)
