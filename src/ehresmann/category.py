@@ -25,7 +25,6 @@ from .core import (
     StructureError,
     TooLargeError,
     _fmt,
-    check_ehresmann,
     evaluate,
     property_key,
     register,
@@ -33,13 +32,12 @@ from .core import (
 from .orders import (
     OrderedSemigroup,
     PartialOrder,
+    _derived_orders,
     _matching_pair_witness,
     _os2_witness,
     _os3_witness,
     _osi_witness,
-    check_ehresmann_order,
     compose_relations,
-    derive_orders,
 )
 
 CompTable = tuple[tuple[int | None, ...], ...]
@@ -232,21 +230,20 @@ def _composition_table(s: FiniteBiunarySemigroup) -> CompTable:
     )
 
 
-def partial_product_category(s: FiniteBiunarySemigroup) -> FiniteCategory:
-    """The category of an Ehresmann semigroup: keep products with R(x) = D(y)."""
-    rep = check_ehresmann(s)
+def _partial_product_category(s: FiniteBiunarySemigroup, ev: Evaluation) -> FiniteCategory:
+    rep = ev("ehresmann", s)
     if not rep.holds:
         raise PreconditionError(f"structure is not an Ehresmann semigroup: {rep.detail}")
     return FiniteCategory(s.n, s.dmap, s.rmap, _composition_table(s), s.names)
 
 
-def category_of(os: OrderedSemigroup) -> FiniteOrderedCategory:
-    """Build the Ehresmann-ordered category of an ordered Ehresmann semigroup.
+def partial_product_category(s: FiniteBiunarySemigroup) -> FiniteCategory:
+    """The category of an Ehresmann semigroup: keep products with R(x) = D(y)."""
+    return _partial_product_category(s, Evaluation())
 
-    The order is carried over unchanged and the meet of identities is
-    their semigroup product.
-    """
-    rep = check_ehresmann_order(os)
+
+def _category_of(os: OrderedSemigroup, ev: Evaluation) -> FiniteOrderedCategory:
+    rep = ev("ehresmann-order", os)
     if not rep.holds:
         raise NotOrderedEhresmann(
             f"not an ordered Ehresmann semigroup: {rep.detail}"
@@ -260,6 +257,15 @@ def category_of(os: OrderedSemigroup) -> FiniteOrderedCategory:
     return FiniteOrderedCategory(
         s.n, s.dmap, s.rmap, _composition_table(s), os.order, tuple(tuple(row) for row in meet), s.names
     )
+
+
+def category_of(os: OrderedSemigroup) -> FiniteOrderedCategory:
+    """Build the Ehresmann-ordered category of an ordered Ehresmann semigroup.
+
+    The order is carried over unchanged and the meet of identities is
+    their semigroup product.
+    """
+    return _category_of(os, Evaluation())
 
 
 def _omega_structured(c: FiniteOrderedCategory, ev: Evaluation) -> LawReport:
@@ -518,9 +524,8 @@ def check_ehresmann_ordered_category(c: FiniteOrderedCategory) -> LawReport:
     return evaluate("ehresmann-ordered-category", c)
 
 
-def derive_biaction(c: FiniteOrderedCategory) -> Biaction:
-    """Compute the biaction e.x = (e meet D(x))|x and x.e = x|(R(x) meet e)."""
-    pre = check_ehresmann_ordered_category(c)
+def _derive_biaction(c: FiniteOrderedCategory, ev: Evaluation) -> Biaction:
+    pre = ev("ehresmann-ordered-category", c)
     if not pre.holds:
         raise PreconditionError(f"not an Ehresmann-ordered category: {pre.detail}")
     ids = c.identities()
@@ -531,6 +536,11 @@ def derive_biaction(c: FiniteOrderedCategory) -> Biaction:
             left[e][x] = restriction(c, c.meet[e][c.dmap[x]], x)
             right[x][e] = corestriction(c, x, c.meet[c.rmap[x]][e])
     return Biaction(tuple(tuple(row) for row in left), tuple(tuple(row) for row in right))
+
+
+def derive_biaction(c: FiniteOrderedCategory) -> Biaction:
+    """Compute the biaction e.x = (e meet D(x))|x and x.e = x|(R(x) meet e)."""
+    return _derive_biaction(c, Evaluation())
 
 
 def verify_biaction(c: FiniteOrderedCategory, b: Biaction) -> LawReport:
@@ -639,13 +649,8 @@ def verify_biaction(c: FiniteOrderedCategory, b: Biaction) -> LawReport:
     )
 
 
-def semigroup_of(c: FiniteOrderedCategory) -> OrderedSemigroup:
-    """Recover the ordered Ehresmann semigroup via the pseudoproduct.
-
-    x (x) y = x|(R(x) meet D(y)) o (R(x) meet D(y))|y, with D, R, and the
-    order carried over unchanged.
-    """
-    pre = check_ehresmann_ordered_category(c)
+def _semigroup_of(c: FiniteOrderedCategory, ev: Evaluation) -> OrderedSemigroup:
+    pre = ev("ehresmann-ordered-category", c)
     if not pre.holds:
         raise PreconditionError(f"not an Ehresmann-ordered category: {pre.detail}")
     n = c.n
@@ -665,20 +670,23 @@ def semigroup_of(c: FiniteOrderedCategory) -> OrderedSemigroup:
     return OrderedSemigroup(base, c.order)
 
 
-def esn_round_trip(os: OrderedSemigroup) -> LawReport:
-    """Check that category and semigroup constructions invert each other.
+def semigroup_of(c: FiniteOrderedCategory) -> OrderedSemigroup:
+    """Recover the ordered Ehresmann semigroup via the pseudoproduct.
 
-    Semigroup direction: rebuilding the semigroup from its category must
-    reproduce the tables and the order exactly.  Category direction: the
-    category of the rebuilt semigroup must equal the original category.
+    x (x) y = x|(R(x) meet D(y)) o (R(x) meet D(y))|y, with D, R, and the
+    order carried over unchanged.
     """
+    return _semigroup_of(c, Evaluation())
+
+
+def _esn_round_trip(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
     try:
-        c = category_of(os)
+        c = ev.build(_category_of, os)
     except NotOrderedEhresmann as exc:
         return LawReport(
             "esn-round-trip", False, detail=str(exc), applicable=False
         )
-    back = semigroup_of(c)
+    back = _semigroup_of(c, ev)
     sem_witness = None
     for x in range(os.base.n):
         for y in range(os.base.n):
@@ -688,7 +696,7 @@ def esn_round_trip(os: OrderedSemigroup) -> LawReport:
         if sem_witness is not None:
             break
     sem_ok = back == os
-    cat_ok = category_of(back) == c
+    cat_ok = _category_of(back, ev) == c
     parts = (("semigroup-direction", sem_ok), ("category-direction", cat_ok))
     if sem_ok and cat_ok:
         return LawReport("esn-round-trip", True, parts=parts)
@@ -696,6 +704,16 @@ def esn_round_trip(os: OrderedSemigroup) -> LawReport:
         "rebuilt category differs from the original"
     )
     return LawReport("esn-round-trip", False, witness=sem_witness, detail=detail, parts=parts)
+
+
+def esn_round_trip(os: OrderedSemigroup) -> LawReport:
+    """Check that category and semigroup constructions invert each other.
+
+    Semigroup direction: rebuilding the semigroup from its category must
+    reproduce the tables and the order exactly.  Category direction: the
+    category of the rebuilt semigroup must equal the original category.
+    """
+    return _esn_round_trip(os, Evaluation())
 
 
 def esn_round_trip_category(c: FiniteOrderedCategory) -> LawReport:
@@ -977,8 +995,8 @@ def morphism_correspondence(
 
 
 def _special_correspondences(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
-    c = category_of(os)
-    leq_e = derive_orders(os.base).leq_e
+    c = ev.build(_category_of, os)
+    leq_e = ev.build(_derived_orders, os.base).leq_e
     natural = os.order.rel == leq_e.rel
 
     os_side = {name: ev(name.lower(), os).holds for name in ("OS4", "OS7", "OS4A", "OS4B")}

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 from . import zoo
 from .category import (
     FiniteOrderedCategory,
-    category_of,
+    _category_of,
+    _derive_biaction,
+    _esn_round_trip,
     check_ehresmann_category_two_orders,
-    check_special_correspondences,
-    derive_biaction,
-    esn_round_trip,
     esn_round_trip_category,
     partial_product_category,
     verify_biaction,
@@ -180,10 +179,10 @@ def _cmd_derive(args, report: RunReport) -> None:
         report.text_lines.append("  (equality)")
 
 
-def _load_category(sf: StructureFile) -> FiniteOrderedCategory:
+def _load_category(sf: StructureFile, ev: Evaluation) -> FiniteOrderedCategory:
     if sf.kind == "category":
         return sf.category
-    return category_of(sf.ordered())
+    return _category_of(sf.ordered(), ev)
 
 
 def _cmd_cat(args, report: RunReport) -> None:
@@ -200,12 +199,13 @@ def _cmd_cat(args, report: RunReport) -> None:
         )
         report.exit_code = 0 if all(r.holds for r in report.reports) else 1
         return
-    c = _load_category(sf)
+    ev = Evaluation()
+    c = _load_category(sf, ev)
     subjects = {"category": c}
     laws = _laws_named(args.check, subjects, "OC law name") if args.check else ladder("category")
-    report.reports.extend(_decide(laws, subjects, Evaluation()))
+    report.reports.extend(_decide(laws, subjects, ev))
     if args.biaction:
-        b = derive_biaction(c)
+        b = _derive_biaction(c, ev)
         report.reports.append(verify_biaction(c, b))
         report.artifacts["biaction"] = {
             "left": [
@@ -224,8 +224,9 @@ def _cmd_esn(args, report: RunReport) -> None:
     report.summary = _summary_of(sf)
     if sf.kind == "semigroup":
         osg = sf.ordered()
-        report.reports.append(esn_round_trip(osg))
-        report.reports.append(check_special_correspondences(osg))
+        ev = Evaluation()
+        report.reports.append(_esn_round_trip(osg, ev))
+        report.reports.append(ev("special-correspondences", osg))
     else:
         report.reports.append(esn_round_trip_category(sf.category))
     report.exit_code = 0 if all(r.holds for r in report.reports) else 1
@@ -286,7 +287,7 @@ def _cmd_example(args, report: RunReport) -> None:
 
 
 def _cmd_sweep(args, report: RunReport) -> None:
-    result = run_sweep(max_size=args.max_size, jobs=args.jobs)
+    result = run_sweep(max_size=args.max_size, jobs=args.jobs, allow_large=args.allow_large)
     report.kind = "sweep"
     report.summary = {
         "max_size": result["max_size"],
@@ -359,6 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[common], help="run the exhaustive theorem sweep")
     p.add_argument("--max-size", type=int, default=3)
     p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--allow-large", action="store_true", help="permit the long-running size 4")
     p.set_defaults(fn=_cmd_sweep)
     return parser
 

@@ -218,16 +218,27 @@ def ladder(subject: str) -> list[Law]:
 
 
 class Evaluation:
-    """Verdicts of one unit of work, each law decided once per subject.
+    """Verdicts and constructions of one unit of work, each made once per subject.
 
     Make one per command or sweep record and drop it with that work; each
-    public ``check_*`` function makes its own.  Verdicts are keyed by the
-    subject's identity, which is cheaper than hashing a whole table; each
-    entry holds its subject, so no id is reused while the evaluation lives.
+    public ``check_*`` function and constructor makes its own.  A
+    construction that several steps of the work need goes through
+    ``build``.  Entries are keyed by the subject's identity, which is
+    cheaper than hashing a whole table; each entry holds its subject, so no
+    id is reused while the evaluation lives.
     """
 
     def __init__(self) -> None:
         self.verdicts: dict[tuple[str, int], tuple[Any, LawReport]] = {}
+        self.built: dict[tuple[Callable, int], tuple[Any, Any]] = {}
+
+    def build(self, fn: Callable[[Any, "Evaluation"], Any], x: Any) -> Any:
+        """``fn(x, self)``, made once per subject ``x``; an exception is raised anew each time."""
+        memo = (fn, id(x))
+        entry = self.built.get(memo)
+        if entry is None:
+            entry = self.built[memo] = (x, fn(x, self))
+        return entry[1]
 
     def __call__(self, key: str, x: Any) -> LawReport:
         """The verdict of the law registered as ``key`` on the subject ``x``."""

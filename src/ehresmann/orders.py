@@ -179,6 +179,11 @@ def derive_orders(s: FiniteBiunarySemigroup) -> DerivedOrders:
     return DerivedOrders(leq_l, leq_r, leq_e)
 
 
+def _derived_orders(s: FiniteBiunarySemigroup, ev: Evaluation) -> DerivedOrders:
+    """``derive_orders(s)``, in the form ``Evaluation.build`` takes."""
+    return derive_orders(s)
+
+
 def _os2_witness(n: int, dmap, rmap, rel) -> tuple[int, ...] | None:
     """Least a <= b with D(a) <= D(b) or R(a) <= R(b) failing: OS2, and OC2 on categories."""
     for a in range(n):
@@ -327,7 +332,7 @@ def semilattice_order_agreement(os: OrderedSemigroup) -> LawReport:
 
 
 def _leq_e_containment(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
-    leq_e = derive_orders(os.base).leq_e
+    leq_e = ev.build(_derived_orders, os.base).leq_e
     for a, b in leq_e.pairs(strict=True):
         if not os.order.rel[a][b]:
             return LawReport(
@@ -345,7 +350,7 @@ def leq_e_containment(os: OrderedSemigroup) -> LawReport:
 
 
 def _leq_e_partial_laws(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
-    os = OrderedSemigroup(s, derive_orders(s).leq_e)
+    os = OrderedSemigroup(s, ev.build(_derived_orders, s).leq_e)
     proj = projections(s).sorted_members
     verdicts = (
         ("OS1", None),  # partial order: enforced by construction of leq_e
@@ -382,7 +387,7 @@ def check_leq_e_partial_laws(s: FiniteBiunarySemigroup) -> LawReport:
 
 
 def _de_barros(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
-    w3 = _os3_witness(s.n, s.mul, derive_orders(s).leq_e.rel)
+    w3 = _os3_witness(s.n, s.mul, ev.build(_derived_orders, s).leq_e.rel)
     eq = ev("de-barros-equational", s)
     if (w3 is None) != eq.holds:
         raise InternalInconsistency(
@@ -508,11 +513,11 @@ class _OrderSearch:
     prune the branch.
     """
 
-    def __init__(self, s: FiniteBiunarySemigroup):
+    def __init__(self, s: FiniteBiunarySemigroup, ev: Evaluation):
         self.s = s
         self.n = s.n
         self.proj = set(projections(s).members)
-        floor = derive_orders(s).leq_e
+        floor = ev.build(_derived_orders, s).leq_e
         self.floor = floor
         mat = [list(row) for row in floor.rel]
         queue = [(a, b) for a in range(s.n) for b in range(s.n) if mat[a][b]]
@@ -584,6 +589,29 @@ class _OrderSearch:
         excluded.remove((a, b))
 
 
+def _ehresmann_orders(s: FiniteBiunarySemigroup, ev: Evaluation) -> tuple[OrderedSemigroup, ...]:
+    """``s`` under each of its Ehresmann orders, canonically sorted."""
+    pre = ev("ehresmann", s)
+    if not pre.holds:
+        raise PreconditionError(f"structure is not an Ehresmann semigroup: {pre.detail}")
+    search = _OrderSearch(s, ev)
+    if not search.root_ok:
+        return ()
+    mats: list[tuple[tuple[bool, ...], ...]] = []
+    search._solve(search.root, set(), 0, mats)
+    found = []
+    for mat in sorted(set(mats)):
+        osg = OrderedSemigroup(s, PartialOrder(s.n, mat))
+        rep = ev("ehresmann-order", osg)
+        if not rep.holds:
+            raise InternalInconsistency(
+                f"enumerated order fails the law check: {rep.detail}"
+            )
+        found.append(osg)
+    found.sort(key=lambda osg: osg.order.key())
+    return tuple(found)
+
+
 def enumerate_ehresmann_orders(
     s: FiniteBiunarySemigroup, up_to_iso: bool = False
 ) -> list[PartialOrder]:
@@ -595,25 +623,7 @@ def enumerate_ehresmann_orders(
     as a bit string; with ``up_to_iso`` one representative per orbit of
     the automorphism group is kept.
     """
-    ev = Evaluation()
-    pre = ev("ehresmann", s)
-    if not pre.holds:
-        raise PreconditionError(f"structure is not an Ehresmann semigroup: {pre.detail}")
-    search = _OrderSearch(s)
-    if not search.root_ok:
-        return []
-    mats: list[tuple[tuple[bool, ...], ...]] = []
-    search._solve(search.root, set(), 0, mats)
-    orders = []
-    for mat in sorted(set(mats)):
-        order = PartialOrder(s.n, mat)
-        rep = ev("ehresmann-order", OrderedSemigroup(s, order))
-        if not rep.holds:
-            raise InternalInconsistency(
-                f"enumerated order fails the law check: {rep.detail}"
-            )
-        orders.append(order)
-    orders.sort(key=lambda o: o.key())
+    orders = [osg.order for osg in _ehresmann_orders(s, Evaluation())]
     if up_to_iso:
         auts = automorphisms(s)
         seen: set[tuple[int, ...]] = set()
@@ -629,8 +639,8 @@ def enumerate_ehresmann_orders(
 
 
 def _smallest_order(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
-    leq_e = derive_orders(s).leq_e
-    found = enumerate_ehresmann_orders(s)
+    leq_e = ev.build(_derived_orders, s).leq_e
+    found = [osg.order for osg in ev.build(_ehresmann_orders, s)]
     if leq_e.key() not in {o.key() for o in found}:
         return LawReport(
             "smallest-ehresmann-order",

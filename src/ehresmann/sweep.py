@@ -12,15 +12,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import zoo
 from .category import (
-    category_of,
+    _category_of,
+    _derive_biaction,
+    _esn_round_trip,
+    _partial_product_category,
     check_ehresmann_category_two_orders,
-    derive_biaction,
-    esn_round_trip,
-    partial_product_category,
     verify_biaction,
 )
 from .core import Evaluation
-from .orders import OrderedSemigroup, derive_orders, enumerate_ehresmann_orders
+from .orders import OrderedSemigroup, _derived_orders, _ehresmann_orders
 
 SCHEMA = "ehresmann-sweep/1"
 
@@ -34,8 +34,8 @@ def _ordered_instance_record(osg: OrderedSemigroup, natural: bool, ev: Evaluatio
     lrr = ev("left-restriction-with-range", s).holds
     rrd = ev("right-restriction-with-domain", s).holds
     restr = ev("restriction", s).holds
-    c = category_of(osg)
-    bia = verify_biaction(c, derive_biaction(c))
+    c = ev.build(_category_of, osg)
+    bia = verify_biaction(c, _derive_biaction(c, ev))
     return {
         "os4": os4,
         "os7": os7,
@@ -46,7 +46,7 @@ def _ordered_instance_record(osg: OrderedSemigroup, natural: bool, ev: Evaluatio
         "restriction_bicond": (os4a and os4b) == (restr and natural),
         "lemma_containment": ev("leq-e-containment", osg).holds,
         "semilattice_agreement": ev("semilattice-order-agreement", osg).holds,
-        "esn_round_trip": esn_round_trip(osg).holds,
+        "esn_round_trip": _esn_round_trip(osg, ev).holds,
         "biaction": bia.holds,
         "oc_equivalences": ev("oc-equivalences", c).holds,
         "special_correspondences": ev("special-correspondences", osg).holds,
@@ -65,8 +65,8 @@ def _base_record(s, ev: Evaluation) -> dict:
         "de_barros_agreement": db.holds == eq.holds,
         "os3_matches_de_barros": partial.holds == db.holds,
     }
-    two = derive_orders(s)
-    c0 = partial_product_category(s)
+    two = ev.build(_derived_orders, s)
+    c0 = _partial_product_category(s, ev)
     rec["two_order_category"] = check_ehresmann_category_two_orders(
         c0, two.leq_l, two.leq_r
     ).holds
@@ -77,14 +77,13 @@ def _enumerated_record(item: tuple[str, object]) -> tuple[str, dict]:
     sid, s = item
     ev = Evaluation()
     rec = _base_record(s, ev)
-    leq_e = derive_orders(s).leq_e
-    orders = enumerate_ehresmann_orders(s)
-    rec["order_count"] = len(orders)
+    leq_e = ev.build(_derived_orders, s).leq_e
+    ordered = ev.build(_ehresmann_orders, s)
+    rec["order_count"] = len(ordered)
     per_order = []
     os4_seen = False
-    for order in orders:
-        osg = OrderedSemigroup(s, order)
-        inst = _ordered_instance_record(osg, natural=order.rel == leq_e.rel, ev=ev)
+    for osg in ordered:
+        inst = _ordered_instance_record(osg, natural=osg.order.rel == leq_e.rel, ev=ev)
         os4_seen = os4_seen or inst["os4"]
         per_order.append(inst)
     rec["orders"] = per_order
@@ -98,10 +97,10 @@ def _zoo_record(name: str) -> tuple[str, dict]:
     entry = zoo.get(name)
     ev = Evaluation()
     rec = _base_record(entry.structure, ev)
+    leq_e = ev.build(_derived_orders, entry.structure).leq_e
     rec["orders"] = []
     for oname, order in entry.orders:
         osg = OrderedSemigroup(entry.structure, order)
-        leq_e = derive_orders(entry.structure).leq_e
         inst = _ordered_instance_record(osg, natural=order.rel == leq_e.rel, ev=ev)
         inst["order_name"] = oname
         rec["orders"].append(inst)
@@ -151,11 +150,16 @@ def _map(fn, items: list, jobs: int) -> list:
         return list(ex.map(fn, items))
 
 
-def run_sweep(max_size: int = 3, jobs: int = 1, include_zoo: bool = True) -> dict:
-    """Run the full theorem sweep and return a JSON-ready report."""
+def run_sweep(
+    max_size: int = 3, jobs: int = 1, include_zoo: bool = True, allow_large: bool = False
+) -> dict:
+    """Run the full theorem sweep and return a JSON-ready report.
+
+    Size 4 is long-running and is swept only with ``allow_large``.
+    """
     items: list[tuple[str, object]] = []
     for n in range(1, max_size + 1):
-        for i, s in enumerate(zoo.enumerate_ehresmann_semigroups(n)):
+        for i, s in enumerate(zoo.enumerate_ehresmann_semigroups(n, allow_large=allow_large)):
             items.append((f"n{n}-{i:04d}", s))
     enumerated = _map(_enumerated_record, items, jobs)
     zoo_records: list[tuple[str, dict]] = []

@@ -1,6 +1,7 @@
 """Command surface: exit codes, JSON schema, and report contents."""
 
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import ehresmann
+from ehresmann import zoo
 from ehresmann.cli import run_command
 from ehresmann.core import LAWS
 
@@ -213,6 +215,33 @@ class TestSweepCommand:
         a = run_command(["--json", "sweep", "--max-size", "2", "--jobs", "1"])
         b = run_command(["--json", "sweep", "--max-size", "2", "--jobs", "3"])
         assert a.raw_json == b.raw_json
+
+    @pytest.fixture
+    def size_4_enumerator(self, monkeypatch):
+        """Sizes below 4 give nothing and size 4 its first two structures; calls are recorded."""
+        real = zoo.enumerate_ehresmann_semigroups
+        calls = []
+
+        def enumerate_ehresmann_semigroups(n, up_to_iso=False, *, allow_large=False):
+            calls.append((n, allow_large))
+            if n < 4:
+                return iter(())
+            return itertools.islice(real(n, up_to_iso, allow_large=allow_large), 2)
+
+        monkeypatch.setattr(zoo, "enumerate_ehresmann_semigroups", enumerate_ehresmann_semigroups)
+        return calls
+
+    def test_size_four_needs_flag(self, size_4_enumerator):
+        r = run_command(["sweep", "--max-size", "4"])
+        assert r.exit_code == 2
+        assert r.text_lines == ["error: size 4 is long-running; pass allow_large=True to proceed"]
+        assert size_4_enumerator[-1] == (4, False)
+
+    def test_allow_large_reaches_the_enumerator(self, size_4_enumerator):
+        r = run_command(["sweep", "--max-size", "4", "--allow-large"])
+        assert r.exit_code == 0
+        assert size_4_enumerator == [(1, True), (2, True), (3, True), (4, True)]
+        assert sorted(r.artifacts["structures"]) == ["n4-0000", "n4-0001"]
 
 
 def run_cli_module(*args: str) -> subprocess.CompletedProcess:

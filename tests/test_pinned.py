@@ -12,9 +12,12 @@ import pytest
 
 from ehresmann import zoo
 from ehresmann.cli import run_command
-from ehresmann.sweep import run_sweep
+from ehresmann.sweep import _enumerated_record, run_sweep
 
 SWEEP_3 = "eba66f7150dc7720742dba68d975684fb3ee4f6fdbb04f79ef454d64f281f582"
+
+# every 17th size-4 record (101 of 1,708), as json.dumps(..., sort_keys=True)
+SWEEP_4_SAMPLE = "5a387659f5e2887db9cf4abd0ec4f543fcece26f9b3d1d51bff203f4643708c7"
 
 COMMANDS = {
     "check": ("check",),
@@ -75,6 +78,15 @@ def test_every_subject_and_command_is_pinned():
 
 def test_sweep_json_is_pinned():
     assert digest(json.dumps(run_sweep(max_size=3), sort_keys=True, indent=2)) == SWEEP_3
+
+
+def test_size_4_sweep_records_are_pinned():
+    structures = zoo.enumerate_ehresmann_semigroups(4, allow_large=True)
+    records = [
+        _enumerated_record((f"n4-{i:04d}", s)) for i, s in enumerate(structures) if i % 17 == 0
+    ]
+    assert len(records) == 101
+    assert digest(json.dumps(records, sort_keys=True)) == SWEEP_4_SAMPLE
 
 
 @pytest.mark.parametrize("label,name", sorted(REPORTS))

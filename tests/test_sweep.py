@@ -1,0 +1,55 @@
+"""Sweep records: each prerequisite decided and each construction built once per record."""
+
+import dataclasses
+
+from ehresmann.core import LAWS, FiniteBiunarySemigroup
+from ehresmann.orders import DerivedOrders, _OrderSearch
+from ehresmann.sweep import _enumerated_record
+
+# n4-0013 of the size-4 enumeration, which has five Ehresmann orders
+S = FiniteBiunarySemigroup(
+    4,
+    ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 2, 2), (0, 1, 2, 3)),
+    (2, 2, 2, 3),
+    (2, 2, 2, 3),
+)
+
+
+def count_decisions(monkeypatch, key: str) -> list:
+    """The subjects the law ``key`` is decided on from now on, in order."""
+    law = LAWS[key]
+    subjects = []
+
+    def decide(x, ev):
+        subjects.append(x)
+        return law.decide(x, ev)
+
+    monkeypatch.setitem(LAWS, key, dataclasses.replace(law, decide=decide))
+    return subjects
+
+
+def count_constructions(monkeypatch, cls) -> list:
+    """One entry per instance of ``cls`` made from now on."""
+    made = []
+    init = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return made
+
+
+def test_record_builds_and_decides_each_thing_once(monkeypatch):
+    derived = count_constructions(monkeypatch, DerivedOrders)
+    searches = count_constructions(monkeypatch, _OrderSearch)
+    associativity = count_decisions(monkeypatch, "associativity")
+    eoc = count_decisions(monkeypatch, "ehresmann-ordered-category")
+    _, rec = _enumerated_record(("n4-0013", S))
+    assert rec["order_count"] == 5 and rec["smallest_order"]
+    assert len(derived) == 1
+    assert len(searches) == 1
+    assert sum(x is S for x in associativity) == 1
+    assert len(eoc) == 5
+    assert len({id(c) for c in eoc}) == 5
