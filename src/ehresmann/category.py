@@ -696,7 +696,8 @@ def _esn_round_trip(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
         if sem_witness is not None:
             break
     sem_ok = back == os
-    cat_ok = _category_of(back, ev) == c
+    # C(back) is C(S) itself when back equals S, so it is rebuilt only otherwise
+    cat_ok = sem_ok or _category_of(back, ev) == c
     parts = (("semigroup-direction", sem_ok), ("category-direction", cat_ok))
     if sem_ok and cat_ok:
         return LawReport("esn-round-trip", True, parts=parts)

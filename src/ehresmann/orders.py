@@ -204,6 +204,26 @@ def _os3_witness(n: int, mul, rel) -> tuple[int, ...] | None:
     return None
 
 
+def _os3_total_witness(n: int, mul, rel) -> tuple[int, ...] | None:
+    """``_os3_witness`` for a total ``mul``, decided in |<|·n steps.
+
+    On a total table OS3 holds iff a < b implies ac <= bc and ca <= cb for
+    every c, since then ac <= bc <= bd.  Only when that fails does the
+    scan run, to report the least witness.
+    """
+    cols = tuple(tuple(row[c] for row in mul) for c in range(n))
+    for a in range(n):
+        ra, ma, ca = rel[a], mul[a], cols[a]
+        for b in range(n):
+            if a == b or not ra[b]:
+                continue
+            mb, cb = mul[b], cols[b]
+            for c in range(n):
+                if not rel[ma[c]][mb[c]] or not rel[ca[c]][cb[c]]:
+                    return _os3_witness(n, mul, rel)
+    return None
+
+
 def _os6_witness(os: OrderedSemigroup, proj: Sequence[int]) -> tuple[int, ...] | None:
     s, rel = os.base, os.order.rel
     for a in range(s.n):
@@ -230,7 +250,7 @@ def _ehresmann_order(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
     proj = projections(s).sorted_members
     checks = (
         ("OS2", _os2_witness(s.n, s.dmap, s.rmap, os.order.rel)),
-        ("OS3", _os3_witness(s.n, s.mul, os.order.rel)),
+        ("OS3", _os3_total_witness(s.n, s.mul, os.order.rel)),
         ("OS6", _os6_witness(os, proj)),
         ("OSI", _osi_witness(s.n, proj, os.order.rel)),
     )
@@ -363,7 +383,7 @@ def _leq_e_partial_laws(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
             raise InternalInconsistency(
                 f"{name} fails for the derived e-order at {w}; this law is guaranteed"
             )
-    w3 = _os3_witness(s.n, s.mul, os.order.rel)
+    w3 = _os3_total_witness(s.n, s.mul, os.order.rel)
     parts = tuple([(name, True) for name, _ in verdicts] + [("OS3", w3 is None)])
     if w3 is None:
         return LawReport("leq-e-partial-laws", True, parts=parts)
@@ -387,7 +407,7 @@ def check_leq_e_partial_laws(s: FiniteBiunarySemigroup) -> LawReport:
 
 
 def _de_barros(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
-    w3 = _os3_witness(s.n, s.mul, ev.build(_derived_orders, s).leq_e.rel)
+    w3 = _os3_total_witness(s.n, s.mul, ev.build(_derived_orders, s).leq_e.rel)
     eq = ev("de-barros-equational", s)
     if (w3 is None) != eq.holds:
         raise InternalInconsistency(
@@ -504,89 +524,108 @@ def apply_automorphism_to_order(order: PartialOrder, perm: Sequence[int]) -> Par
     return PartialOrder(n, tuple(tuple(row) for row in mat))
 
 
+def _bits(mask: int) -> Iterable[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class _OrderSearch:
     """DFS over order extensions of the derived e-order.
 
-    The state is a relation matrix kept closed under transitivity, the
-    monotonicity rule for D and R, and product compatibility; pairs that
-    would break antisymmetry or put a non-projection under a projection
-    prune the branch.
+    A state is a relation kept closed under transitivity, the monotonicity
+    rule for D and R, and product compatibility, as bitmask rows: bit b of
+    ``up[a]`` and bit a of ``down[b]`` are set when a <= b, and bit b of
+    ``ex[a]`` when the branch has excluded a <= b.  Pairs that would break
+    antisymmetry, put a non-projection under a projection or add an
+    excluded pair prune the branch.
     """
 
     def __init__(self, s: FiniteBiunarySemigroup, ev: Evaluation):
+        n = self.n = s.n
         self.s = s
-        self.n = s.n
-        self.proj = set(projections(s).members)
-        floor = ev.build(_derived_orders, s).leq_e
-        self.floor = floor
-        mat = [list(row) for row in floor.rel]
-        queue = [(a, b) for a in range(s.n) for b in range(s.n) if mat[a][b]]
-        self.root_ok = self._close(mat, queue, frozenset())
-        self.root = mat
-        if self.root_ok:
-            self.candidates = [
-                (a, b)
-                for a in range(s.n)
-                for b in range(s.n)
-                if a != b
-                and not mat[a][b]
-                and not mat[b][a]
-                and not (b in self.proj and a not in self.proj)
-            ]
-        else:
-            self.candidates = []
+        self.cols = tuple(tuple(row[c] for row in s.mul) for c in range(n))
+        self.proj = sum(1 << e for e in projections(s).members)
+        rel = ev.build(_derived_orders, s).leq_e.rel
+        up = [sum(1 << b for b in range(n) if rel[a][b]) for a in range(n)]
+        down = [sum(1 << a for a in range(n) if rel[a][b]) for b in range(n)]
+        queue = [(a, b) for a in range(n) for b in _bits(up[a]) if a != b]
+        self.root_ok = self._close(up, down, queue, [0] * n)
+        self.root = (up, down)
+        self.candidates = [
+            (a, b)
+            for a in range(n)
+            for b in range(n)
+            if a != b
+            and not up[a] >> b & 1
+            and not up[b] >> a & 1
+            and not (self.proj >> b & 1 and not self.proj >> a & 1)
+        ] if self.root_ok else []
 
-    def _close(self, mat: list[list[bool]], queue: list[tuple[int, int]], excluded: frozenset) -> bool:
-        s, n, proj = self.s, self.n, self.proj
-        mul, D, R = s.mul, s.dmap, s.rmap
+    def _close(self, up: list[int], down: list[int], queue: list[tuple[int, int]],
+               ex: Sequence[int]) -> bool:
+        """Add what the queued pairs imply; False when that prunes the branch.
+
+        From a popped a <= b this derives D(a) <= D(b), R(a) <= R(b),
+        ac <= bc and ca <= cb for every c, and x <= y for every x <= a and
+        b <= y.  With reflexivity and transitivity that reaches the
+        closure under a <= b, c <= d => ac <= bd.
+        """
+        mul, cols, D, R, proj = self.s.mul, self.cols, self.s.dmap, self.s.rmap, self.proj
         while queue:
             a, b = queue.pop()
             derived = [(D[a], D[b]), (R[a], R[b])]
-            for c in range(n):
-                mc = mat[c]
-                for d in range(n):
-                    if mc[d]:
-                        derived.append((mul[a][c], mul[b][d]))
-                        derived.append((mul[c][a], mul[d][b]))
-            row_b, col_a = mat[b], [mat[x][a] for x in range(n)]
-            for x in range(n):
-                if row_b[x]:
-                    derived.append((a, x))
-                if col_a[x]:
-                    derived.append((x, b))
+            derived += zip(mul[a], mul[b])
+            derived += zip(cols[a], cols[b])
             for p, q in derived:
-                if p == q or mat[p][q]:
+                if p == q or up[p] >> q & 1:
                     continue
-                if mat[q][p]:
+                if up[q] >> p & 1 or ex[p] >> q & 1 or (proj >> q & 1 and not proj >> p & 1):
                     return False
-                if q in proj and p not in proj:
-                    return False
-                if (p, q) in excluded:
-                    return False
-                mat[p][q] = True
+                up[p] |= 1 << q
+                down[q] |= 1 << p
                 queue.append((p, q))
+            above = up[b]
+            for x in _bits(down[a]):
+                new = above & ~up[x]
+                if not new:
+                    continue
+                if new & (down[x] | ex[x]) or (new & proj and not proj >> x & 1):
+                    return False
+                up[x] |= new
+                for y in _bits(new):
+                    down[y] |= 1 << x
+                    queue.append((x, y))
         return True
 
-    def _solve(self, mat: list[list[bool]], excluded: set[tuple[int, int]], idx: int,
-               out: list[tuple[tuple[bool, ...], ...]]) -> None:
+    def solve(self) -> set[tuple[int, ...]]:
+        """The ``up`` rows of every closed extension, one branch per candidate pair."""
         cands = self.candidates
-        while idx < len(cands):
+        out: set[tuple[int, ...]] = set()
+        if not self.root_ok:
+            return out
+        up, down = self.root
+        stack = [(up, down, [0] * self.n, 0)]
+        while stack:
+            up, down, ex, idx = stack.pop()
+            while idx < len(cands) and up[cands[idx][0]] >> cands[idx][1] & 1:
+                idx += 1
+            if idx == len(cands):
+                out.add(tuple(up))
+                continue
             a, b = cands[idx]
-            if not mat[a][b] and (a, b) not in excluded:
-                break
-            idx += 1
-        else:
-            out.append(tuple(tuple(row) for row in mat))
-            return
-        a, b = cands[idx]
-        if not mat[b][a]:
-            inc = [list(row) for row in mat]
-            inc[a][b] = True
-            if self._close(inc, [(a, b)], frozenset(excluded)):
-                self._solve(inc, excluded, idx + 1, out)
-        excluded.add((a, b))
-        self._solve(mat, excluded, idx + 1, out)
-        excluded.remove((a, b))
+            excluded = list(ex)
+            excluded[a] |= 1 << b
+            stack.append((up, down, excluded, idx + 1))
+            if not up[b] >> a & 1:
+                inc_up, inc_down = list(up), list(down)
+                inc_up[a] |= 1 << b
+                inc_down[b] |= 1 << a
+                if self._close(inc_up, inc_down, [(a, b)], ex):
+                    stack.append((inc_up, inc_down, ex, idx + 1))
+        return out
 
 
 def _ehresmann_orders(s: FiniteBiunarySemigroup, ev: Evaluation) -> tuple[OrderedSemigroup, ...]:
@@ -594,21 +633,20 @@ def _ehresmann_orders(s: FiniteBiunarySemigroup, ev: Evaluation) -> tuple[Ordere
     pre = ev("ehresmann", s)
     if not pre.holds:
         raise PreconditionError(f"structure is not an Ehresmann semigroup: {pre.detail}")
-    search = _OrderSearch(s, ev)
-    if not search.root_ok:
-        return ()
-    mats: list[tuple[tuple[bool, ...], ...]] = []
-    search._solve(search.root, set(), 0, mats)
+    n = s.n
+    mats = sorted(
+        tuple(tuple(bool(row >> b & 1) for b in range(n)) for row in up)
+        for up in _OrderSearch(s, ev).solve()
+    )
     found = []
-    for mat in sorted(set(mats)):
-        osg = OrderedSemigroup(s, PartialOrder(s.n, mat))
+    for mat in mats:
+        osg = OrderedSemigroup(s, PartialOrder(n, mat))
         rep = ev("ehresmann-order", osg)
         if not rep.holds:
             raise InternalInconsistency(
                 f"enumerated order fails the law check: {rep.detail}"
             )
         found.append(osg)
-    found.sort(key=lambda osg: osg.order.key())
     return tuple(found)
 
 

@@ -241,23 +241,47 @@ def get(name: str) -> ZooEntry:
     return maker()
 
 
-def _assoc_consistent(t: list[list[int]], n: int) -> bool:
+def _new_cell_consistent(t: list[list[int]], n: int, i: int, j: int) -> bool:
+    """(ab)c = a(bc) on every defined triple that reads cell (i, j).
+
+    Unset cells hold -1.  A triple (a, b, c) reads the cells ab, bc,
+    (ab)c and a(bc); those that read (i, j) are (i, j, c), (a, i, j),
+    (a, b, j) with ab = i and (i, b, c) with bc = j.
+    """
+    ti, tj = t[i], t[j]
+    v = ti[j]
+    tv = t[v]
+    for c in range(n):  # (ij)c = i(jc)
+        jc = tj[c]
+        if jc >= 0 and tv[c] >= 0 and ti[jc] >= 0 and tv[c] != ti[jc]:
+            return False
     for a in range(n):
         ta = t[a]
-        for b in range(n):
-            ab = ta[b]
-            tb = t[b]
-            for c in range(n):
-                bc = tb[c]
-                left = t[ab][c] if ab >= 0 else -1
-                right = ta[bc] if bc >= 0 else -1
-                if left >= 0 and right >= 0 and left != right:
+        ai = ta[i]
+        if ai >= 0 and t[ai][j] >= 0 and ta[v] >= 0 and t[ai][j] != ta[v]:  # (ai)j = a(ij)
+            return False
+        for b in range(n):  # (ab)j = a(bj) where ab = i
+            if ta[b] == i:
+                bj = t[b][j]
+                if bj >= 0 and ta[bj] >= 0 and ta[bj] != v:
                     return False
+    for b in range(n):  # (ib)c = i(bc) where bc = j
+        ib = ti[b]
+        if ib < 0:
+            continue
+        tb, tib = t[b], t[ib]
+        for c in range(n):
+            if tb[c] == j and tib[c] >= 0 and tib[c] != v:
+                return False
     return True
 
 
 def _tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every associative n x n table in lexicographic order, filled cell by cell."""
+    """Every associative n x n table in lexicographic order, filled cell by cell.
+
+    Each node differs from its parent, which is consistent, in one cell
+    only, so only the triples reading that cell are checked.
+    """
     table = [[-1] * n for _ in range(n)]
 
     def fill(idx: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -267,7 +291,7 @@ def _tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         i, j = divmod(idx, n)
         for v in range(n):
             table[i][j] = v
-            if _assoc_consistent(table, n):
+            if _new_cell_consistent(table, n, i, j):
                 yield from fill(idx + 1)
         table[i][j] = -1
 

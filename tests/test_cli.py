@@ -96,6 +96,15 @@ class TestOrders:
         r = run_command(["orders", "example://orderless-band"])
         assert r.exit_code == 0 and r.artifacts["count"] == 0
 
+    def test_pt3_answers_under_the_default_recursion_limit(self, capsys):
+        # 3,124 candidate pairs: a search recursing once per excluded pair overflows the stack
+        assert ehresmann.cli.main(["orders", "example://pt-3", "--count-only", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["artifacts"]["count"] == 1
+        entry = zoo.get("pt-3")
+        inclusion = entry.get_order("inclusion")
+        assert ehresmann.enumerate_ehresmann_orders(entry.structure) == [inclusion]
+        assert ehresmann.derive_orders(entry.structure).leq_e == inclusion
+
     def test_category_file_rejected(self, tmp_path):
         p = tmp_path / "c.cat"
         p.write_text(

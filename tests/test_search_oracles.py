@@ -1,0 +1,186 @@
+"""The two exhaustive searches and the OS3 fast path against the scans they replace."""
+
+import random
+
+import pytest
+
+from ehresmann import (
+    PartialOrder,
+    StructureError,
+    derive_orders,
+    enumerate_ehresmann_orders,
+    projections,
+    zoo,
+)
+from ehresmann.orders import _os3_total_witness, _os3_witness
+
+
+def rescan_tables(n):
+    """Every associative n x n table, each cell checked by rescanning all n**3 triples."""
+    table = [[-1] * n for _ in range(n)]
+
+    def consistent():
+        for a in range(n):
+            for b in range(n):
+                ab = table[a][b]
+                for c in range(n):
+                    bc = table[b][c]
+                    left = table[ab][c] if ab >= 0 else -1
+                    right = table[a][bc] if bc >= 0 else -1
+                    if left >= 0 and right >= 0 and left != right:
+                        return False
+        return True
+
+    def fill(idx):
+        if idx == n * n:
+            yield tuple(tuple(row) for row in table)
+            return
+        i, j = divmod(idx, n)
+        for v in range(n):
+            table[i][j] = v
+            if consistent():
+                yield from fill(idx + 1)
+        table[i][j] = -1
+
+    return fill(0)
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 8), (3, 113), (4, 3492)])
+def test_tables_match_the_full_rescan(n, count):
+    # counts are OEIS A023814, associative tables on n labelled elements
+    tables = list(zoo._tables(n))
+    assert len(tables) == count
+    assert tables == list(rescan_tables(n))
+
+
+def recursive_orders(s):
+    """Ehresmann orders by the recursive bool-matrix search over extensions of the e-order."""
+    n, mul, D, R = s.n, s.mul, s.dmap, s.rmap
+    proj = set(projections(s).members)
+
+    def close(mat, queue, excluded):
+        while queue:
+            a, b = queue.pop()
+            derived = [(D[a], D[b]), (R[a], R[b])]
+            for c in range(n):
+                for d in range(n):
+                    if mat[c][d]:
+                        derived.append((mul[a][c], mul[b][d]))
+                        derived.append((mul[c][a], mul[d][b]))
+            for x in range(n):
+                if mat[b][x]:
+                    derived.append((a, x))
+                if mat[x][a]:
+                    derived.append((x, b))
+            for p, q in derived:
+                if p == q or mat[p][q]:
+                    continue
+                if mat[q][p] or (q in proj and p not in proj) or (p, q) in excluded:
+                    return False
+                mat[p][q] = True
+                queue.append((p, q))
+        return True
+
+    def solve(mat, excluded, idx):
+        while idx < len(cands) and (mat[cands[idx][0]][cands[idx][1]] or cands[idx] in excluded):
+            idx += 1
+        if idx == len(cands):
+            out.add(tuple(tuple(row) for row in mat))
+            return
+        a, b = cands[idx]
+        if not mat[b][a]:
+            inc = [list(row) for row in mat]
+            inc[a][b] = True
+            if close(inc, [(a, b)], frozenset(excluded)):
+                solve(inc, excluded, idx + 1)
+        excluded.add((a, b))
+        solve(mat, excluded, idx + 1)
+        excluded.remove((a, b))
+
+    mat = [list(row) for row in derive_orders(s).leq_e.rel]
+    out = set()
+    if not close(mat, [(a, b) for a in range(n) for b in range(n) if mat[a][b]], frozenset()):
+        return []
+    cands = [
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if a != b and not mat[a][b] and not mat[b][a] and not (b in proj and a not in proj)
+    ]
+    solve(mat, set(), 0)
+    return sorted(out)
+
+
+def order_subjects():
+    """Every Ehresmann semigroup of size at most 4, then the sweep's zoo entries."""
+    for n in range(1, 5):
+        yield from zoo.enumerate_ehresmann_semigroups(n, allow_large=True)
+    for name in zoo.SWEEP_NAMES:
+        yield zoo.get(name).structure
+
+
+def test_order_search_matches_the_recursive_search():
+    total = 0
+    for s in order_subjects():
+        found = [order.rel for order in enumerate_ehresmann_orders(s)]
+        assert found == recursive_orders(s)
+        total += len(found)
+    assert total == 10160  # 9,952 of them on the 1,708 structures of size 4
+
+
+def random_order(rng, n):
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n))]
+    try:
+        return PartialOrder.from_pairs(n, pairs)
+    except StructureError:
+        return None
+
+
+def assert_os3_agrees(mul, order, sides):
+    n = order.n
+    fast, scan = _os3_total_witness(n, mul, order.rel), _os3_witness(n, mul, order.rel)
+    assert fast == scan
+    sides.add(scan is None)
+
+
+def test_os3_fast_path_matches_the_scan_on_random_orders():
+    rng = random.Random(6)
+    sides = set()
+    for n in range(1, 5):
+        for s in zoo.enumerate_ehresmann_semigroups(n, allow_large=True):
+            for _ in range(3):
+                order = random_order(rng, n)
+                if order is not None:
+                    assert_os3_agrees(s.mul, order, sides)
+    assert sides == {True, False}
+
+
+def zoo_orders():
+    for name in zoo.SWEEP_NAMES + ("orderless-band", "pt-3"):
+        entry = zoo.get(name)
+        derived = derive_orders(entry.structure)
+        orders = [order for _, order in entry.orders]
+        orders += [derived.leq_l, derived.leq_r, derived.leq_e]
+        yield entry.structure, orders
+
+
+def test_os3_fast_path_matches_the_scan_on_the_zoo():
+    sides = set()
+    for s, orders in zoo_orders():
+        for order in orders:
+            assert_os3_agrees(s.mul, order, sides)
+    assert sides == {True, False}  # orderless-band is not de Barros: its e-order fails OS3
+
+
+def test_os3_fast_path_matches_the_scan_on_single_entry_mutations():
+    rng = random.Random(7)
+    sides = set()
+    for s, orders in zoo_orders():
+        if s.n > 16:
+            continue
+        for _ in range(200):
+            mul = [list(row) for row in s.mul]
+            a, b = rng.randrange(s.n), rng.randrange(s.n)
+            mul[a][b] = rng.randrange(s.n)
+            assert_os3_agrees(mul, rng.choice(orders), sides)
+    assert sides == {True, False}

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+from ehresmann.category import FiniteOrderedCategory
 from ehresmann.core import LAWS, FiniteBiunarySemigroup
 from ehresmann.orders import DerivedOrders, _OrderSearch
 from ehresmann.sweep import _enumerated_record
@@ -46,10 +47,13 @@ def test_record_builds_and_decides_each_thing_once(monkeypatch):
     searches = count_constructions(monkeypatch, _OrderSearch)
     associativity = count_decisions(monkeypatch, "associativity")
     eoc = count_decisions(monkeypatch, "ehresmann-ordered-category")
+    categories = count_constructions(monkeypatch, FiniteOrderedCategory)
     _, rec = _enumerated_record(("n4-0013", S))
     assert rec["order_count"] == 5 and rec["smallest_order"]
     assert len(derived) == 1
     assert len(searches) == 1
-    assert sum(x is S for x in associativity) == 1
+    # the ESN round trip reuses C(S) when the rebuilt semigroup equals S
+    assert len(associativity) == 1 and associativity[0] is S
+    assert len(categories) == 5
     assert len(eoc) == 5
     assert len({id(c) for c in eoc}) == 5
