@@ -10,7 +10,7 @@ away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 from .core import (
@@ -24,6 +24,7 @@ from .core import (
     PreconditionError,
     StructureError,
     TooLargeError,
+    _first_failure,
     _fmt,
     evaluate,
     property_key,
@@ -270,18 +271,8 @@ def category_of(os: OrderedSemigroup) -> FiniteOrderedCategory:
 
 def _omega_structured(c: FiniteOrderedCategory, ev: Evaluation) -> LawReport:
     rel = c.order.rel
-    w2 = _os2_witness(c.n, c.dmap, c.rmap, rel)
-    w3 = _os3_witness(c.n, c.comp, rel)
-    parts = (("OC1", True), ("OC2", w2 is None), ("OC3", w3 is None))
-    if w2 is not None:
-        return LawReport(
-            "omega-structured", False, witness=w2, detail=f"OC2 fails at ({_fmt(c, *w2)})", parts=parts
-        )
-    if w3 is not None:
-        return LawReport(
-            "omega-structured", False, witness=w3, detail=f"OC3 fails at ({_fmt(c, *w3)})", parts=parts
-        )
-    return LawReport("omega-structured", True, parts=parts)
+    checks = (("OC2", _os2_witness(c.n, c.dmap, c.rmap, rel)), ("OC3", _os3_witness(c.n, c.comp, rel)))
+    return _first_failure("omega-structured", c, checks, lead=(("OC1", True),))
 
 
 def check_omega_structured(c: FiniteOrderedCategory) -> LawReport:
@@ -340,10 +331,6 @@ def restriction(c: FiniteOrderedCategory, e: int, x: int) -> int:
 def corestriction(c: FiniteOrderedCategory, x: int, e: int) -> int:
     """The maximum y <= x with R(y) <= e, which must have range e."""
     return _restrict(c, c.rmap, x, e, ("corestriction", "R", "range"))
-
-
-def _oc4_family_witness(c: FiniteOrderedCategory, need_d: bool, need_r: bool):
-    return _matching_pair_witness(c.n, c.dmap, c.rmap, c.order.rel, need_d, need_r)
 
 
 def _oc6_witness(c: FiniteOrderedCategory, idmap) -> tuple[int, ...] | None:
@@ -416,18 +403,13 @@ def _oc_law(name: str, witness, aliases: tuple[str, ...] = ()) -> Law:
 
 def _oc_pair_laws(name: str, witness) -> tuple[Law, Law, Law]:
     """OC6 or OC8 and its halves: ``witness(c, idmap)`` with D decides the
-    a-half, with R the b-half; the pair reports both halves as parts and the
-    first failing half as the witness.
+    a-half, with R the b-half; the pair reads both registered halves, reports
+    them as parts and the first failing half as the witness.
     """
     halves = (name.lower() + "a", name.lower() + "b")
 
     def decide(c: FiniteOrderedCategory, ev: Evaluation) -> LawReport:
-        wa, wb = witness(c, c.dmap), witness(c, c.rmap)
-        parts = ((halves[0], wa is None), (halves[1], wb is None))
-        if wa is None and wb is None:
-            return LawReport(name, True, parts=parts)
-        side, w = (halves[0], wa) if wa is not None else (halves[1], wb)
-        return LawReport(name, False, witness=w, detail=f"{side} fails at ({_fmt(c, *w)})", parts=parts)
+        return _first_failure(name, c, ((half, ev(half, c).witness) for half in halves))
 
     return (
         Law(name, "category", decide, pre="omega-structured"),
@@ -446,11 +428,7 @@ def check_OC_property(c: FiniteOrderedCategory, prop: str) -> LawReport:
 
 
 def _oc_equivalences(c: FiniteOrderedCategory, ev: Evaluation) -> LawReport:
-    oc8a = _oc8_witness(c.n, c.identities(), c.dmap, c.order.rel) is None
-    oc8b = _oc8_witness(c.n, c.identities(), c.rmap, c.order.rel) is None
-    oc4a = _oc4_family_witness(c, True, False) is None
-    oc4b = _oc4_family_witness(c, False, True) is None
-    oc6 = _oc6_witness(c, c.dmap) is None and _oc6_witness(c, c.rmap) is None
+    oc8a, oc8b, oc4a, oc4b, oc6 = (ev(key, c).holds for key in ("oc8a", "oc8b", "oc4a", "oc4b", "oc6"))
     first = oc8a == (oc4a and oc6)
     second = (oc8a and oc8b) == (oc4a and oc4b and oc6)
     parts = (
@@ -477,42 +455,18 @@ def check_prop_oc_equivalences(c: FiniteOrderedCategory) -> LawReport:
 
 
 def _ehresmann_ordered_category(c: FiniteOrderedCategory, ev: Evaluation) -> LawReport:
+    name = "ehresmann-ordered-category"
     omega = ev("omega-structured", c)
-    results: list[tuple[str, tuple[int, ...] | None]] = []
-    if omega.holds:
-        results.append(("OC6a", _oc6_witness(c, c.dmap)))
-        results.append(("OC6b", _oc6_witness(c, c.rmap)))
-        results.append(("OC7'", _oc7_witness(c, prime=True)))
-        results.append(("OCI", _osi_witness(c.n, c.identities(), c.order.rel)))
-    meet_ok = c.meet is not None
-    parts = [("omega-structured", omega.holds)]
-    parts += [(name, w is None) for name, w in results]
-    parts.append(("meet-semilattice", meet_ok))
+    meet = (("meet-semilattice", c.meet is not None),)
     if not omega.holds:
-        return LawReport(
-            "ehresmann-ordered-category",
-            False,
-            witness=omega.witness,
-            detail=omega.detail,
-            parts=tuple(parts),
-        )
-    for name, w in results:
-        if w is not None:
-            return LawReport(
-                "ehresmann-ordered-category",
-                False,
-                witness=w,
-                detail=f"{name} fails at ({_fmt(c, *w)})",
-                parts=tuple(parts),
-            )
-    if not meet_ok:
-        return LawReport(
-            "ehresmann-ordered-category",
-            False,
-            detail="identities do not form a meet-semilattice under the order",
-            parts=tuple(parts),
-        )
-    return LawReport("ehresmann-ordered-category", True, parts=tuple(parts))
+        return LawReport(name, False, witness=omega.witness, detail=omega.detail,
+                         parts=(("omega-structured", False), *meet))
+    checks = ((part, ev(key, c).witness) for part, key in
+              (("OC6a", "oc6a"), ("OC6b", "oc6b"), ("OC7'", "oc7'"), ("OCI", "oci")))
+    rep = _first_failure(name, c, checks, lead=(("omega-structured", True),), trail=meet)
+    if rep.holds and c.meet is None:
+        return replace(rep, holds=False, detail="identities do not form a meet-semilattice under the order")
+    return rep
 
 
 def check_ehresmann_ordered_category(c: FiniteOrderedCategory) -> LawReport:
@@ -584,22 +538,36 @@ def verify_biaction(c: FiniteOrderedCategory, b: Biaction) -> LawReport:
         fail("E2", (), "action tables are not total on identity/element pairs")
     if meet is not None and total and not failures:
         evaluated.update(("E2", "E3", "E4", "E5", "E6"))
+        # (right?, action table by [e][x], near and far identity maps,
+        # composition): the right action x.e is the left one with products
+        # reversed, so its table and the composition are read transposed and
+        # its witnesses backwards.  Each check runs left, then right, at each
+        # index tuple, which fixes the first failure reported per axiom.
+        sides = (
+            (False, la, c.dmap, c.rmap, c.comp),
+            (True, tuple(zip(*ra)), c.rmap, c.dmap, tuple(zip(*c.comp))),
+        )
+
+        def at(right: bool, *tup: int) -> tuple[int, ...]:
+            return tup[::-1] if right else tup
+
         for x in range(n):
-            if la[c.dmap[x]][x] != x:
-                fail("E2", (x,), "D(x).x != x")
-            if ra[x][c.rmap[x]] != x:
-                fail("E2", (x,), "x.R(x) != x")
+            for right, act, near, far, comp in sides:
+                if act[near[x]][x] != x:
+                    fail("E2", (x,), ("D(x).x != x", "x.R(x) != x")[right])
         for e in ids:
             for x in range(n):
-                if c.dmap[la[e][x]] != meet[e][c.dmap[x]]:
-                    fail("E2", (e, x), "D(e.x) != e meet D(x)")
-                if c.rmap[ra[x][e]] != meet[c.rmap[x]][e]:
-                    fail("E2", (x, e), "R(x.e) != R(x) meet e")
+                for right, act, near, far, comp in sides:
+                    if near[act[e][x]] != meet[e][near[x]]:
+                        fail("E2", at(right, e, x),
+                             ("D(e.x) != e meet D(x)", "R(x.e) != R(x) meet e")[right])
                 for f in ids:
-                    if la[meet[e][f]][x] != la[e][la[f][x]]:
-                        fail("E2", (e, f, x), "(e meet f).x != e.(f.x)")
-                    if ra[x][meet[e][f]] != ra[ra[x][e]][f]:
-                        fail("E2", (x, e, f), "x.(e meet f) != (x.e).f")
+                    for right, act, near, far, comp in sides:
+                        # e.(f.x) applies f first, (x.e).f applies e first
+                        g, h = (f, e) if right else (e, f)
+                        if act[meet[g][h]][x] != act[g][act[h][x]]:
+                            fail("E2", at(right, g, h, x),
+                                 ("(e meet f).x != e.(f.x)", "x.(e meet f) != (x.e).f")[right])
         for e in ids:
             for x in range(n):
                 for f in ids:
@@ -607,30 +575,29 @@ def verify_biaction(c: FiniteOrderedCategory, b: Biaction) -> LawReport:
                         fail("E3", (e, x, f), "(e.x).f != e.(x.f)")
         for e in ids:
             for a in ids:
-                if la[e][a] != meet[e][a]:
-                    fail("E4", (e, a), "e.a != e meet a on identities")
-                if ra[a][e] != meet[a][e]:
-                    fail("E4", (a, e), "a.e != a meet e on identities")
+                for right, act, near, far, comp in sides:
+                    if act[e][a] != meet[e][a]:
+                        fail("E4", at(right, e, a),
+                             ("e.a != e meet a on identities", "a.e != a meet e on identities")[right])
         for e in ids:
             for x in range(n):
-                if not lt(c.rmap[la[e][x]], c.rmap[x]):
-                    fail("E5", (e, x), "R(e.x) not below R(x)")
-                if not lt(c.dmap[ra[x][e]], c.dmap[x]):
-                    fail("E5", (x, e), "D(x.e) not below D(x)")
+                for right, act, near, far, comp in sides:
+                    if not lt(far[act[e][x]], far[x]):
+                        fail("E5", at(right, e, x),
+                             ("R(e.x) not below R(x)", "D(x.e) not below D(x)")[right])
         for x in range(n):
             for y in range(n):
                 xy = c.comp[x][y]
                 if xy is None:
                     continue
                 for e in ids:
-                    u = la[e][x]
-                    v = la[c.rmap[u]][y]
-                    if c.comp[u][v] is None or la[e][xy] != c.comp[u][v]:
-                        fail("E6", (e, x, y), "e.(x o y) != (e.x) o (R(e.x).y)")
-                    w = ra[y][e]
-                    t = ra[x][c.dmap[w]]
-                    if c.comp[t][w] is None or ra[xy][e] != c.comp[t][w]:
-                        fail("E6", (x, y, e), "(x o y).e != (x.D(y.e)) o (y.e)")
+                    for right, act, near, far, comp in sides:
+                        p, q = (y, x) if right else (x, y)
+                        u = act[e][p]
+                        v = act[far[u]][q]
+                        if comp[u][v] is None or act[e][xy] != comp[u][v]:
+                            fail("E6", at(right, e, p, q),
+                                 ("e.(x o y) != (e.x) o (R(e.x).y)", "(x o y).e != (x.D(y.e)) o (y.e)")[right])
 
     axiom_names = ("E1", "E2", "E3", "E4", "E5", "E6")
     failed = {f[0] for f in failures}
@@ -1000,27 +967,18 @@ def _special_correspondences(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
     leq_e = ev.build(_derived_orders, os.base).leq_e
     natural = os.order.rel == leq_e.rel
 
+    # C(S) of an ordered Ehresmann semigroup is Omega-structured (OC2 is OS2,
+    # OC3 is OS3 on the defined products), so its OC laws are decided in full
     os_side = {name: ev(name.lower(), os).holds for name in ("OS4", "OS7", "OS4A", "OS4B")}
-    oc_side = {
-        "OC4": _oc4_family_witness(c, True, True) is None,
-        "OC7": _oc7_witness(c, prime=False) is None,
-        "OC4A": _oc4_family_witness(c, True, False) is None,
-        "OC4B": _oc4_family_witness(c, False, True) is None,
-    }
+    oc_side = {name: ev(name.lower(), c).holds for name in ("OC4", "OC7", "OC4A", "OC4B")}
     restriction_sem = ev("restriction", os.base).holds and natural
-    inductive1 = (
-        _oc8_witness(c.n, c.identities(), c.dmap, c.order.rel) is None
-        and _oc8_witness(c.n, c.identities(), c.rmap, c.order.rel) is None
-        and c.meet is not None
-    )
+    inductive1 = ev("oc8", c).holds and c.meet is not None
     functional_sem = (
         ev("functional", os.base).holds
         and ev("left-restriction-with-range", os.base).holds
         and natural
     )
-    functional_cat = (
-        _oc4_family_witness(c, True, False) is None and _all_epi_witness(c) is None
-    )
+    functional_cat = oc_side["OC4A"] and _all_epi_witness(c) is None
     parts = (
         ("OS4-OC4", os_side["OS4"] == oc_side["OC4"]),
         ("OS7-OC7", os_side["OS7"] == oc_side["OC7"]),
@@ -1136,9 +1094,9 @@ register(
     Law("omega-structured", "category", _omega_structured, ladder=True),
     Law("ehresmann-ordered-category", "category", _ehresmann_ordered_category, ladder=True),
     Law("oc-equivalences", "category", _oc_equivalences, pre="omega-structured", ladder=True),
-    _oc_law("OC4", lambda c: _oc4_family_witness(c, True, True)),
-    _oc_law("OC4A", lambda c: _oc4_family_witness(c, True, False)),
-    _oc_law("OC4B", lambda c: _oc4_family_witness(c, False, True)),
+    _oc_law("OC4", lambda c: _matching_pair_witness(c.n, c.dmap, c.rmap, c.order.rel, True, True)),
+    _oc_law("OC4A", lambda c: _matching_pair_witness(c.n, c.dmap, c.rmap, c.order.rel, True, False)),
+    _oc_law("OC4B", lambda c: _matching_pair_witness(c.n, c.dmap, c.rmap, c.order.rel, False, True)),
     *_oc_pair_laws("OC6", _oc6_witness),
     _oc_law("OC7", lambda c: _oc7_witness(c, prime=False)),
     _oc_law("OC7'", lambda c: _oc7_witness(c, prime=True), aliases=("oc7p",)),

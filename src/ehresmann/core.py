@@ -166,6 +166,23 @@ def _fmt(s, *indices: int) -> str:
     return ", ".join(s.name_of(i) for i in indices)
 
 
+def _first_failure(law: str, subject, checks, lead=(), trail=()) -> LawReport:
+    """The report of a law made of named parts, each a (part, witness) pair in ``checks``.
+
+    A part holds when its witness is None.  The report lists ``lead``, the
+    checks and ``trail`` as its parts, and fails at the first failing check
+    with the detail "{part} fails at (…)"; ``lead`` and ``trail`` are
+    listed as given and judged by the caller.
+    """
+    checks = tuple(checks)
+    parts = (*lead, *((name, w is None) for name, w in checks), *trail)
+    for name, w in checks:
+        if w is not None:
+            return LawReport(law, False, witness=w, detail=f"{name} fails at ({_fmt(subject, *w)})",
+                             parts=parts)
+    return LawReport(law, True, parts=parts)
+
+
 @dataclass(frozen=True)
 class Law:
     """One registered law: what it is decided on, what it presupposes, how.
@@ -243,7 +260,7 @@ class Evaluation:
     def __call__(self, key: str, x: Any) -> LawReport:
         """The verdict of the law registered as ``key`` on the subject ``x``."""
         law = LAWS[key]
-        memo = (law.key, id(x))
+        memo = (law.name, id(x))
         entry = self.verdicts.get(memo)
         if entry is None:
             entry = self.verdicts[memo] = (x, self._decide(law, x))
@@ -351,23 +368,7 @@ _LOCALISABLE_SUBLAWS = (("L1", _l1), ("L2", _l2), ("L3", _l3), ("L4", _l4))
 
 
 def _localisable(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
-    parts: list[tuple[str, bool]] = []
-    first: tuple[str, tuple[int, ...]] | None = None
-    for name, fn in _LOCALISABLE_SUBLAWS:
-        w = fn(s)
-        parts.append((name, w is None))
-        if w is not None and first is None:
-            first = (name, w)
-    if first is None:
-        return LawReport("localisable", True, parts=tuple(parts))
-    name, w = first
-    return LawReport(
-        "localisable",
-        False,
-        witness=w,
-        detail=f"{name} fails at ({_fmt(s, *w)})",
-        parts=tuple(parts),
-    )
+    return _first_failure("localisable", s, ((name, fn(s)) for name, fn in _LOCALISABLE_SUBLAWS))
 
 
 def check_localisable(s: FiniteBiunarySemigroup) -> LawReport:

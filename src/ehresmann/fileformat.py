@@ -237,9 +237,9 @@ def resolve(source: str) -> StructureFile:
     """Load a structure from a path or an ``example://NAME[#order]`` URI."""
     if source.startswith("example://"):
         ref = source[len("example://") :]
-        name, _, order_name = ref.partition("#")
+        name, fragment, order_name = ref.partition("#")
         entry = zoo.get(name)
-        order = entry.get_order(order_name or None) if entry.orders else None
+        order = entry.get_order(order_name or None) if entry.orders or fragment else None
         return semigroup_file(entry.structure, order)
     try:
         with open(source, "r", encoding="utf-8") as fh:

@@ -19,6 +19,7 @@ from .core import (
     LawReport,
     PreconditionError,
     StructureError,
+    _first_failure,
     _fmt,
     evaluate,
     is_ehresmann_hom,
@@ -254,17 +255,7 @@ def _ehresmann_order(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
         ("OS6", _os6_witness(os, proj)),
         ("OSI", _osi_witness(s.n, proj, os.order.rel)),
     )
-    parts = [("OS1", True)] + [(name, w is None) for name, w in checks]
-    for name, w in checks:
-        if w is not None:
-            return LawReport(
-                "ehresmann-order",
-                False,
-                witness=w,
-                detail=f"{name} fails at ({_fmt(s, *w)})",
-                parts=tuple(parts),
-            )
-    return LawReport("ehresmann-order", True, parts=tuple(parts))
+    return _first_failure("ehresmann-order", s, checks, lead=(("OS1", True),))
 
 
 def check_ehresmann_order(os: OrderedSemigroup) -> LawReport:

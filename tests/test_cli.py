@@ -35,6 +35,12 @@ class TestCheck:
         assert run_command(["check", "example://orderless-band", "--law", "ehresmann"]).exit_code == 0
         assert run_command(["check", "example://orderless-band", "--law", "de-barros"]).exit_code == 1
 
+    @pytest.mark.parametrize("uri", ["example://orderless-band#leq1", "example://orderless-band#"])
+    def test_order_fragment_on_an_orderless_example_is_an_error(self, uri):
+        r = run_command(["check", uri])
+        assert r.exit_code == 2
+        assert r.text_lines == ["error: example orderless-band carries no order"]
+
     def test_order_laws_included_when_order_present(self):
         r = run_command(["check", "example://two-element-monoid"])
         laws = [rep.law for rep in r.reports]

@@ -11,6 +11,7 @@ import itertools
 import pytest
 
 from ehresmann import (
+    Biaction,
     FiniteBiunarySemigroup,
     FiniteOrderedCategory,
     OrderedSemigroup,
@@ -24,9 +25,11 @@ from ehresmann import (
     check_omega_structured,
     check_right_restriction_with_domain,
     corestriction,
+    derive_biaction,
     enumerate_ehresmann_orders,
     partial_product_category,
     restriction,
+    verify_biaction,
     zoo,
 )
 
@@ -41,6 +44,11 @@ def dual_category(c: FiniteOrderedCategory) -> FiniteOrderedCategory:
     return FiniteOrderedCategory(
         c.n, c.rmap, c.dmap, tuple(zip(*c.comp)), c.order, c.meet, c.names
     )
+
+
+def dual_biaction(b: Biaction) -> Biaction:
+    """On the dual category e.x is the original x.e: the two tables swap, transposed."""
+    return Biaction(tuple(zip(*b.right)), tuple(zip(*b.left)))
 
 
 def labelled_posets(n: int) -> list[PartialOrder]:
@@ -151,3 +159,39 @@ def test_corestriction_is_restriction_on_dual():
             assert got == outcome(restriction, dual, e, x)
             seen.add(got if isinstance(got, type) else int)
     assert len(seen) == 3  # values, PreconditionError and OC6Violation
+
+
+def test_biaction_on_dual_is_the_mirrored_biaction():
+    for os in SUBJECTS:
+        c = category_of(os)
+        b = derive_biaction(c)
+        dual = dual_category(c)
+        assert derive_biaction(dual) == dual_biaction(b)
+        on_c = verify_biaction(c, b)
+        on_dual = verify_biaction(dual, dual_biaction(b))
+        assert (on_c.holds, on_c.parts) == (on_dual.holds, on_dual.parts)
+
+
+@pytest.mark.parametrize(
+    "name,side,at,value,on_c,on_dual",
+    [
+        # D(0).0 must be 0
+        ("two-element-monoid", "left", (1, 0), 1,
+         "E2 fails at (0,): D(x).x != x", "E2 fails at (0,): x.R(x) != x"),
+        ("inj-2", "right", (1, 4), 0,
+         "E2 fails at (1, 3, 4): x.(e meet f) != (x.e).f",
+         "E2 fails at (3, 4, 1): (e meet f).x != e.(f.x)"),
+    ],
+)
+def test_wrong_action_entry_fails_on_dual_through_the_other_action(name, side, at, value, on_c, on_dual):
+    c = category_of(zoo.get(name).ordered())
+    b = derive_biaction(c)
+    tables = {"left": [list(row) for row in b.left], "right": [list(row) for row in b.right]}
+    row, col = at
+    assert tables[side][row][col] != value
+    tables[side][row][col] = value
+    wrong = Biaction(tables["left"], tables["right"])
+    got = verify_biaction(c, wrong)
+    got_dual = verify_biaction(dual_category(c), dual_biaction(wrong))
+    assert (got.detail, got_dual.detail) == (on_c, on_dual)
+    assert not got.holds and got.parts == got_dual.parts

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+from ehresmann import category
 from ehresmann.category import FiniteOrderedCategory
 from ehresmann.core import LAWS, FiniteBiunarySemigroup
 from ehresmann.orders import DerivedOrders, _OrderSearch
@@ -57,3 +58,21 @@ def test_record_builds_and_decides_each_thing_once(monkeypatch):
     assert len(categories) == 5
     assert len(eoc) == 5
     assert len({id(c) for c in eoc}) == 5
+
+
+def test_record_decides_each_oc_law_once_per_category(monkeypatch):
+    keys = ("oc4", "oc4a", "oc4b", "oc6a", "oc6b", "oc7", "oc7'", "oc8a", "oc8b", "oci")
+    decided = {key: count_decisions(monkeypatch, key) for key in keys}
+    scans = []
+    max_below = category._max_below
+
+    def counted(*args):
+        scans.append(args)
+        return max_below(*args)
+
+    monkeypatch.setattr(category, "_max_below", counted)
+    _enumerated_record(("n4-0013", S))
+    for key, subjects in decided.items():
+        assert len(subjects) == 5 and len({id(c) for c in subjects}) == 5, key
+    # restrictions of the biaction and pseudoproduct, and OC6a/OC6b once per category
+    assert len(scans) == 290
