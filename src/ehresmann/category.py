@@ -617,17 +617,15 @@ def verify_biaction(c: FiniteOrderedCategory, b: Biaction) -> LawReport:
 
 
 def _semigroup_of(c: FiniteOrderedCategory, ev: Evaluation) -> OrderedSemigroup:
-    pre = ev("ehresmann-ordered-category", c)
-    if not pre.holds:
-        raise PreconditionError(f"not an Ehresmann-ordered category: {pre.detail}")
+    # the biaction raises the precondition error; e = R(x) meet D(y) lies below
+    # R(x) and D(y), so the factors x|e and e|y are its entries x.e and e.y
+    b = ev.build(_derive_biaction, c)
     n = c.n
     mul = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(n):
             e = c.meet[c.rmap[x]][c.dmap[y]]
-            a = corestriction(c, x, e)
-            b = restriction(c, e, y)
-            v = c.comp[a][b]
+            v = c.comp[b.right[x][e]][b.left[e][y]]
             if v is None:
                 raise InternalInconsistency("pseudoproduct factors do not compose")
             mul[x][y] = v

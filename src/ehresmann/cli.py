@@ -30,6 +30,7 @@ from .core import (
     LawReport,
     StructureError,
     WorkbenchError,
+    evaluate,
     ladder,
 )
 from .fileformat import StructureFile, emit_structure, resolve, semigroup_file
@@ -112,13 +113,11 @@ def _laws_named(names: list[str], subjects: dict, what: str) -> list[Law]:
     return [LAWS[w] for w in wanted]
 
 
-_NO_ORDER = LawReport("order-law", False, detail="the file carries no order section", applicable=False)
-
-
 def _decide(laws: list[Law], subjects: dict, ev: Evaluation) -> list[LawReport]:
     """Each law's verdict on its subject, through one evaluation."""
     return [
-        _NO_ORDER if subjects[law.subject] is None else ev(law.key, subjects[law.subject])
+        LawReport(law.name, False, detail="the file carries no order section", applicable=False)
+        if subjects[law.subject] is None else ev(law.key, subjects[law.subject])
         for law in laws
     ]
 
@@ -205,7 +204,7 @@ def _cmd_cat(args, report: RunReport) -> None:
     laws = _laws_named(args.check, subjects, "OC law name") if args.check else ladder("category")
     report.reports.extend(_decide(laws, subjects, ev))
     if args.biaction:
-        b = _derive_biaction(c, ev)
+        b = ev.build(_derive_biaction, c)
         report.reports.append(verify_biaction(c, b))
         report.artifacts["biaction"] = {
             "left": [
@@ -249,11 +248,12 @@ def _cmd_enumerate(args, report: RunReport) -> None:
     law = None
     if args.filter:
         law = LAWS.get(args.filter.lower())
-        if law is None or law.subject not in ("semigroup", "ordered"):
+        # enumerated structures carry no order, so only semigroup laws apply
+        if law is None or law.subject != "semigroup":
             raise StructureError(f"unknown law name {args.filter!r}")
     structures = []
     for s in stream:
-        if law is None or _decide([law], {"semigroup": s, "ordered": None}, Evaluation())[0].holds:
+        if law is None or evaluate(law.key, s).holds:
             structures.append(s)
     report.summary = {"size": args.size, "count": len(structures)}
     report.artifacts["count"] = len(structures)

@@ -35,7 +35,7 @@ def _ordered_instance_record(osg: OrderedSemigroup, natural: bool, ev: Evaluatio
     rrd = ev("right-restriction-with-domain", s).holds
     restr = ev("restriction", s).holds
     c = ev.build(_category_of, osg)
-    bia = verify_biaction(c, _derive_biaction(c, ev))
+    bia = verify_biaction(c, ev.build(_derive_biaction, c))
     return {
         "os4": os4,
         "os7": os7,

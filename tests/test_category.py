@@ -15,6 +15,7 @@ from ehresmann import (
     OC6Violation,
     OrderedSemigroup,
     PartialOrder,
+    PreconditionError,
     StructureError,
     category_of,
     check_OC_property,
@@ -377,7 +378,49 @@ class TestBiaction:
         assert not all(ok for _, ok in rep.parts)
 
 
+def reference_pseudoproduct(c: FiniteOrderedCategory) -> OrderedSemigroup:
+    """x (x) y = x|e o e|y with e = R(x) meet D(y), through restriction and corestriction."""
+    mul = [[0] * c.n for _ in range(c.n)]
+    for x in range(c.n):
+        for y in range(c.n):
+            e = c.meet[c.rmap[x]][c.dmap[y]]
+            mul[x][y] = c.comp[corestriction(c, x, e)][restriction(c, e, y)]
+    base = FiniteBiunarySemigroup(c.n, tuple(map(tuple, mul)), c.dmap, c.rmap, c.names)
+    return OrderedSemigroup(base, c.order)
+
+
+def pseudoproduct_subjects() -> list[OrderedSemigroup]:
+    """Every ordered Ehresmann semigroup of size <= 3, every SWEEP_NAMES order and pt-3."""
+    subjects = [
+        OrderedSemigroup(s, order)
+        for n in (1, 2, 3)
+        for s in zoo.enumerate_ehresmann_semigroups(n)
+        for order in enumerate_ehresmann_orders(s)
+    ]
+    for name in (*zoo.SWEEP_NAMES, "pt-3"):
+        entry = zoo.get(name)
+        subjects.extend(entry.ordered(oname) for oname in entry.order_names())
+    return subjects
+
+
 class TestSemigroupOf:
+    def test_matches_the_restriction_reference(self):
+        subjects = pseudoproduct_subjects()
+        assert len(subjects) == 205
+        for os in subjects:
+            c = category_of(os)
+            assert semigroup_of(c) == reference_pseudoproduct(c)
+
+    def test_identities_without_a_meet_are_not_applicable(self):
+        # two identities under the equality order have no meet
+        c = FiniteOrderedCategory(2, (0, 1), (0, 1), ((0, None), (None, 1)), PartialOrder.equality(2))
+        assert c.meet is None
+        text = "not an Ehresmann-ordered category: identities do not form a meet-semilattice under the order"
+        with pytest.raises(PreconditionError) as exc:
+            semigroup_of(c)
+        assert str(exc.value) == text
+        assert esn_round_trip_category(c) == LawReport("esn-round-trip", False, detail=text, applicable=False)
+
     def test_terminal(self):
         c = category_of(OrderedSemigroup(ONE, PartialOrder.equality(1)))
         back = semigroup_of(c)

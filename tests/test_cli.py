@@ -49,6 +49,15 @@ class TestCheck:
     def test_unknown_law_is_usage_error(self):
         assert run_command(["check", "example://pt-2", "--law", "nonsense"]).exit_code == 2
 
+    def test_order_laws_without_an_order_are_reported_under_their_own_names(self):
+        r = run_command(["--json", "check", "example://orderless-band", "--law", "os4", "--law", "os7"])
+        assert r.exit_code == 1
+        reports = parse_json(r)["reports"]
+        assert [rep["law"] for rep in reports] == ["OS4", "OS7"]
+        for rep in reports:
+            assert rep["holds"] is False and rep["applicable"] is False
+            assert rep["detail"] == "the file carries no order section"
+
     def test_json_payload_shape(self):
         r = run_command(["--json", "check", "example://two-element-monoid", "--law", "ehresmann"])
         payload = parse_json(r)
@@ -188,6 +197,13 @@ class TestEnumerate:
         all_n2 = run_command(["enumerate", "--size", "2"]).artifacts["count"]
         db = run_command(["enumerate", "--size", "2", "--filter", "de-barros"]).artifacts["count"]
         assert 0 < db <= all_n2
+
+    @pytest.mark.parametrize("name", ["os4", "OS7", "semilattice-order-agreement"])
+    def test_filter_rejects_laws_of_ordered_structures(self, name):
+        # enumerated structures carry no order, so such a filter would keep nothing
+        r = run_command(["enumerate", "--size", "2", "--filter", name])
+        assert r.exit_code == 2
+        assert r.text_lines == [f"error: unknown law name {name!r}"]
 
     def test_size_four_needs_flag(self):
         assert run_command(["enumerate", "--size", "4"]).exit_code == 2

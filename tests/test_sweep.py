@@ -74,5 +74,6 @@ def test_record_decides_each_oc_law_once_per_category(monkeypatch):
     _enumerated_record(("n4-0013", S))
     for key, subjects in decided.items():
         assert len(subjects) == 5 and len({id(c) for c in subjects}) == 5, key
-    # restrictions of the biaction and pseudoproduct, and OC6a/OC6b once per category
-    assert len(scans) == 290
+    # restrictions of the biaction and OC6a/OC6b once per category; the
+    # pseudoproduct reads its factors from the biaction
+    assert len(scans) == 130
