@@ -33,7 +33,7 @@ from .core import (
 from .orders import (
     OrderedSemigroup,
     PartialOrder,
-    _derived_orders,
+    _is_natural,
     _matching_pair_witness,
     _os2_witness,
     _os3_witness,
@@ -91,7 +91,12 @@ def _validate_category(
 
 
 def _coerce_comp(comp) -> CompTable:
-    return tuple(tuple(None if v is None else int(v) for v in row) for row in comp)
+    table = tuple(tuple(row) for row in comp)
+    for row in table:
+        for v in row:
+            if v is not None and not isinstance(v, int):
+                raise StructureError(f"table entry {v!r} is neither None nor an element index")
+    return table
 
 
 @dataclass(frozen=True)
@@ -122,6 +127,8 @@ class FiniteCategory:
 def _derive_meet(
     n: int, identities: Sequence[int], order: PartialOrder
 ) -> tuple[tuple[int | None, ...], ...] | None:
+    """Greatest lower bounds of identity pairs among the identities, None off
+    them; None when some pair has none."""
     table = [[None] * n for _ in range(n)]
     for e in identities:
         for f in identities:
@@ -132,44 +139,31 @@ def _derive_meet(
     return tuple(tuple(row) for row in table)
 
 
-def _validate_meet(
-    n: int,
-    identities: Sequence[int],
-    order: PartialOrder,
-    meet: tuple[tuple[int | None, ...], ...],
-) -> None:
-    idset = set(identities)
-    if len(meet) != n or any(len(row) != n for row in meet):
+def _compare_meet(c: FiniteOrderedCategory, given, derived) -> None:
+    """Raise StructureError unless ``given`` equals ``derived``, the meet the order gives."""
+    if derived is None:
+        raise StructureError("meet table given, but the identities do not form a meet-semilattice")
+    if len(given) != c.n or any(len(row) != c.n for row in given):
         raise StructureError("meet table must be n x n")
-    for x in range(n):
-        for y in range(n):
-            v = meet[x][y]
-            if x in idset and y in idset:
-                if v is None or v not in idset:
-                    raise StructureError(f"meet must map identity pair ({x}, {y}) to an identity")
-            elif v is not None:
-                raise StructureError(f"meet defined off the identities at ({x}, {y})")
-    for e in identities:
-        for f in identities:
-            g = meet[e][f]
-            if not (order.rel[g][e] and order.rel[g][f]):
-                raise StructureError(f"meet({e}, {f}) = {g} is not a lower bound")
-            for h in identities:
-                if order.rel[h][e] and order.rel[h][f] and not order.rel[h][g]:
-                    raise StructureError(
-                        f"meet({e}, {f}) = {g} is not the greatest lower bound ({h} above it)"
-                    )
+    for x in range(c.n):
+        for y in range(c.n):
+            if given[x][y] != derived[x][y]:
+                raise StructureError(
+                    f"meet table differs from the order at ({_fmt(c, x, y)}):"
+                    f" given {given[x][y]!r}, derived {derived[x][y]!r}"
+                )
 
 
 @dataclass(frozen=True)
 class FiniteOrderedCategory:
     """A finite category with a partial order and a meet table on identities.
 
-    ``meet`` may be passed as None, in which case greatest lower bounds are
-    derived from the order; if some pair of identities has none, the table
-    stays None and the Ehresmann-ordered-category check fails its
-    meet-semilattice clause.  A supplied table is validated against the
-    order once, at construction.
+    The meet is always derived from the order: greatest lower bounds of
+    identity pairs among the identities, None off them.  If some pair of
+    identities has none, the table is None and the
+    Ehresmann-ordered-category check fails its meet-semilattice clause.  A
+    table passed as ``meet`` must equal the derived one; it is compared
+    once, at construction.
     """
 
     n: int
@@ -187,12 +181,10 @@ class FiniteOrderedCategory:
         FiniteCategory.__post_init__(self)
         if self.order.n != self.n:
             raise StructureError("order and carrier sizes differ")
-        ids = self.identities()
-        if self.meet is None:
-            object.__setattr__(self, "meet", _derive_meet(self.n, ids, self.order))
-        else:
-            object.__setattr__(self, "meet", _coerce_comp(self.meet))
-            _validate_meet(self.n, ids, self.order, self.meet)
+        meet = _derive_meet(self.n, self.identities(), self.order)
+        if self.meet is not None:
+            _compare_meet(self, self.meet, meet)
+        object.__setattr__(self, "meet", meet)
 
 
 @dataclass(frozen=True)
@@ -506,6 +498,11 @@ def verify_biaction(c: FiniteOrderedCategory, b: Biaction) -> LawReport:
     ids = c.identities()
     meet = c.meet
     n = c.n
+    for label, table in (("left", b.left), ("right", b.right)):
+        if len(table) != n or any(
+            len(row) != n or any(v is not None and not 0 <= v < n for v in row) for row in table
+        ):
+            raise StructureError(f"{label} action table must be {n} x {n} over 0..{n - 1} and None")
     failures: list[tuple[str, tuple[int, ...], str]] = []
     evaluated = {"E1"}
 
@@ -962,8 +959,7 @@ def morphism_correspondence(
 
 def _special_correspondences(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
     c = ev.build(_category_of, os)
-    leq_e = ev.build(_derived_orders, os.base).leq_e
-    natural = os.order.rel == leq_e.rel
+    natural = _is_natural(os, ev)
 
     # C(S) of an ordered Ehresmann semigroup is Omega-structured (OC2 is OS2,
     # OC3 is OS3 on the defined products), so its OC laws are decided in full
@@ -1014,8 +1010,8 @@ def _monotone_witness(n: int, ids, idmap, rel_unique, rel, meet) -> tuple[int, .
             if not rel[x][y]:
                 continue
             for e in ids:
-                u = _unique_below(n, idmap, rel_unique, x, meet[(idmap[x], e)])
-                v = _unique_below(n, idmap, rel_unique, y, meet[(idmap[y], e)])
+                u = _unique_below(n, idmap, rel_unique, x, meet[idmap[x]][e])
+                v = _unique_below(n, idmap, rel_unique, y, meet[idmap[y]][e])
                 if u is None or v is None or not rel[u][v]:
                     return (x, y, e)
     return None
@@ -1048,14 +1044,8 @@ def check_ehresmann_category_two_orders(
     b1 = omega_ok(rel_l) and _oc8_witness(n, ids, c0.dmap, rel_l) is None
     b2 = omega_ok(rel_r) and _oc8_witness(n, ids, c0.rmap, rel_r) is None
     b3 = all(rel_l[e][f] == rel_r[e][f] for e in ids for f in ids)
-    meet = None
-    if b3:
-        meet = {
-            (e, f): leq_l.glb(e, f, within=ids) for e in ids for f in ids
-        }
-        b4 = all(v is not None for v in meet.values())
-    else:
-        b4 = False
+    meet = _derive_meet(n, ids, leq_l) if b3 else None
+    b4 = meet is not None
     lr = compose_relations(leq_l, leq_r)
     rl = compose_relations(leq_r, leq_l)
     b5 = lr == rl

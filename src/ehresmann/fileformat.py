@@ -4,7 +4,7 @@ The format is bit-exact and diff-friendly: whitespace-separated name
 tokens, ``#`` comments, one section per header.  Semigroup files carry a
 total ``mul:`` table; category files carry a ``comp:`` table in which
 ``.`` marks undefined entries and may add a ``meet:`` section of triples
-``e f g`` (meaning e meet f = g), derived from the order when omitted.
+``e f g`` (e meet f = g) that must equal the meet derived from the order.
 The ``order:`` section lists pairs ``a <= b`` and is closed reflexively
 and transitively on parse; a closure that breaks antisymmetry is a parse
 error.
@@ -166,7 +166,6 @@ def parse_structure(text: str) -> StructureFile:
         inline, block = seen["meet"]
         if inline:
             raise StructureError("meet triples belong on their own lines")
-        ids = sorted(set(dmap))
         table: dict[tuple[int, int], int] = {}
         for line in block:
             if len(line) != 3:
@@ -176,10 +175,6 @@ def parse_structure(text: str) -> StructureFile:
                 raise StructureError(f"conflicting meet entries for ({names[e]}, {names[f]})")
             table[(e, f)] = g
             table.setdefault((f, e), g)
-        missing = [(e, f) for e in ids for f in ids if (e, f) not in table]
-        if missing:
-            e, f = missing[0]
-            raise StructureError(f"meet table misses the pair ({names[e]}, {names[f]})")
         meet = tuple(
             tuple(table.get((x, y)) for y in range(n)) for x in range(n)
         )

@@ -7,7 +7,7 @@ enumerator for all Ehresmann orders on a finite Ehresmann semigroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .core import (
@@ -108,10 +108,10 @@ class PartialOrder:
 
     def glb(self, a: int, b: int, within: Sequence[int] | None = None) -> int | None:
         """Greatest lower bound of a and b, restricted to ``within`` if given."""
-        for v in (a, b):
+        pool = range(self.n) if within is None else within
+        for v in (a, b, *pool):
             if not 0 <= v < self.n:
                 raise StructureError(f"glb element {v!r} out of range 0..{self.n - 1}")
-        pool = range(self.n) if within is None else within
         lower = [c for c in pool if self.rel[c][a] and self.rel[c][b]]
         for m in lower:
             if all(self.rel[c][m] for c in lower):
@@ -183,6 +183,17 @@ def derive_orders(s: FiniteBiunarySemigroup) -> DerivedOrders:
 def _derived_orders(s: FiniteBiunarySemigroup, ev: Evaluation) -> DerivedOrders:
     """``derive_orders(s)``, in the form ``Evaluation.build`` takes."""
     return derive_orders(s)
+
+
+def _natural(s: FiniteBiunarySemigroup, ev: Evaluation) -> OrderedSemigroup:
+    """``s`` under its e-order, in the form ``Evaluation.build`` takes: one
+    subject per unit of work, shared by every law decided on it."""
+    return OrderedSemigroup(s, ev.build(_derived_orders, s).leq_e)
+
+
+def _is_natural(os: OrderedSemigroup, ev: Evaluation) -> bool:
+    """Whether the order of ``os`` is the e-order of its base."""
+    return os.order.rel == ev.build(_natural, os.base).order.rel
 
 
 def _os2_witness(n: int, dmap, rmap, rel) -> tuple[int, ...] | None:
@@ -343,7 +354,7 @@ def semilattice_order_agreement(os: OrderedSemigroup) -> LawReport:
 
 
 def _leq_e_containment(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
-    leq_e = ev.build(_derived_orders, os.base).leq_e
+    leq_e = ev.build(_natural, os.base).order
     for a, b in leq_e.pairs(strict=True):
         if not os.order.rel[a][b]:
             return LawReport(
@@ -361,30 +372,16 @@ def leq_e_containment(os: OrderedSemigroup) -> LawReport:
 
 
 def _leq_e_partial_laws(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
-    os = OrderedSemigroup(s, ev.build(_derived_orders, s).leq_e)
-    proj = projections(s).sorted_members
-    verdicts = (
-        ("OS1", None),  # partial order: enforced by construction of leq_e
-        ("OS2", _os2_witness(s.n, s.dmap, s.rmap, os.order.rel)),
-        ("OS6", _os6_witness(os, proj)),
-        ("OSI", _osi_witness(s.n, proj, os.order.rel)),
-    )
-    for name, w in verdicts:
-        if w is not None:
-            raise InternalInconsistency(
-                f"{name} fails for the derived e-order at {w}; this law is guaranteed"
-            )
-    w3 = _os3_total_witness(s.n, s.mul, os.order.rel)
-    parts = tuple([(name, True) for name, _ in verdicts] + [("OS3", w3 is None)])
-    if w3 is None:
-        return LawReport("leq-e-partial-laws", True, parts=parts)
-    return LawReport(
-        "leq-e-partial-laws",
-        False,
-        witness=w3,
-        detail=f"OS3 fails for the e-order at ({_fmt(s, *w3)})",
-        parts=parts,
-    )
+    # OS1 holds by construction of leq_e; OS2, OS6 and OSI hold on every
+    # Ehresmann semigroup, so the ehresmann-order report fails, if at all, at OS3
+    rep = ev("ehresmann-order", ev.build(_natural, s))
+    held = dict(rep.parts)
+    for name in ("OS2", "OS6", "OSI"):
+        if not held[name]:
+            raise InternalInconsistency(f"{name} is guaranteed but fails for the derived e-order")
+    parts = tuple((name, held[name]) for name in ("OS1", "OS2", "OS6", "OSI", "OS3"))
+    detail = "" if rep.holds else f"OS3 fails for the e-order at ({_fmt(s, *rep.witness)})"
+    return replace(rep, law="leq-e-partial-laws", detail=detail, parts=parts)
 
 
 def check_leq_e_partial_laws(s: FiniteBiunarySemigroup) -> LawReport:
@@ -398,20 +395,14 @@ def check_leq_e_partial_laws(s: FiniteBiunarySemigroup) -> LawReport:
 
 
 def _de_barros(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
-    w3 = _os3_total_witness(s.n, s.mul, ev.build(_derived_orders, s).leq_e.rel)
-    eq = ev("de-barros-equational", s)
-    if (w3 is None) != eq.holds:
+    partial = ev("leq-e-partial-laws", s)
+    if partial.holds != ev("de-barros-equational", s).holds:
         raise InternalInconsistency(
             "order-based and equational de Barros verdicts disagree"
         )
-    if w3 is None:
-        return LawReport("de-barros", True, detail="equational criterion agrees")
-    return LawReport(
-        "de-barros",
-        False,
-        witness=w3,
-        detail=f"OS3 fails for the e-order at ({_fmt(s, *w3)}); equational criterion agrees",
-    )
+    agrees = "equational criterion agrees"
+    detail = f"{partial.detail}; {agrees}" if partial.detail else agrees
+    return LawReport("de-barros", partial.holds, witness=partial.witness, detail=detail)
 
 
 def is_de_barros(s: FiniteBiunarySemigroup) -> LawReport:
@@ -629,9 +620,10 @@ def _ehresmann_orders(s: FiniteBiunarySemigroup, ev: Evaluation) -> tuple[Ordere
         tuple(tuple(bool(row >> b & 1) for b in range(n)) for row in up)
         for up in _OrderSearch(s, ev).solve()
     )
+    natural = ev.build(_natural, s)
     found = []
     for mat in mats:
-        osg = OrderedSemigroup(s, PartialOrder(n, mat))
+        osg = natural if mat == natural.order.rel else OrderedSemigroup(s, PartialOrder(n, mat))
         rep = ev("ehresmann-order", osg)
         if not rep.holds:
             raise InternalInconsistency(
@@ -668,23 +660,20 @@ def enumerate_ehresmann_orders(
 
 
 def _smallest_order(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
-    leq_e = ev.build(_derived_orders, s).leq_e
-    found = [osg.order for osg in ev.build(_ehresmann_orders, s)]
-    if leq_e.key() not in {o.key() for o in found}:
+    found = ev.build(_ehresmann_orders, s)
+    if not any(_is_natural(osg, ev) for osg in found):
         return LawReport(
             "smallest-ehresmann-order",
             False,
             detail="the e-order is not among the enumerated Ehresmann orders",
         )
-    for order in found:
-        if not order.contains(leq_e):
-            a, b = next(
-                (a, b) for a, b in leq_e.pairs(strict=True) if not order.rel[a][b]
-            )
+    for osg in found:
+        contains = ev("leq-e-containment", osg)
+        if not contains.holds:
             return LawReport(
                 "smallest-ehresmann-order",
                 False,
-                witness=(a, b),
+                witness=contains.witness,
                 detail="an enumerated order does not contain the e-order",
             )
     return LawReport(

@@ -19,14 +19,15 @@ from .category import (
     check_ehresmann_category_two_orders,
     verify_biaction,
 )
-from .core import Evaluation
-from .orders import OrderedSemigroup, _derived_orders, _ehresmann_orders
+from .core import Evaluation, TooLargeError
+from .orders import OrderedSemigroup, _derived_orders, _ehresmann_orders, _is_natural
 
 SCHEMA = "ehresmann-sweep/1"
 
 
-def _ordered_instance_record(osg: OrderedSemigroup, natural: bool, ev: Evaluation) -> dict:
+def _ordered_instance_record(osg: OrderedSemigroup, ev: Evaluation) -> dict:
     s = osg.base
+    natural = _is_natural(osg, ev)
     os4 = ev("os4", osg).holds
     os7 = ev("os7", osg).holds
     os4a = ev("os4a", osg).holds
@@ -77,13 +78,12 @@ def _enumerated_record(item: tuple[str, object]) -> tuple[str, dict]:
     sid, s = item
     ev = Evaluation()
     rec = _base_record(s, ev)
-    leq_e = ev.build(_derived_orders, s).leq_e
     ordered = ev.build(_ehresmann_orders, s)
     rec["order_count"] = len(ordered)
     per_order = []
     os4_seen = False
     for osg in ordered:
-        inst = _ordered_instance_record(osg, natural=osg.order.rel == leq_e.rel, ev=ev)
+        inst = _ordered_instance_record(osg, ev)
         os4_seen = os4_seen or inst["os4"]
         per_order.append(inst)
     rec["orders"] = per_order
@@ -97,11 +97,9 @@ def _zoo_record(name: str) -> tuple[str, dict]:
     entry = zoo.get(name)
     ev = Evaluation()
     rec = _base_record(entry.structure, ev)
-    leq_e = ev.build(_derived_orders, entry.structure).leq_e
     rec["orders"] = []
     for oname, order in entry.orders:
-        osg = OrderedSemigroup(entry.structure, order)
-        inst = _ordered_instance_record(osg, natural=order.rel == leq_e.rel, ev=ev)
+        inst = _ordered_instance_record(OrderedSemigroup(entry.structure, order), ev)
         inst["order_name"] = oname
         rec["orders"].append(inst)
     return name, rec
@@ -150,21 +148,19 @@ def _map(fn, items: list, jobs: int) -> list:
         return list(ex.map(fn, items))
 
 
-def run_sweep(
-    max_size: int = 3, jobs: int = 1, include_zoo: bool = True, allow_large: bool = False
-) -> dict:
+def run_sweep(max_size: int = 3, jobs: int = 1, allow_large: bool = False) -> dict:
     """Run the full theorem sweep and return a JSON-ready report.
 
     Size 4 is long-running and is swept only with ``allow_large``.
     """
+    if max_size < 1:
+        raise TooLargeError("exhaustive enumeration supports sizes 1..4")
     items: list[tuple[str, object]] = []
     for n in range(1, max_size + 1):
         for i, s in enumerate(zoo.enumerate_ehresmann_semigroups(n, allow_large=allow_large)):
             items.append((f"n{n}-{i:04d}", s))
     enumerated = _map(_enumerated_record, items, jobs)
-    zoo_records: list[tuple[str, dict]] = []
-    if include_zoo:
-        zoo_records = _map(_zoo_record, list(zoo.SWEEP_NAMES) + ["orderless-band"], jobs)
+    zoo_records = _map(_zoo_record, list(zoo.SWEEP_NAMES) + ["orderless-band"], jobs)
     all_records = [rec for _, rec in enumerated] + [rec for _, rec in zoo_records]
     criteria = _criteria(all_records)
     return {

@@ -7,6 +7,7 @@ import pytest
 from ehresmann import (
     Biaction,
     FiniteBiunarySemigroup,
+    FiniteCategory,
     FiniteOrderedCategory,
     FunctorCandidate,
     HomCandidate,
@@ -117,14 +118,41 @@ class TestConstruction:
         with pytest.raises(NotOrderedEhresmann):
             category_of(OrderedSemigroup(band, PartialOrder.equality(6)))
 
-    def test_supplied_meet_must_be_glb(self):
+    def test_supplied_meet_equal_to_the_derived_one_is_accepted(self):
+        c = nabla_cat()
+        again = FiniteOrderedCategory(c.n, c.dmap, c.rmap, c.comp, c.order, c.meet, c.names)
+        assert again == c
+        as_lists = [list(row) for row in c.meet]
+        assert FiniteOrderedCategory(c.n, c.dmap, c.rmap, c.comp, c.order, as_lists, c.names) == c
+
+    @pytest.mark.parametrize(
+        "x, y, v, message",
+        [
+            (0, 1, 1, "meet table differs from the order at (0, 1): given 1, derived 0"),
+            # off the identities the meet is undefined
+            (0, 2, 0, "meet table differs from the order at (0, nabla): given 0, derived None"),
+            # int() would read 0.9 as the derived 0
+            (0, 1, 0.9, "meet table differs from the order at (0, 1): given 0.9, derived 0"),
+        ],
+    )
+    def test_supplied_meet_must_equal_the_derived_one(self, x, y, v, message):
         c = nabla_cat()
         bad_meet = [list(row) for row in c.meet]
-        bad_meet[0][1] = 1  # 0 meet 1 must be 0
-        with pytest.raises(StructureError):
-            FiniteOrderedCategory(
-                c.n, c.dmap, c.rmap, c.comp, c.order, bad_meet, c.names
-            )
+        bad_meet[x][y] = v
+        with pytest.raises(StructureError) as exc:
+            FiniteOrderedCategory(c.n, c.dmap, c.rmap, c.comp, c.order, bad_meet, c.names)
+        assert str(exc.value) == message
+
+    def test_supplied_meet_needs_a_meet_semilattice(self):
+        # two identities under the equality order have no meet
+        comp = meet = ((0, None), (None, 1))
+        with pytest.raises(StructureError, match="do not form a meet-semilattice"):
+            FiniteOrderedCategory(2, (0, 1), (0, 1), comp, PartialOrder.equality(2), meet)
+
+    @pytest.mark.parametrize("v", [1.7, "1"])
+    def test_non_integer_composition_entries_are_rejected(self, v):
+        with pytest.raises(StructureError, match="neither None nor an element index"):
+            FiniteCategory(2, (1, 1), (1, 1), ((0, 0), (0, v)))
 
 
 class TestOmegaStructured:
@@ -366,6 +394,25 @@ class TestBiaction:
         for name in ("two-element-monoid", "zero-one-nabla", "rel-2", "pt-2"):
             c = category_of(zoo.get(name).ordered())
             assert verify_biaction(c, derive_biaction(c)).holds
+
+    @pytest.mark.parametrize("v", [1.9, "a"])
+    def test_non_integer_action_entries_are_rejected(self, v):
+        with pytest.raises(StructureError, match="neither None nor an element index"):
+            Biaction(((0, v), (None, None)), ((0, None), (1, None)))
+
+    @pytest.mark.parametrize(
+        "left",
+        [
+            ((None,),),  # 1 x 1 on a 2-element category
+            ((None, None), (0, 2)),  # out of range
+            ((None, None), (0, -1)),  # negative: would read the last row
+        ],
+    )
+    def test_malformed_action_tables_are_rejected(self, left):
+        c = monoid_cat()
+        right = derive_biaction(c).right
+        with pytest.raises(StructureError, match="left action table must be 2 x 2 over 0..1 and None"):
+            verify_biaction(c, Biaction(left, right))
 
     def test_corrupted_entry_fails(self):
         c = rel2_cat()

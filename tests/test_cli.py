@@ -247,6 +247,13 @@ class TestSweepCommand:
         b = run_command(["--json", "sweep", "--max-size", "2", "--jobs", "3"])
         assert a.raw_json == b.raw_json
 
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_size_below_one_is_refused(self, size):
+        # as enumerate --size 0 is: no sweep of zero structures reports all_pass
+        r = run_command(["sweep", f"--max-size={size}"])
+        assert r.exit_code == 2
+        assert r.text_lines == ["error: exhaustive enumeration supports sizes 1..4"]
+
     @pytest.fixture
     def size_4_enumerator(self, monkeypatch):
         """Sizes below 4 give nothing and size 4 its first two structures; calls are recorded."""

@@ -140,12 +140,12 @@ class TestParseCategory:
 
     def test_inconsistent_meet_rejected(self):
         text = CATEGORY_TEXT + "meet:\ne1 e1 e1\ne1 e2 e2\ne2 e2 e2\n"
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match=r"differs from the order at \(e1, e2\): given 1, derived 0"):
             parse_structure(text)
 
     def test_incomplete_meet_rejected(self):
         text = CATEGORY_TEXT + "meet:\ne1 e1 e1\n"
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match=r"differs from the order at \(e1, e2\): given None, derived 0"):
             parse_structure(text)
 
     def test_missing_order_section_means_equality(self):

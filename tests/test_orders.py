@@ -114,6 +114,11 @@ class TestPartialOrder:
         with pytest.raises(StructureError, match="out of range 0..1"):
             PartialOrder.equality(2).glb(0, 5)
 
+    @pytest.mark.parametrize("v", [5, -1])
+    def test_glb_rejects_out_of_range_pool_elements(self, v):
+        with pytest.raises(StructureError, match=f"glb element {v} out of range 0..1"):
+            PartialOrder.equality(2).glb(0, 1, within=[v])
+
 
 class TestDeriveOrders:
     def test_monoid_e_order_is_equality(self):

@@ -1,18 +1,25 @@
-"""The two exhaustive searches and the OS3 fast path against the scans they replace."""
+"""The two exhaustive searches, the OS3 fast path and the e-order laws against the scans they replace."""
 
 import random
 
 import pytest
 
 from ehresmann import (
+    InternalInconsistency,
+    LawReport,
+    OrderedSemigroup,
     PartialOrder,
     StructureError,
+    check_de_barros_equational,
+    check_leq_e_partial_laws,
     derive_orders,
     enumerate_ehresmann_orders,
+    is_de_barros,
     projections,
     zoo,
 )
-from ehresmann.orders import _os3_total_witness, _os3_witness
+from ehresmann.core import _fmt
+from ehresmann.orders import _os2_witness, _os3_total_witness, _os3_witness, _os6_witness, _osi_witness
 
 
 def rescan_tables(n):
@@ -184,3 +191,46 @@ def test_os3_fast_path_matches_the_scan_on_single_entry_mutations():
             mul[a][b] = rng.randrange(s.n)
             assert_os3_agrees(mul, rng.choice(orders), sides)
     assert sides == {True, False}
+
+
+def scanned_leq_e_partial_laws(s):
+    """leq-e-partial-laws by scanning OS2, OS6, OSI and OS3 on the e-order by hand."""
+    os = OrderedSemigroup(s, derive_orders(s).leq_e)
+    proj = projections(s).sorted_members
+    verdicts = (
+        ("OS1", None),
+        ("OS2", _os2_witness(s.n, s.dmap, s.rmap, os.order.rel)),
+        ("OS6", _os6_witness(os, proj)),
+        ("OSI", _osi_witness(s.n, proj, os.order.rel)),
+    )
+    for name, w in verdicts:
+        if w is not None:
+            raise InternalInconsistency(f"{name} fails for the derived e-order at {w}")
+    w3 = _os3_total_witness(s.n, s.mul, os.order.rel)
+    parts = tuple([(name, True) for name, _ in verdicts] + [("OS3", w3 is None)])
+    if w3 is None:
+        return LawReport("leq-e-partial-laws", True, parts=parts)
+    detail = f"OS3 fails for the e-order at ({_fmt(s, *w3)})"
+    return LawReport("leq-e-partial-laws", False, witness=w3, detail=detail, parts=parts)
+
+
+def scanned_de_barros(s):
+    """de-barros from its own OS3 scan of the e-order, checked against the equational form."""
+    w3 = _os3_total_witness(s.n, s.mul, derive_orders(s).leq_e.rel)
+    assert (w3 is None) == check_de_barros_equational(s).holds
+    if w3 is None:
+        return LawReport("de-barros", True, detail="equational criterion agrees")
+    detail = f"OS3 fails for the e-order at ({_fmt(s, *w3)}); equational criterion agrees"
+    return LawReport("de-barros", False, witness=w3, detail=detail)
+
+
+def test_e_order_laws_match_the_scans():
+    subjects = [s for n in (1, 2, 3) for s in zoo.enumerate_ehresmann_semigroups(n)]
+    subjects += [zoo.get(name).structure for name in (*zoo.SWEEP_NAMES, "orderless-band", "pt-3")]
+    sides = set()
+    for s in subjects:
+        assert check_leq_e_partial_laws(s) == scanned_leq_e_partial_laws(s)
+        rep = is_de_barros(s)
+        assert rep == scanned_de_barros(s)
+        sides.add(rep.holds)
+    assert sides == {True, False}  # orderless-band is not de Barros

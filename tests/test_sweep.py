@@ -2,10 +2,10 @@
 
 import dataclasses
 
-from ehresmann import category
+from ehresmann import category, orders
 from ehresmann.category import FiniteOrderedCategory
 from ehresmann.core import LAWS, FiniteBiunarySemigroup
-from ehresmann.orders import DerivedOrders, _OrderSearch
+from ehresmann.orders import DerivedOrders, _OrderSearch, derive_orders
 from ehresmann.sweep import _enumerated_record
 
 # n4-0013 of the size-4 enumeration, which has five Ehresmann orders
@@ -47,12 +47,26 @@ def test_record_builds_and_decides_each_thing_once(monkeypatch):
     derived = count_constructions(monkeypatch, DerivedOrders)
     searches = count_constructions(monkeypatch, _OrderSearch)
     associativity = count_decisions(monkeypatch, "associativity")
+    ehresmann_order = count_decisions(monkeypatch, "ehresmann-order")
     eoc = count_decisions(monkeypatch, "ehresmann-ordered-category")
     categories = count_constructions(monkeypatch, FiniteOrderedCategory)
+    os3_scans = []
+    os3_total_witness = orders._os3_total_witness
+
+    def counted(*args):
+        os3_scans.append(args)
+        return os3_total_witness(*args)
+
+    monkeypatch.setattr(orders, "_os3_total_witness", counted)
     _, rec = _enumerated_record(("n4-0013", S))
     assert rec["order_count"] == 5 and rec["smallest_order"]
     assert len(derived) == 1
     assert len(searches) == 1
+    # the e-order is one of the five Ehresmann orders: leq-e-partial-laws,
+    # de-barros and the enumeration share its one subject and its OS3 scan
+    assert len(ehresmann_order) == 5 and len({id(osg) for osg in ehresmann_order}) == 5
+    assert any(osg.order.rel == derive_orders(S).leq_e.rel for osg in ehresmann_order)
+    assert len(os3_scans) == 5
     # the ESN round trip reuses C(S) when the rebuilt semigroup equals S
     assert len(associativity) == 1 and associativity[0] is S
     assert len(categories) == 5
