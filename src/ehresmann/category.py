@@ -24,8 +24,11 @@ from .core import (
     PreconditionError,
     StructureError,
     TooLargeError,
+    _check_map,
     _first_failure,
     _fmt,
+    _leaf,
+    _map_report,
     evaluate,
     property_key,
     register,
@@ -35,6 +38,8 @@ from .orders import (
     PartialOrder,
     _is_natural,
     _matching_pair_witness,
+    _order_clauses,
+    _ordered_hom_clauses,
     _os2_witness,
     _os3_witness,
     _osi_witness,
@@ -385,10 +390,7 @@ def _oc_law(name: str, witness, aliases: tuple[str, ...] = ()) -> Law:
     """An optional OC law decided by one witness function."""
 
     def decide(c: FiniteOrderedCategory, ev: Evaluation) -> LawReport:
-        w = witness(c)
-        if w is None:
-            return LawReport(name, True)
-        return LawReport(name, False, witness=w, detail=f"fails at ({_fmt(c, *w)})")
+        return _leaf(name, witness(c), lambda *w: f"fails at ({_fmt(c, *w)})")
 
     return Law(name, "category", decide, pre="omega-structured", aliases=aliases)
 
@@ -510,19 +512,10 @@ def verify_biaction(c: FiniteOrderedCategory, b: Biaction) -> LawReport:
         if not any(f[0] == axiom for f in failures):
             failures.append((axiom, tup, msg))
 
-    # E1: identities form a commutative idempotent semigroup under meet
+    # E1: identities form a commutative idempotent semigroup under meet, which
+    # a table of greatest lower bounds is whenever it exists
     if meet is None:
         fail("E1", (), "no meet table on the identities")
-    else:
-        for e in ids:
-            if meet[e][e] != e:
-                fail("E1", (e,), "meet not idempotent")
-            for f in ids:
-                if meet[e][f] != meet[f][e]:
-                    fail("E1", (e, f), "meet not commutative")
-                for g in ids:
-                    if meet[meet[e][f]][g] != meet[e][meet[f][g]]:
-                        fail("E1", (e, f, g), "meet not associative")
 
     def lt(e: int, f: int) -> bool:
         return meet is not None and meet[e][f] == e
@@ -694,79 +687,6 @@ def esn_round_trip_category(c: FiniteOrderedCategory) -> LawReport:
     )
 
 
-def _functor_witness(fm: Sequence[int], c1, c2) -> tuple[int, ...] | None:
-    for x in range(c1.n):
-        if fm[c1.dmap[x]] != c2.dmap[fm[x]] or fm[c1.rmap[x]] != c2.rmap[fm[x]]:
-            return (x,)
-    for x in range(c1.n):
-        for y in range(c1.n):
-            v = c1.comp[x][y]
-            if v is None:
-                continue
-            if c2.comp[fm[x]][fm[y]] != fm[v]:
-                return (x, y)
-    return None
-
-
-def _is_eoc_morphism_unchecked(
-    fm: tuple[int, ...], c1: FiniteOrderedCategory, c2: FiniteOrderedCategory
-) -> LawReport:
-    w_fun = _functor_witness(fm, c1, c2)
-    w_ord = None
-    for a, b in c1.order.pairs(strict=True):
-        if not c2.order.rel[fm[a]][fm[b]]:
-            w_ord = (a, b)
-            break
-    ids1 = c1.identities()
-    ids2 = set(c2.dmap)
-    w_meet = None
-    for e in ids1:
-        for f in ids1:
-            if fm[e] not in ids2 or fm[f] not in ids2:
-                w_meet = (e, f)
-                break
-            if fm[c1.meet[e][f]] != c2.meet[fm[e]][fm[f]]:
-                w_meet = (e, f)
-                break
-        if w_meet is not None:
-            break
-    w_res = None
-    rel1, rel2 = c1.order.rel, c2.order.rel
-    for s in range(c1.n):
-        for e in ids1:
-            if rel1[e][c1.dmap[s]]:
-                lhs = fm[restriction(c1, e, s)]
-                if fm[e] not in ids2 or not rel2[fm[e]][c2.dmap[fm[s]]]:
-                    w_res = (e, s)
-                    break
-                if lhs != restriction(c2, fm[e], fm[s]):
-                    w_res = (e, s)
-                    break
-            if rel1[e][c1.rmap[s]]:
-                lhs = fm[corestriction(c1, s, e)]
-                if fm[e] not in ids2 or not rel2[fm[e]][c2.rmap[fm[s]]]:
-                    w_res = (s, e)
-                    break
-                if lhs != corestriction(c2, fm[s], fm[e]):
-                    w_res = (s, e)
-                    break
-        if w_res is not None:
-            break
-    parts = (
-        ("functor", w_fun is None),
-        ("order", w_ord is None),
-        ("meet", w_meet is None),
-        ("restriction", w_res is None),
-    )
-    witness = next((w for w in (w_fun, w_ord, w_meet, w_res) if w is not None), None)
-    holds = witness is None
-    detail = ""
-    if not holds:
-        name = next(name for name, ok in parts if not ok)
-        detail = f"{name} clause fails at {witness}"
-    return LawReport("eoc-morphism", holds, witness=witness, detail=detail, parts=parts)
-
-
 def is_eoc_morphism(
     f: FunctorCandidate, c1: FiniteOrderedCategory, c2: FiniteOrderedCategory
 ) -> LawReport:
@@ -776,8 +696,7 @@ def is_eoc_morphism(
     compositions), order preservation, meet preservation on identities,
     and preservation of restrictions and corestrictions.
     """
-    if len(f.map) != c1.n or any(not 0 <= v < c2.n for v in f.map):
-        raise StructureError("candidate map must send every source index into the target")
+    _check_map(f.map, c1.n, c2.n)
     for c, side in ((c1, "source"), (c2, "target")):
         pre = check_ehresmann_ordered_category(c)
         if not pre.holds:
@@ -787,7 +706,8 @@ def is_eoc_morphism(
                 detail=f"{side} is not an Ehresmann-ordered category: {pre.detail}",
                 applicable=False,
             )
-    return _is_eoc_morphism_unchecked(f.map, c1, c2)
+    return _map_report("eoc-morphism", ("functor", "order", "meet", "restriction"),
+                       _category_clauses(c1, c2), f.map, lambda part, w: f"{part} clause fails at {w}")
 
 
 def _all_epi_witness(c: FiniteOrderedCategory) -> tuple[int, ...] | None:
@@ -802,78 +722,64 @@ def _all_epi_witness(c: FiniteOrderedCategory) -> tuple[int, ...] | None:
     return None
 
 
-def _semigroup_clauses(s_os: OrderedSemigroup, t_os: OrderedSemigroup) -> list:
-    """The ordered-homomorphism clauses of ``is_ordered_hom``: mul, D, R, order.
-
-    Each clause is (source elements it reads, test on a map held as a list).
-    """
-    s = s_os.base
-    tmul, tdmap, trmap, trel = t_os.base.mul, t_os.base.dmap, t_os.base.rmap, t_os.order.rel
-    clauses = []
-    for a in range(s.n):
-        for b in range(s.n):
-            m = s.mul[a][b]
-            clauses.append(((a, b, m), lambda fm, a=a, b=b, m=m: fm[m] == tmul[fm[a]][fm[b]]))
-        d, r = s.dmap[a], s.rmap[a]
-        clauses.append(((a, d), lambda fm, a=a, d=d: fm[d] == tdmap[fm[a]]))
-        clauses.append(((a, r), lambda fm, a=a, r=r: fm[r] == trmap[fm[a]]))
-    for a, b in s_os.order.pairs(strict=True):
-        clauses.append(((a, b), lambda fm, a=a, b=b: trel[fm[a]][fm[b]]))
-    return clauses
-
-
 def _category_clauses(c1: FiniteOrderedCategory, c2: FiniteOrderedCategory) -> list:
-    """The clauses of ``_is_eoc_morphism_unchecked``: functor, order, meet, restriction.
+    """The clauses of ``is_eoc_morphism``, as ``_map_report`` takes them.
 
-    Restrictions and corestrictions are tabulated once.  The target's meet,
-    restriction and corestriction tables hold None where the operation is
-    undefined (an image that is not an identity, or a failed precondition),
-    so a clause landing there fails, as the explicit checks there do.
+    functor: D and R by x, then defined composites by (x, y); order; meet
+    by (e, f); restriction: by s, then e, the restriction (witness (e, s))
+    before the corestriction (witness (s, e)).  Restrictions and
+    corestrictions are tabulated once.  The target's meet, restriction and
+    corestriction tables hold None where the operation is undefined (an
+    image that is not an identity, or a failed precondition), so a clause
+    landing there fails.
     """
     n1, n2 = c1.n, c2.n
     dmap2, rmap2, comp2, meet2 = c2.dmap, c2.rmap, c2.comp, c2.meet
     rel1, rel2 = c1.order.rel, c2.order.rel
     ids1 = c1.identities()
-    # per side: the identity maps of c1 and c2, the operation, c2's table by [e][y]
+    # per side: c1's identity map, the operation, c2's table by [e][y], the witness at (e, s)
     sides = []
-    for idmap1, idmap2, restrict in (
-        (c1.dmap, dmap2, lambda c, e, y: restriction(c, e, y)),
-        (c1.rmap, rmap2, lambda c, e, y: corestriction(c, y, e)),
+    for idmap1, idmap2, restrict, at in (
+        (c1.dmap, dmap2, lambda c, e, y: restriction(c, e, y), lambda e, s: (e, s)),
+        (c1.rmap, rmap2, lambda c, e, y: corestriction(c, y, e), lambda e, s: (s, e)),
     ):
         table2 = [[None] * n2 for _ in range(n2)]
         for e in c2.identities():
             for y in range(n2):
                 if rel2[e][idmap2[y]]:
                     table2[e][y] = restrict(c2, e, y)
-        sides.append((idmap1, restrict, table2))
+        sides.append((idmap1, restrict, table2, at))
     clauses = []
     for x in range(n1):
-        d, r = c1.dmap[x], c1.rmap[x]
-        clauses.append(((x, d), lambda fm, x=x, d=d: fm[d] == dmap2[fm[x]]))
-        clauses.append(((x, r), lambda fm, x=x, r=r: fm[r] == rmap2[fm[x]]))
+        for idmap1, idmap2 in ((c1.dmap, dmap2), (c1.rmap, rmap2)):
+            u = idmap1[x]
+            clauses.append(("functor", (x,), (x, u), lambda fm, x=x, u=u, t=idmap2: fm[u] == t[fm[x]]))
+    for x in range(n1):
         for y in range(n1):
             v = c1.comp[x][y]
             if v is not None:
-                clauses.append(((x, y, v), lambda fm, x=x, y=y, v=v: comp2[fm[x]][fm[y]] == fm[v]))
-    for a, b in c1.order.pairs(strict=True):
-        clauses.append(((a, b), lambda fm, a=a, b=b: rel2[fm[a]][fm[b]]))
+                clauses.append(("functor", (x, y), (x, y, v),
+                                lambda fm, x=x, y=y, v=v: comp2[fm[x]][fm[y]] == fm[v]))
+    clauses += _order_clauses(c1.order, rel2)
     for e in ids1:
         for f in ids1:
             m = c1.meet[e][f]
-            clauses.append(((e, f, m), lambda fm, e=e, f=f, m=m: meet2[fm[e]][fm[f]] == fm[m]))
+            clauses.append(("meet", (e, f), (e, f, m),
+                            lambda fm, e=e, f=f, m=m: meet2[fm[e]][fm[f]] == fm[m]))
     for s in range(n1):
         for e in ids1:
-            for idmap1, restrict, t2 in sides:
+            for idmap1, restrict, t2, at in sides:
                 if rel1[e][idmap1[s]]:
                     r = restrict(c1, e, s)
-                    clauses.append(((e, s, r), lambda fm, e=e, s=s, r=r, t2=t2: t2[fm[e]][fm[s]] == fm[r]))
+                    clauses.append(("restriction", at(e, s), (e, s, r),
+                                    lambda fm, e=e, s=s, r=r, t2=t2: t2[fm[e]][fm[s]] == fm[r]))
     return clauses
 
 
 def _by_last_read(n: int, clauses: list) -> list[list]:
     """Group clause tests by the largest source element they read."""
     levels: list[list] = [[] for _ in range(n)]
-    for reads, test in clauses:
+    for part, w, reads, test in clauses:
         levels[max(reads)].append(test)
     return levels
 
@@ -926,7 +832,7 @@ def morphism_correspondence(
     b2 = derive_biaction(c2)
     ids1 = c1.identities()
     n1 = s_os.base.n
-    sem_levels = _by_last_read(n1, _semigroup_clauses(s_os, t_os))
+    sem_levels = _by_last_read(n1, _ordered_hom_clauses(s_os, t_os))
     cat_levels = _by_last_read(n1, _category_clauses(c1, c2))
     passing = 0
     for fm, sem, cat in _accepted_maps([0] * n1, 0, t_os.base.n, sem_levels, cat_levels):

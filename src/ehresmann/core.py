@@ -166,21 +166,30 @@ def _fmt(s, *indices: int) -> str:
     return ", ".join(s.name_of(i) for i in indices)
 
 
-def _first_failure(law: str, subject, checks, lead=(), trail=()) -> LawReport:
+def _first_failure(law: str, subject, checks, lead=(), trail=(), wording=None) -> LawReport:
     """The report of a law made of named parts, each a (part, witness) pair in ``checks``.
 
     A part holds when its witness is None.  The report lists ``lead``, the
     checks and ``trail`` as its parts, and fails at the first failing check
-    with the detail "{part} fails at (…)"; ``lead`` and ``trail`` are
-    listed as given and judged by the caller.
+    with the detail ``wording(part, witness)``, by default
+    "{part} fails at (…)"; ``lead`` and ``trail`` are listed as given and
+    judged by the caller.
     """
     checks = tuple(checks)
     parts = (*lead, *((name, w is None) for name, w in checks), *trail)
     for name, w in checks:
         if w is not None:
-            return LawReport(law, False, witness=w, detail=f"{name} fails at ({_fmt(subject, *w)})",
-                             parts=parts)
+            detail = wording(name, w) if wording else f"{name} fails at ({_fmt(subject, *w)})"
+            return LawReport(law, False, witness=w, detail=detail, parts=parts)
     return LawReport(law, True, parts=parts)
+
+
+def _leaf(law: str, w: tuple[int, ...] | None, detail: Callable[..., str]) -> LawReport:
+    """The report of a law without parts whose least failing instance is ``w``,
+    None when it holds; ``detail(*w)`` words the failure and runs only then."""
+    if w is None:
+        return LawReport(law, True)
+    return LawReport(law, False, witness=w, detail=detail(*w))
 
 
 @dataclass(frozen=True)
@@ -307,23 +316,14 @@ def evaluate(key: str, x: Any) -> LawReport:
 
 
 def _associativity(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
-    mul = s.mul
-    for a in range(s.n):
-        for b in range(s.n):
-            ab = mul[a][b]
-            row_a = mul[a]
-            for c in range(s.n):
-                if mul[ab][c] != row_a[mul[b][c]]:
-                    return LawReport(
-                        "associativity",
-                        False,
-                        witness=(a, b, c),
-                        detail=(
-                            f"({_fmt(s, a)}*{_fmt(s, b)})*{_fmt(s, c)} = {_fmt(s, mul[ab][c])}"
-                            f" but {_fmt(s, a)}*({_fmt(s, b)}*{_fmt(s, c)}) = {_fmt(s, row_a[mul[b][c]])}"
-                        ),
-                    )
-    return LawReport("associativity", True)
+    mul, n = s.mul, s.n
+    w = next(((a, b, c)
+              for a in range(n) for row_a in [mul[a]]
+              for b in range(n) for row_ab, row_b in [(mul[row_a[b]], mul[b])]
+              for c in range(n) if row_ab[c] != row_a[row_b[c]]), None)
+    return _leaf("associativity", w, lambda a, b, c: (
+        f"({_fmt(s, a)}*{_fmt(s, b)})*{_fmt(s, c)} = {_fmt(s, mul[mul[a][b]][c])}"
+        f" but {_fmt(s, a)}*({_fmt(s, b)}*{_fmt(s, c)}) = {_fmt(s, mul[a][mul[b][c]])}"))
 
 
 def check_associativity(s: FiniteBiunarySemigroup) -> LawReport:
@@ -438,16 +438,11 @@ def _one_sided_restriction(name: str, side: Callable, template: str) -> Law:
     """
 
     def decide(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
-        mul, idmap = side(s)
-        for x in range(s.n):
-            for y in range(s.n):
-                lhs, rhs = mul[x][idmap[y]], mul[idmap[mul[x][y]]][x]
-                if lhs != rhs:
-                    detail = template.format(
-                        x=_fmt(s, x), y=_fmt(s, y), lhs=_fmt(s, lhs), rhs=_fmt(s, rhs)
-                    )
-                    return LawReport(name, False, witness=(x, y), detail=detail)
-        return LawReport(name, True)
+        mul, idmap, n = *side(s), s.n
+        w = next(((x, y) for x in range(n) for y in range(n)
+                  if mul[x][idmap[y]] != mul[idmap[mul[x][y]]][x]), None)
+        return _leaf(name, w, lambda x, y: template.format(
+            x=_fmt(s, x), y=_fmt(s, y), lhs=_fmt(s, mul[x][idmap[y]]), rhs=_fmt(s, mul[idmap[mul[x][y]]][x])))
 
     return Law(name, "semigroup", decide, pre="ehresmann", flag=True, ladder=True)
 
@@ -487,20 +482,13 @@ def check_restriction(s: FiniteBiunarySemigroup) -> LawReport:
 
 
 def _functional(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
-    mul, R = s.mul, s.rmap
-    for x in range(s.n):
-        row = mul[x]
-        rrow = mul[R[x]]
-        for y in range(s.n):
-            for z in range(s.n):
-                if row[y] == row[z] and rrow[y] != rrow[z]:
-                    detail = (
-                        f"{_fmt(s, x)}*{_fmt(s, y)} = {_fmt(s, x)}*{_fmt(s, z)}"
-                        f" = {_fmt(s, row[y])} but R({_fmt(s, x)})*{_fmt(s, y)} ="
-                        f" {_fmt(s, rrow[y])} and R({_fmt(s, x)})*{_fmt(s, z)} = {_fmt(s, rrow[z])}"
-                    )
-                    return LawReport("functional", False, witness=(x, y, z), detail=detail)
-    return LawReport("functional", True)
+    mul, R, n = s.mul, s.rmap, s.n
+    w = next(((x, y, z) for x in range(n) for row, rrow in [(mul[x], mul[R[x]])]
+              for y in range(n) for z in range(n) if row[y] == row[z] and rrow[y] != rrow[z]), None)
+    return _leaf("functional", w, lambda x, y, z: (
+        f"{_fmt(s, x)}*{_fmt(s, y)} = {_fmt(s, x)}*{_fmt(s, z)}"
+        f" = {_fmt(s, mul[x][y])} but R({_fmt(s, x)})*{_fmt(s, y)} ="
+        f" {_fmt(s, mul[R[x]][y])} and R({_fmt(s, x)})*{_fmt(s, z)} = {_fmt(s, mul[R[x]][z])}"))
 
 
 def check_functional(s: FiniteBiunarySemigroup) -> LawReport:
@@ -513,25 +501,21 @@ def check_functional(s: FiniteBiunarySemigroup) -> LawReport:
 
 
 def _de_barros_equational(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
-    mul, D, R = s.mul, s.dmap, s.rmap
+    mul, D, R, n = s.mul, s.dmap, s.rmap, s.n
+
+    def sides(x: int, e: int, y: int) -> tuple[int, int]:
+        lhs = mul[mul[x][e]][y]
+        return lhs, mul[mul[D[lhs]][mul[x][y]]][R[lhs]]
+
+    def detail(x: int, e: int, y: int) -> str:
+        lhs, rhs = sides(x, e, y)
+        return (f"{_fmt(s, x)}*{_fmt(s, e)}*{_fmt(s, y)} = {_fmt(s, lhs)} but "
+                f"D(..)*{_fmt(s, x)}*{_fmt(s, y)}*R(..) = {_fmt(s, rhs)}")
+
     proj = projections(s).sorted_members
-    for x in range(s.n):
-        for e in proj:
-            xe = mul[x][e]
-            for y in range(s.n):
-                lhs = mul[xe][y]
-                rhs = mul[mul[D[lhs]][mul[x][y]]][R[lhs]]
-                if lhs != rhs:
-                    return LawReport(
-                        "de-barros-equational",
-                        False,
-                        witness=(x, e, y),
-                        detail=(
-                            f"{_fmt(s, x)}*{_fmt(s, e)}*{_fmt(s, y)} = {_fmt(s, lhs)} but "
-                            f"D(..)*{_fmt(s, x)}*{_fmt(s, y)}*R(..) = {_fmt(s, rhs)}"
-                        ),
-                    )
-    return LawReport("de-barros-equational", True)
+    w = next(((x, e, y) for x in range(n) for e in proj for y in range(n)
+              for lhs, rhs in [sides(x, e, y)] if lhs != rhs), None)
+    return _leaf("de-barros-equational", w, detail)
 
 
 def check_de_barros_equational(s: FiniteBiunarySemigroup) -> LawReport:
@@ -557,47 +541,61 @@ register(
 )
 
 
+def _check_map(fm: tuple, n1: int, n2: int) -> None:
+    """Raise StructureError unless ``fm`` sends each of 0..n1-1 to an index in 0..n2-1."""
+    if len(fm) != n1 or any(not isinstance(v, int) or not 0 <= v < n2 for v in fm):
+        raise StructureError("candidate map must send every source index into the target")
+
+
+def _map_report(law: str, parts: tuple[str, ...], clauses: list, fm: tuple, wording) -> LawReport:
+    """The report of a morphism notion on the map ``fm``, one of ``parts`` per part.
+
+    A clause is (part, witness, source elements it reads, test on a map);
+    a part fails at the witness of its first failing clause, and the report
+    at its first failing part, worded by ``wording(part, witness)``.
+    ``morphism_correspondence`` prunes map prefixes with the same clauses.
+    """
+    first = dict.fromkeys(parts)
+    for part, w, reads, test in clauses:
+        if first[part] is None and not test(fm):
+            first[part] = w
+    return _first_failure(law, None, first.items(), wording=wording)
+
+
+def _hom_clauses(src: FiniteBiunarySemigroup, tgt: FiniteBiunarySemigroup) -> list:
+    """The clauses of a homomorphism F: F(ab) = F(a)F(b) by (a, b), then
+    F(D(a)) = D(F(a)) and F(R(a)) = R(F(a)) by a."""
+    n, mul, tmul = src.n, src.mul, tgt.mul
+    clauses = [("mul", (a, b), (a, b, mul[a][b]),
+                lambda fm, a=a, b=b, m=mul[a][b]: fm[m] == tmul[fm[a]][fm[b]])
+               for a in range(n) for b in range(n)]
+    for part, idmap, tidmap in (("D", src.dmap, tgt.dmap), ("R", src.rmap, tgt.rmap)):
+        clauses += [(part, (a,), (a, idmap[a]), lambda fm, a=a, u=idmap[a], t=tidmap: fm[u] == t[fm[a]])
+                    for a in range(n)]
+    return clauses
+
+
+def _hom_wording(src: FiniteBiunarySemigroup, tgt: FiniteBiunarySemigroup, fm: tuple):
+    """Words a failing homomorphism clause of ``fm``, as ``_map_report`` takes it."""
+
+    def wording(part: str, w: tuple[int, ...]) -> str:
+        if part == "mul":
+            a, b = w
+            return (f"F({_fmt(src, a)}*{_fmt(src, b)}) = {_fmt(tgt, fm[src.mul[a][b]])} but "
+                    f"F({_fmt(src, a)})*F({_fmt(src, b)}) = {_fmt(tgt, tgt.mul[fm[a]][fm[b]])}")
+        idmap, tidmap = (src.dmap, tgt.dmap) if part == "D" else (src.rmap, tgt.rmap)
+        return (f"{part}({_fmt(src, *w)})F = {_fmt(tgt, fm[idmap[w[0]]])}"
+                f" but {part}(F..) = {_fmt(tgt, tidmap[fm[w[0]]])}")
+
+    return wording
+
+
 def is_ehresmann_hom(
     f: HomCandidate,
     src: FiniteBiunarySemigroup,
     tgt: FiniteBiunarySemigroup,
 ) -> LawReport:
     """Decide whether ``f`` preserves the product and the maps D and R."""
-    fm = f.map
-    if len(fm) != src.n or any(not 0 <= v < tgt.n for v in fm):
-        raise StructureError("candidate map must send every source index into the target")
-    parts: list[tuple[str, bool]] = []
-    witness = None
-    detail = ""
-
-    w_mul = None
-    for a in range(src.n):
-        for b in range(src.n):
-            if fm[src.mul[a][b]] != tgt.mul[fm[a]][fm[b]]:
-                w_mul = (a, b)
-                break
-        if w_mul is not None:
-            break
-    parts.append(("mul", w_mul is None))
-    if w_mul is not None and witness is None:
-        witness = w_mul
-        a, b = w_mul
-        detail = (
-            f"F({_fmt(src, a)}*{_fmt(src, b)}) = {_fmt(tgt, fm[src.mul[a][b]])} but "
-            f"F({_fmt(src, a)})*F({_fmt(src, b)}) = {_fmt(tgt, tgt.mul[fm[a]][fm[b]])}"
-        )
-
-    w_d = next((( a,) for a in range(src.n) if fm[src.dmap[a]] != tgt.dmap[fm[a]]), None)
-    parts.append(("D", w_d is None))
-    if w_d is not None and witness is None:
-        witness = w_d
-        detail = f"D({_fmt(src, w_d[0])})F = {_fmt(tgt, fm[src.dmap[w_d[0]]])} but D(F..) = {_fmt(tgt, tgt.dmap[fm[w_d[0]]])}"
-
-    w_r = next(((a,) for a in range(src.n) if fm[src.rmap[a]] != tgt.rmap[fm[a]]), None)
-    parts.append(("R", w_r is None))
-    if w_r is not None and witness is None:
-        witness = w_r
-        detail = f"R({_fmt(src, w_r[0])})F = {_fmt(tgt, fm[src.rmap[w_r[0]]])} but R(F..) = {_fmt(tgt, tgt.rmap[fm[w_r[0]]])}"
-
-    holds = witness is None
-    return LawReport("ehresmann-homomorphism", holds, witness=witness, detail=detail, parts=tuple(parts))
+    _check_map(f.map, src.n, tgt.n)
+    return _map_report("ehresmann-homomorphism", ("mul", "D", "R"), _hom_clauses(src, tgt), f.map,
+                       _hom_wording(src, tgt, f.map))

@@ -19,10 +19,14 @@ from .core import (
     LawReport,
     PreconditionError,
     StructureError,
+    _check_map,
     _first_failure,
     _fmt,
+    _hom_clauses,
+    _hom_wording,
+    _leaf,
+    _map_report,
     evaluate,
-    is_ehresmann_hom,
     projections,
     property_key,
     register,
@@ -297,11 +301,7 @@ def _os4_law(name: str, need_d: bool, need_r: bool) -> Law:
     def decide(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
         s = os.base
         w = _matching_pair_witness(s.n, s.dmap, s.rmap, os.order.rel, need_d, need_r)
-        if w is None:
-            return LawReport(name, True)
-        return LawReport(
-            name, False, witness=w, detail=f"{s.name_of(w[0])} < {s.name_of(w[1])} with matching maps"
-        )
+        return _leaf(name, w, lambda a, b: f"{s.name_of(a)} < {s.name_of(b)} with matching maps")
 
     return Law(name, "ordered", decide, pre="ehresmann-order", ladder=True)
 
@@ -309,23 +309,10 @@ def _os4_law(name: str, need_d: bool, need_r: bool) -> Law:
 def _os7(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
     s, rel = os.base, os.order.rel
     below = [[y for y in range(s.n) if rel[y][x]] for x in range(s.n)]
-    for a in range(s.n):
-        for b in range(s.n):
-            ab = s.mul[a][b]
-            for u in below[ab]:
-                if not any(
-                    s.mul[x][y] == u for x in below[a] for y in below[b]
-                ):
-                    return LawReport(
-                        "OS7",
-                        False,
-                        witness=(a, b, u),
-                        detail=(
-                            f"{s.name_of(u)} <= {s.name_of(a)}*{s.name_of(b)} has no"
-                            " factorisation below the factors"
-                        ),
-                    )
-    return LawReport("OS7", True)
+    w = next(((a, b, u) for a in range(s.n) for b in range(s.n) for u in below[s.mul[a][b]]
+              if not any(s.mul[x][y] == u for x in below[a] for y in below[b])), None)
+    return _leaf("OS7", w, lambda a, b, u: (
+        f"{s.name_of(u)} <= {s.name_of(a)}*{s.name_of(b)} has no factorisation below the factors"))
 
 
 def check_OS_property(os: OrderedSemigroup, prop: str) -> LawReport:
@@ -336,16 +323,9 @@ def check_OS_property(os: OrderedSemigroup, prop: str) -> LawReport:
 def _semilattice_order_agreement(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
     s = os.base
     proj = projections(s).sorted_members
-    for e in proj:
-        for f in proj:
-            if os.order.rel[e][f] != (e == s.mul[e][f]):
-                return LawReport(
-                    "semilattice-order-agreement",
-                    False,
-                    witness=(e, f),
-                    detail=f"order and semilattice disagree at ({s.name_of(e)}, {s.name_of(f)})",
-                )
-    return LawReport("semilattice-order-agreement", True)
+    w = next(((e, f) for e in proj for f in proj if os.order.rel[e][f] != (e == s.mul[e][f])), None)
+    return _leaf("semilattice-order-agreement", w,
+                 lambda e, f: f"order and semilattice disagree at ({s.name_of(e)}, {s.name_of(f)})")
 
 
 def semilattice_order_agreement(os: OrderedSemigroup) -> LawReport:
@@ -355,15 +335,9 @@ def semilattice_order_agreement(os: OrderedSemigroup) -> LawReport:
 
 def _leq_e_containment(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
     leq_e = ev.build(_natural, os.base).order
-    for a, b in leq_e.pairs(strict=True):
-        if not os.order.rel[a][b]:
-            return LawReport(
-                "leq-e-containment",
-                False,
-                witness=(a, b),
-                detail=f"{os.base.name_of(a)} <=_e {os.base.name_of(b)} is not in the order",
-            )
-    return LawReport("leq-e-containment", True)
+    w = next(((a, b) for a, b in leq_e.pairs(strict=True) if not os.order.rel[a][b]), None)
+    return _leaf("leq-e-containment", w,
+                 lambda a, b: f"{os.base.name_of(a)} <=_e {os.base.name_of(b)} is not in the order")
 
 
 def leq_e_containment(os: OrderedSemigroup) -> LawReport:
@@ -414,34 +388,35 @@ def is_de_barros(s: FiniteBiunarySemigroup) -> LawReport:
     return evaluate("de-barros", s)
 
 
+def _order_clauses(order: PartialOrder, trel) -> list:
+    """The order clauses of a map F, as ``_map_report`` takes them: F(a) <= F(b)
+    under ``trel`` for each a < b of ``order``."""
+    return [("order", (a, b), (a, b), lambda fm, a=a, b=b: trel[fm[a]][fm[b]])
+            for a, b in order.pairs(strict=True)]
+
+
+def _ordered_hom_clauses(src: OrderedSemigroup, tgt: OrderedSemigroup) -> list:
+    """The clauses of ``is_ordered_hom``: mul, D, R, then order."""
+    return _hom_clauses(src.base, tgt.base) + _order_clauses(src.order, tgt.order.rel)
+
+
 def is_ordered_hom(
     f: HomCandidate, src: OrderedSemigroup, tgt: OrderedSemigroup
 ) -> LawReport:
     """Decide whether ``f`` preserves mul, D, R, and the order."""
-    base = is_ehresmann_hom(f, src.base, tgt.base)
-    w_ord = None
-    for a, b in src.order.pairs(strict=True):
-        if not tgt.order.rel[f.map[a]][f.map[b]]:
-            w_ord = (a, b)
-            break
-    parts = base.parts + (("order", w_ord is None),)
-    if not base.holds:
-        return LawReport(
-            "ordered-homomorphism", False, witness=base.witness, detail=base.detail, parts=parts
-        )
-    if w_ord is not None:
-        a, b = w_ord
-        return LawReport(
-            "ordered-homomorphism",
-            False,
-            witness=w_ord,
-            detail=(
-                f"{src.base.name_of(a)} <= {src.base.name_of(b)} but images"
-                f" {tgt.base.name_of(f.map[a])} and {tgt.base.name_of(f.map[b])} are unrelated"
-            ),
-            parts=parts,
-        )
-    return LawReport("ordered-homomorphism", True, parts=parts)
+    s, t, fm = src.base, tgt.base, f.map
+    _check_map(fm, s.n, t.n)
+    hom = _hom_wording(s, t, fm)
+
+    def wording(part: str, w: tuple[int, ...]) -> str:
+        if part != "order":
+            return hom(part, w)
+        a, b = w
+        return (f"{s.name_of(a)} <= {s.name_of(b)} but images"
+                f" {t.name_of(fm[a])} and {t.name_of(fm[b])} are unrelated")
+
+    return _map_report("ordered-homomorphism", ("mul", "D", "R", "order"),
+                       _ordered_hom_clauses(src, tgt), fm, wording)
 
 
 def automorphisms(s: FiniteBiunarySemigroup) -> list[tuple[int, ...]]:

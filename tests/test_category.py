@@ -31,6 +31,7 @@ from ehresmann import (
     enumerate_ehresmann_orders,
     esn_round_trip,
     esn_round_trip_category,
+    is_ehresmann_hom,
     is_eoc_morphism,
     is_ordered_hom,
     morphism_correspondence,
@@ -40,7 +41,8 @@ from ehresmann import (
     verify_biaction,
 )
 from ehresmann import category, zoo
-from ehresmann.category import _is_eoc_morphism_unchecked
+
+import morphism_oracle
 
 
 ONE = FiniteBiunarySemigroup(1, ((0,),), (0,), (0,))
@@ -369,6 +371,33 @@ class TestTwoOrderCategories:
                 assert check_ehresmann_category_two_orders(c0, d.leq_l, d.leq_r).holds
 
 
+def all_partial_orders(n: int) -> list[PartialOrder]:
+    """Every partial order on 0..n-1, as the closures of sets of strict pairs."""
+    strict = [(a, b) for a in range(n) for b in range(n) if a != b]
+    found = {}
+    for bits in range(1 << len(strict)):
+        try:
+            order = PartialOrder.from_pairs(n, [p for i, p in enumerate(strict) if bits >> i & 1])
+        except StructureError:
+            continue
+        found[order.key()] = order
+    return list(found.values())
+
+
+def e1_failure(ids, meet) -> tuple[str, tuple[int, ...]] | None:
+    """The first failure of idempotence, commutativity or associativity of ``meet`` on ``ids``."""
+    for e in ids:
+        if meet[e][e] != e:
+            return "meet not idempotent", (e,)
+        for f in ids:
+            if meet[e][f] != meet[f][e]:
+                return "meet not commutative", (e, f)
+            for g in ids:
+                if meet[meet[e][f]][g] != meet[e][meet[f][g]]:
+                    return "meet not associative", (e, f, g)
+    return None
+
+
 class TestBiaction:
     def test_left_action_by_domain_is_identity(self):
         for c in (monoid_cat(), nabla_cat()):
@@ -394,6 +423,33 @@ class TestBiaction:
         for name in ("two-element-monoid", "zero-one-nabla", "rel-2", "pt-2"):
             c = category_of(zoo.get(name).ordered())
             assert verify_biaction(c, derive_biaction(c)).holds
+
+    def test_derived_meets_are_semilattices(self):
+        # verify_biaction's E1 fails only when there is no meet table: every
+        # table of greatest lower bounds is idempotent, commutative and associative
+        tables = 0
+        for n in (1, 2, 3):
+            orders = all_partial_orders(n)
+            for s in zoo.enumerate_ehresmann_semigroups(n):
+                ids = partial_product_category(s).identities()
+                for order in orders:
+                    meet = category._derive_meet(n, ids, order)
+                    if meet is not None:
+                        assert e1_failure(ids, meet) is None
+                        tables += 1
+        for _, name, oname in SWEEP_ORDERED:
+            c = category_of(zoo.get(name).ordered(oname))
+            assert e1_failure(c.identities(), c.meet) is None
+            tables += 1
+        assert tables == 1166
+        assert e1_failure((0, 1), ((0, 0), (1, 1))) == ("meet not commutative", (0, 1))
+
+    def test_e1_fails_without_a_meet_table(self):
+        c = FiniteOrderedCategory(2, (0, 1), (0, 1), ((0, None), (None, 1)), PartialOrder.equality(2))
+        rep = verify_biaction(c, Biaction(((0, None), (None, 1)), ((0, None), (None, 1))))
+        assert (rep.holds, rep.witness) == (False, None)
+        assert rep.detail == "E1 fails at (): no meet table on the identities"
+        assert dict(rep.parts)["E1"] is False
 
     @pytest.mark.parametrize("v", [1.9, "a"])
     def test_non_integer_action_entries_are_rejected(self, v):
@@ -518,6 +574,22 @@ class TestEsnRoundTrip:
                     assert esn_round_trip(OrderedSemigroup(s, order)).holds
 
 
+class TestMalformedMaps:
+    @pytest.mark.parametrize(
+        "fm", [(0.0, 1), (0, 1.5), ("0", 1), (None, 1), (0,), (0, 1, 1), (0, 2), (-1, 1)]
+    )
+    def test_every_decider_raises_structure_error(self, fm):
+        osg = zoo.example_two_element_monoid().ordered("leq1")
+        c = category_of(osg)
+        text = "candidate map must send every source index into the target"
+        with pytest.raises(StructureError, match=text):
+            is_ehresmann_hom(HomCandidate("S", "S", fm), osg.base, osg.base)
+        with pytest.raises(StructureError, match=text):
+            is_ordered_hom(HomCandidate("S", "S", fm), osg, osg)
+        with pytest.raises(StructureError, match=text):
+            is_eoc_morphism(FunctorCandidate("C", "C", fm), c, c)
+
+
 class TestEocMorphism:
     def test_collapse_map_fails_restriction_clause(self):
         c = nabla_cat()
@@ -534,6 +606,15 @@ class TestEocMorphism:
         c = nabla_cat()
         assert is_eoc_morphism(FunctorCandidate("C", "C", (0, 1, 2)), c, c).holds
 
+    def test_corestriction_failure_is_witnessed_element_first(self):
+        # the restriction part's witness is (e, s) for a restriction, (s, e) for a corestriction
+        c1 = nabla_cat()
+        c2 = category_of(zoo.get("rel-2").ordered())
+        for fm, witness in (((1, 9, 11), (0, 2)), ((1, 9, 13), (2, 0))):
+            rep = is_eoc_morphism(FunctorCandidate("C", "D", fm), c1, c2)
+            assert rep == morphism_oracle._is_eoc_morphism_unchecked(fm, c1, c2)
+            assert (rep.witness, rep.detail) == (witness, f"restriction clause fails at {witness}")
+
     def test_identity_between_orders_fails_order_clause(self):
         rep = is_eoc_morphism(
             FunctorCandidate("C", "C", (0, 1)), monoid_cat("leq1"), monoid_cat("leq2")
@@ -548,7 +629,7 @@ class TestEocMorphism:
 
 
 def reference_correspondence(s_os: OrderedSemigroup, t_os: OrderedSemigroup) -> LawReport:
-    """Brute force over all |T|^|S| maps in lexicographic order, both deciders per map.
+    """Brute force over all |T|^|S| maps in lexicographic order, both oracle deciders per map.
 
     Prerequisites go through the ``category`` module so that a monkeypatch
     there reaches this reference and ``morphism_correspondence`` alike.
@@ -560,8 +641,8 @@ def reference_correspondence(s_os: OrderedSemigroup, t_os: OrderedSemigroup) -> 
     ids1 = c1.identities()
     passing = 0
     for fm in itertools.product(range(t_os.base.n), repeat=s_os.base.n):
-        sem = is_ordered_hom(HomCandidate("S", "T", fm), s_os, t_os).holds
-        cat = _is_eoc_morphism_unchecked(fm, c1, c2).holds
+        sem = morphism_oracle.is_ordered_hom(HomCandidate("S", "T", fm), s_os, t_os).holds
+        cat = morphism_oracle._is_eoc_morphism_unchecked(fm, c1, c2).holds
         if sem != cat:
             return LawReport(
                 "morphism-correspondence",
@@ -601,6 +682,34 @@ ORACLE_PAIRS = [
     for t in SWEEP_ORDERED
     if zoo.get(t[1]).structure.n ** zoo.get(s[1]).structure.n <= 10**4
 ]
+
+
+PER_MAP_PAIRS = [
+    pytest.param(s[1:], t[1:], id=f"{s[0]}->{t[0]}")
+    for s in SWEEP_ORDERED
+    for t in SWEEP_ORDERED
+    if zoo.get(t[1]).structure.n ** zoo.get(s[1]).structure.n <= 10**3
+]
+
+
+class TestPerMapDeciders:
+    """The clause-list deciders against the hand-written ones in ``morphism_oracle``."""
+
+    def test_pair_count(self):
+        assert len(PER_MAP_PAIRS) == 63
+
+    @pytest.mark.parametrize("src,tgt", PER_MAP_PAIRS)
+    def test_reports_match_the_oracle_on_every_map(self, src, tgt):
+        s_os = zoo.get(src[0]).ordered(src[1])
+        t_os = zoo.get(tgt[0]).ordered(tgt[1])
+        c1, c2 = category_of(s_os), category_of(t_os)
+        for fm in itertools.product(range(t_os.base.n), repeat=s_os.base.n):
+            f = HomCandidate("S", "T", fm)
+            assert is_ehresmann_hom(f, s_os.base, t_os.base) == morphism_oracle.is_ehresmann_hom(
+                f, s_os.base, t_os.base)
+            assert is_ordered_hom(f, s_os, t_os) == morphism_oracle.is_ordered_hom(f, s_os, t_os)
+            assert is_eoc_morphism(FunctorCandidate("C", "D", fm), c1, c2) == (
+                morphism_oracle._is_eoc_morphism_unchecked(fm, c1, c2))
 
 
 class TestMorphismCorrespondence:
