@@ -24,6 +24,7 @@ from .core import (
     PreconditionError,
     StructureError,
     TooLargeError,
+    _SCAN_MAX_N,
     _check_map,
     _first_failure,
     _fmt,
@@ -36,13 +37,16 @@ from .core import (
 from .orders import (
     OrderedSemigroup,
     PartialOrder,
+    _bits,
     _is_natural,
+    _lowest,
     _matching_pair_witness,
     _order_clauses,
     _ordered_hom_clauses,
     _os2_witness,
     _os3_witness,
     _osi_witness,
+    _products_with,
     compose_relations,
 )
 
@@ -266,9 +270,28 @@ def category_of(os: OrderedSemigroup) -> FiniteOrderedCategory:
     return _category_of(os, Evaluation())
 
 
+def _products_stay_above(n: int, comp: CompTable, rel) -> bool:
+    """OC3 on a partial composition, decided by up-set bitmasks: for each
+    composable a, c, every defined product of an element above a and one
+    above c lies above ac."""
+    above = [[y for y in range(n) if rel[x][y]] for x in range(n)]
+    up = [sum(1 << y for y in ys) for ys in above]
+    products = _products_with(comp, above)
+    return not any(ac is not None and products(above[a], c) & ~up[ac]
+                   for a in range(n) for c, ac in enumerate(comp[a]))
+
+
+def _oc3_witness(n: int, comp: CompTable, rel) -> tuple[int, ...] | None:
+    """``_os3_witness`` on a partial composition; above ``_SCAN_MAX_N``
+    elements the scan runs only when ``_products_stay_above`` fails."""
+    if n > _SCAN_MAX_N and _products_stay_above(n, comp, rel):
+        return None
+    return _os3_witness(n, comp, rel)
+
+
 def _omega_structured(c: FiniteOrderedCategory, ev: Evaluation) -> LawReport:
     rel = c.order.rel
-    checks = (("OC2", _os2_witness(c.n, c.dmap, c.rmap, rel)), ("OC3", _os3_witness(c.n, c.comp, rel)))
+    checks = (("OC2", _os2_witness(c.n, c.dmap, c.rmap, rel)), ("OC3", _oc3_witness(c.n, c.comp, rel)))
     return _first_failure("omega-structured", c, checks, lead=(("OC1", True),))
 
 
@@ -345,43 +368,53 @@ def _oc6_witness(c: FiniteOrderedCategory, idmap) -> tuple[int, ...] | None:
 
 
 def _oc7_witness(c: FiniteOrderedCategory, prime: bool):
-    rel = c.order.rel
-    n = c.n
+    """Least (a, b, d) with a <= b o d that is no x o y with x <= b, y <= d (OC7),
+    or, with ``prime``, lies below no such x o y of its own domain and range (OC7')."""
+    rel, n, comp, dmap, rmap = c.order.rel, c.n, c.comp, c.dmap, c.rmap
     below = [[y for y in range(n) if rel[y][x]] for x in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for d in range(n):
-                bc = c.comp[b][d]
-                if bc is None or not rel[a][bc]:
-                    continue
-                if prime:
-                    found = any(
-                        c.dmap[bp] == c.dmap[a]
-                        and c.rmap[cp] == c.rmap[a]
-                        and c.comp[bp][cp] is not None
-                        and rel[a][c.comp[bp][cp]]
-                        for bp in below[b]
-                        for cp in below[d]
-                    )
-                else:
-                    found = any(
-                        c.comp[bp][cp] == a for bp in below[b] for cp in below[d]
-                    )
-                if not found:
-                    return (a, b, d)
-    return None
+    down = [sum(1 << y for y in ys) for ys in below]
+    products = _products_with(comp, below)
+    starting: dict[int, list[int]] = {}
+    for d in range(n):
+        starting.setdefault(dmap[d], []).append(d)
+    # per a, the elements above a with its domain and range
+    above_in_hom = [sum(1 << y for y in range(n) if rel[a][y] and dmap[y] == dmap[a] and rmap[y] == rmap[a])
+                    for a in range(n)] if prime else None
+    # only an a below the least failure so far can lower it
+    best, limit = None, -1
+    for b in range(n):
+        for d in starting[rmap[b]]:
+            cands = down[comp[b][d]] & limit
+            if not cands:
+                continue
+            made = products(below[b], d)
+            if prime:
+                a = next((a for a in _bits(cands) if not above_in_hom[a] & made), None)
+            else:
+                a = _lowest(cands & ~made) if cands & ~made else None
+            if a is not None:
+                best, limit = (a, b, d), (1 << a) - 1
+    return best
 
 
-def _unique_below(n: int, idmap, rel, x: int, e: int) -> int | None:
-    ys = [y for y in range(n) if rel[y][x] and idmap[y] == e]
-    return ys[0] if len(ys) == 1 else None
+def _unique_below(n: int, idmap, rel) -> list[dict[int, int | None]]:
+    """Per x, a dict from e to the one y <= x with idmap(y) = e, or to None when
+    there are several: ``[x].get(e)`` is None unless exactly one such y exists."""
+    table: list[dict[int, int | None]] = [{} for _ in range(n)]
+    for y in range(n):
+        e = idmap[y]
+        for x in range(n):
+            if rel[y][x]:
+                table[x][e] = None if e in table[x] else y
+    return table
 
 
-def _oc8_witness(n: int, ids, idmap, rel) -> tuple[int, ...] | None:
-    """Least (x, e) with e <= idmap(x) but not exactly one y <= x with idmap(y) = e."""
-    for x in range(n):
+def _oc8_witness(ids, idmap, rel, unique) -> tuple[int, ...] | None:
+    """Least (x, e) with e <= idmap(x) but not exactly one y <= x with idmap(y) = e,
+    read from ``unique``, the ``_unique_below`` table of ``idmap`` and ``rel``."""
+    for x in range(len(rel)):
         for e in ids:
-            if rel[e][idmap[x]] and _unique_below(n, idmap, rel, x, e) is None:
+            if rel[e][idmap[x]] and unique[x].get(e) is None:
                 return (x, e)
     return None
 
@@ -907,17 +940,18 @@ def check_special_correspondences(os: OrderedSemigroup) -> LawReport:
     return evaluate("special-correspondences", os)
 
 
-def _monotone_witness(n: int, ids, idmap, rel_unique, rel, meet) -> tuple[int, ...] | None:
-    """Least x <= y under ``rel`` and identity e whose unique parts below, taken
-    under ``rel_unique`` with ``idmap`` at (``idmap``(x) meet e), are missing or unrelated.
+def _monotone_witness(ids, idmap, unique, rel, meet) -> tuple[int, ...] | None:
+    """Least x <= y under ``rel`` and identity e whose unique parts below at
+    (``idmap``(x) meet e), read from the ``_unique_below`` table ``unique``,
+    are missing or unrelated.
     """
-    for x in range(n):
-        for y in range(n):
+    for x in range(len(rel)):
+        for y in range(len(rel)):
             if not rel[x][y]:
                 continue
             for e in ids:
-                u = _unique_below(n, idmap, rel_unique, x, meet[idmap[x]][e])
-                v = _unique_below(n, idmap, rel_unique, y, meet[idmap[y]][e])
+                u = unique[x].get(meet[idmap[x]][e])
+                v = unique[y].get(meet[idmap[y]][e])
                 if u is None or v is None or not rel[u][v]:
                     return (x, y, e)
     return None
@@ -944,11 +978,12 @@ def check_ehresmann_category_two_orders(
     def omega_ok(rel) -> bool:
         return (
             _os2_witness(n, c0.dmap, c0.rmap, rel) is None
-            and _os3_witness(n, c0.comp, rel) is None
+            and _oc3_witness(n, c0.comp, rel) is None
         )
 
-    b1 = omega_ok(rel_l) and _oc8_witness(n, ids, c0.dmap, rel_l) is None
-    b2 = omega_ok(rel_r) and _oc8_witness(n, ids, c0.rmap, rel_r) is None
+    unique_l, unique_r = _unique_below(n, c0.dmap, rel_l), _unique_below(n, c0.rmap, rel_r)
+    b1 = omega_ok(rel_l) and _oc8_witness(ids, c0.dmap, rel_l, unique_l) is None
+    b2 = omega_ok(rel_r) and _oc8_witness(ids, c0.rmap, rel_r, unique_r) is None
     b3 = all(rel_l[e][f] == rel_r[e][f] for e in ids for f in ids)
     meet = _derive_meet(n, ids, leq_l) if b3 else None
     b4 = meet is not None
@@ -958,8 +993,8 @@ def check_ehresmann_category_two_orders(
     b6 = b7 = False
     witness67: tuple[int, ...] | None = None
     if b1 and b2 and b3 and b4:
-        w6 = _monotone_witness(n, ids, c0.dmap, rel_l, rel_r, meet)
-        w7 = _monotone_witness(n, ids, c0.rmap, rel_r, rel_l, meet)
+        w6 = _monotone_witness(ids, c0.dmap, unique_l, rel_r, meet)
+        w7 = _monotone_witness(ids, c0.rmap, unique_r, rel_l, meet)
         b6, b7 = w6 is None, w7 is None
         witness67 = w6 or w7
     parts = (
@@ -994,7 +1029,8 @@ register(
     *_oc_pair_laws("OC6", _oc6_witness),
     _oc_law("OC7", lambda c: _oc7_witness(c, prime=False)),
     _oc_law("OC7'", lambda c: _oc7_witness(c, prime=True), aliases=("oc7p",)),
-    *_oc_pair_laws("OC8", lambda c, idmap: _oc8_witness(c.n, c.identities(), idmap, c.order.rel)),
+    *_oc_pair_laws("OC8", lambda c, idmap: _oc8_witness(
+        c.identities(), idmap, c.order.rel, _unique_below(c.n, idmap, c.order.rel))),
     _oc_law("OCI", lambda c: _osi_witness(c.n, c.identities(), c.order.rel)),
     Law("special-correspondences", "ordered", _special_correspondences, pre="ehresmann-order"),
 )

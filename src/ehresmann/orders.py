@@ -8,7 +8,9 @@ enumerator for all Ehresmann orders on a finite Ehresmann semigroup.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from functools import reduce
+from operator import or_
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     Evaluation,
@@ -61,6 +63,15 @@ class PartialOrder:
                     for c in range(n):
                         if rel[b][c] and not rel[a][c]:
                             raise StructureError(f"order is not transitive at ({a}, {b}, {c})")
+
+    @classmethod
+    def _closed(cls, n: int, rel: tuple[tuple[bool, ...], ...]) -> "PartialOrder":
+        """The order ``rel``, an n x n bool matrix the caller has already closed
+        into a partial order, built without revalidating it."""
+        order = object.__new__(cls)
+        object.__setattr__(order, "n", n)
+        object.__setattr__(order, "rel", rel)
+        return order
 
     @classmethod
     def equality(cls, n: int) -> "PartialOrder":
@@ -240,6 +251,32 @@ def _os3_total_witness(n: int, mul, rel) -> tuple[int, ...] | None:
     return None
 
 
+def _products_with(table, sets: Sequence[Sequence[int]]) -> Callable[[Iterable[int], int], int]:
+    """``products(xs, b)``: the bitmask of the defined products x*y with x in
+    ``xs`` and y in ``sets[b]`` (a down-set or an up-set); each row x*sets[b]
+    is made once, when first needed."""
+    n = len(table)
+    bit = {v: 1 << v for v in range(n)}
+    bit[None] = 0
+    rows: list[list[int | None]] = [[None] * n for _ in range(n)]
+
+    def products(xs: Iterable[int], b: int) -> int:
+        ys, out = sets[b], 0
+        for x in xs:
+            m = rows[x][b]
+            if m is None:
+                m = rows[x][b] = reduce(or_, map(bit.__getitem__, map(table[x].__getitem__, ys)))
+            out |= m
+        return out
+
+    return products
+
+
+def _lowest(mask: int) -> int:
+    """The position of the lowest set bit of a nonzero ``mask``."""
+    return (mask & -mask).bit_length() - 1
+
+
 def _os6_witness(os: OrderedSemigroup, proj: Sequence[int]) -> tuple[int, ...] | None:
     s, rel = os.base, os.order.rel
     for a in range(s.n):
@@ -307,10 +344,18 @@ def _os4_law(name: str, need_d: bool, need_r: bool) -> Law:
 
 
 def _os7(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
-    s, rel = os.base, os.order.rel
-    below = [[y for y in range(s.n) if rel[y][x]] for x in range(s.n)]
-    w = next(((a, b, u) for a in range(s.n) for b in range(s.n) for u in below[s.mul[a][b]]
-              if not any(s.mul[x][y] == u for x in below[a] for y in below[b])), None)
+    s, rel, n = os.base, os.order.rel, os.base.n
+    below = [[y for y in range(n) if rel[y][x]] for x in range(n)]
+    down = [sum(1 << y for y in ys) for ys in below]
+    products = _products_with(s.mul, below)
+
+    def missing(a: int, b: int) -> int:
+        """The u <= ab that no x*y with x <= a, y <= b gives, as a bitmask."""
+        ab = s.mul[a][b]
+        need = down[ab] & ~(1 << ab)  # ab = a*b is one
+        return need & ~products(below[a], b) if need else 0
+
+    w = next(((a, b, _lowest(m)) for a in range(n) for b in range(n) for m in [missing(a, b)] if m), None)
     return _leaf("OS7", w, lambda a, b, u: (
         f"{s.name_of(u)} <= {s.name_of(a)}*{s.name_of(b)} has no factorisation below the factors"))
 
@@ -598,7 +643,7 @@ def _ehresmann_orders(s: FiniteBiunarySemigroup, ev: Evaluation) -> tuple[Ordere
     natural = ev.build(_natural, s)
     found = []
     for mat in mats:
-        osg = natural if mat == natural.order.rel else OrderedSemigroup(s, PartialOrder(n, mat))
+        osg = natural if mat == natural.order.rel else OrderedSemigroup(s, PartialOrder._closed(n, mat))
         rep = ev("ehresmann-order", osg)
         if not rep.holds:
             raise InternalInconsistency(

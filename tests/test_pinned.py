@@ -24,6 +24,7 @@ COMMANDS = {
     "cat --biaction": ("cat", "--biaction"),
     "cat --two-orders": ("cat", "--two-orders"),
     "esn": ("esn",),
+    "orders --count-only": ("orders", "--count-only"),
 }
 
 REPORTS = {
@@ -63,9 +64,23 @@ REPORTS = {
     ("cat --biaction", "orderless-band"): "9170d338a6c9b5466f3e76d81fd4d124eeb632a9c5df6bd4d436b97574a52e8b",
     ("cat --two-orders", "orderless-band"): "2fb259fe951b5a23de181ef36b6aed5de3277affe63c84ea5c8a0fcb2f4e3151",
     ("esn", "orderless-band"): "70a48523829aec6ad6a9d74219e12b51b277e24672d9a859204661818e0bb489",
+    ("check", "pt-3"): "86214b72d2af86b2f89cf23b10054d718292042d19967a5584d044cfecfe16bc",
+    ("cat --biaction", "pt-3"): "6a526f02fd7a583d61d0b352edac16b78699598bf140ffbffd24ef81e3f26d09",
+    ("cat --two-orders", "pt-3"): "739e8fe7aaa678b1d68add91d8c567fa3356e931f0a03e40a4b2d557e9577a2c",
+    ("esn", "pt-3"): "4dad43ee73ed1540b2fe0820a9c50d5795c7a58c0ce9b3ea219383343ef453f8",
+    ("orders --count-only", "pt-3"): "b15189e15da8299e847f65e054b0fa63187b80cdcaf91db5f62aa02a3c936fbf",
+    ("orders --count-only", "two-element-monoid"): "2129f0d244169c5e026163a9393034f9189c280c14cb9829670a32f6c522d506",
+    ("orders --count-only", "zero-one-nabla"): "fbf0cd571a8481f36498da3bc2c6dc07bae85e5affcdc267c24b7f3859dbd48c",
+    ("orders --count-only", "rel-1"): "60fb91598bb0777ad6836b311fbb5a5a6c25afdc8efca7bcde2fc55c7b28e0ae",
+    ("orders --count-only", "rel-2"): "f34a6c3bf2ec83f04aae829c54a8ff9493fa779d651199567c9ce52277e13583",
+    ("orders --count-only", "pt-1"): "f7fed2a5a2600e9fe2dfb774b8f5c1e1b8ba1de4289fa1d6614f84875d8f3c06",
+    ("orders --count-only", "pt-2"): "9fce9bf57ab63f9ad09a7602bc3a72439a8243d611fa742d97423afe059898df",
+    ("orders --count-only", "inj-1"): "c892156a45ea704dfc7c5d6edff3dece5ad3bbbffbd6a1293fb26a31c7279a70",
+    ("orders --count-only", "inj-2"): "509ad45cbb46c19ff4a22c94013ea9b12d5b57f8d46197dcd9a0eeecbe160348",
+    ("orders --count-only", "orderless-band"): "ffeee301e3b2408a026d6f845715322542d53f3aa0968630e52f0eca1a4dd2db",
 }
 
-SUBJECTS = list(zoo.SWEEP_NAMES) + ["orderless-band"]
+SUBJECTS = list(zoo.SWEEP_NAMES) + ["orderless-band", "pt-3"]
 
 
 def digest(text: str) -> str:

@@ -1,8 +1,10 @@
-"""The two exhaustive searches, the OS3 fast path and the e-order laws against the scans they replace."""
+"""The two exhaustive searches, the fast law deciders and the e-order laws against the scans they replace."""
 
 import random
 
 import pytest
+
+import scan_oracle
 
 from ehresmann import (
     InternalInconsistency,
@@ -18,7 +20,9 @@ from ehresmann import (
     projections,
     zoo,
 )
-from ehresmann.core import _fmt
+from ehresmann import category, core, orders
+from ehresmann.category import FiniteCategory, FiniteOrderedCategory, check_ehresmann_category_two_orders
+from ehresmann.core import LAWS, Evaluation, FiniteBiunarySemigroup, _fmt
 from ehresmann.orders import _os2_witness, _os3_total_witness, _os3_witness, _os6_witness, _osi_witness
 
 
@@ -234,3 +238,151 @@ def test_e_order_laws_match_the_scans():
         assert rep == scanned_de_barros(s)
         sides.add(rep.holds)
     assert sides == {True, False}  # orderless-band is not de Barros
+
+
+def test_search_results_pass_the_public_constructor():
+    # the search builds its orders without revalidation; each must be one the
+    # validating constructor accepts
+    total = 0
+    for n in range(1, 5):
+        for s in zoo.enumerate_ehresmann_semigroups(n, allow_large=True):
+            for order in enumerate_ehresmann_orders(s):
+                assert PartialOrder(order.n, order.rel) == order
+                total += 1
+    assert total == 10147  # 9,952 of them on the 1,708 structures of size 4
+
+
+# each fast decider against its scan in scan_oracle: (semigroup deciders on a
+# table and an order) and (category deciders on a category), compared as reports
+
+SEMIGROUP_DECIDERS = {
+    "associativity": (lambda s, order: core._associativity(s, Evaluation()),
+                      lambda s, order: scan_oracle._associativity(s, Evaluation())),
+    "functional": (lambda s, order: core._functional(s, Evaluation()),
+                   lambda s, order: scan_oracle._functional(s, Evaluation())),
+    "OS7": (lambda s, order: orders._os7(OrderedSemigroup(s, order), Evaluation()),
+            lambda s, order: scan_oracle._os7(OrderedSemigroup(s, order), Evaluation())),
+}
+
+CATEGORY_DECIDERS = {
+    "omega-structured": (lambda c: category._omega_structured(c, Evaluation()),
+                         lambda c: scan_oracle._omega_structured(c, Evaluation())),
+    "OC7": (lambda c: LAWS["oc7"].decide(c, Evaluation()), lambda c: scan_oracle.oc7_report(c, False)),
+    "OC7'": (lambda c: LAWS["oc7'"].decide(c, Evaluation()), lambda c: scan_oracle.oc7_report(c, True)),
+    "OC8A": (lambda c: LAWS["oc8a"].decide(c, Evaluation()), lambda c: scan_oracle.oc8_report(c, "OC8A", c.dmap)),
+    "OC8B": (lambda c: LAWS["oc8b"].decide(c, Evaluation()), lambda c: scan_oracle.oc8_report(c, "OC8B", c.rmap)),
+}
+
+
+def assert_semigroup_deciders_agree(s, order, sides):
+    for name, (fast, scan) in SEMIGROUP_DECIDERS.items():
+        rep = fast(s, order)
+        assert rep == scan(s, order), name
+        sides.setdefault(name, set()).add(rep.holds)
+    if s.n > 1:
+        # Light's test on its own: small tables are scanned without it
+        light = core._generators_associate(s.mul)
+        assert light == scan_oracle._associativity(s, Evaluation()).holds
+        sides.setdefault("Light's test", set()).add(light)
+
+
+def category_or_none(s):
+    """The composition table of ``s`` as a category, None when it is not one."""
+    try:
+        return FiniteCategory(s.n, s.dmap, s.rmap, category._composition_table(s))
+    except StructureError:
+        return None
+
+
+def assert_category_deciders_agree(c0, order, sides, left=None, right=None):
+    """The OC deciders on ``c0`` under ``order``, and the two-order law under
+    ``left`` and ``right`` (by default ``order`` on both sides)."""
+    c = FiniteOrderedCategory(c0.n, c0.dmap, c0.rmap, c0.comp, order)
+    # the OC3 bitmask test on its own: small categories are scanned without it
+    w = scan_oracle._os3_witness(c.n, c.comp, order.rel)
+    assert category._oc3_witness(c.n, c.comp, order.rel) == w
+    stays_above = category._products_stay_above(c.n, c.comp, order.rel)
+    assert stays_above == (w is None)
+    sides.setdefault("OC3 bitmask test", set()).add(stays_above)
+    for name, (fast, scan) in CATEGORY_DECIDERS.items():
+        rep = fast(c)
+        assert rep == scan(c), name
+        sides.setdefault(name, set()).add(rep.holds)
+    left, right = left or order, right or order
+    rep = check_ehresmann_category_two_orders(c0, left, right)
+    assert rep == scan_oracle.check_ehresmann_category_two_orders(c0, left, right)
+    sides.setdefault("two-orders", set()).add(rep.holds)
+    # the monotonicity clauses on the unique-below table, also where the
+    # two-order law never reaches them
+    meet = category._derive_meet(c0.n, c0.identities(), left)
+    if meet is not None:
+        for idmap, rel_unique, rel in ((c0.dmap, left.rel, right.rel), (c0.rmap, right.rel, left.rel)):
+            unique = category._unique_below(c0.n, idmap, rel_unique)
+            w = category._monotone_witness(c0.identities(), idmap, unique, rel, meet)
+            assert w == scan_oracle._monotone_witness(c0.n, c0.identities(), idmap, rel_unique, rel, meet)
+            sides.setdefault("monotone", set()).add(w is None)
+
+
+def decider_subjects():
+    """(structure, orders): every Ehresmann semigroup of size at most 3, and every
+    17th of size 4, under each Ehresmann order and each derived order, then the
+    zoo entries with theirs."""
+    small = [s for n in (1, 2, 3) for s in zoo.enumerate_ehresmann_semigroups(n)]
+    small += list(zoo.enumerate_ehresmann_semigroups(4, allow_large=True))[::17]
+    for s in small:
+        derived = derive_orders(s)
+        yield s, [*enumerate_ehresmann_orders(s), derived.leq_l, derived.leq_r, derived.leq_e]
+    yield from zoo_orders()
+
+
+def test_fast_deciders_match_the_scans_on_small_structures_and_the_zoo():
+    sides = {}
+    for s, orders_of_s in decider_subjects():
+        c0 = category_or_none(s)
+        derived = derive_orders(s)
+        for order in orders_of_s:
+            assert_semigroup_deciders_agree(s, order, sides)
+            assert_category_deciders_agree(c0, order, sides)
+        assert_category_deciders_agree(c0, derived.leq_e, sides, derived.leq_l, derived.leq_r)
+    # these tables are associative and OC7' holds on all of them; mutations and
+    # random orders below reach the failing sides
+    assert {name for name, seen in sides.items() if seen != {True, False}} == {
+        "associativity", "Light's test", "OC7'"}
+
+
+def test_fast_deciders_match_the_scans_on_random_orders():
+    rng = random.Random(11)
+    sides = {}
+    subjects = [s for n in (1, 2, 3) for s in zoo.enumerate_ehresmann_semigroups(n)]
+    subjects += [s for s, _ in zoo_orders() if s.n <= 16]
+    for s in subjects:
+        c0 = category_or_none(s)
+        for _ in range(4):
+            order = random_order(rng, s.n)
+            other = random_order(rng, s.n)
+            if order is None or other is None:
+                continue
+            assert_semigroup_deciders_agree(s, order, sides)
+            assert_category_deciders_agree(c0, order, sides, order, other)
+    # every table here is associative; mutations below reach both sides of associativity
+    assert {name for name, seen in sides.items() if seen != {True, False}} == {"associativity", "Light's test"}
+
+
+def test_fast_deciders_match_the_scans_on_single_entry_mutations():
+    rng = random.Random(12)
+    sides = {}
+    subjects = [(s, [derive_orders(s).leq_e]) for n in (2, 3) for s in zoo.enumerate_ehresmann_semigroups(n)]
+    subjects += [(s, orders_of_s) for s, orders_of_s in zoo_orders() if s.n <= 16]
+    for s, orders_of_s in subjects:
+        for _ in range(12 if s.n <= 3 else 100):
+            mul = [list(row) for row in s.mul]
+            a, b = rng.randrange(s.n), rng.randrange(s.n)
+            mul[a][b] = rng.randrange(s.n)
+            mutated = FiniteBiunarySemigroup(s.n, mul, s.dmap, s.rmap)
+            order = rng.choice(orders_of_s)
+            assert_semigroup_deciders_agree(mutated, order, sides)
+            c0 = category_or_none(mutated)
+            if c0 is not None:
+                assert_category_deciders_agree(c0, order, sides)
+    for name in (*SEMIGROUP_DECIDERS, "Light's test"):
+        assert sides[name] == {True, False}, name
