@@ -65,15 +65,6 @@ class PartialOrder:
                             raise StructureError(f"order is not transitive at ({a}, {b}, {c})")
 
     @classmethod
-    def _closed(cls, n: int, rel: tuple[tuple[bool, ...], ...]) -> "PartialOrder":
-        """The order ``rel``, an n x n bool matrix the caller has already closed
-        into a partial order, built without revalidating it."""
-        order = object.__new__(cls)
-        object.__setattr__(order, "n", n)
-        object.__setattr__(order, "rel", rel)
-        return order
-
-    @classmethod
     def equality(cls, n: int) -> "PartialOrder":
         return cls(n, tuple(tuple(a == b for b in range(n)) for a in range(n)))
 
@@ -643,7 +634,7 @@ def _ehresmann_orders(s: FiniteBiunarySemigroup, ev: Evaluation) -> tuple[Ordere
     natural = ev.build(_natural, s)
     found = []
     for mat in mats:
-        osg = natural if mat == natural.order.rel else OrderedSemigroup(s, PartialOrder._closed(n, mat))
+        osg = natural if mat == natural.order.rel else OrderedSemigroup(s, PartialOrder(n, mat))
         rep = ev("ehresmann-order", osg)
         if not rep.holds:
             raise InternalInconsistency(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ehresmann.category import FiniteCategory, FiniteOrderedCategory, _derive_meet
 from ehresmann.core import Evaluation, FiniteBiunarySemigroup, LawReport, StructureError, _first_failure, _fmt, _leaf
-from ehresmann.orders import OrderedSemigroup, PartialOrder, _os2_witness, compose_relations
+from ehresmann.orders import OrderedSemigroup, PartialOrder, _os2_witness, _os3_witness, compose_relations
 
 
 def _associativity(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
@@ -78,17 +78,6 @@ def oc7_report(c: FiniteOrderedCategory, prime: bool) -> LawReport:
     """The OC7 or OC7' report from the scan, worded as the package's ``_oc_law`` words it."""
     name = "OC7'" if prime else "OC7"
     return _leaf(name, _oc7_witness(c, prime), lambda *w: f"fails at ({_fmt(c, *w)})")
-
-
-def _os3_witness(n: int, mul, rel) -> tuple[int, ...] | None:
-    """Least a <= b, c <= d with ac <= bd failing: OS3, and OC3 where ``mul`` is partial."""
-    pairs = [(a, b) for a in range(n) for b in range(n) if rel[a][b]]
-    for a, b in pairs:
-        for c, d in pairs:
-            ac, bd = mul[a][c], mul[b][d]
-            if ac is not None and bd is not None and not rel[ac][bd]:
-                return (a, b, c, d)
-    return None
 
 
 def _omega_structured(c: FiniteOrderedCategory, ev: Evaluation) -> LawReport:
