@@ -37,6 +37,7 @@ from .orders import (
     OrderedSemigroup,
     PartialOrder,
     _bits,
+    _derived_orders,
     _is_natural,
     _lowest,
     _matching_pair_witness,
@@ -58,7 +59,7 @@ def _validate_category(
     if n < 1:
         raise StructureError("category must have at least one element")
     for label, vec in (("D", dmap), ("R", rmap)):
-        if len(vec) != n or any(not 0 <= v < n for v in vec):
+        if len(vec) != n or any(not isinstance(v, int) or not 0 <= v < n for v in vec):
             raise StructureError(f"{label} must be an n-vector of element indices")
     if len(comp) != n or any(len(row) != n for row in comp):
         raise StructureError("composition table must be n x n")
@@ -88,13 +89,16 @@ def _validate_category(
                 continue
             if dmap[v] != dmap[x] or rmap[v] != rmap[y]:
                 raise StructureError(f"D/R of composite ({x}, {y}) are wrong")
+    # associativity on composable triples only, each list ascending, so the
+    # least failing (x, y, z) is the one a scan of all n³ triples finds
+    starting: dict[int, list[int]] = {}
+    for y in range(n):
+        starting.setdefault(dmap[y], []).append(y)
     for x in range(n):
-        for y in range(n):
-            if rmap[x] != dmap[y]:
-                continue
+        for y in starting[rmap[x]]:
             xy = comp[x][y]
-            for z in range(n):
-                if rmap[y] == dmap[z] and comp[xy][z] != comp[x][comp[y][z]]:
+            for z in starting[rmap[y]]:
+                if comp[xy][z] != comp[x][comp[y][z]]:
                     raise StructureError(f"composition not associative at ({x}, {y}, {z})")
 
 
@@ -290,7 +294,9 @@ _OC3_SCAN_MAX_N = 16
 
 def _oc3_witness(n: int, comp: CompTable, rel) -> tuple[int, ...] | None:
     """``_os3_witness`` on a partial composition; above ``_OC3_SCAN_MAX_N``
-    elements the scan runs only when ``_products_stay_above`` fails."""
+    elements the scan runs only when ``_products_stay_above`` fails.  Read
+    only by ``omega-structured``, which the two-order law reaches through
+    ``oc8a`` and ``oc8b``."""
     if n > _OC3_SCAN_MAX_N and _products_stay_above(n, comp, rel):
         return None
     return _os3_witness(n, comp, rel)
@@ -964,44 +970,22 @@ def _monotone_witness(ids, idmap, unique, rel, meet) -> tuple[int, ...] | None:
     return None
 
 
-def check_ehresmann_category_two_orders(
-    c0: FiniteCategory, leq_l: PartialOrder, leq_r: PartialOrder
-) -> LawReport:
-    """Decide the seven clauses of the two-order Ehresmann category laws.
-
-    The left order must be Omega-structured with unique restrictions, the
-    right order Omega-structured with unique corestrictions, the orders
-    must agree on the identities and form a meet-semilattice there, the
-    two orders must permute, and restriction/corestriction must be
-    monotone in the stated mixed sense.  Later clauses that need earlier
-    ones are only evaluated when those hold.
-    """
-    n = c0.n
-    if leq_l.n != n or leq_r.n != n:
-        raise StructureError("order and carrier sizes differ")
+def _two_orders(c0: FiniteCategory, leq_l: PartialOrder, leq_r: PartialOrder, ev: Evaluation) -> LawReport:
+    """The seven clauses of ``check_ehresmann_category_two_orders``: the first
+    two are the registered OC8a on C₀ under ``leq_l`` and OC8b under ``leq_r``."""
+    c_l, c_r = (FiniteOrderedCategory(c0.n, c0.dmap, c0.rmap, c0.comp, order) for order in (leq_l, leq_r))
     ids = c0.identities()
     rel_l, rel_r = leq_l.rel, leq_r.rel
-
-    def omega_ok(rel) -> bool:
-        return (
-            _os2_witness(n, c0.dmap, c0.rmap, rel) is None
-            and _oc3_witness(n, c0.comp, rel) is None
-        )
-
-    unique_l, unique_r = _unique_below(n, c0.dmap, rel_l), _unique_below(n, c0.rmap, rel_r)
-    b1 = omega_ok(rel_l) and _oc8_witness(ids, c0.dmap, rel_l, unique_l) is None
-    b2 = omega_ok(rel_r) and _oc8_witness(ids, c0.rmap, rel_r, unique_r) is None
+    b1 = ev("oc8a", c_l).holds
+    b2 = ev("oc8b", c_r).holds
     b3 = all(rel_l[e][f] == rel_r[e][f] for e in ids for f in ids)
-    meet = _derive_meet(n, ids, leq_l) if b3 else None
-    b4 = meet is not None
-    lr = compose_relations(leq_l, leq_r)
-    rl = compose_relations(leq_r, leq_l)
-    b5 = lr == rl
+    b4 = b3 and c_l.meet is not None
+    b5 = compose_relations(leq_l, leq_r) == compose_relations(leq_r, leq_l)
     b6 = b7 = False
     witness67: tuple[int, ...] | None = None
-    if b1 and b2 and b3 and b4:
-        w6 = _monotone_witness(ids, c0.dmap, unique_l, rel_r, meet)
-        w7 = _monotone_witness(ids, c0.rmap, unique_r, rel_l, meet)
+    if b1 and b2 and b4:
+        w6 = _monotone_witness(ids, c0.dmap, _unique_below(c0.n, c0.dmap, rel_l), rel_r, c_l.meet)
+        w7 = _monotone_witness(ids, c0.rmap, _unique_below(c0.n, c0.rmap, rel_r), rel_l, c_l.meet)
         b6, b7 = w6 is None, w7 is None
         witness67 = w6 or w7
     parts = (
@@ -1026,6 +1010,26 @@ def check_ehresmann_category_two_orders(
     )
 
 
+def _ehresmann_category_two_orders(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
+    two = ev.build(_derived_orders, s)
+    return _two_orders(ev.build(_partial_product_category, s), two.leq_l, two.leq_r, ev)
+
+
+def check_ehresmann_category_two_orders(
+    c0: FiniteCategory, leq_l: PartialOrder, leq_r: PartialOrder
+) -> LawReport:
+    """Decide the seven clauses of the two-order Ehresmann category laws.
+
+    The left order must be Omega-structured with unique restrictions, the
+    right order Omega-structured with unique corestrictions, the orders
+    must agree on the identities and form a meet-semilattice there, the
+    two orders must permute, and restriction/corestriction must be
+    monotone in the stated mixed sense.  Later clauses that need earlier
+    ones are only evaluated when those hold.
+    """
+    return _two_orders(c0, leq_l, leq_r, Evaluation())
+
+
 register(
     Law("omega-structured", "category", _omega_structured, ladder=True),
     Law("ehresmann-ordered-category", "category", _ehresmann_ordered_category, ladder=True),
@@ -1040,4 +1044,5 @@ register(
         c.identities(), idmap, c.order.rel, _unique_below(c.n, idmap, c.order.rel))),
     _oc_law("OCI", lambda c: _osi_witness(c.n, c.identities(), c.order.rel)),
     Law("special-correspondences", "ordered", _special_correspondences, pre="ehresmann-order"),
+    Law("ehresmann-category-two-orders", "semigroup", _ehresmann_category_two_orders),
 )

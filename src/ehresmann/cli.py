@@ -17,9 +17,7 @@ from .category import (
     _category_of,
     _derive_biaction,
     _esn_round_trip,
-    check_ehresmann_category_two_orders,
     esn_round_trip_category,
-    partial_product_category,
     verify_biaction,
 )
 from .core import (
@@ -191,11 +189,7 @@ def _cmd_cat(args, report: RunReport) -> None:
     if args.two_orders:
         if sf.kind != "semigroup":
             raise StructureError("--two-orders applies to semigroup files")
-        ders = derive_orders(sf.semigroup)
-        c0 = partial_product_category(sf.semigroup)
-        report.reports.append(
-            check_ehresmann_category_two_orders(c0, ders.leq_l, ders.leq_r)
-        )
+        report.reports.append(evaluate("ehresmann-category-two-orders", sf.semigroup))
         report.exit_code = 0 if all(r.holds for r in report.reports) else 1
         return
     ev = Evaluation()

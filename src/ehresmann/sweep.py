@@ -11,16 +11,9 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 
 from . import zoo
-from .category import (
-    _category_of,
-    _derive_biaction,
-    _esn_round_trip,
-    _partial_product_category,
-    check_ehresmann_category_two_orders,
-    verify_biaction,
-)
+from .category import _category_of, _derive_biaction, _esn_round_trip, verify_biaction
 from .core import Evaluation, TooLargeError
-from .orders import OrderedSemigroup, _derived_orders, _ehresmann_orders, _is_natural
+from .orders import OrderedSemigroup, _ehresmann_orders, _is_natural
 
 SCHEMA = "ehresmann-sweep/1"
 
@@ -66,11 +59,7 @@ def _base_record(s, ev: Evaluation) -> dict:
         "de_barros_agreement": db.holds == eq.holds,
         "os3_matches_de_barros": partial.holds == db.holds,
     }
-    two = ev.build(_derived_orders, s)
-    c0 = _partial_product_category(s, ev)
-    rec["two_order_category"] = check_ehresmann_category_two_orders(
-        c0, two.leq_l, two.leq_r
-    ).holds
+    rec["two_order_category"] = ev("ehresmann-category-two-orders", s).holds
     return rec
 
 

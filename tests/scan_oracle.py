@@ -1,6 +1,7 @@
 """The plain least-witness scans, kept as the oracle of the fast law deciders.
 
-The package decides associativity by Light's test, the functional law
+The package validates a category's associativity on composable triples
+only, decides a semigroup's associativity by Light's test, the functional law
 row by row, OS7 and OC7/OC7' from one product set per pair of factors,
 OC3 on a partial composition by up-set bitmasks, and tabulates the
 unique part below an element once per identity map and order.  The
@@ -14,6 +15,20 @@ from __future__ import annotations
 from ehresmann.category import FiniteCategory, FiniteOrderedCategory, _derive_meet
 from ehresmann.core import Evaluation, FiniteBiunarySemigroup, LawReport, StructureError, _first_failure, _fmt, _leaf
 from ehresmann.orders import OrderedSemigroup, PartialOrder, _os2_witness, _os3_witness, compose_relations
+
+
+def category_associativity_failure(n: int, dmap, rmap, comp) -> str | None:
+    """The message ``FiniteCategory`` raises for the least non-associative
+    composable triple, scanning all n³ triples; None when there is none."""
+    for x in range(n):
+        for y in range(n):
+            if rmap[x] != dmap[y]:
+                continue
+            xy = comp[x][y]
+            for z in range(n):
+                if rmap[y] == dmap[z] and comp[xy][z] != comp[x][comp[y][z]]:
+                    return f"composition not associative at ({x}, {y}, {z})"
+    return None
 
 
 def _associativity(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:

@@ -41,6 +41,7 @@ from ehresmann import (
     verify_biaction,
 )
 from ehresmann import category, zoo
+from ehresmann.core import evaluate
 
 import morphism_oracle
 
@@ -150,6 +151,13 @@ class TestConstruction:
         comp = meet = ((0, None), (None, 1))
         with pytest.raises(StructureError, match="do not form a meet-semilattice"):
             FiniteOrderedCategory(2, (0, 1), (0, 1), comp, PartialOrder.equality(2), meet)
+
+    @pytest.mark.parametrize("dmap, rmap", [((None, 1), (0, 1)), ((0.0, 1), (0, 1)), ((0, 1), (0, "1"))])
+    @pytest.mark.parametrize("cls", [FiniteCategory, FiniteOrderedCategory])
+    def test_non_integer_domain_and_range_entries_are_rejected(self, cls, dmap, rmap):
+        order = (PartialOrder.equality(2),) if cls is FiniteOrderedCategory else ()
+        with pytest.raises(StructureError, match="must be an n-vector of element indices"):
+            cls(2, dmap, rmap, ((0, None), (None, 1)), *order)
 
     @pytest.mark.parametrize("v", [1.7, "1"])
     def test_non_integer_composition_entries_are_rejected(self, v):
@@ -368,7 +376,17 @@ class TestTwoOrderCategories:
             for s in zoo.enumerate_ehresmann_semigroups(n):
                 d = derive_orders(s)
                 c0 = partial_product_category(s)
-                assert check_ehresmann_category_two_orders(c0, d.leq_l, d.leq_r).holds
+                rep = check_ehresmann_category_two_orders(c0, d.leq_l, d.leq_r)
+                assert rep.holds
+                # the registered law derives the orders and C₀ itself
+                assert evaluate("ehresmann-category-two-orders", s) == rep
+
+    def test_orders_of_the_wrong_size_are_rejected(self):
+        c0 = partial_product_category(ONE)
+        one, two = PartialOrder.equality(1), PartialOrder.equality(2)
+        for left, right in ((two, one), (one, two)):
+            with pytest.raises(StructureError, match="^order and carrier sizes differ$"):
+                check_ehresmann_category_two_orders(c0, left, right)
 
 
 def all_partial_orders(n: int) -> list[PartialOrder]:

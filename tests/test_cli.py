@@ -163,6 +163,13 @@ class TestCat:
         assert r.exit_code == 0
         assert r.reports[0].law == "ehresmann-category-two-orders"
 
+    def test_two_orders_is_the_registered_law(self):
+        via_check = parse_json(run_command(
+            ["--json", "check", "example://pt-2", "--law", "ehresmann-category-two-orders"]))
+        via_cat = parse_json(run_command(["--json", "cat", "example://pt-2", "--two-orders"]))
+        del via_check["command"], via_cat["command"]
+        assert via_check == via_cat
+
     def test_semigroup_without_order_rejected(self):
         assert run_command(["cat", "example://orderless-band"]).exit_code == 2
 

@@ -69,7 +69,12 @@ def test_record_builds_and_decides_each_thing_once(monkeypatch):
     assert len(os3_scans) == 5
     # the ESN round trip reuses C(S) when the rebuilt semigroup equals S
     assert len(associativity) == 1 and associativity[0] is S
-    assert len(categories) == 5
+    # five C(S), one per Ehresmann order, and C₀ under ≤_l and under ≤_r for
+    # the two-order law, which the record decides first
+    d = derive_orders(S)
+    assert len(categories) == 7
+    assert [args[4] for args in categories[:2]] == [d.leq_l, d.leq_r]
+    assert [args[4] for args in categories[2:]] == [osg.order for osg in ehresmann_order]
     assert len(eoc) == 5
     assert len({id(c) for c in eoc}) == 5
 
@@ -86,8 +91,12 @@ def test_record_decides_each_oc_law_once_per_category(monkeypatch):
 
     monkeypatch.setattr(category, "_max_below", counted)
     _enumerated_record(("n4-0013", S))
+    # the two-order law adds OC8a on C₀ under ≤_l and OC8b under ≤_r
+    d = derive_orders(S)
     for key, subjects in decided.items():
-        assert len(subjects) == 5 and len({id(c) for c in subjects}) == 5, key
+        count = 6 if key in ("oc8a", "oc8b") else 5
+        assert len(subjects) == count and len({id(c) for c in subjects}) == count, key
+    assert decided["oc8a"][0].order == d.leq_l and decided["oc8b"][0].order == d.leq_r
     # restrictions of the biaction and OC6a/OC6b once per category; the
     # pseudoproduct reads its factors from the biaction
     assert len(scans) == 130
