@@ -276,13 +276,43 @@ def _new_cell_consistent(t: list[list[int]], n: int, i: int, j: int) -> bool:
     return True
 
 
-def _tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every associative n x n table in lexicographic order, filled cell by cell.
+def _relabel(table, perm, rows: dict) -> tuple[tuple[int, ...], ...]:
+    """The table with x renamed perm[x]; equal rows are shared through ``rows``."""
+    out = [[0] * len(perm) for _ in perm]
+    for a, row in enumerate(table):
+        for b, v in enumerate(row):
+            out[perm[a]][perm[b]] = perm[v]
+    return tuple(rows.setdefault(r, r) for r in map(tuple, out))
 
-    Each node differs from its parent, which is consistent, in one cell
-    only, so only the triples reading that cell are checked.
+
+def _lex_least_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The associative n x n tables no relabelling makes smaller, in lexicographic order.
+
+    Cells are filled in row-major order, and only the triples that read
+    the new cell are checked.  As orderly generation (Read, 1978), a node
+    is also cut when a relabelling p already gives a smaller table on the
+    filled cells 0..k; cell (x, y) of the image is p(T[p^-1 x][p^-1 y]).
+    At a leaf the test is complete, so one table per isomorphism class is left.
     """
     table = [[-1] * n for _ in range(n)]
+    flat = [-1] * (n * n)
+    # every relabelling but the identity, with the cell each image cell reads
+    relabellings = [
+        (p, [p.index(x) * n + p.index(y) for x in range(n) for y in range(n)])
+        for p in itertools.islice(itertools.permutations(range(n)), 1, None)
+    ]
+
+    def beaten(k: int) -> bool:
+        for p, src in relabellings:
+            for c in range(k + 1):
+                if src[c] > k:  # image cell c is not known yet
+                    break
+                image = p[flat[src[c]]]
+                if image < flat[c]:
+                    return True
+                if image > flat[c]:
+                    break
+        return False
 
     def fill(idx: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         if idx == n * n:
@@ -290,12 +320,23 @@ def _tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
             return
         i, j = divmod(idx, n)
         for v in range(n):
-            table[i][j] = v
-            if _new_cell_consistent(table, n, i, j):
+            table[i][j] = flat[idx] = v
+            if _new_cell_consistent(table, n, i, j) and not beaten(idx):
                 yield from fill(idx + 1)
-        table[i][j] = -1
+        table[i][j] = flat[idx] = -1
 
     return fill(0)
+
+
+def _tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every associative n x n table in lexicographic order.
+
+    Each lex-least table is relabelled every way, so all tables (3,492
+    at n = 4) are held in memory before the first is yielded.
+    """
+    rows: dict = {}
+    perms = list(itertools.permutations(range(n)))
+    return iter(sorted({_relabel(t, p, rows) for t in _lex_least_tables(n) for p in perms}))
 
 
 def _d_laws_ok(mul, dmap, n: int) -> bool:
@@ -342,29 +383,26 @@ def _structures_for_table(
 
 
 def _permuted_key(s: FiniteBiunarySemigroup, perm: tuple[int, ...]) -> tuple[int, ...]:
-    n = s.n
-    mul = [[0] * n for _ in range(n)]
-    dmap = [0] * n
-    rmap = [0] * n
-    for a in range(n):
+    dmap = [0] * s.n
+    rmap = [0] * s.n
+    for a in range(s.n):
         dmap[perm[a]] = perm[s.dmap[a]]
         rmap[perm[a]] = perm[s.rmap[a]]
-        for b in range(n):
-            mul[perm[a]][perm[b]] = perm[s.mul[a][b]]
-    flat = [n]
-    for row in mul:
-        flat.extend(row)
-    flat.extend(dmap)
-    flat.extend(rmap)
-    return tuple(flat)
+    return (s.n, *itertools.chain(*_relabel(s.mul, perm, {})), *dmap, *rmap)
 
 
-def _is_canonical_rep(s: FiniteBiunarySemigroup) -> bool:
-    base = s.key()
-    return all(
-        _permuted_key(s, perm) >= base
-        for perm in itertools.permutations(range(s.n))
-    )
+def _iso_reps(n: int) -> Iterator[FiniteBiunarySemigroup]:
+    """The structures with the least (mul, D, R) key in their isomorphism class.
+
+    Their table is lex-least, so only its automorphisms can give a smaller key.
+    """
+    perms = list(itertools.permutations(range(n)))
+    for mul in _lex_least_tables(n):
+        automorphisms = [p for p in perms if _relabel(mul, p, {}) == mul]
+        for s in _structures_for_table(n, mul):
+            base = s.key()
+            if all(_permuted_key(s, p) >= base for p in automorphisms):
+                yield s
 
 
 def enumerate_ehresmann_semigroups(
@@ -372,19 +410,20 @@ def enumerate_ehresmann_semigroups(
 ) -> Iterator[FiniteBiunarySemigroup]:
     """Stream every Ehresmann semigroup on the indexed carrier 0..n-1.
 
-    Tables are found by backtracking with associativity pruning; the
-    compatible (D, R) assignments are then filtered against the remaining
-    laws.  Emission order is lexicographic in (mul, D, R) and therefore
-    stable across runs.  Size 4 is permitted only behind ``allow_large``;
-    anything beyond is refused.
+    Tables come from :func:`_tables`, which holds all of them before the
+    first is yielded, or with ``up_to_iso`` straight from the
+    isomorph-free :func:`_lex_least_tables`.  The compatible (D, R)
+    assignments are then filtered against the remaining laws.  Emission
+    order is lexicographic in (mul, D, R) and therefore stable across
+    runs.  Size 4 is permitted only behind ``allow_large``; anything
+    beyond is refused, and a size that is not an ``int`` is malformed.
     """
+    if type(n) is not int:
+        raise StructureError(f"enumeration size must be an int, not {n!r}")
     if n < 1 or n > 4:
         raise TooLargeError("exhaustive enumeration supports sizes 1..4")
     if n == 4 and not allow_large:
         raise TooLargeError("size 4 is long-running; pass allow_large=True to proceed")
-    return (
-        s
-        for mul in _tables(n)
-        for s in _structures_for_table(n, mul)
-        if not up_to_iso or _is_canonical_rep(s)
-    )
+    if up_to_iso:
+        return _iso_reps(n)
+    return (s for mul in _tables(n) for s in _structures_for_table(n, mul))

@@ -1,5 +1,7 @@
 """The two exhaustive searches, the fast law deciders and the e-order laws against the scans they replace."""
 
+import functools
+import itertools
 import random
 
 import pytest
@@ -56,12 +58,34 @@ def rescan_tables(n):
     return fill(0)
 
 
+@functools.cache
+def rescanned(n):
+    return list(rescan_tables(n))
+
+
+def relabelled(table, perm):
+    """The table with x renamed perm[x], read cell by cell through the inverse."""
+    n = len(perm)
+    inv = [perm.index(x) for x in range(n)]
+    return tuple(tuple(perm[table[inv[x]][inv[y]]] for y in range(n)) for x in range(n))
+
+
 @pytest.mark.parametrize("n, count", [(1, 1), (2, 8), (3, 113), (4, 3492)])
 def test_tables_match_the_full_rescan(n, count):
-    # counts are OEIS A023814, associative tables on n labelled elements
+    # counts are OEIS A023814, associative tables on n labelled elements; the
+    # stream is the orbit leaders relabelled every way, de-duplicated and sorted
     tables = list(zoo._tables(n))
     assert len(tables) == count
-    assert tables == list(rescan_tables(n))
+    assert tables == rescanned(n)
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 5), (3, 24), (4, 188)])
+def test_lex_least_tables_are_the_rescan_orbit_leaders(n, count):
+    # counts are OEIS A027851, semigroups of order n up to isomorphism
+    perms = list(itertools.permutations(range(n)))
+    leaders = [t for t in rescanned(n) if all(relabelled(t, p) >= t for p in perms)]
+    assert len(leaders) == count
+    assert list(zoo._lex_least_tables(n)) == leaders
 
 
 def recursive_orders(s):

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from ehresmann import (
+    StructureError,
     TooLargeError,
     check_ehresmann,
     check_ehresmann_order,
@@ -315,34 +316,49 @@ class TestEnumeration:
             assert keys == [s.key() for s in enumerate_ehresmann_semigroups(n)]
 
     def test_up_to_iso_matches_orbit_count(self):
-        for n in (1, 2, 3):
-            labeled = [s.key() for s in enumerate_ehresmann_semigroups(n)]
-            reps = list(enumerate_ehresmann_semigroups(n, up_to_iso=True))
+        for n, classes in [(1, 1), (2, 3), (3, 15), (4, 87)]:
+            labeled = list(enumerate_ehresmann_semigroups(n, allow_large=True))
+            reps = [s.key() for s in enumerate_ehresmann_semigroups(n, True, allow_large=True)]
             # orbit count oracle: group labeled keys under all permutations
             seen = set()
             orbits = 0
-            for s in enumerate_ehresmann_semigroups(n):
+            for s in labeled:
                 if s.key() in seen:
                     continue
                 orbits += 1
                 for perm in itertools.permutations(range(n)):
                     seen.add(zoo._permuted_key(s, perm))
-            assert len(reps) == orbits
+            assert len(reps) == orbits == classes
+            # a representative is least under every relabelling, not just the automorphisms
+            assert reps == [
+                s.key()
+                for s in labeled
+                if all(
+                    zoo._permuted_key(s, perm) >= s.key()
+                    for perm in itertools.permutations(range(n))
+                )
+            ]
 
     def test_size_limits(self):
-        with pytest.raises(TooLargeError):
+        with pytest.raises(TooLargeError, match="exhaustive enumeration supports sizes 1..4"):
             enumerate_ehresmann_semigroups(5)
-        with pytest.raises(TooLargeError):
+        with pytest.raises(TooLargeError, match="exhaustive enumeration supports sizes 1..4"):
             enumerate_ehresmann_semigroups(0)
-        with pytest.raises(TooLargeError):
+        with pytest.raises(TooLargeError, match="size 4 is long-running"):
             enumerate_ehresmann_semigroups(4)  # needs allow_large
+
+    @pytest.mark.parametrize("size", ["3", None, 2.5, True, False])
+    def test_non_int_size_is_malformed(self, size):
+        # raised by the call itself, before any table is searched
+        with pytest.raises(StructureError, match="enumeration size must be an int"):
+            enumerate_ehresmann_semigroups(size, allow_large=True)
 
     def test_size_four_behind_flag(self):
         keys = []
         for s in enumerate_ehresmann_semigroups(4, allow_large=True):
             keys.append(s.key())
         assert keys == sorted(keys) and len(keys) == len(set(keys))
-        assert len(keys) > 1000
+        assert len(keys) == 1708
         stream = enumerate_ehresmann_semigroups(4, allow_large=True)
         for s in [next(stream) for _ in range(25)]:
             assert check_ehresmann(s).holds
