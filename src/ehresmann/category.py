@@ -10,7 +10,7 @@ away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
 from .core import (
@@ -56,7 +56,7 @@ CompTable = tuple[tuple[int | None, ...], ...]
 def _validate_category(
     n: int, dmap: Sequence[int], rmap: Sequence[int], comp: CompTable
 ) -> None:
-    if n < 1:
+    if not isinstance(n, int) or n < 1:
         raise StructureError("category must have at least one element")
     for label, vec in (("D", dmap), ("R", rmap)):
         if len(vec) != n or any(not isinstance(v, int) or not 0 <= v < n for v in vec):
@@ -168,7 +168,10 @@ def _compare_meet(c: FiniteOrderedCategory, given, derived) -> None:
 
 @dataclass(frozen=True)
 class FiniteOrderedCategory:
-    """A finite category with a partial order and a meet table on identities.
+    """A validated category ``base`` with a partial order and a meet table on
+    identities, as an ``OrderedSemigroup`` is a semigroup with an order: one
+    base may carry many orders, and its table is validated once, when built.
+    ``n``, ``dmap``, ``rmap``, ``comp`` and ``names`` are copied from ``base``.
 
     The meet is always derived from the order: greatest lower bounds of
     identity pairs among the identities, None off them.  If some pair of
@@ -178,19 +181,25 @@ class FiniteOrderedCategory:
     once, at construction.
     """
 
-    n: int
-    dmap: tuple[int, ...]
-    rmap: tuple[int, ...]
-    comp: CompTable
+    base: FiniteCategory
     order: PartialOrder
     meet: tuple[tuple[int | None, ...], ...] | None = None
-    names: tuple[str, ...] | None = None
+    n: int = field(init=False, repr=False, compare=False)
+    dmap: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    rmap: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    comp: CompTable = field(init=False, repr=False, compare=False)
+    names: tuple[str, ...] | None = field(init=False, repr=False, compare=False)
 
     identities = FiniteCategory.identities
     name_of = FiniteCategory.name_of
 
     def __post_init__(self) -> None:
-        FiniteCategory.__post_init__(self)
+        if not isinstance(self.base, FiniteCategory):
+            raise StructureError("base must be a FiniteCategory")
+        if not isinstance(self.order, PartialOrder):
+            raise StructureError("order must be a PartialOrder")
+        for name in ("n", "dmap", "rmap", "comp", "names"):
+            object.__setattr__(self, name, getattr(self.base, name))
         if self.order.n != self.n:
             raise StructureError("order and carrier sizes differ")
         meet = _derive_meet(self.n, self.identities(), self.order)
@@ -227,19 +236,21 @@ class FunctorCandidate:
         object.__setattr__(self, "map", tuple(self.map))
 
 
-def _composition_table(s: FiniteBiunarySemigroup) -> CompTable:
-    """The products x*y with R(x) = D(y); None elsewhere."""
-    return tuple(
+def _composition_category(s: FiniteBiunarySemigroup, ev: Evaluation) -> FiniteCategory:
+    """The products x*y with R(x) = D(y), None elsewhere, validated once per unit
+    of work: the base of C₀ under both derived orders and of C(S) under every order."""
+    comp = tuple(
         tuple(s.mul[x][y] if s.rmap[x] == s.dmap[y] else None for y in range(s.n))
         for x in range(s.n)
     )
+    return FiniteCategory(s.n, s.dmap, s.rmap, comp, s.names)
 
 
 def _partial_product_category(s: FiniteBiunarySemigroup, ev: Evaluation) -> FiniteCategory:
     rep = ev("ehresmann", s)
     if not rep.holds:
         raise PreconditionError(f"structure is not an Ehresmann semigroup: {rep.detail}")
-    return FiniteCategory(s.n, s.dmap, s.rmap, _composition_table(s), s.names)
+    return ev.build(_composition_category, s)
 
 
 def partial_product_category(s: FiniteBiunarySemigroup) -> FiniteCategory:
@@ -259,9 +270,7 @@ def _category_of(os: OrderedSemigroup, ev: Evaluation) -> FiniteOrderedCategory:
     for e in ids:
         for f in ids:
             meet[e][f] = s.mul[e][f]
-    return FiniteOrderedCategory(
-        s.n, s.dmap, s.rmap, _composition_table(s), os.order, tuple(tuple(row) for row in meet), s.names
-    )
+    return FiniteOrderedCategory(ev.build(_composition_category, s), os.order, tuple(map(tuple, meet)))
 
 
 def category_of(os: OrderedSemigroup) -> FiniteOrderedCategory:
@@ -335,9 +344,9 @@ def _restrict(c: FiniteOrderedCategory, idmap, x: int, e: int, words: tuple[str,
     """
     op, letter, noun = words
     for v in (e, x):
-        if not 0 <= v < c.n:
+        if not isinstance(v, int) or not 0 <= v < c.n:
             raise StructureError(f"{op} element {v!r} out of range 0..{c.n - 1}")
-    if e not in set(c.dmap):
+    if c.dmap[e] != e:
         raise PreconditionError(f"{c.name_of(e)} is not an identity")
     if not c.order.rel[e][idmap[x]]:
         raise PreconditionError(f"{op} needs {c.name_of(e)} <= {letter}({c.name_of(x)})")
@@ -973,7 +982,7 @@ def _monotone_witness(ids, idmap, unique, rel, meet) -> tuple[int, ...] | None:
 def _two_orders(c0: FiniteCategory, leq_l: PartialOrder, leq_r: PartialOrder, ev: Evaluation) -> LawReport:
     """The seven clauses of ``check_ehresmann_category_two_orders``: the first
     two are the registered OC8a on C₀ under ``leq_l`` and OC8b under ``leq_r``."""
-    c_l, c_r = (FiniteOrderedCategory(c0.n, c0.dmap, c0.rmap, c0.comp, order) for order in (leq_l, leq_r))
+    c_l, c_r = (FiniteOrderedCategory(c0, order) for order in (leq_l, leq_r))
     ids = c0.identities()
     rel_l, rel_r = leq_l.rel, leq_r.rel
     b1 = ev("oc8a", c_l).holds

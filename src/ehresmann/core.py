@@ -97,7 +97,7 @@ class FiniteBiunarySemigroup:
         if self.names is not None:
             object.__setattr__(self, "names", tuple(str(x) for x in self.names))
         n = self.n
-        if n < 1:
+        if not isinstance(n, int) or n < 1:
             raise StructureError("carrier must have at least one element")
         if len(self.mul) != n or any(len(row) != n for row in self.mul):
             raise StructureError("multiplication table must be n x n")

@@ -4,10 +4,10 @@ The format is bit-exact and diff-friendly: whitespace-separated name
 tokens, ``#`` comments, one section per header.  Semigroup files carry a
 total ``mul:`` table; category files carry a ``comp:`` table in which
 ``.`` marks undefined entries and may add a ``meet:`` section of triples
-``e f g`` (e meet f = g) that must equal the meet derived from the order.
-The ``order:`` section lists pairs ``a <= b`` and is closed reflexively
-and transitively on parse; a closure that breaks antisymmetry is a parse
-error.
+``e f g`` (e meet f = g) that must equal the meet derived from the order;
+a category is parsed into its ``FiniteCategory`` first, then ordered.  The
+``order:`` section lists pairs ``a <= b`` and is closed reflexively and
+transitively on parse; a closure that breaks antisymmetry is a parse error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import zoo
 from .core import FiniteBiunarySemigroup, StructureError
 from .orders import OrderedSemigroup, PartialOrder
-from .category import FiniteOrderedCategory
+from .category import FiniteCategory, FiniteOrderedCategory
 
 _SECTIONS = ("kind", "elements", "mul", "comp", "D", "R", "order", "meet")
 _RESERVED_TOKENS = {".", "<=", "#"}
@@ -178,7 +178,7 @@ def parse_structure(text: str) -> StructureFile:
         meet = tuple(
             tuple(table.get((x, y)) for y in range(n)) for x in range(n)
         )
-    cat = FiniteOrderedCategory(n, dmap, rmap, comp, order, meet, tuple(names))
+    cat = FiniteOrderedCategory(FiniteCategory(n, dmap, rmap, comp, tuple(names)), order, meet)
     return StructureFile("category", category=cat, order=order)
 
 

@@ -47,7 +47,10 @@ class PartialOrder:
     rel: tuple[tuple[bool, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rel", tuple(tuple(bool(v) for v in row) for row in self.rel))
+        try:
+            object.__setattr__(self, "rel", tuple(tuple(bool(v) for v in row) for row in self.rel))
+        except TypeError:
+            raise StructureError("order relation must be an n x n matrix") from None
         n = self.n
         if len(self.rel) != n or any(len(row) != n for row in self.rel):
             raise StructureError("order relation must be an n x n matrix")
@@ -76,7 +79,7 @@ class PartialOrder:
         """
         mat = [[a == b for b in range(n)] for a in range(n)]
         for a, b in pairs:
-            if not (0 <= a < n and 0 <= b < n):
+            if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < n and 0 <= b < n):
                 raise StructureError(f"order pair ({a}, {b}) out of range")
             mat[a][b] = True
         for k in range(n):
@@ -116,7 +119,7 @@ class PartialOrder:
         """Greatest lower bound of a and b, restricted to ``within`` if given."""
         pool = range(self.n) if within is None else within
         for v in (a, b, *pool):
-            if not 0 <= v < self.n:
+            if not isinstance(v, int) or not 0 <= v < self.n:
                 raise StructureError(f"glb element {v!r} out of range 0..{self.n - 1}")
         lower = [c for c in pool if self.rel[c][a] and self.rel[c][b]]
         for m in lower:
@@ -149,6 +152,10 @@ class OrderedSemigroup:
     order: PartialOrder
 
     def __post_init__(self) -> None:
+        if not isinstance(self.base, FiniteBiunarySemigroup):
+            raise StructureError("base must be a FiniteBiunarySemigroup")
+        if not isinstance(self.order, PartialOrder):
+            raise StructureError("order must be a PartialOrder")
         if self.base.n != self.order.n:
             raise StructureError("order and carrier sizes differ")
 

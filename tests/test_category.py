@@ -61,7 +61,7 @@ def nabla_cat_below_02():
     """zero-one-nabla's category ordered only by 0 <= nabla: OC2 fails at (0, 2)."""
     c = nabla_cat()
     order = PartialOrder.from_pairs(c.n, [(0, 2)])
-    return FiniteOrderedCategory(c.n, c.dmap, c.rmap, c.comp, order, names=c.names)
+    return FiniteOrderedCategory(c.base, order)
 
 
 def rel2_cat():
@@ -73,18 +73,15 @@ def without_order_pair(c: FiniteOrderedCategory, a: int, b: int) -> FiniteOrdere
     rel = [list(row) for row in c.order.rel]
     assert rel[a][b] and a != b
     rel[a][b] = False
-    return FiniteOrderedCategory(
-        c.n, c.dmap, c.rmap, c.comp, PartialOrder(c.n, rel), None, c.names
-    )
+    return FiniteOrderedCategory(c.base, PartialOrder(c.n, rel))
 
 
 def two_identity_arrow_category() -> FiniteOrderedCategory:
     """Identities e1 <= e2 plus a single arrow a from e1 to e2."""
     comp = ((0, None, 2), (None, 1, None), (None, 2, None))
     order = PartialOrder.from_pairs(3, [(0, 1)])
-    return FiniteOrderedCategory(
-        3, (0, 1, 0), (0, 1, 1), comp, order, None, ("e1", "e2", "a")
-    )
+    c0 = FiniteCategory(3, (0, 1, 0), (0, 1, 1), comp, ("e1", "e2", "a"))
+    return FiniteOrderedCategory(c0, order)
 
 
 class TestConstruction:
@@ -108,25 +105,38 @@ class TestConstruction:
 
     def test_bad_comp_pattern_rejected(self):
         with pytest.raises(StructureError):
-            FiniteOrderedCategory(
-                2,
-                (0, 1),
-                (0, 1),
-                ((0, 0), (None, 1)),  # entry defined where R != D
-                PartialOrder.equality(2),
-            )
+            FiniteCategory(2, (0, 1), (0, 1), ((0, 0), (None, 1)))  # entry defined where R != D
 
     def test_category_of_requires_ehresmann_order(self):
         band = zoo.example_orderless_band().structure
         with pytest.raises(NotOrderedEhresmann):
             category_of(OrderedSemigroup(band, PartialOrder.equality(6)))
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda c, s: OrderedSemigroup(s, ((1, 0), (0, 1))), "order must be a PartialOrder"),
+            (lambda c, s: OrderedSemigroup(partial_product_category(s), c.order),
+             "base must be a FiniteBiunarySemigroup"),
+            (lambda c, s: FiniteOrderedCategory(partial_product_category(s), c.order.rel),
+             "order must be a PartialOrder"),
+            (lambda c, s: FiniteOrderedCategory(c, c.order), "base must be a FiniteCategory"),
+            (lambda c, s: FiniteOrderedCategory(s, c.order), "base must be a FiniteCategory"),
+        ],
+        ids=["semigroup-matrix", "semigroup-on-category", "category-matrix",
+             "category-on-ordered-category", "category-on-semigroup"],
+    )
+    def test_base_and_order_of_the_wrong_kind_are_rejected(self, make, message):
+        c = monoid_cat()
+        with pytest.raises(StructureError, match=f"^{message}$"):
+            make(c, zoo.example_two_element_monoid().structure)
+
     def test_supplied_meet_equal_to_the_derived_one_is_accepted(self):
         c = nabla_cat()
-        again = FiniteOrderedCategory(c.n, c.dmap, c.rmap, c.comp, c.order, c.meet, c.names)
+        again = FiniteOrderedCategory(c.base, c.order, c.meet)
         assert again == c
         as_lists = [list(row) for row in c.meet]
-        assert FiniteOrderedCategory(c.n, c.dmap, c.rmap, c.comp, c.order, as_lists, c.names) == c
+        assert FiniteOrderedCategory(c.base, c.order, as_lists) == c
 
     @pytest.mark.parametrize(
         "x, y, v, message",
@@ -143,21 +153,20 @@ class TestConstruction:
         bad_meet = [list(row) for row in c.meet]
         bad_meet[x][y] = v
         with pytest.raises(StructureError) as exc:
-            FiniteOrderedCategory(c.n, c.dmap, c.rmap, c.comp, c.order, bad_meet, c.names)
+            FiniteOrderedCategory(c.base, c.order, bad_meet)
         assert str(exc.value) == message
 
     def test_supplied_meet_needs_a_meet_semilattice(self):
         # two identities under the equality order have no meet
         comp = meet = ((0, None), (None, 1))
         with pytest.raises(StructureError, match="do not form a meet-semilattice"):
-            FiniteOrderedCategory(2, (0, 1), (0, 1), comp, PartialOrder.equality(2), meet)
+            FiniteOrderedCategory(FiniteCategory(2, (0, 1), (0, 1), comp), PartialOrder.equality(2), meet)
 
     @pytest.mark.parametrize("dmap, rmap", [((None, 1), (0, 1)), ((0.0, 1), (0, 1)), ((0, 1), (0, "1"))])
-    @pytest.mark.parametrize("cls", [FiniteCategory, FiniteOrderedCategory])
-    def test_non_integer_domain_and_range_entries_are_rejected(self, cls, dmap, rmap):
-        order = (PartialOrder.equality(2),) if cls is FiniteOrderedCategory else ()
+    def test_non_integer_domain_and_range_entries_are_rejected(self, dmap, rmap):
+        # an ordered category is ordered on a FiniteCategory, which makes this check
         with pytest.raises(StructureError, match="must be an n-vector of element indices"):
-            cls(2, dmap, rmap, ((0, None), (None, 1)), *order)
+            FiniteCategory(2, dmap, rmap, ((0, None), (None, 1)))
 
     @pytest.mark.parametrize("v", [1.7, "1"])
     def test_non_integer_composition_entries_are_rejected(self, v):
@@ -240,6 +249,19 @@ class TestRestrictionCorestriction:
     )
     def test_out_of_range_elements_raise_structure_error(self, call):
         with pytest.raises(StructureError, match="out of range 0..2"):
+            call(nabla_cat())
+
+    @pytest.mark.parametrize(
+        "call, v",
+        [
+            (lambda c: restriction(c, 1.0, 0), "1.0"),
+            (lambda c: restriction(c, "1", 0), "'1'"),
+            (lambda c: corestriction(c, 0, 1.0), "1.0"),
+        ],
+        ids=["restriction-float", "restriction-str", "corestriction-float"],
+    )
+    def test_non_integer_elements_raise_structure_error(self, call, v):
+        with pytest.raises(StructureError, match=f"element {v} out of range 0..2"):
             call(nabla_cat())
 
     def test_oc6_violation_raised_when_maximum_missing(self):
@@ -463,7 +485,8 @@ class TestBiaction:
         assert e1_failure((0, 1), ((0, 0), (1, 1))) == ("meet not commutative", (0, 1))
 
     def test_e1_fails_without_a_meet_table(self):
-        c = FiniteOrderedCategory(2, (0, 1), (0, 1), ((0, None), (None, 1)), PartialOrder.equality(2))
+        c0 = FiniteCategory(2, (0, 1), (0, 1), ((0, None), (None, 1)))
+        c = FiniteOrderedCategory(c0, PartialOrder.equality(2))
         rep = verify_biaction(c, Biaction(((0, None), (None, 1)), ((0, None), (None, 1))))
         assert (rep.holds, rep.witness) == (False, None)
         assert rep.detail == "E1 fails at (): no meet table on the identities"
@@ -534,7 +557,8 @@ class TestSemigroupOf:
 
     def test_identities_without_a_meet_are_not_applicable(self):
         # two identities under the equality order have no meet
-        c = FiniteOrderedCategory(2, (0, 1), (0, 1), ((0, None), (None, 1)), PartialOrder.equality(2))
+        c0 = FiniteCategory(2, (0, 1), (0, 1), ((0, None), (None, 1)))
+        c = FiniteOrderedCategory(c0, PartialOrder.equality(2))
         assert c.meet is None
         text = "not an Ehresmann-ordered category: identities do not form a meet-semilattice under the order"
         with pytest.raises(PreconditionError) as exc:

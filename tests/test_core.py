@@ -6,6 +6,7 @@ import pytest
 
 from ehresmann import (
     FiniteBiunarySemigroup,
+    FiniteCategory,
     HomCandidate,
     InconsistentProjections,
     StructureError,
@@ -75,6 +76,18 @@ class TestStructureValidation:
     def test_rejects_duplicate_names(self):
         with pytest.raises(StructureError):
             FiniteBiunarySemigroup(2, ((0, 0), (0, 1)), (1, 1), (1, 1), names=("a", "a"))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: FiniteBiunarySemigroup("1", ((0,),), (0,), (0,)),
+            lambda: FiniteCategory("1", (0,), (0,), ((0,),)),
+        ],
+        ids=["semigroup", "category"],
+    )
+    def test_non_integer_size_raises_structure_error(self, make):
+        with pytest.raises(StructureError, match="must have at least one element"):
+            make()
 
 
 class TestAssociativity:

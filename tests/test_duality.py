@@ -13,6 +13,7 @@ import pytest
 from ehresmann import (
     Biaction,
     FiniteBiunarySemigroup,
+    FiniteCategory,
     FiniteOrderedCategory,
     OrderedSemigroup,
     PartialOrder,
@@ -41,9 +42,8 @@ def dual_semigroup(s: FiniteBiunarySemigroup) -> FiniteBiunarySemigroup:
 
 def dual_category(c: FiniteOrderedCategory) -> FiniteOrderedCategory:
     """Transpose the composition and swap D with R; same order and meet."""
-    return FiniteOrderedCategory(
-        c.n, c.rmap, c.dmap, tuple(zip(*c.comp)), c.order, c.meet, c.names
-    )
+    dual = FiniteCategory(c.n, c.rmap, c.dmap, tuple(zip(*c.comp)), c.names)
+    return FiniteOrderedCategory(dual, c.order, c.meet)
 
 
 def dual_biaction(b: Biaction) -> Biaction:
@@ -87,7 +87,7 @@ def omega_structured_categories() -> list[FiniteOrderedCategory]:
         for s in zoo.enumerate_ehresmann_semigroups(n):
             c0 = partial_product_category(s)
             for order in posets:
-                c = FiniteOrderedCategory(c0.n, c0.dmap, c0.rmap, c0.comp, order)
+                c = FiniteOrderedCategory(c0, order)
                 if check_omega_structured(c).holds:
                     cats.append(c)
     return cats

@@ -114,6 +114,24 @@ class TestPartialOrder:
         with pytest.raises(StructureError, match="out of range 0..1"):
             PartialOrder.equality(2).glb(0, 5)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: PartialOrder(2, None), "order relation must be an n x n matrix"),
+            (lambda: PartialOrder.from_pairs(2, [("a", 1)]), r"order pair \(a, 1\) out of range"),
+            (lambda: PartialOrder.from_pairs(2, [(0.0, 1)]), r"order pair \(0.0, 1\) out of range"),
+        ],
+        ids=["no-matrix", "str-pair", "float-pair"],
+    )
+    def test_malformed_relation_raises_structure_error(self, make, message):
+        with pytest.raises(StructureError, match=message):
+            make()
+
+    @pytest.mark.parametrize("a, b, v", [("a", 0, "'a'"), (0, 1.0, "1.0")])
+    def test_glb_rejects_non_integer_elements(self, a, b, v):
+        with pytest.raises(StructureError, match=f"glb element {v} out of range 0..1"):
+            PartialOrder.equality(2).glb(a, b)
+
     @pytest.mark.parametrize("v", [5, -1])
     def test_glb_rejects_out_of_range_pool_elements(self, v):
         with pytest.raises(StructureError, match=f"glb element {v} out of range 0..1"):

@@ -11,7 +11,9 @@ import json
 import pytest
 
 from ehresmann import zoo
+from ehresmann.category import category_of
 from ehresmann.cli import run_command
+from ehresmann.fileformat import category_file, emit_structure
 from ehresmann.sweep import _enumerated_record, run_sweep
 
 SWEEP_3 = "eba66f7150dc7720742dba68d975684fb3ee4f6fdbb04f79ef454d64f281f582"
@@ -82,6 +84,37 @@ REPORTS = {
 
 SUBJECTS = list(zoo.SWEEP_NAMES) + ["orderless-band", "pt-3"]
 
+# the same reports on category files: C(S) of each SWEEP_NAMES entry under its
+# first order, emitted to a file, with "command" (the file's path) left out
+CATEGORY_COMMANDS = ("check", "cat --biaction", "esn")
+
+CATEGORY_REPORTS = {
+    ("check", "two-element-monoid"): "50af2c0696826fd6c511bd9fd29cde94eaa056a2ba95c87e275cb7f1f9b88e54",
+    ("cat --biaction", "two-element-monoid"): "36896b9bd46bc75c0ea84e40b9142b8001aa506bce513fb234a0ee440432de11",
+    ("esn", "two-element-monoid"): "d7b802362663cfd56c90ccc74917319cb83c1c75726dbd48d00cf600877c40d3",
+    ("check", "zero-one-nabla"): "76d0919b18ecca944bbb040ce236d2d20a83bbf9294eeb19d4ae1b6653a7fce3",
+    ("cat --biaction", "zero-one-nabla"): "71efe55756b740ddf4eef9f34dcef4b7831ccb9de8b61ea4d436015e46a7ae0c",
+    ("esn", "zero-one-nabla"): "8c528105003607ef8b95418b857199c7a17ffb003d623348e0b77bdca1e17cca",
+    ("check", "rel-1"): "210f891c7e96d2ed57fea5e27c5cee1b3d75468b30e35c5f93fa125a6a05b366",
+    ("cat --biaction", "rel-1"): "a33c9cb654b6a5d29c0067c5aaae254bb6358dfaa15afd1a49fe847a4d0557fe",
+    ("esn", "rel-1"): "bc09d6dd123fa3fc58650459aadfb9c1b7a1fe56ccd5c486573fc3c7cbee86f2",
+    ("check", "rel-2"): "161647ad90b92375f2fe35cf8230555c44100640075fd0042bc1ee8004c9595f",
+    ("cat --biaction", "rel-2"): "f55cce4c314745be9d2b5d6d30941d6918e286f6e70e2ab4910048f5d4a92026",
+    ("esn", "rel-2"): "595d81784163ddd1bb3c8bd079d13325ab227ec7b9965323c8d9d6240a8c68fb",
+    ("check", "pt-1"): "3c99834b99fb43bf6917d518ad7b6bffa8987e3addeb3a13bb84e3a205eb5a39",
+    ("cat --biaction", "pt-1"): "e5553ee967bf8f1f780fb60185c31cf1edd9ef87e13f13daf3adf8c9bf5d9671",
+    ("esn", "pt-1"): "e0edd3a27ded3d38d00f54b17e9db28be8f4f86c7b1097913431a270fa244734",
+    ("check", "pt-2"): "9bacd5f57801d09b5b4c89abba8671bdaeca6e61bac5982decb81984864c3d7a",
+    ("cat --biaction", "pt-2"): "509edc44bb88e999b5509fe9ec6ac2674581bcc3fc6a0fe3deb1f837fe7582ec",
+    ("esn", "pt-2"): "8fadbbf86905dd9be061c8240b38e29ec95c9d40a5d5bb2c4f24404b6686f08a",
+    ("check", "inj-1"): "3c99834b99fb43bf6917d518ad7b6bffa8987e3addeb3a13bb84e3a205eb5a39",
+    ("cat --biaction", "inj-1"): "e5553ee967bf8f1f780fb60185c31cf1edd9ef87e13f13daf3adf8c9bf5d9671",
+    ("esn", "inj-1"): "e0edd3a27ded3d38d00f54b17e9db28be8f4f86c7b1097913431a270fa244734",
+    ("check", "inj-2"): "87ae8f0c1e3959e7a5c61de9aee820d6c70f905e1a11468d7f89e6da2c4bb29d",
+    ("cat --biaction", "inj-2"): "df555b035a2d1dc63a26776d3a13244dca347448ffcb565f435109aaf464bd6c",
+    ("esn", "inj-2"): "495bcacc30181dc7d6033207e090ce8ec2a9847dd32ea9dd12b22738bd55a8c1",
+}
+
 
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -109,3 +142,17 @@ def test_cli_json_report_is_pinned(label, name):
     cmd, *flags = COMMANDS[label]
     report = run_command([cmd, f"example://{name}", *flags, "--json"])
     assert digest(report.to_json()) == REPORTS[(label, name)]
+
+
+def test_every_category_file_and_command_is_pinned():
+    assert set(CATEGORY_REPORTS) == {(label, name) for label in CATEGORY_COMMANDS for name in zoo.SWEEP_NAMES}
+
+
+@pytest.mark.parametrize("label,name", sorted(CATEGORY_REPORTS))
+def test_category_file_json_report_is_pinned(tmp_path, label, name):
+    path = tmp_path / f"{name}.txt"
+    path.write_text(emit_structure(category_file(category_of(zoo.get(name).ordered()))), encoding="utf-8")
+    cmd, *flags = COMMANDS[label]
+    payload = json.loads(run_command([cmd, str(path), *flags, "--json"]).to_json())
+    del payload["command"]
+    assert digest(json.dumps(payload, sort_keys=True, indent=2)) == CATEGORY_REPORTS[(label, name)]

@@ -3,7 +3,11 @@
 import dataclasses
 
 from ehresmann import category, orders
-from ehresmann.category import FiniteOrderedCategory
+from ehresmann.category import (
+    FiniteOrderedCategory,
+    check_ehresmann_category_two_orders,
+    partial_product_category,
+)
 from ehresmann.core import LAWS, FiniteBiunarySemigroup
 from ehresmann.orders import DerivedOrders, _OrderSearch, derive_orders
 from ehresmann.sweep import _enumerated_record
@@ -31,16 +35,29 @@ def count_decisions(monkeypatch, key: str) -> list:
 
 
 def count_constructions(monkeypatch, cls) -> list:
-    """One entry per instance of ``cls`` made from now on."""
+    """Each instance of ``cls`` made from now on, in order."""
     made = []
     init = cls.__init__
 
     def counted(self, *args, **kwargs):
-        made.append(args)
         init(self, *args, **kwargs)
+        made.append(self)
 
     monkeypatch.setattr(cls, "__init__", counted)
     return made
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """The arguments of each call of ``module.name`` from now on."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def test_record_builds_and_decides_each_thing_once(monkeypatch):
@@ -50,14 +67,8 @@ def test_record_builds_and_decides_each_thing_once(monkeypatch):
     ehresmann_order = count_decisions(monkeypatch, "ehresmann-order")
     eoc = count_decisions(monkeypatch, "ehresmann-ordered-category")
     categories = count_constructions(monkeypatch, FiniteOrderedCategory)
-    os3_scans = []
-    os3_total_witness = orders._os3_total_witness
-
-    def counted(*args):
-        os3_scans.append(args)
-        return os3_total_witness(*args)
-
-    monkeypatch.setattr(orders, "_os3_total_witness", counted)
+    validations = count_calls(monkeypatch, category, "_validate_category")
+    os3_scans = count_calls(monkeypatch, orders, "_os3_total_witness")
     _, rec = _enumerated_record(("n4-0013", S))
     assert rec["order_count"] == 5 and rec["smallest_order"]
     assert len(derived) == 1
@@ -70,11 +81,14 @@ def test_record_builds_and_decides_each_thing_once(monkeypatch):
     # the ESN round trip reuses C(S) when the rebuilt semigroup equals S
     assert len(associativity) == 1 and associativity[0] is S
     # five C(S), one per Ehresmann order, and C₀ under ≤_l and under ≤_r for
-    # the two-order law, which the record decides first
+    # the two-order law, which the record decides first: all seven share one
+    # composition table, validated once
     d = derive_orders(S)
     assert len(categories) == 7
-    assert [args[4] for args in categories[:2]] == [d.leq_l, d.leq_r]
-    assert [args[4] for args in categories[2:]] == [osg.order for osg in ehresmann_order]
+    assert [c.order for c in categories[:2]] == [d.leq_l, d.leq_r]
+    assert [c.order for c in categories[2:]] == [osg.order for osg in ehresmann_order]
+    assert len({id(c.base) for c in categories}) == 1
+    assert len(validations) == 1
     assert len(eoc) == 5
     assert len({id(c) for c in eoc}) == 5
 
@@ -82,14 +96,7 @@ def test_record_builds_and_decides_each_thing_once(monkeypatch):
 def test_record_decides_each_oc_law_once_per_category(monkeypatch):
     keys = ("oc4", "oc4a", "oc4b", "oc6a", "oc6b", "oc7", "oc7'", "oc8a", "oc8b", "oci")
     decided = {key: count_decisions(monkeypatch, key) for key in keys}
-    scans = []
-    max_below = category._max_below
-
-    def counted(*args):
-        scans.append(args)
-        return max_below(*args)
-
-    monkeypatch.setattr(category, "_max_below", counted)
+    scans = count_calls(monkeypatch, category, "_max_below")
     _enumerated_record(("n4-0013", S))
     # the two-order law adds OC8a on C₀ under ≤_l and OC8b under ≤_r
     d = derive_orders(S)
@@ -100,3 +107,11 @@ def test_record_decides_each_oc_law_once_per_category(monkeypatch):
     # restrictions of the biaction and OC6a/OC6b once per category; the
     # pseudoproduct reads its factors from the biaction
     assert len(scans) == 130
+
+
+def test_two_order_law_validates_only_its_category(monkeypatch):
+    c0 = partial_product_category(S)
+    d = derive_orders(S)
+    validations = count_calls(monkeypatch, category, "_validate_category")
+    assert check_ehresmann_category_two_orders(c0, d.leq_l, d.leq_r).holds
+    assert validations == []
