@@ -3,9 +3,10 @@
 The composition table is partial: an entry exists exactly when the range
 identity of the left factor matches the domain identity of the right
 factor.  Undefined entries are ``None``, never a default element.
-Restriction and corestriction scan for the required maximum; a missing
-maximum is reported as a violation of the corresponding law, not assumed
-away.
+The maxima that restriction and corestriction take are tabulated once per
+category and side from down-set bitmasks; OC6, the biaction and the
+morphism clauses read that table.  A missing maximum is reported as a
+violation of the corresponding law, not assumed away.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .core import (
     PreconditionError,
     StructureError,
     TooLargeError,
+    _as_tuple,
     _check_map,
     _first_failure,
     _fmt,
@@ -103,7 +105,7 @@ def _validate_category(
 
 
 def _coerce_comp(comp) -> CompTable:
-    table = tuple(tuple(row) for row in comp)
+    table = _as_tuple(comp, "table must be n x n", rows=True)
     for row in table:
         for v in row:
             if v is not None and not isinstance(v, int):
@@ -122,8 +124,8 @@ class FiniteCategory:
     names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dmap", tuple(self.dmap))
-        object.__setattr__(self, "rmap", tuple(self.rmap))
+        object.__setattr__(self, "dmap", _as_tuple(self.dmap, "D must be an n-vector of element indices"))
+        object.__setattr__(self, "rmap", _as_tuple(self.rmap, "R must be an n-vector of element indices"))
         object.__setattr__(self, "comp", _coerce_comp(self.comp))
         if self.names is not None:
             object.__setattr__(self, "names", tuple(str(x) for x in self.names))
@@ -155,6 +157,7 @@ def _compare_meet(c: FiniteOrderedCategory, given, derived) -> None:
     """Raise StructureError unless ``given`` equals ``derived``, the meet the order gives."""
     if derived is None:
         raise StructureError("meet table given, but the identities do not form a meet-semilattice")
+    given = _as_tuple(given, "meet table must be n x n", rows=True)
     if len(given) != c.n or any(len(row) != c.n for row in given):
         raise StructureError("meet table must be n x n")
     for x in range(c.n):
@@ -375,17 +378,52 @@ def corestriction(c: FiniteOrderedCategory, x: int, e: int) -> int:
     return _restrict(c, c.rmap, x, e, ("corestriction", "R", "range"))
 
 
-def _oc6_witness(c: FiniteOrderedCategory, idmap) -> tuple[int, ...] | None:
-    """Least (x, e) with e <= idmap(x) whose maximum below x with idmap under e
-    is missing or off e: OC6a with D, OC6b with R."""
-    rel = c.order.rel
-    for x in range(c.n):
-        for e in c.identities():
-            if not rel[e][idmap[x]]:
+def _maxima_below(c: FiniteOrderedCategory, idmap) -> list[list[int | None]]:
+    """``[x][e]`` is ``_max_below(c, idmap, x, e)`` for every x and identity
+    e <= idmap(x), None elsewhere.  The pool of y <= x with idmap(y) <= e is
+    a bitmask, and its maximum is the m in it whose down-set covers it."""
+    n, rel = c.n, c.order.rel
+    down = [sum(1 << y for y, below in enumerate(col) if below) for col in zip(*rel)]
+    under = [(e, sum(1 << y for y in range(n) if rel[idmap[y]][e])) for e in c.identities()]
+    table: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for x in range(n):
+        row, down_x, d = table[x], down[x], idmap[x]
+        for e, under_e in under:
+            if not rel[e][d]:
                 continue
-            m = _max_below(c, idmap, x, e)
-            if m is None or idmap[m] != e:
-                return (x, e)
+            pool = rest = down_x & under_e
+            # a maximum is unique, so the candidates may be tried in any order
+            while rest:
+                m = rest.bit_length() - 1
+                if not pool & ~down[m]:
+                    row[e] = m
+                    break
+                rest ^= 1 << m
+    return table
+
+
+# This table and the unique-below one have one builder per side, so that an
+# evaluation makes each once per category and side.  D and R may be equal,
+# even one object, so the side is told by the builder, never by the maps.
+def _restrictions(c: FiniteOrderedCategory, ev: Evaluation) -> list[list[int | None]]:
+    return _maxima_below(c, c.dmap)
+
+
+def _corestrictions(c: FiniteOrderedCategory, ev: Evaluation) -> list[list[int | None]]:
+    return _maxima_below(c, c.rmap)
+
+
+def _oc6_witness(c: FiniteOrderedCategory, idmap, maxima) -> tuple[int, ...] | None:
+    """Least (x, e) with e <= idmap(x) whose maximum below x with idmap under e,
+    read from ``maxima``, the ``_maxima_below`` table of ``idmap``, is missing
+    or off e: OC6a with D, OC6b with R."""
+    rel, ids = c.order.rel, c.identities()
+    for x in range(c.n):
+        for e in ids:
+            if rel[e][idmap[x]]:
+                m = maxima[x][e]
+                if m is None or idmap[m] != e:
+                    return (x, e)
     return None
 
 
@@ -431,10 +469,19 @@ def _unique_below(n: int, idmap, rel) -> list[dict[int, int | None]]:
     return table
 
 
-def _oc8_witness(ids, idmap, rel, unique) -> tuple[int, ...] | None:
+def _unique_restrictions(c: FiniteOrderedCategory, ev: Evaluation) -> list[dict[int, int | None]]:
+    return _unique_below(c.n, c.dmap, c.order.rel)
+
+
+def _unique_corestrictions(c: FiniteOrderedCategory, ev: Evaluation) -> list[dict[int, int | None]]:
+    return _unique_below(c.n, c.rmap, c.order.rel)
+
+
+def _oc8_witness(c: FiniteOrderedCategory, idmap, unique) -> tuple[int, ...] | None:
     """Least (x, e) with e <= idmap(x) but not exactly one y <= x with idmap(y) = e,
-    read from ``unique``, the ``_unique_below`` table of ``idmap`` and ``rel``."""
-    for x in range(len(rel)):
+    read from ``unique``, the ``_unique_below`` table of ``idmap``."""
+    rel, ids = c.order.rel, c.identities()
+    for x in range(c.n):
         for e in ids:
             if rel[e][idmap[x]] and unique[x].get(e) is None:
                 return (x, e)
@@ -442,28 +489,30 @@ def _oc8_witness(ids, idmap, rel, unique) -> tuple[int, ...] | None:
 
 
 def _oc_law(name: str, witness, aliases: tuple[str, ...] = ()) -> Law:
-    """An optional OC law decided by one witness function."""
+    """An optional OC law decided by one witness function of the category and the evaluation."""
 
     def decide(c: FiniteOrderedCategory, ev: Evaluation) -> LawReport:
-        return _leaf(name, witness(c), lambda *w: f"fails at ({_fmt(c, *w)})")
+        return _leaf(name, witness(c, ev), lambda *w: f"fails at ({_fmt(c, *w)})")
 
     return Law(name, "category", decide, pre="omega-structured", aliases=aliases)
 
 
-def _oc_pair_laws(name: str, witness) -> tuple[Law, Law, Law]:
-    """OC6 or OC8 and its halves: ``witness(c, idmap)`` with D decides the
-    a-half, with R the b-half; the pair reads both registered halves, reports
+def _oc_pair_laws(name: str, witness, builders) -> tuple[Law, Law, Law]:
+    """OC6 or OC8 and its halves: ``witness(c, idmap, table)`` decides the
+    a-half with D and the table ``builders[0]`` builds, the b-half with R and
+    that of ``builders[1]``; the pair reads both registered halves, reports
     them as parts and the first failing half as the witness.
     """
     halves = (name.lower() + "a", name.lower() + "b")
+    restrictions, corestrictions = builders
 
     def decide(c: FiniteOrderedCategory, ev: Evaluation) -> LawReport:
         return _first_failure(name, c, ((half, ev(half, c).witness) for half in halves))
 
     return (
         Law(name, "category", decide, pre="omega-structured"),
-        _oc_law(name + "A", lambda c: witness(c, c.dmap)),
-        _oc_law(name + "B", lambda c: witness(c, c.rmap)),
+        _oc_law(name + "A", lambda c, ev: witness(c, c.dmap, ev.build(restrictions, c))),
+        _oc_law(name + "B", lambda c, ev: witness(c, c.rmap, ev.build(corestrictions, c))),
     )
 
 
@@ -531,13 +580,16 @@ def _derive_biaction(c: FiniteOrderedCategory, ev: Evaluation) -> Biaction:
     pre = ev("ehresmann-ordered-category", c)
     if not pre.holds:
         raise PreconditionError(f"not an Ehresmann-ordered category: {pre.detail}")
-    ids = c.identities()
-    left = [[None] * c.n for _ in range(c.n)]
-    right = [[None] * c.n for _ in range(c.n)]
-    for e in ids:
-        for x in range(c.n):
-            left[e][x] = restriction(c, c.meet[e][c.dmap[x]], x)
-            right[x][e] = corestriction(c, x, c.meet[c.rmap[x]][e])
+    # OC6 holds, so e meet D(x) <= D(x) has its restriction in the table, and
+    # R(x) meet e its corestriction
+    n, meet, dmap, rmap = c.n, c.meet, c.dmap, c.rmap
+    restrictions, corestrictions = ev.build(_restrictions, c), ev.build(_corestrictions, c)
+    left = [[None] * n for _ in range(n)]
+    right = [[None] * n for _ in range(n)]
+    for e in c.identities():
+        for x in range(n):
+            left[e][x] = restrictions[x][meet[e][dmap[x]]]
+            right[x][e] = corestrictions[x][meet[rmap[x]][e]]
     return Biaction(tuple(tuple(row) for row in left), tuple(tuple(row) for row in right))
 
 
@@ -752,8 +804,9 @@ def is_eoc_morphism(
     and preservation of restrictions and corestrictions.
     """
     _check_map(f.map, c1.n, c2.n)
+    ev = Evaluation()
     for c, side in ((c1, "source"), (c2, "target")):
-        pre = check_ehresmann_ordered_category(c)
+        pre = ev("ehresmann-ordered-category", c)
         if not pre.holds:
             return LawReport(
                 "eoc-morphism",
@@ -762,7 +815,7 @@ def is_eoc_morphism(
                 applicable=False,
             )
     return _map_report("eoc-morphism", ("functor", "order", "meet", "restriction"),
-                       _category_clauses(c1, c2), f.map, lambda part, w: f"{part} clause fails at {w}")
+                       _category_clauses(c1, c2, ev), f.map, lambda part, w: f"{part} clause fails at {w}")
 
 
 def _all_epi_witness(c: FiniteOrderedCategory) -> tuple[int, ...] | None:
@@ -777,33 +830,27 @@ def _all_epi_witness(c: FiniteOrderedCategory) -> tuple[int, ...] | None:
     return None
 
 
-def _category_clauses(c1: FiniteOrderedCategory, c2: FiniteOrderedCategory) -> list:
-    """The clauses of ``is_eoc_morphism``, as ``_map_report`` takes them.
+def _category_clauses(c1: FiniteOrderedCategory, c2: FiniteOrderedCategory, ev: Evaluation) -> list:
+    """The clauses of ``is_eoc_morphism``, as ``_map_report`` takes them, on
+    two Ehresmann-ordered categories.
 
     functor: D and R by x, then defined composites by (x, y); order; meet
     by (e, f); restriction: by s, then e, the restriction (witness (e, s))
-    before the corestriction (witness (s, e)).  Restrictions and
-    corestrictions are tabulated once.  The target's meet, restriction and
-    corestriction tables hold None where the operation is undefined (an
-    image that is not an identity, or a failed precondition), so a clause
-    landing there fails.
+    before the corestriction (witness (s, e)), both read from the tables
+    ``ev`` builds once per category and side.  The target's meet,
+    restriction and corestriction tables hold None where the operation is
+    undefined (an image that is not an identity, or not below the image's
+    domain or range), so a clause landing there fails.
     """
-    n1, n2 = c1.n, c2.n
+    n1 = c1.n
     dmap2, rmap2, comp2, meet2 = c2.dmap, c2.rmap, c2.comp, c2.meet
-    rel1, rel2 = c1.order.rel, c2.order.rel
+    rel1 = c1.order.rel
     ids1 = c1.identities()
-    # per side: c1's identity map, the operation, c2's table by [e][y], the witness at (e, s)
-    sides = []
-    for idmap1, idmap2, restrict, at in (
-        (c1.dmap, dmap2, lambda c, e, y: restriction(c, e, y), lambda e, s: (e, s)),
-        (c1.rmap, rmap2, lambda c, e, y: corestriction(c, y, e), lambda e, s: (s, e)),
-    ):
-        table2 = [[None] * n2 for _ in range(n2)]
-        for e in c2.identities():
-            for y in range(n2):
-                if rel2[e][idmap2[y]]:
-                    table2[e][y] = restrict(c2, e, y)
-        sides.append((idmap1, restrict, table2, at))
+    # per side: c1's identity map, both categories' tables by [y][e], the witness at (e, s)
+    sides = [(idmap1, ev.build(builder, c1), ev.build(builder, c2), at) for idmap1, builder, at in (
+        (c1.dmap, _restrictions, lambda e, s: (e, s)),
+        (c1.rmap, _corestrictions, lambda e, s: (s, e)),
+    )]
     clauses = []
     for x in range(n1):
         for idmap1, idmap2 in ((c1.dmap, dmap2), (c1.rmap, rmap2)):
@@ -815,7 +862,7 @@ def _category_clauses(c1: FiniteOrderedCategory, c2: FiniteOrderedCategory) -> l
             if v is not None:
                 clauses.append(("functor", (x, y), (x, y, v),
                                 lambda fm, x=x, y=y, v=v: comp2[fm[x]][fm[y]] == fm[v]))
-    clauses += _order_clauses(c1.order, rel2)
+    clauses += _order_clauses(c1.order, c2.order.rel)
     for e in ids1:
         for f in ids1:
             m = c1.meet[e][f]
@@ -823,11 +870,11 @@ def _category_clauses(c1: FiniteOrderedCategory, c2: FiniteOrderedCategory) -> l
                             lambda fm, e=e, f=f, m=m: meet2[fm[e]][fm[f]] == fm[m]))
     for s in range(n1):
         for e in ids1:
-            for idmap1, restrict, t2, at in sides:
+            for idmap1, t1, t2, at in sides:
                 if rel1[e][idmap1[s]]:
-                    r = restrict(c1, e, s)
+                    r = t1[s][e]
                     clauses.append(("restriction", at(e, s), (e, s, r),
-                                    lambda fm, e=e, s=s, r=r, t2=t2: t2[fm[e]][fm[s]] == fm[r]))
+                                    lambda fm, e=e, s=s, r=r, t2=t2: t2[fm[s]][fm[e]] == fm[r]))
     return clauses
 
 
@@ -881,14 +928,15 @@ def morphism_correspondence(
     total = t_os.base.n**s_os.base.n
     if total > ceiling:
         raise TooLargeError(f"{total} candidate maps exceed the ceiling of {ceiling}")
-    c1 = category_of(s_os)
-    c2 = category_of(t_os)
-    b1 = derive_biaction(c1)
-    b2 = derive_biaction(c2)
+    ev = Evaluation()
+    c1 = ev.build(_category_of, s_os)
+    c2 = ev.build(_category_of, t_os)
+    b1 = ev.build(_derive_biaction, c1)
+    b2 = ev.build(_derive_biaction, c2)
     ids1 = c1.identities()
     n1 = s_os.base.n
     sem_levels = _by_last_read(n1, _ordered_hom_clauses(s_os, t_os))
-    cat_levels = _by_last_read(n1, _category_clauses(c1, c2))
+    cat_levels = _by_last_read(n1, _category_clauses(c1, c2, ev))
     passing = 0
     for fm, sem, cat in _accepted_maps([0] * n1, 0, t_os.base.n, sem_levels, cat_levels):
         if sem != cat:
@@ -993,8 +1041,9 @@ def _two_orders(c0: FiniteCategory, leq_l: PartialOrder, leq_r: PartialOrder, ev
     b6 = b7 = False
     witness67: tuple[int, ...] | None = None
     if b1 and b2 and b4:
-        w6 = _monotone_witness(ids, c0.dmap, _unique_below(c0.n, c0.dmap, rel_l), rel_r, c_l.meet)
-        w7 = _monotone_witness(ids, c0.rmap, _unique_below(c0.n, c0.rmap, rel_r), rel_l, c_l.meet)
+        # the tables OC8a and OC8b were decided on
+        w6 = _monotone_witness(ids, c0.dmap, ev.build(_unique_restrictions, c_l), rel_r, c_l.meet)
+        w7 = _monotone_witness(ids, c0.rmap, ev.build(_unique_corestrictions, c_r), rel_l, c_l.meet)
         b6, b7 = w6 is None, w7 is None
         witness67 = w6 or w7
     parts = (
@@ -1043,15 +1092,14 @@ register(
     Law("omega-structured", "category", _omega_structured, ladder=True),
     Law("ehresmann-ordered-category", "category", _ehresmann_ordered_category, ladder=True),
     Law("oc-equivalences", "category", _oc_equivalences, pre="omega-structured", ladder=True),
-    _oc_law("OC4", lambda c: _matching_pair_witness(c.n, c.dmap, c.rmap, c.order.rel, True, True)),
-    _oc_law("OC4A", lambda c: _matching_pair_witness(c.n, c.dmap, c.rmap, c.order.rel, True, False)),
-    _oc_law("OC4B", lambda c: _matching_pair_witness(c.n, c.dmap, c.rmap, c.order.rel, False, True)),
-    *_oc_pair_laws("OC6", _oc6_witness),
-    _oc_law("OC7", lambda c: _oc7_witness(c, prime=False)),
-    _oc_law("OC7'", lambda c: _oc7_witness(c, prime=True), aliases=("oc7p",)),
-    *_oc_pair_laws("OC8", lambda c, idmap: _oc8_witness(
-        c.identities(), idmap, c.order.rel, _unique_below(c.n, idmap, c.order.rel))),
-    _oc_law("OCI", lambda c: _osi_witness(c.n, c.identities(), c.order.rel)),
+    _oc_law("OC4", lambda c, ev: _matching_pair_witness(c.n, c.dmap, c.rmap, c.order.rel, True, True)),
+    _oc_law("OC4A", lambda c, ev: _matching_pair_witness(c.n, c.dmap, c.rmap, c.order.rel, True, False)),
+    _oc_law("OC4B", lambda c, ev: _matching_pair_witness(c.n, c.dmap, c.rmap, c.order.rel, False, True)),
+    *_oc_pair_laws("OC6", _oc6_witness, (_restrictions, _corestrictions)),
+    _oc_law("OC7", lambda c, ev: _oc7_witness(c, prime=False)),
+    _oc_law("OC7'", lambda c, ev: _oc7_witness(c, prime=True), aliases=("oc7p",)),
+    *_oc_pair_laws("OC8", _oc8_witness, (_unique_restrictions, _unique_corestrictions)),
+    _oc_law("OCI", lambda c, ev: _osi_witness(c.n, c.identities(), c.order.rel)),
     Law("special-correspondences", "ordered", _special_correspondences, pre="ehresmann-order"),
     Law("ehresmann-category-two-orders", "semigroup", _ehresmann_category_two_orders),
 )

@@ -75,6 +75,15 @@ class LawReport:
         }
 
 
+def _as_tuple(value, message: str, rows: bool = False) -> tuple:
+    """``value`` as a tuple, of tuples when ``rows``; StructureError(``message``)
+    when it cannot be read so."""
+    try:
+        return tuple(tuple(row) for row in value) if rows else tuple(value)
+    except TypeError:
+        raise StructureError(message) from None
+
+
 @dataclass(frozen=True)
 class FiniteBiunarySemigroup:
     """Carrier 0..n-1 with a total multiplication table and unary maps D, R.
@@ -91,9 +100,9 @@ class FiniteBiunarySemigroup:
     names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mul", tuple(tuple(row) for row in self.mul))
-        object.__setattr__(self, "dmap", tuple(self.dmap))
-        object.__setattr__(self, "rmap", tuple(self.rmap))
+        object.__setattr__(self, "mul", _as_tuple(self.mul, "multiplication table must be n x n", rows=True))
+        object.__setattr__(self, "dmap", _as_tuple(self.dmap, "D must be an n-vector of element indices"))
+        object.__setattr__(self, "rmap", _as_tuple(self.rmap, "R must be an n-vector of element indices"))
         if self.names is not None:
             object.__setattr__(self, "names", tuple(str(x) for x in self.names))
         n = self.n

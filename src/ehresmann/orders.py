@@ -21,6 +21,7 @@ from .core import (
     LawReport,
     PreconditionError,
     StructureError,
+    _as_tuple,
     _check_map,
     _first_failure,
     _fmt,
@@ -78,7 +79,10 @@ class PartialOrder:
         Raises StructureError when the closure breaks antisymmetry.
         """
         mat = [[a == b for b in range(n)] for a in range(n)]
-        for a, b in pairs:
+        for pair in _as_tuple(pairs, "order pairs must be an iterable of pairs", rows=True):
+            if len(pair) != 2:
+                raise StructureError(f"order pair {pair!r} is not a pair")
+            a, b = pair
             if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < n and 0 <= b < n):
                 raise StructureError(f"order pair ({a}, {b}) out of range")
             mat[a][b] = True

@@ -4,7 +4,8 @@ The package validates a category's associativity on composable triples
 only, decides a semigroup's associativity by Light's test, the functional law
 row by row, OS7 and OC7/OC7' from one product set per pair of factors,
 OC3 on a partial composition by up-set bitmasks, and tabulates the
-unique part below an element once per identity map and order.  The
+unique part below an element and the maximum below an element with its
+domain (range) under an identity once per category and side.  The
 functions below are the scans those replace, loop by loop; the tests
 compare the reports of both on every small structure, the zoo, random
 orders and mutated tables.
@@ -12,7 +13,7 @@ orders and mutated tables.
 
 from __future__ import annotations
 
-from ehresmann.category import FiniteCategory, FiniteOrderedCategory, _derive_meet
+from ehresmann.category import FiniteCategory, FiniteOrderedCategory, _derive_meet, _max_below
 from ehresmann.core import Evaluation, FiniteBiunarySemigroup, LawReport, StructureError, _first_failure, _fmt, _leaf
 from ehresmann.orders import OrderedSemigroup, PartialOrder, _os2_witness, _os3_witness, compose_relations
 
@@ -99,6 +100,31 @@ def _omega_structured(c: FiniteOrderedCategory, ev: Evaluation) -> LawReport:
     rel = c.order.rel
     checks = (("OC2", _os2_witness(c.n, c.dmap, c.rmap, rel)), ("OC3", _os3_witness(c.n, c.comp, rel)))
     return _first_failure("omega-structured", c, checks, lead=(("OC1", True),))
+
+
+def _oc6_witness(c: FiniteOrderedCategory, idmap) -> tuple[int, ...] | None:
+    """Least (x, e) with e <= idmap(x) whose maximum below x with idmap under e
+    is missing or off e: OC6a with D, OC6b with R."""
+    rel = c.order.rel
+    for x in range(c.n):
+        for e in c.identities():
+            if not rel[e][idmap[x]]:
+                continue
+            m = _max_below(c, idmap, x, e)
+            if m is None or idmap[m] != e:
+                return (x, e)
+    return None
+
+
+def oc6_report(c: FiniteOrderedCategory, name: str, idmap) -> LawReport:
+    """The OC6A (``idmap`` D) or OC6B (R) report from the scan, worded as ``_oc_law`` words it."""
+    return _leaf(name, _oc6_witness(c, idmap), lambda *w: f"fails at ({_fmt(c, *w)})")
+
+
+def oc6_pair_report(c: FiniteOrderedCategory) -> LawReport:
+    """The OC6 report from the scans on an omega-structured category: both
+    halves as parts, the first failing one as the witness."""
+    return _first_failure("OC6", c, (("oc6a", _oc6_witness(c, c.dmap)), ("oc6b", _oc6_witness(c, c.rmap))))
 
 
 def _unique_below(n: int, idmap, rel, x: int, e: int) -> int | None:

@@ -41,7 +41,7 @@ from ehresmann import (
     verify_biaction,
 )
 from ehresmann import category, zoo
-from ehresmann.core import evaluate
+from ehresmann.core import Evaluation, evaluate
 
 import morphism_oracle
 
@@ -155,6 +155,11 @@ class TestConstruction:
         with pytest.raises(StructureError) as exc:
             FiniteOrderedCategory(c.base, c.order, bad_meet)
         assert str(exc.value) == message
+
+    def test_supplied_meet_that_is_no_table_is_rejected(self):
+        c = nabla_cat()
+        with pytest.raises(StructureError, match="^meet table must be n x n$"):
+            FiniteOrderedCategory(c.base, c.order, 5)
 
     def test_supplied_meet_needs_a_meet_semilattice(self):
         # two identities under the equality order have no meet
@@ -769,8 +774,8 @@ class TestMorphismCorrespondence:
         s_os = zoo.get("pt-1").ordered()
         t_os = zoo.get("inj-2").ordered()
         target = category_of(t_os)
-        derive = category.derive_biaction
-        good = derive(target)
+        derive = category._derive_biaction
+        good = derive_biaction(target)
         witnesses = set()
         for side in ("left", "right"):
             table = getattr(good, side)
@@ -782,8 +787,8 @@ class TestMorphismCorrespondence:
                 bad = Biaction(rows, good.right) if side == "left" else Biaction(good.left, rows)
                 monkeypatch.setattr(
                     category,
-                    "derive_biaction",
-                    lambda c, bad=bad: bad if c == target else derive(c),
+                    "_derive_biaction",
+                    lambda c, ev, bad=bad: bad if c == target else derive(c, ev),
                 )
                 got = morphism_correspondence(s_os, t_os).to_dict()
                 assert got == reference_correspondence(s_os, t_os).to_dict()
@@ -793,16 +798,29 @@ class TestMorphismCorrespondence:
         assert len(witnesses) > 1
 
     def test_disagreement_witness_matches_brute_force(self, monkeypatch):
+        # one wrong restriction of the target, in the table the package reads
+        # and in restriction(), which the oracle reads; the registered OC6a
+        # law holds the table builder itself, so it decides on the true table
+        # while the biaction and the clauses look the builder up by name
         s_os = zoo.get("pt-1").ordered()
         t_os = zoo.get("inj-2").ordered()
         target = category_of(t_os)
         res = category.restriction
+        build = category._restrictions
+        true_table = build(target, Evaluation())
         witnesses = set()
         for e in target.identities():
             for x in range(target.n):
                 if not target.order.rel[e][target.dmap[x]]:
                     continue
                 wrong = (res(target, e, x) + 1) % target.n
+                table = [list(row) for row in true_table]
+                table[x][e] = wrong
+                monkeypatch.setattr(
+                    category,
+                    "_restrictions",
+                    lambda c, ev, table=table: table if c == target else build(c, ev),
+                )
                 monkeypatch.setattr(
                     category,
                     "restriction",

@@ -89,6 +89,21 @@ class TestStructureValidation:
         with pytest.raises(StructureError, match="must have at least one element"):
             make()
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: FiniteBiunarySemigroup(2, None, (0, 0), (0, 0)), "multiplication table must be n x n"),
+            (lambda: FiniteBiunarySemigroup(2, ((0, 0), (0, 0)), None, (0, 0)),
+             "D must be an n-vector of element indices"),
+            (lambda: FiniteCategory(2, None, (0, 1), ((0, None), (None, 1))),
+             "D must be an n-vector of element indices"),
+        ],
+        ids=["semigroup-mul", "semigroup-dmap", "category-dmap"],
+    )
+    def test_missing_table_or_map_raises_structure_error(self, make, message):
+        with pytest.raises(StructureError, match=f"^{message}$"):
+            make()
+
 
 class TestAssociativity:
     def test_one_element_holds(self):

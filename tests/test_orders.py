@@ -120,8 +120,10 @@ class TestPartialOrder:
             (lambda: PartialOrder(2, None), "order relation must be an n x n matrix"),
             (lambda: PartialOrder.from_pairs(2, [("a", 1)]), r"order pair \(a, 1\) out of range"),
             (lambda: PartialOrder.from_pairs(2, [(0.0, 1)]), r"order pair \(0.0, 1\) out of range"),
+            (lambda: PartialOrder.from_pairs(2, [(0,)]), r"order pair \(0,\) is not a pair"),
+            (lambda: PartialOrder.from_pairs(2, 5), "order pairs must be an iterable of pairs"),
         ],
-        ids=["no-matrix", "str-pair", "float-pair"],
+        ids=["no-matrix", "str-pair", "float-pair", "short-pair", "no-pairs"],
     )
     def test_malformed_relation_raises_structure_error(self, make, message):
         with pytest.raises(StructureError, match=message):

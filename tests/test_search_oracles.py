@@ -279,6 +279,8 @@ SEMIGROUP_DECIDERS = {
 CATEGORY_DECIDERS = {
     "omega-structured": (lambda c: category._omega_structured(c, Evaluation()),
                          lambda c: scan_oracle._omega_structured(c, Evaluation())),
+    "OC6A": (lambda c: LAWS["oc6a"].decide(c, Evaluation()), lambda c: scan_oracle.oc6_report(c, "OC6A", c.dmap)),
+    "OC6B": (lambda c: LAWS["oc6b"].decide(c, Evaluation()), lambda c: scan_oracle.oc6_report(c, "OC6B", c.rmap)),
     "OC7": (lambda c: LAWS["oc7"].decide(c, Evaluation()), lambda c: scan_oracle.oc7_report(c, False)),
     "OC7'": (lambda c: LAWS["oc7'"].decide(c, Evaluation()), lambda c: scan_oracle.oc7_report(c, True)),
     "OC8A": (lambda c: LAWS["oc8a"].decide(c, Evaluation()), lambda c: scan_oracle.oc8_report(c, "OC8A", c.dmap)),
@@ -318,10 +320,25 @@ def category_or_none(s, sides=None):
     return c
 
 
+def assert_maxima_agree(c, sides):
+    """Both sides' tables of maxima on ``c``, entry by entry against ``_max_below``,
+    and the OC6 pair against its scan where ``c`` is omega-structured."""
+    ids = set(c.identities())
+    for builder, idmap in ((category._restrictions, c.dmap), (category._corestrictions, c.rmap)):
+        expected = [[category._max_below(c, idmap, x, e) if e in ids and c.order.rel[e][idmap[x]]
+                     else None for e in range(c.n)] for x in range(c.n)]
+        assert builder(c, Evaluation()) == expected
+    if scan_oracle._omega_structured(c, Evaluation()).holds:
+        rep = Evaluation()("oc6", c)
+        assert rep == scan_oracle.oc6_pair_report(c)
+        sides.setdefault("OC6", set()).add(rep.holds)
+
+
 def assert_category_deciders_agree(c0, order, sides, left=None, right=None):
     """The OC deciders on ``c0`` under ``order``, and the two-order law under
     ``left`` and ``right`` (by default ``order`` on both sides)."""
     c = FiniteOrderedCategory(c0, order)
+    assert_maxima_agree(c, sides)
     # the OC3 bitmask test on its own: small categories are scanned without it
     w = _os3_witness(c.n, c.comp, order.rel)
     assert category._oc3_witness(c.n, c.comp, order.rel) == w
@@ -410,3 +427,54 @@ def test_fast_deciders_match_the_scans_on_single_entry_mutations():
                 assert_category_deciders_agree(c0, order, sides)
     for name in (*SEMIGROUP_DECIDERS, "Light's test", "category associativity"):
         assert sides[name] == {True, False}, name
+
+
+def small_categories(n):
+    """Every category on the arrows 0..n-1: D and R onto the identities, then each
+    choice of composites in the right hom-sets that ``FiniteCategory`` accepts."""
+    for dmap in itertools.product(range(n), repeat=n):
+        ids = {x for x in range(n) if dmap[x] == x}
+        if not ids.issuperset(dmap):
+            continue
+        for rmap in itertools.product(sorted(ids), repeat=n):
+            if any(rmap[e] != e for e in ids):
+                continue
+            pairs = [(x, y) for x in range(n) for y in range(n) if rmap[x] == dmap[y]]
+            homs = [[z for z in range(n) if dmap[z] == dmap[x] and rmap[z] == rmap[y]] for x, y in pairs]
+            for values in itertools.product(*homs):
+                comp = [[None] * n for _ in range(n)]
+                for (x, y), v in zip(pairs, values):
+                    comp[x][y] = v
+                try:
+                    yield FiniteCategory(n, dmap, rmap, comp)
+                except StructureError:
+                    pass
+
+
+def small_orders(n):
+    """Every partial order on 0..n-1, each once."""
+    for bits in itertools.product((False, True), repeat=n * n):
+        try:
+            yield PartialOrder(n, [bits[a * n:(a + 1) * n] for a in range(n)])
+        except StructureError:
+            pass
+
+
+def test_oc6_matches_the_scans_on_every_small_category():
+    sides = {}
+    counts = []
+    for n in (1, 2, 3):
+        cats, orders_on_n = list(small_categories(n)), list(small_orders(n))
+        counts.append((len(cats), len(orders_on_n)))
+        for c0 in cats:
+            for order in orders_on_n:
+                c = FiniteOrderedCategory(c0, order)
+                assert_maxima_agree(c, sides)
+                for name in ("OC6A", "OC6B"):
+                    fast, scan = CATEGORY_DECIDERS[name]
+                    rep = fast(c)
+                    assert rep == scan(c), name
+                    sides.setdefault(name, set()).add(rep.holds)
+    # labelled categories and posets on 1, 2 and 3 elements
+    assert counts == [(1, 1), (5, 3), (52, 19)]
+    assert all(seen == {True, False} for seen in sides.values()) and len(sides) == 3

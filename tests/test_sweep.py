@@ -97,6 +97,8 @@ def test_record_decides_each_oc_law_once_per_category(monkeypatch):
     keys = ("oc4", "oc4a", "oc4b", "oc6a", "oc6b", "oc7", "oc7'", "oc8a", "oc8b", "oci")
     decided = {key: count_decisions(monkeypatch, key) for key in keys}
     scans = count_calls(monkeypatch, category, "_max_below")
+    maxima = count_calls(monkeypatch, category, "_maxima_below")
+    unique = count_calls(monkeypatch, category, "_unique_below")
     _enumerated_record(("n4-0013", S))
     # the two-order law adds OC8a on C₀ under ≤_l and OC8b under ≤_r
     d = derive_orders(S)
@@ -104,9 +106,13 @@ def test_record_decides_each_oc_law_once_per_category(monkeypatch):
         count = 6 if key in ("oc8a", "oc8b") else 5
         assert len(subjects) == count and len({id(c) for c in subjects}) == count, key
     assert decided["oc8a"][0].order == d.leq_l and decided["oc8b"][0].order == d.leq_r
-    # restrictions of the biaction and OC6a/OC6b once per category; the
-    # pseudoproduct reads its factors from the biaction
-    assert len(scans) == 130
+    # one table of maxima per C(S) and side, read by OC6a/OC6b and the
+    # biaction; the pseudoproduct reads its factors from the biaction
+    assert len(maxima) == 10 and len({id(c) for c, idmap in maxima}) == 5
+    assert scans == []
+    # one unique-below table per category and side that OC8a or OC8b is
+    # decided on; the two-order law's monotonicity clauses read those of C₀
+    assert len(unique) == 12
 
 
 def test_two_order_law_validates_only_its_category(monkeypatch):
