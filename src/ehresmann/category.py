@@ -128,7 +128,8 @@ class FiniteCategory:
         object.__setattr__(self, "rmap", _as_tuple(self.rmap, "R must be an n-vector of element indices"))
         object.__setattr__(self, "comp", _coerce_comp(self.comp))
         if self.names is not None:
-            object.__setattr__(self, "names", tuple(str(x) for x in self.names))
+            names = _as_tuple(self.names, "names must be a sequence of element names")
+            object.__setattr__(self, "names", tuple(map(str, names)))
         _validate_category(self.n, self.dmap, self.rmap, self.comp)
 
     def identities(self) -> tuple[int, ...]:
@@ -781,11 +782,12 @@ def esn_round_trip(os: OrderedSemigroup) -> LawReport:
 
 def esn_round_trip_category(c: FiniteOrderedCategory) -> LawReport:
     """Round trip starting from a category: rebuild it from its semigroup."""
+    ev = Evaluation()
     try:
-        os = semigroup_of(c)
+        os = _semigroup_of(c, ev)
     except (PreconditionError, OC6Violation) as exc:
         return LawReport("esn-round-trip", False, detail=str(exc), applicable=False)
-    ok = category_of(os) == c
+    ok = ev.build(_category_of, os) == c
     return LawReport(
         "esn-round-trip",
         ok,

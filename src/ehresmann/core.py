@@ -104,7 +104,8 @@ class FiniteBiunarySemigroup:
         object.__setattr__(self, "dmap", _as_tuple(self.dmap, "D must be an n-vector of element indices"))
         object.__setattr__(self, "rmap", _as_tuple(self.rmap, "R must be an n-vector of element indices"))
         if self.names is not None:
-            object.__setattr__(self, "names", tuple(str(x) for x in self.names))
+            names = _as_tuple(self.names, "names must be a sequence of element names")
+            object.__setattr__(self, "names", tuple(map(str, names)))
         n = self.n
         if not isinstance(n, int) or n < 1:
             raise StructureError("carrier must have at least one element")

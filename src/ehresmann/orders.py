@@ -517,17 +517,6 @@ def automorphisms(s: FiniteBiunarySemigroup) -> list[tuple[int, ...]]:
     return result
 
 
-def apply_automorphism_to_order(order: PartialOrder, perm: Sequence[int]) -> PartialOrder:
-    """Image of an order under a carrier permutation."""
-    n = order.n
-    mat = [[False] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if order.rel[a][b]:
-                mat[perm[a]][perm[b]] = True
-    return PartialOrder(n, tuple(tuple(row) for row in mat))
-
-
 def _bits(mask: int) -> Iterable[int]:
     """The positions of the set bits of ``mask``, lowest first."""
     while mask:
@@ -664,21 +653,24 @@ def enumerate_ehresmann_orders(
     Ehresmann order contains, propagating the closure rules after each
     added pair.  Output is canonically sorted by the relation matrix read
     as a bit string; with ``up_to_iso`` one representative per orbit of
-    the automorphism group is kept.
+    the automorphism group is kept, the one no automorphism makes smaller.
     """
     orders = [osg.order for osg in _ehresmann_orders(s, Evaluation())]
     if up_to_iso:
         auts = automorphisms(s)
-        seen: set[tuple[int, ...]] = set()
-        reduced = []
-        for order in orders:
-            orbit = {apply_automorphism_to_order(order, p).key() for p in auts}
-            canon = min(orbit)
-            if canon not in seen:
-                seen.add(canon)
-                reduced.append(order)
-        orders = reduced
+        # the identity is among auts, so an order is kept when its key is its orbit's least
+        orders = [o for o in orders if min(_permuted_order_key(o, p) for p in auts) == o.key()]
     return orders
+
+
+def _permuted_order_key(order: PartialOrder, perm: Sequence[int]) -> tuple[int, ...]:
+    """The key of ``order`` with x renamed perm[x]."""
+    n = order.n
+    key = [0] * (n * n)
+    for a, row in enumerate(order.rel):
+        for b, v in enumerate(row):
+            key[perm[a] * n + perm[b]] = int(v)
+    return tuple(key)
 
 
 def _smallest_order(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:

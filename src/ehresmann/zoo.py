@@ -276,15 +276,6 @@ def _new_cell_consistent(t: list[list[int]], n: int, i: int, j: int) -> bool:
     return True
 
 
-def _relabel(table, perm, rows: dict) -> tuple[tuple[int, ...], ...]:
-    """The table with x renamed perm[x]; equal rows are shared through ``rows``."""
-    out = [[0] * len(perm) for _ in perm]
-    for a, row in enumerate(table):
-        for b, v in enumerate(row):
-            out[perm[a]][perm[b]] = perm[v]
-    return tuple(rows.setdefault(r, r) for r in map(tuple, out))
-
-
 def _lex_least_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """The associative n x n tables no relabelling makes smaller, in lexicographic order.
 
@@ -326,17 +317,6 @@ def _lex_least_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         table[i][j] = flat[idx] = -1
 
     return fill(0)
-
-
-def _tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every associative n x n table in lexicographic order.
-
-    Each lex-least table is relabelled every way, so all tables (3,492
-    at n = 4) are held in memory before the first is yielded.
-    """
-    rows: dict = {}
-    perms = list(itertools.permutations(range(n)))
-    return iter(sorted({_relabel(t, p, rows) for t in _lex_least_tables(n) for p in perms}))
 
 
 def _d_laws_ok(mul, dmap, n: int) -> bool:
@@ -383,26 +363,39 @@ def _structures_for_table(
 
 
 def _permuted_key(s: FiniteBiunarySemigroup, perm: tuple[int, ...]) -> tuple[int, ...]:
-    dmap = [0] * s.n
-    rmap = [0] * s.n
-    for a in range(s.n):
-        dmap[perm[a]] = perm[s.dmap[a]]
-        rmap[perm[a]] = perm[s.rmap[a]]
-    return (s.n, *itertools.chain(*_relabel(s.mul, perm, {})), *dmap, *rmap)
+    """The key of ``s`` with x renamed perm[x]."""
+    n = s.n
+    flat = [0] * (n * n + 2 * n)
+    for a, row in enumerate(s.mul):
+        pa = perm[a]
+        for b, v in enumerate(row):
+            flat[pa * n + perm[b]] = perm[v]
+        flat[n * n + pa] = perm[s.dmap[a]]
+        flat[n * n + n + pa] = perm[s.rmap[a]]
+    return (n, *flat)
 
 
-def _iso_reps(n: int) -> Iterator[FiniteBiunarySemigroup]:
-    """The structures with the least (mul, D, R) key in their isomorphism class.
+def _orbits(n: int) -> Iterator[tuple[FiniteBiunarySemigroup, set[tuple[int, ...]]]]:
+    """Each isomorphism class once: its least structure and the keys of its relabellings.
 
-    Their table is lex-least, so only its automorphisms can give a smaller key.
+    The least key of a class has a lex-least table, so the (D, R) search
+    runs on :func:`_lex_least_tables` only, and a structure is yielded when
+    no relabelling gives a smaller key.  Order is lexicographic in (mul, D, R).
     """
     perms = list(itertools.permutations(range(n)))
     for mul in _lex_least_tables(n):
-        automorphisms = [p for p in perms if _relabel(mul, p, {}) == mul]
         for s in _structures_for_table(n, mul):
-            base = s.key()
-            if all(_permuted_key(s, p) >= base for p in automorphisms):
-                yield s
+            keys = {_permuted_key(s, p) for p in perms}
+            if min(keys) == s.key():
+                yield s, keys
+
+
+def _from_key(key: tuple[int, ...]) -> FiniteBiunarySemigroup:
+    """The structure whose :meth:`~FiniteBiunarySemigroup.key` is ``key``."""
+    n = key[0]
+    cells = n * n + 1
+    mul = tuple(key[i:i + n] for i in range(1, cells, n))
+    return FiniteBiunarySemigroup(n, mul, key[cells:cells + n], key[cells + n:])
 
 
 def enumerate_ehresmann_semigroups(
@@ -410,13 +403,14 @@ def enumerate_ehresmann_semigroups(
 ) -> Iterator[FiniteBiunarySemigroup]:
     """Stream every Ehresmann semigroup on the indexed carrier 0..n-1.
 
-    Tables come from :func:`_tables`, which holds all of them before the
-    first is yielded, or with ``up_to_iso`` straight from the
-    isomorph-free :func:`_lex_least_tables`.  The compatible (D, R)
-    assignments are then filtered against the remaining laws.  Emission
-    order is lexicographic in (mul, D, R) and therefore stable across
-    runs.  Size 4 is permitted only behind ``allow_large``; anything
-    beyond is refused, and a size that is not an ``int`` is malformed.
+    Both modes read :func:`_orbits`, which searches (D, R) on the
+    lex-least tables only.  With ``up_to_iso`` each class's least
+    structure is yielded as found; otherwise the keys of every class's
+    relabellings are collected and sorted before the first is yielded.
+    Emission order is lexicographic in (mul, D, R) and therefore stable
+    across runs.  Size 4 is permitted only behind ``allow_large``;
+    anything beyond is refused, and a size that is not an ``int`` is
+    malformed.
     """
     if type(n) is not int:
         raise StructureError(f"enumeration size must be an int, not {n!r}")
@@ -425,5 +419,5 @@ def enumerate_ehresmann_semigroups(
     if n == 4 and not allow_large:
         raise TooLargeError("size 4 is long-running; pass allow_large=True to proceed")
     if up_to_iso:
-        return _iso_reps(n)
-    return (s for mul in _tables(n) for s in _structures_for_table(n, mul))
+        return (s for s, _ in _orbits(n))
+    return map(_from_key, sorted(key for _, keys in _orbits(n) for key in keys))

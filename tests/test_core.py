@@ -104,6 +104,19 @@ class TestStructureValidation:
         with pytest.raises(StructureError, match=f"^{message}$"):
             make()
 
+    @pytest.mark.parametrize("names", [5, 2.5, True])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda names: FiniteBiunarySemigroup(1, ((0,),), (0,), (0,), names=names),
+            lambda names: FiniteCategory(1, (0,), (0,), ((0,),), names=names),
+        ],
+        ids=["semigroup", "category"],
+    )
+    def test_names_not_a_sequence_raise_structure_error(self, make, names):
+        with pytest.raises(StructureError, match="^names must be a sequence of element names$"):
+            make(names)
+
 
 class TestAssociativity:
     def test_one_element_holds(self):

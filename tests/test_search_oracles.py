@@ -14,6 +14,7 @@ from ehresmann import (
     OrderedSemigroup,
     PartialOrder,
     StructureError,
+    automorphisms,
     check_de_barros_equational,
     check_leq_e_partial_laws,
     derive_orders,
@@ -71,12 +72,29 @@ def relabelled(table, perm):
 
 
 @pytest.mark.parametrize("n, count", [(1, 1), (2, 8), (3, 113), (4, 3492)])
-def test_tables_match_the_full_rescan(n, count):
+def test_labelled_stream_matches_the_full_rescan(n, count):
     # counts are OEIS A023814, associative tables on n labelled elements; the
-    # stream is the orbit leaders relabelled every way, de-duplicated and sorted
-    tables = list(zoo._tables(n))
+    # oracle runs the (D, R) search on every one of them, the stream relabels
+    # what it finds on the orbit leaders
+    tables = rescanned(n)
     assert len(tables) == count
-    assert tables == rescanned(n)
+    expected = [s for t in tables for s in zoo._structures_for_table(n, t)]
+    assert list(zoo.enumerate_ehresmann_semigroups(n, allow_large=True)) == expected
+
+
+@pytest.mark.parametrize("up_to_iso", [False, True], ids=["labelled", "up-to-iso"])
+def test_dr_search_runs_once_per_orbit_leader(monkeypatch, up_to_iso):
+    searched = []
+    search = zoo._structures_for_table
+
+    def counted(n, mul):
+        searched.append(mul)
+        return search(n, mul)
+
+    monkeypatch.setattr(zoo, "_structures_for_table", counted)
+    list(zoo.enumerate_ehresmann_semigroups(4, up_to_iso, allow_large=True))
+    assert len(searched) == 188
+    assert searched == list(zoo._lex_least_tables(4))
 
 
 @pytest.mark.parametrize("n, count", [(1, 1), (2, 5), (3, 24), (4, 188)])
@@ -161,6 +179,36 @@ def test_order_search_matches_the_recursive_search():
         assert found == recursive_orders(s)
         total += len(found)
     assert total == 10160  # 9,952 of them on the 1,708 structures of size 4
+
+
+def orders_up_to_automorphism(s):
+    """Each automorphism image of each Ehresmann order built as a PartialOrder;
+    the first order of each orbit is kept."""
+    n = s.n
+    auts = automorphisms(s)
+    seen, kept = set(), []
+    for order in enumerate_ehresmann_orders(s):
+        images = set()
+        for p in auts:
+            mat = [[False] * n for _ in range(n)]
+            for a, b in order.pairs():
+                mat[p[a]][p[b]] = True
+            images.add(PartialOrder(n, tuple(map(tuple, mat))).key())
+        if min(images) not in seen:
+            seen.add(min(images))
+            kept.append(order)
+    return kept
+
+
+def test_orders_up_to_iso_match_the_image_orders():
+    subjects = [s for n in (1, 2, 3) for s in zoo.enumerate_ehresmann_semigroups(n)]
+    subjects += [zoo.get(name).structure for name in zoo.SWEEP_NAMES]
+    reduced = 0
+    for s in subjects:
+        found = enumerate_ehresmann_orders(s, up_to_iso=True)
+        assert found == orders_up_to_automorphism(s)
+        reduced += len(found) < len(enumerate_ehresmann_orders(s))
+    assert reduced  # some subject has an automorphism that merges orders
 
 
 def random_order(rng, n):
