@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
+from itertools import compress
 from operator import or_
 from typing import Callable, Iterable, Sequence
 
@@ -49,13 +50,16 @@ class PartialOrder:
 
     def __post_init__(self) -> None:
         try:
-            object.__setattr__(self, "rel", tuple(tuple(bool(v) for v in row) for row in self.rel))
+            object.__setattr__(self, "rel", tuple(tuple(map(bool, row)) for row in self.rel))
         except TypeError:
             raise StructureError("order relation must be an n x n matrix") from None
         n = self.n
         if len(self.rel) != n or any(len(row) != n for row in self.rel):
             raise StructureError("order relation must be an n x n matrix")
         rel = self.rel
+        if _is_partial_order(n, rel):
+            return
+        # the scan names the least violation
         for a in range(n):
             if not rel[a][a]:
                 raise StructureError(f"order is not reflexive at {a}")
@@ -130,6 +134,25 @@ class PartialOrder:
             if all(self.rel[c][m] for c in lower):
                 return m
         return None
+
+
+def _is_partial_order(n: int, rel: tuple[tuple[bool, ...], ...]) -> bool:
+    """Whether the n x n matrix ``rel`` is a partial order, read on up-set bitmasks.
+
+    It is when each a is in its up-set, each b >= a has its up-set inside
+    a's, and (given those two) no two elements have the same up-set.
+    """
+    weights = [1 << b for b in range(n)]
+    up = [sum(compress(weights, row)) for row in rel]
+    if len(set(up)) != n:
+        return False
+    for a, u in enumerate(up):
+        if not u >> a & 1:
+            return False
+        for ub in compress(up, rel[a]):
+            if ub | u != u:
+                return False
+    return True
 
 
 def compose_relations(p: PartialOrder, q: PartialOrder) -> tuple[tuple[bool, ...], ...]:

@@ -12,8 +12,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import zoo
 from .category import _category_of, _derive_biaction, _esn_round_trip, verify_biaction
-from .core import Evaluation, TooLargeError
-from .orders import OrderedSemigroup, _ehresmann_orders, _is_natural
+from .core import Evaluation
+from .orders import OrderedSemigroup, PartialOrder, _ehresmann_orders, _is_natural, _permuted_order_key
 
 SCHEMA = "ehresmann-sweep/1"
 
@@ -63,9 +63,7 @@ def _base_record(s, ev: Evaluation) -> dict:
     return rec
 
 
-def _enumerated_record(item: tuple[str, object]) -> tuple[str, dict]:
-    sid, s = item
-    ev = Evaluation()
+def _record(s, ev: Evaluation) -> dict:
     rec = _base_record(s, ev)
     ordered = ev.build(_ehresmann_orders, s)
     rec["order_count"] = len(ordered)
@@ -79,7 +77,36 @@ def _enumerated_record(item: tuple[str, object]) -> tuple[str, dict]:
     rec["os4_exists_iff_de_barros"] = os4_seen == rec["de_barros"]
     if rec["de_barros"]:
         rec["smallest_order"] = ev("smallest-ehresmann-order", s).holds
-    return sid, rec
+    return rec
+
+
+def _enumerated_record(item: tuple[str, object]) -> tuple[str, dict]:
+    """``(sid, record)`` of one labelled structure, decided on that structure."""
+    sid, s = item
+    return sid, _record(s, Evaluation())
+
+
+def _class_record(s) -> tuple[dict, list[PartialOrder]]:
+    """The record of ``s`` and its Ehresmann orders, in the record's order."""
+    ev = Evaluation()
+    rec = _record(s, ev)
+    return rec, [osg.order for osg in ev.build(_ehresmann_orders, s)]
+
+
+def _relabelled(rec: dict, orders: list[PartialOrder], perm: tuple[int, ...]) -> dict:
+    """The record of the structure that renames x of the recorded one perm[x].
+
+    Every field is an isomorphism invariant, so only the orders move: the
+    renamed structure's orders are the images of ``orders``, sorted by
+    matrix as :func:`~ehresmann.orders._ehresmann_orders` sorts them.
+    The nested dicts are copied, so no two records share one.
+    """
+    moved = sorted(range(len(orders)), key=lambda i: _permuted_order_key(orders[i], perm))
+    return {
+        **rec,
+        "leq_e_partial_laws": dict(rec["leq_e_partial_laws"]),
+        "orders": [dict(rec["orders"][i]) for i in moved],
+    }
 
 
 def _zoo_record(name: str) -> tuple[str, dict]:
@@ -95,15 +122,14 @@ def _zoo_record(name: str) -> tuple[str, dict]:
 
 
 def _criteria(records: list[dict]) -> dict:
+    # a criterion no record or order instance exercises fails
     def every(key: str) -> bool:
-        ok = True
-        for rec in records:
-            for inst in rec.get("orders", []):
-                ok = ok and inst[key]
-        return ok
+        values = [inst[key] for rec in records for inst in rec.get("orders", [])]
+        return bool(values) and all(values)
 
     def every_base(key: str) -> bool:
-        return all(rec[key] for rec in records if key in rec)
+        values = [rec[key] for rec in records if key in rec]
+        return bool(values) and all(values)
 
     return {
         "lemma-containment": every("lemma_containment"),
@@ -140,23 +166,33 @@ def _map(fn, items: list, jobs: int) -> list:
 def run_sweep(max_size: int = 3, jobs: int = 1, allow_large: bool = False) -> dict:
     """Run the full theorem sweep and return a JSON-ready report.
 
-    Size 4 is long-running and is swept only with ``allow_large``.
+    Every criterion is invariant under isomorphism, so each class is
+    decided once, on its least structure, and each labelled structure's
+    record is that record relabelled; ``jobs`` spreads the classes and
+    the zoo entries over threads.  Size 4 is swept only with
+    ``allow_large``.
     """
-    if max_size < 1:
-        raise TooLargeError("exhaustive enumeration supports sizes 1..4")
-    items: list[tuple[str, object]] = []
+    zoo._check_size(max_size, allow_large)
+    structures: dict[str, dict] = {}
     for n in range(1, max_size + 1):
-        for i, s in enumerate(zoo.enumerate_ehresmann_semigroups(n, allow_large=allow_large)):
-            items.append((f"n{n}-{i:04d}", s))
-    enumerated = _map(_enumerated_record, items, jobs)
+        classes = list(zoo._orbits(n))
+        records = _map(_class_record, [s for s, _ in classes], jobs)
+        members = {
+            key: (record, perm)
+            for (_, relabellings), record in zip(classes, records)
+            for key, perm in relabellings.items()
+        }
+        for i, key in enumerate(sorted(members)):
+            (rec, orders), perm = members[key]
+            structures[f"n{n}-{i:04d}"] = _relabelled(rec, orders, perm)
     zoo_records = _map(_zoo_record, list(zoo.SWEEP_NAMES) + ["orderless-band"], jobs)
-    all_records = [rec for _, rec in enumerated] + [rec for _, rec in zoo_records]
+    all_records = [*structures.values(), *(rec for _, rec in zoo_records)]
     criteria = _criteria(all_records)
     return {
         "schema": SCHEMA,
         "max_size": max_size,
-        "structure_count": len(items),
-        "structures": {sid: rec for sid, rec in enumerated},
+        "structure_count": len(structures),
+        "structures": structures,
         "zoo": {name: rec for name, rec in zoo_records},
         "criteria": criteria,
         "all_pass": all(criteria.values()),

@@ -375,27 +375,47 @@ def _permuted_key(s: FiniteBiunarySemigroup, perm: tuple[int, ...]) -> tuple[int
     return (n, *flat)
 
 
-def _orbits(n: int) -> Iterator[tuple[FiniteBiunarySemigroup, set[tuple[int, ...]]]]:
-    """Each isomorphism class once: its least structure and the keys of its relabellings.
+def _orbits(
+    n: int,
+) -> Iterator[tuple[FiniteBiunarySemigroup, dict[tuple[int, ...], tuple[int, ...]]]]:
+    """Each isomorphism class once: its least structure and its relabellings.
 
-    The least key of a class has a lex-least table, so the (D, R) search
-    runs on :func:`_lex_least_tables` only, and a structure is yielded when
-    no relabelling gives a smaller key.  Order is lexicographic in (mul, D, R).
+    The relabellings map the key of each member of the class to the first
+    permutation p (in ``itertools.permutations`` order) that renames x of
+    the least structure to p[x] in that member.  The least key of a class
+    has a lex-least table, so the (D, R) search runs on
+    :func:`_lex_least_tables` only, and a structure is yielded when no
+    relabelling gives a smaller key.  Order is lexicographic in (mul, D, R).
     """
     perms = list(itertools.permutations(range(n)))
     for mul in _lex_least_tables(n):
         for s in _structures_for_table(n, mul):
-            keys = {_permuted_key(s, p) for p in perms}
-            if min(keys) == s.key():
-                yield s, keys
+            relabellings: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for p in perms:
+                relabellings.setdefault(_permuted_key(s, p), p)
+            if min(relabellings) == s.key():
+                yield s, relabellings
 
 
-def _from_key(key: tuple[int, ...]) -> FiniteBiunarySemigroup:
-    """The structure whose :meth:`~FiniteBiunarySemigroup.key` is ``key``."""
+def _from_key(key: tuple[int, ...], rows: dict) -> FiniteBiunarySemigroup:
+    """The structure whose :meth:`~FiniteBiunarySemigroup.key` is ``key``.
+
+    Equal rows of the tables made with one ``rows`` dict are one tuple.
+    """
     n = key[0]
     cells = n * n + 1
-    mul = tuple(key[i:i + n] for i in range(1, cells, n))
+    mul = tuple(rows.setdefault(r, r) for r in (key[i:i + n] for i in range(1, cells, n)))
     return FiniteBiunarySemigroup(n, mul, key[cells:cells + n], key[cells + n:])
+
+
+def _check_size(n: int, allow_large: bool) -> None:
+    """Refuse an enumeration size that is malformed, out of range or not allowed."""
+    if type(n) is not int:
+        raise StructureError(f"enumeration size must be an int, not {n!r}")
+    if n < 1 or n > 4:
+        raise TooLargeError("exhaustive enumeration supports sizes 1..4")
+    if n == 4 and not allow_large:
+        raise TooLargeError("size 4 is long-running; pass allow_large=True to proceed")
 
 
 def enumerate_ehresmann_semigroups(
@@ -412,12 +432,9 @@ def enumerate_ehresmann_semigroups(
     anything beyond is refused, and a size that is not an ``int`` is
     malformed.
     """
-    if type(n) is not int:
-        raise StructureError(f"enumeration size must be an int, not {n!r}")
-    if n < 1 or n > 4:
-        raise TooLargeError("exhaustive enumeration supports sizes 1..4")
-    if n == 4 and not allow_large:
-        raise TooLargeError("size 4 is long-running; pass allow_large=True to proceed")
+    _check_size(n, allow_large)
     if up_to_iso:
         return (s for s, _ in _orbits(n))
-    return map(_from_key, sorted(key for _, keys in _orbits(n) for key in keys))
+    rows: dict = {}
+    keys = sorted(key for _, relabellings in _orbits(n) for key in relabellings)
+    return (_from_key(key, rows) for key in keys)

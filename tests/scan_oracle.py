@@ -1,11 +1,12 @@
 """The plain least-witness scans, kept as the oracle of the fast law deciders.
 
-The package validates a category's associativity on composable triples
-only, decides a semigroup's associativity by Light's test, the functional law
-row by row, OS7 and OC7/OC7' from one product set per pair of factors,
-OC3 on a partial composition by up-set bitmasks, and tabulates the
-unique part below an element and the maximum below an element with its
-domain (range) under an identity once per category and side.  The
+The package validates a partial order on up-set bitmasks and a
+category's associativity on composable triples only, decides a
+semigroup's associativity by Light's test, the functional law row by
+row, OS7 and OC7/OC7' from one product set per pair of factors, OC3 on
+a partial composition by up-set bitmasks, and tabulates the unique part
+below an element and the maximum below an element with its domain
+(range) under an identity once per category and side.  The
 functions below are the scans those replace, loop by loop; the tests
 compare the reports of both on every small structure, the zoo, random
 orders and mutated tables.
@@ -16,6 +17,24 @@ from __future__ import annotations
 from ehresmann.category import FiniteCategory, FiniteOrderedCategory, _derive_meet, _max_below
 from ehresmann.core import Evaluation, FiniteBiunarySemigroup, LawReport, StructureError, _first_failure, _fmt, _leaf
 from ehresmann.orders import OrderedSemigroup, PartialOrder, _os2_witness, _os3_witness, compose_relations
+
+
+def partial_order_failure(n: int, rel) -> str | None:
+    """The message ``PartialOrder`` raises for the least violation of an n x n
+    boolean matrix, scanning reflexivity, then antisymmetry and transitivity
+    pair by pair; None when it is a partial order."""
+    for a in range(n):
+        if not rel[a][a]:
+            return f"order is not reflexive at {a}"
+    for a in range(n):
+        for b in range(n):
+            if a != b and rel[a][b] and rel[b][a]:
+                return f"order is not antisymmetric at ({a}, {b})"
+            if rel[a][b]:
+                for c in range(n):
+                    if rel[b][c] and not rel[a][c]:
+                        return f"order is not transitive at ({a}, {b}, {c})"
+    return None
 
 
 def category_associativity_failure(n: int, dmap, rmap, comp) -> str | None:

@@ -262,31 +262,33 @@ class TestSweepCommand:
         assert r.text_lines == ["error: exhaustive enumeration supports sizes 1..4"]
 
     @pytest.fixture
-    def size_4_enumerator(self, monkeypatch):
-        """Sizes below 4 give nothing and size 4 its first two structures; calls are recorded."""
-        real = zoo.enumerate_ehresmann_semigroups
+    def size_4_orbits(self, monkeypatch):
+        """Sizes below 4 give no class and size 4 its first two; sizes searched are recorded."""
+        real = zoo._orbits
         calls = []
 
-        def enumerate_ehresmann_semigroups(n, up_to_iso=False, *, allow_large=False):
-            calls.append((n, allow_large))
+        def _orbits(n):
+            calls.append(n)
             if n < 4:
                 return iter(())
-            return itertools.islice(real(n, up_to_iso, allow_large=allow_large), 2)
+            return itertools.islice(real(n), 2)
 
-        monkeypatch.setattr(zoo, "enumerate_ehresmann_semigroups", enumerate_ehresmann_semigroups)
+        monkeypatch.setattr(zoo, "_orbits", _orbits)
         return calls
 
-    def test_size_four_needs_flag(self, size_4_enumerator):
+    def test_size_four_needs_flag(self, size_4_orbits):
         r = run_command(["sweep", "--max-size", "4"])
         assert r.exit_code == 2
         assert r.text_lines == ["error: size 4 is long-running; pass allow_large=True to proceed"]
-        assert size_4_enumerator[-1] == (4, False)
+        # refused before any size is searched
+        assert size_4_orbits == []
 
-    def test_allow_large_reaches_the_enumerator(self, size_4_enumerator):
+    def test_allow_large_reaches_the_enumerator(self, size_4_orbits):
         r = run_command(["sweep", "--max-size", "4", "--allow-large"])
         assert r.exit_code == 0
-        assert size_4_enumerator == [(1, True), (2, True), (3, True), (4, True)]
-        assert sorted(r.artifacts["structures"]) == ["n4-0000", "n4-0001"]
+        assert size_4_orbits == [1, 2, 3, 4]
+        members = sum(len(relabellings) for _, relabellings in itertools.islice(zoo._orbits(4), 2))
+        assert sorted(r.artifacts["structures"]) == [f"n4-{i:04d}" for i in range(members)]
 
 
 def run_cli_module(*args: str) -> subprocess.CompletedProcess:

@@ -269,6 +269,43 @@ def test_os3_fast_path_matches_the_scan_on_single_entry_mutations():
     assert sides == {True, False}
 
 
+def assert_order_check_agrees(n, rel, kinds):
+    """``PartialOrder`` accepts ``rel`` when the scan does, else raises the scan's message."""
+    want = scan_oracle.partial_order_failure(n, rel)
+    if want is None:
+        assert PartialOrder(n, rel).rel == tuple(map(tuple, rel))
+    else:
+        with pytest.raises(StructureError) as err:
+            PartialOrder(n, rel)
+        assert str(err.value) == want
+    kinds.add(want and want.split()[3])
+
+
+def test_partial_order_check_matches_the_scan_on_every_small_matrix():
+    kinds = set()
+    for n in range(1, 4):
+        for bits in range(1 << n * n):
+            rel = tuple(tuple(bool(bits >> (a * n + b) & 1) for b in range(n)) for a in range(n))
+            assert_order_check_agrees(n, rel, kinds)
+    assert kinds == {None, "reflexive", "antisymmetric", "transitive"}
+
+
+def test_partial_order_check_matches_the_scan_on_single_entry_flips():
+    rng = random.Random(8)
+    kinds = set()
+    subjects = [order for _, orders in zoo_orders() for order in orders]
+    subjects += filter(None, (random_order(rng, n) for n in range(4, 9) for _ in range(20)))
+    for order in subjects:
+        n = order.n
+        assert_order_check_agrees(n, order.rel, kinds)
+        for _ in range(10):
+            rel = [list(row) for row in order.rel]
+            a, b = rng.randrange(n), rng.randrange(n)
+            rel[a][b] = not rel[a][b]
+            assert_order_check_agrees(n, rel, kinds)
+    assert kinds == {None, "reflexive", "antisymmetric", "transitive"}
+
+
 def scanned_leq_e_partial_laws(s):
     """leq-e-partial-laws by scanning OS2, OS6, OSI and OS3 on the e-order by hand."""
     os = OrderedSemigroup(s, derive_orders(s).leq_e)

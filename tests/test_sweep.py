@@ -1,8 +1,10 @@
-"""Sweep records: each prerequisite decided and each construction built once per record."""
+"""Sweep records: each prerequisite decided and each construction built once per
+record, one record per isomorphism class relabelled to every member, and no
+criterion passing vacuously."""
 
 import dataclasses
 
-from ehresmann import category, orders
+from ehresmann import category, orders, sweep, zoo
 from ehresmann.category import (
     FiniteOrderedCategory,
     check_ehresmann_category_two_orders,
@@ -10,7 +12,7 @@ from ehresmann.category import (
 )
 from ehresmann.core import LAWS, FiniteBiunarySemigroup
 from ehresmann.orders import DerivedOrders, _OrderSearch, derive_orders
-from ehresmann.sweep import _enumerated_record
+from ehresmann.sweep import _criteria, _enumerated_record, run_sweep
 
 # n4-0013 of the size-4 enumeration, which has five Ehresmann orders
 S = FiniteBiunarySemigroup(
@@ -121,3 +123,53 @@ def test_two_order_law_validates_only_its_category(monkeypatch):
     validations = count_calls(monkeypatch, category, "_validate_category")
     assert check_ehresmann_category_two_orders(c0, d.leq_l, d.leq_r).holds
     assert validations == []
+
+
+def test_size_3_records_are_the_labelled_records(monkeypatch):
+    decided = count_calls(monkeypatch, sweep, "_record")
+    report = run_sweep(3)
+    # one record decided per isomorphism class, on its least structure
+    leaders = [s for n in range(1, 4) for s in zoo.enumerate_ehresmann_semigroups(n, up_to_iso=True)]
+    assert [s for s, _ in decided] == leaders and len(leaders) == 19
+    labelled = [
+        (f"n{n}-{i:04d}", s) for n in range(1, 4) for i, s in enumerate(zoo.enumerate_ehresmann_semigroups(n))
+    ]
+    assert report["structure_count"] == len(labelled) == 85
+    for item in labelled:
+        sid, rec = _enumerated_record(item)
+        assert report["structures"][sid] == rec, sid
+    # a class's records are copies: changing one leaves its class-mates alone
+    records = report["structures"].values()
+    nested = [id(d) for rec in records for d in (rec, rec["leq_e_partial_laws"], *rec["orders"])]
+    assert len(nested) == len(set(nested))
+
+
+def test_size_4_class_members_get_their_labelled_records():
+    report = run_sweep(4, allow_large=True)["structures"]
+    labelled = list(zoo.enumerate_ehresmann_semigroups(4, allow_large=True))
+    sid_of = {s.key(): f"n4-{i:04d}" for i, s in enumerate(labelled)}
+    assert [sid for sid in report if sid.startswith("n4-")] == list(sid_of.values())
+    classes = [set(relabellings) for _, relabellings in zoo._orbits(4)]
+    reordered = 0
+    # n4-0013 and some of the sids tests/test_pinned.py samples, each with its whole class
+    for sid in ("n4-0013", "n4-0000", "n4-0017", "n4-0850", "n4-1700"):
+        s = labelled[int(sid[3:])]
+        members = next(keys for keys in classes if s.key() in keys)
+        for member in labelled:
+            if member.key() in members:
+                msid = sid_of[member.key()]
+                _, rec = _enumerated_record((msid, member))
+                assert report[msid] == rec, msid
+                reordered += rec["orders"] != report[sid_of[min(members)]]["orders"]
+    assert reordered  # some member lists its orders in another sequence than its leader
+
+
+def test_a_criterion_no_record_exercises_fails():
+    _, rec = _enumerated_record(("n4-0013", S))
+    assert all(_criteria([rec]).values())
+    assert not any(_criteria([]).values())
+    keyless = {"leq_e_partial_laws": rec["leq_e_partial_laws"], "orders": []}
+    assert not any(_criteria([keyless]).values())
+    # a base key no record carries fails its criterion alone
+    without = {k: v for k, v in rec.items() if k != "smallest_order"}
+    assert [k for k, ok in _criteria([without]).items() if not ok] == ["smallest-order"]

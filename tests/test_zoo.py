@@ -347,6 +347,18 @@ class TestEnumeration:
                 )
             ]
 
+    def test_orbit_relabellings_rename_the_least_structure(self):
+        for n in (1, 2, 3, 4):
+            perms = list(itertools.permutations(range(n)))
+            for s, relabellings in zoo._orbits(n):
+                # each member's key maps to the first permutation that gives it
+                assert relabellings == {relabelled_key(s, p): p for p in reversed(perms)}
+                assert min(relabellings) == s.key()
+
+    def test_labelled_structures_share_equal_rows(self):
+        rows = [row for s in enumerate_ehresmann_semigroups(3) for row in s.mul]
+        assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
+
     def test_size_limits(self):
         with pytest.raises(TooLargeError, match="exhaustive enumeration supports sizes 1..4"):
             enumerate_ehresmann_semigroups(5)
