@@ -428,9 +428,14 @@ def _oc6_witness(c: FiniteOrderedCategory, idmap, maxima) -> tuple[int, ...] | N
     return None
 
 
-def _oc7_witness(c: FiniteOrderedCategory, prime: bool):
-    """Least (a, b, d) with a <= b o d that is no x o y with x <= b, y <= d (OC7),
-    or, with ``prime``, lies below no such x o y of its own domain and range (OC7')."""
+def _oc7_witnesses(c: FiniteOrderedCategory, ev: Evaluation):
+    """The least (a, b, d) with a <= b o d that is no x o y with x <= b, y <= d
+    (OC7), and the least that lies below no such x o y of its own domain and
+    range (OC7'), from one pass over the composable (b, d).
+
+    An a that is such an x o y lies below itself in its own hom-set, so only
+    the a outside the products can fail either law, and an OC7' failure is
+    an OC7 failure."""
     rel, n, comp, dmap, rmap = c.order.rel, c.n, c.comp, c.dmap, c.rmap
     below = [[y for y in range(n) if rel[y][x]] for x in range(n)]
     down = [sum(1 << y for y in ys) for ys in below]
@@ -438,24 +443,30 @@ def _oc7_witness(c: FiniteOrderedCategory, prime: bool):
     starting: dict[int, list[int]] = {}
     for d in range(n):
         starting.setdefault(dmap[d], []).append(d)
-    # per a, the elements above a with its domain and range
-    above_in_hom = [sum(1 << y for y in range(n) if rel[a][y] and dmap[y] == dmap[a] and rmap[y] == rmap[a])
-                    for a in range(n)] if prime else None
-    # only an a below the least failure so far can lower it
-    best, limit = None, -1
+    above_in_hom = None
+    # only an a below a law's least failure so far can lower it; OC7 fails
+    # wherever OC7' does, so its limit is never above the OC7' one
+    best, best_p, limit, limit_p = None, None, -1, -1
     for b in range(n):
         for d in starting[rmap[b]]:
-            cands = down[comp[b][d]] & limit
+            cands = down[comp[b][d]] & limit_p
             if not cands:
                 continue
             made = products(below[b], d)
-            if prime:
-                a = next((a for a in _bits(cands) if not above_in_hom[a] & made), None)
-            else:
-                a = _lowest(cands & ~made) if cands & ~made else None
-            if a is not None:
+            cands &= ~made
+            if not cands:
+                continue
+            if cands & limit:
+                a = _lowest(cands & limit)
                 best, limit = (a, b, d), (1 << a) - 1
-    return best
+            if above_in_hom is None:
+                # per a, the elements above a with its domain and range
+                above_in_hom = [sum(1 << y for y in range(n) if rel[a][y] and dmap[y] == dmap[a] and rmap[y] == rmap[a])
+                                for a in range(n)]
+            a = next((a for a in _bits(cands) if not above_in_hom[a] & made), None)
+            if a is not None:
+                best_p, limit_p = (a, b, d), (1 << a) - 1
+    return best, best_p
 
 
 def _unique_below(n: int, idmap, rel) -> list[dict[int, int | None]]:
@@ -1098,8 +1109,8 @@ register(
     _oc_law("OC4A", lambda c, ev: _matching_pair_witness(c.n, c.dmap, c.rmap, c.order.rel, True, False)),
     _oc_law("OC4B", lambda c, ev: _matching_pair_witness(c.n, c.dmap, c.rmap, c.order.rel, False, True)),
     *_oc_pair_laws("OC6", _oc6_witness, (_restrictions, _corestrictions)),
-    _oc_law("OC7", lambda c, ev: _oc7_witness(c, prime=False)),
-    _oc_law("OC7'", lambda c, ev: _oc7_witness(c, prime=True), aliases=("oc7p",)),
+    _oc_law("OC7", lambda c, ev: ev.build(_oc7_witnesses, c)[0]),
+    _oc_law("OC7'", lambda c, ev: ev.build(_oc7_witnesses, c)[1], aliases=("oc7p",)),
     *_oc_pair_laws("OC8", _oc8_witness, (_unique_restrictions, _unique_corestrictions)),
     _oc_law("OCI", lambda c, ev: _osi_witness(c.n, c.identities(), c.order.rel)),
     Law("special-correspondences", "ordered", _special_correspondences, pre="ehresmann-order"),

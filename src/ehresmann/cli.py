@@ -288,7 +288,9 @@ def _cmd_sweep(args, report: RunReport) -> None:
         "structure_count": result["structure_count"],
     }
     report.artifacts = result
-    report.raw_json = json.dumps(result, sort_keys=True, indent=2) + "\n"
+    if getattr(args, "json", False):
+        # indent makes json run its pure-Python encoder, slow on a size-4 report
+        report.raw_json = json.dumps(result, sort_keys=True, indent=2) + "\n"
     for name, ok in sorted(result["criteria"].items()):
         report.text_lines.append(f"{name}: {'PASS' if ok else 'FAIL'}")
     report.exit_code = 0 if result["all_pass"] else 1

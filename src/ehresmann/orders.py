@@ -570,6 +570,11 @@ class _OrderSearch:
         queue = [(a, b) for a in range(n) for b in _bits(up[a]) if a != b]
         self.root_ok = self._close(up, down, queue, [0] * n)
         self.root = (up, down)
+        # OS2 puts D(a) <= D(b) and R(a) <= R(b) under a <= b, and every
+        # Ehresmann order agrees with the root on projections (e <= f gives
+        # e = ee <= fe, and fe <= e in the root), so no Ehresmann order holds a
+        # pair whose D or R images the root leaves unordered: none is branched on
+        D, R = s.dmap, s.rmap
         self.candidates = [
             (a, b)
             for a in range(n)
@@ -578,6 +583,8 @@ class _OrderSearch:
             and not up[a] >> b & 1
             and not up[b] >> a & 1
             and not (self.proj >> b & 1 and not self.proj >> a & 1)
+            and up[D[a]] >> D[b] & 1
+            and up[R[a]] >> R[b] & 1
         ] if self.root_ok else []
 
     def _close(self, up: list[int], down: list[int], queue: list[tuple[int, int]],

@@ -249,6 +249,14 @@ class TestSweepCommand:
         assert r.exit_code == 0
         assert r.artifacts["all_pass"] is True
 
+    def test_text_mode_builds_no_json_document(self):
+        text = run_command(["sweep", "--max-size", "2"])
+        doc = run_command(["--json", "sweep", "--max-size", "2"])
+        assert text.raw_json is None and doc.raw_json is not None
+        assert json.loads(doc.raw_json) == text.artifacts
+        assert text.to_text() == doc.to_text() == "".join(
+            f"{name}: {'PASS' if ok else 'FAIL'}\n" for name, ok in sorted(text.artifacts["criteria"].items()))
+
     def test_json_bytes_do_not_depend_on_jobs(self):
         a = run_command(["--json", "sweep", "--max-size", "2", "--jobs", "1"])
         b = run_command(["--json", "sweep", "--max-size", "2", "--jobs", "3"])

@@ -1,5 +1,6 @@
 """The two exhaustive searches, the fast law deciders and the e-order laws against the scans they replace."""
 
+import collections
 import functools
 import itertools
 import random
@@ -26,7 +27,14 @@ from ehresmann import (
 from ehresmann import category, core, orders
 from ehresmann.category import FiniteCategory, FiniteOrderedCategory, check_ehresmann_category_two_orders
 from ehresmann.core import LAWS, Evaluation, FiniteBiunarySemigroup, _fmt
-from ehresmann.orders import _os2_witness, _os3_total_witness, _os3_witness, _os6_witness, _osi_witness
+from ehresmann.orders import (
+    _OrderSearch,
+    _os2_witness,
+    _os3_total_witness,
+    _os3_witness,
+    _os6_witness,
+    _osi_witness,
+)
 
 
 def rescan_tables(n):
@@ -172,13 +180,47 @@ def order_subjects():
         yield zoo.get(name).structure
 
 
+def pairs_outside_the_root(s, mats):
+    """How many strict pairs of the orders ``mats`` the order search's root
+    closure lacks; each must have its D and R images ordered in the root, as
+    the search assumes when it branches only on such pairs."""
+    up = _OrderSearch(s, Evaluation()).root[0]
+    D, R = s.dmap, s.rmap
+    outside = 0
+    for mat in mats:
+        for a, b in itertools.product(range(s.n), repeat=2):
+            if mat[a][b] and not up[a] >> b & 1:
+                assert up[D[a]] >> D[b] & 1 and up[R[a]] >> R[b] & 1, (a, b)
+                outside += 1
+    return outside
+
+
 def test_order_search_matches_the_recursive_search():
-    total = 0
+    total = outside = 0
     for s in order_subjects():
         found = [order.rel for order in enumerate_ehresmann_orders(s)]
         assert found == recursive_orders(s)
+        outside += pairs_outside_the_root(s, found)
         total += len(found)
     assert total == 10160  # 9,952 of them on the 1,708 structures of size 4
+    assert outside
+
+
+def test_order_search_branches_only_on_pairs_with_ordered_images():
+    s = zoo.get("pt-3").structure
+    search = _OrderSearch(s, Evaluation())
+    up, proj, D, R = search.root[0], search.proj, s.dmap, s.rmap
+    unordered = [
+        (a, b)
+        for a, b in itertools.product(range(s.n), repeat=2)
+        if a != b and not up[a] >> b & 1 and not up[b] >> a & 1 and not (proj >> b & 1 and not proj >> a & 1)
+    ]
+    assert search.candidates == [(a, b) for a, b in unordered if up[D[a]] >> D[b] & 1 and up[R[a]] >> R[b] & 1]
+    assert (len(unordered), len(search.candidates)) == (3124, 697)
+    # the one Ehresmann order of pt-3 is its e-order
+    found = [order.rel for order in enumerate_ehresmann_orders(s)]
+    assert found == [derive_orders(s).leq_e.rel]
+    assert pairs_outside_the_root(s, found) == 0
 
 
 def orders_up_to_automorphism(s):
@@ -545,21 +587,39 @@ def small_orders(n):
             pass
 
 
-def test_oc6_matches_the_scans_on_every_small_category():
-    sides = {}
+def every_small_ordered_category():
+    """Every labelled category on 1, 2 and 3 arrows under every partial order;
+    the (categories, posets) count of each size is checked once all are made."""
     counts = []
     for n in (1, 2, 3):
         cats, orders_on_n = list(small_categories(n)), list(small_orders(n))
         counts.append((len(cats), len(orders_on_n)))
         for c0 in cats:
             for order in orders_on_n:
-                c = FiniteOrderedCategory(c0, order)
-                assert_maxima_agree(c, sides)
-                for name in ("OC6A", "OC6B"):
-                    fast, scan = CATEGORY_DECIDERS[name]
-                    rep = fast(c)
-                    assert rep == scan(c), name
-                    sides.setdefault(name, set()).add(rep.holds)
-    # labelled categories and posets on 1, 2 and 3 elements
+                yield FiniteOrderedCategory(c0, order)
     assert counts == [(1, 1), (5, 3), (52, 19)]
+
+
+def test_oc6_matches_the_scans_on_every_small_category():
+    sides = {}
+    for c in every_small_ordered_category():
+        assert_maxima_agree(c, sides)
+        for name in ("OC6A", "OC6B"):
+            fast, scan = CATEGORY_DECIDERS[name]
+            rep = fast(c)
+            assert rep == scan(c), name
+            sides.setdefault(name, set()).add(rep.holds)
     assert all(seen == {True, False} for seen in sides.values()) and len(sides) == 3
+
+
+def test_oc7_pass_matches_the_scans_on_every_small_category():
+    verdicts = collections.Counter()
+    for c in every_small_ordered_category():
+        # both laws read their witness from one pass built in the evaluation
+        ev = Evaluation()
+        oc7, oc7p = LAWS["oc7"].decide(c, ev), LAWS["oc7'"].decide(c, ev)
+        assert oc7 == scan_oracle.oc7_report(c, False)
+        assert oc7p == scan_oracle.oc7_report(c, True)
+        verdicts[oc7.holds, oc7p.holds] += 1
+    # OC7 implies OC7'; the other three verdict pairs all occur
+    assert verdicts == {(True, True): 645, (False, True): 269, (False, False): 90}

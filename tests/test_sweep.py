@@ -117,6 +117,17 @@ def test_record_decides_each_oc_law_once_per_category(monkeypatch):
     assert len(unique) == 12
 
 
+def test_record_makes_one_oc7_pass_per_category(monkeypatch):
+    decided = {key: count_decisions(monkeypatch, key) for key in ("oc7", "oc7'")}
+    passes = count_calls(monkeypatch, category, "_oc7_witnesses")
+    _enumerated_record(("n4-0013", S))
+    # OC7 and OC7' are each decided on the five C(S), and read their
+    # witnesses from the one pass made on each
+    built = {id(c) for c, ev in passes}
+    assert len(passes) == len(built) == 5
+    assert all(len(subjects) == 5 and {id(c) for c in subjects} == built for subjects in decided.values())
+
+
 def test_two_order_law_validates_only_its_category(monkeypatch):
     c0 = partial_product_category(S)
     d = derive_orders(S)
