@@ -7,6 +7,7 @@ Exit codes: 0 when every requested check holds, 1 when some law fails
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -296,7 +297,11 @@ def _cmd_sweep(args, report: RunReport) -> None:
     report.exit_code = 0 if result["all_pass"] else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused for the rest of
+    the process: ``parse_args`` fills a fresh namespace each call, so no state
+    carries from one call to the next."""
     common = argparse.ArgumentParser(add_help=False)
     # SUPPRESS keeps a subcommand's default from clobbering a --json given
     # before the subcommand name
@@ -363,9 +368,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv: list[str]) -> RunReport:
     """Execute one CLI invocation and return its report."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         report = RunReport(command=list(argv), exit_code=2 if exc.code else 0)
         return report

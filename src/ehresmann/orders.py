@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import or_
 from typing import Callable, Iterable, Sequence
 
@@ -82,28 +82,29 @@ class PartialOrder:
 
         Raises StructureError when the closure breaks antisymmetry.
         """
-        mat = [[a == b for b in range(n)] for a in range(n)]
+        # bit b of up[a] is set when a <= b
+        up = [1 << a for a in range(n)]
         for pair in _as_tuple(pairs, "order pairs must be an iterable of pairs", rows=True):
             if len(pair) != 2:
                 raise StructureError(f"order pair {pair!r} is not a pair")
             a, b = pair
             if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < n and 0 <= b < n):
                 raise StructureError(f"order pair ({a}, {b}) out of range")
-            mat[a][b] = True
-        for k in range(n):
-            for a in range(n):
-                if mat[a][k]:
-                    row_a, row_k = mat[a], mat[k]
-                    for b in range(n):
-                        if row_k[b]:
-                            row_a[b] = True
+            up[a] |= 1 << b
+        # a <= k puts k's up-set in a's, until a's up-set gains no new element
         for a in range(n):
-            for b in range(a + 1, n):
-                if mat[a][b] and mat[b][a]:
-                    raise StructureError(
-                        f"order closure breaks antisymmetry between {a} and {b}"
-                    )
-        return cls(n, tuple(tuple(row) for row in mat))
+            u, done = up[a], 1 << a
+            while todo := u & ~done:
+                low = todo & -todo
+                done |= low
+                u |= up[low.bit_length() - 1]
+            up[a] = u
+        # closed up-sets are equal exactly when the closure makes a <= b <= a
+        if len(set(up)) != n:
+            a = next(a for a, u in enumerate(up) if up.count(u) > 1)
+            b = up.index(up[a], a + 1)
+            raise StructureError(f"order closure breaks antisymmetry between {a} and {b}")
+        return cls(n, tuple(_bool_row(u, n) for u in up))
 
     def leq(self, a: int, b: int) -> bool:
         return self.rel[a][b]
@@ -134,6 +135,16 @@ class PartialOrder:
             if all(self.rel[c][m] for c in lower):
                 return m
         return None
+
+
+# the bits of each byte value, lowest first, as booleans
+_BYTE_BITS = tuple(tuple(bool(v >> i & 1) for i in range(8)) for v in range(256))
+
+
+def _bool_row(mask: int, n: int) -> tuple[bool, ...]:
+    """Bits 0..n-1 of ``mask`` as booleans, read a byte at a time."""
+    octets = mask.to_bytes(n + 7 >> 3, "little")
+    return tuple(chain.from_iterable(map(_BYTE_BITS.__getitem__, octets)))[:n]
 
 
 def _is_partial_order(n: int, rel: tuple[tuple[bool, ...], ...]) -> bool:
@@ -658,7 +669,7 @@ def _ehresmann_orders(s: FiniteBiunarySemigroup, ev: Evaluation) -> tuple[Ordere
         raise PreconditionError(f"structure is not an Ehresmann semigroup: {pre.detail}")
     n = s.n
     mats = sorted(
-        tuple(tuple(bool(row >> b & 1) for b in range(n)) for row in up)
+        tuple(_bool_row(row, n) for row in up)
         for up in _OrderSearch(s, ev).solve()
     )
     natural = ev.build(_natural, s)

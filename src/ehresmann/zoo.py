@@ -231,14 +231,24 @@ def names() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
+# entries built so far; every field of a ZooEntry is frozen, so one is shared
+_ENTRIES: dict[str, ZooEntry] = {}
+
+
 def get(name: str) -> ZooEntry:
-    try:
-        maker = _REGISTRY[name]
-    except KeyError:
-        raise StructureError(
-            f"unknown example {name!r}; known: {', '.join(_REGISTRY)}"
-        ) from None
-    return maker()
+    """The catalogued entry ``name``, built on the first request in a process
+    and the same object on every later one."""
+    entry = _ENTRIES.get(name)
+    if entry is None:
+        try:
+            maker = _REGISTRY[name]
+        except KeyError:
+            raise StructureError(
+                f"unknown example {name!r}; known: {', '.join(_REGISTRY)}"
+            ) from None
+        # two threads may both build it; setdefault hands both the first one stored
+        entry = _ENTRIES.setdefault(name, maker())
+    return entry
 
 
 def _new_cell_consistent(t: list[list[int]], n: int, i: int, j: int) -> bool:

@@ -1,15 +1,15 @@
 """The plain least-witness scans, kept as the oracle of the fast law deciders.
 
-The package validates a partial order on up-set bitmasks and a
-category's associativity on composable triples only, decides a
-semigroup's associativity by Light's test, the functional law row by
-row, OS7 and OC7/OC7' from one product set per pair of factors, OC3 on
-a partial composition by up-set bitmasks, and tabulates the unique part
-below an element and the maximum below an element with its domain
-(range) under an identity once per category and side.  The
-functions below are the scans those replace, loop by loop; the tests
-compare the reports of both on every small structure, the zoo, random
-orders and mutated tables.
+The package closes pairs into a partial order and validates one on
+up-set bitmasks, validates a category's associativity on composable
+triples only, decides a semigroup's associativity by Light's test, the
+functional law row by row, OS7 and OC7/OC7' from one product set per
+pair of factors, OC3 on a partial composition by up-set bitmasks, and
+tabulates the unique part below an element and the maximum below an
+element with its domain (range) under an identity once per category and
+side.  The functions below are the scans those replace, loop by loop;
+the tests compare the reports of both on every small structure, the
+zoo, random orders and mutated tables.
 """
 
 from __future__ import annotations
@@ -35,6 +35,27 @@ def partial_order_failure(n: int, rel) -> str | None:
                     if rel[b][c] and not rel[a][c]:
                         return f"order is not transitive at ({a}, {b}, {c})"
     return None
+
+
+def order_closure(n: int, pairs) -> tuple[tuple[bool, ...], ...]:
+    """The reflexive-transitive closure ``PartialOrder.from_pairs`` builds from
+    in-range ``pairs``, by Warshall's loop entry by entry; raises its
+    ``StructureError`` for the least pair the closure makes antisymmetric."""
+    mat = [[a == b for b in range(n)] for a in range(n)]
+    for a, b in pairs:
+        mat[a][b] = True
+    for k in range(n):
+        for a in range(n):
+            if mat[a][k]:
+                row_a, row_k = mat[a], mat[k]
+                for b in range(n):
+                    if row_k[b]:
+                        row_a[b] = True
+    for a in range(n):
+        for b in range(a + 1, n):
+            if mat[a][b] and mat[b][a]:
+                raise StructureError(f"order closure breaks antisymmetry between {a} and {b}")
+    return tuple(tuple(row) for row in mat)
 
 
 def category_associativity_failure(n: int, dmap, rmap, comp) -> str | None:

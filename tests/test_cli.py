@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import ehresmann
-from ehresmann import zoo
+from ehresmann import cli, zoo
 from ehresmann.cli import run_command
 from ehresmann.core import LAWS
+from ehresmann.fileformat import emit_structure, resolve
 
 
 def parse_json(report):
@@ -297,6 +298,30 @@ class TestSweepCommand:
         assert size_4_orbits == [1, 2, 3, 4]
         members = sum(len(relabellings) for _, relabellings in itertools.islice(zoo._orbits(4), 2))
         assert sorted(r.artifacts["structures"]) == [f"n4-{i:04d}" for i in range(members)]
+
+
+class TestParserReuse:
+    def test_a_reused_parser_carries_no_state_between_calls(self, tmp_path, monkeypatch):
+        path = tmp_path / "monoid.sgp"
+        path.write_text(emit_structure(resolve("example://two-element-monoid")), encoding="utf-8")
+        f = str(path)
+        argvs = [
+            ["--json", "check", f, "--law", "associativity"],
+            ["check", f],
+            ["check", f, "--law", "ehresmann", "--law", "os7"],
+            ["check", f, "--law"],
+            ["orders", f, "--count-only"],
+        ]
+        cli._build_parser.cache_clear()
+        reused = [run_command(argv) for argv in argvs]
+        assert cli._build_parser.cache_info().misses == 1
+        assert [r.exit_code for r in reused] == [0, 1, 0, 2, 0]  # the full ladder fails at functional and OS4
+        assert [r.json_requested for r in reused] == [True, False, False, False, False]
+        assert [rep.law for rep in reused[2].reports] == ["ehresmann", "OS7"]
+        # the undecorated builder makes a new parser for every call
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [run_command(argv) for argv in argvs]
+        assert reused == fresh
 
 
 def run_cli_module(*args: str) -> subprocess.CompletedProcess:

@@ -348,6 +348,50 @@ def test_partial_order_check_matches_the_scan_on_single_entry_flips():
     assert kinds == {None, "reflexive", "antisymmetric", "transitive"}
 
 
+def assert_closure_agrees(n, pairs, sides):
+    """``from_pairs`` closes ``pairs`` to the scan's matrix, or raises its message."""
+    try:
+        want = scan_oracle.order_closure(n, pairs)
+    except StructureError as exc:
+        with pytest.raises(StructureError) as err:
+            PartialOrder.from_pairs(n, pairs)
+        assert str(err.value) == str(exc)
+        sides.add(False)
+    else:
+        assert PartialOrder.from_pairs(n, pairs).rel == want
+        sides.add(True)
+
+
+def test_order_closure_matches_the_scan_on_every_small_relation():
+    sides = set()
+    for n in range(1, 4):
+        cells = list(itertools.product(range(n), repeat=2))
+        for bits in range(1 << n * n):
+            assert_closure_agrees(n, [cell for i, cell in enumerate(cells) if bits >> i & 1], sides)
+    assert sides == {True, False}
+
+
+def test_order_closure_matches_the_scan_on_the_zoo():
+    """Each zoo order from its strict pairs and from its covers, and its covers
+    with one reversed, which closes to a cycle."""
+    sides = set()
+    subjects = [order for _, orders in zoo_orders() for order in orders]
+    subjects += [order for _, order in zoo.get("rel-3").orders]
+    for order in subjects:
+        n, rel = order.n, order.rel
+        up = [sum(1 << b for b in range(n) if rel[a][b]) for a in range(n)]
+        down = [sum(1 << a for a in range(n) if rel[a][b]) for b in range(n)]
+        strict = order.pairs(strict=True)
+        # b covers a when nothing but a and b lies between them
+        covers = [(a, b) for a, b in strict if up[a] & down[b] == 1 << a | 1 << b]
+        assert_closure_agrees(n, strict, sides)
+        assert_closure_agrees(n, covers, sides)
+        if covers:
+            a, b = covers[len(covers) // 2]
+            assert_closure_agrees(n, covers + [(b, a)], sides)
+    assert sides == {True, False}
+
+
 def scanned_leq_e_partial_laws(s):
     """leq-e-partial-laws by scanning OS2, OS6, OSI and OS3 on the e-order by hand."""
     os = OrderedSemigroup(s, derive_orders(s).leq_e)

@@ -1,6 +1,8 @@
 """Catalogue fidelity and the exhaustive enumerator, against independent oracles."""
 
 import itertools
+import sys
+import threading
 
 import pytest
 
@@ -18,6 +20,7 @@ from ehresmann import (
     projections,
 )
 from ehresmann import zoo
+from ehresmann.fileformat import resolve
 from ehresmann.orders import OrderedSemigroup
 
 
@@ -234,6 +237,44 @@ class TestProvenance:
 
         with pytest.raises(StructureError):
             zoo.get("no-such-example")
+
+
+class TestSharedEntries:
+    def test_each_name_resolves_to_one_entry(self):
+        for name in zoo.names():
+            assert zoo.get(name) is zoo.get(name)
+
+    def test_threads_racing_on_a_first_build_share_one_entry(self, monkeypatch):
+        monkeypatch.setattr(zoo, "_ENTRIES", {})
+        barrier = threading.Barrier(8)
+        got = []
+
+        def resolve_after_barrier():
+            barrier.wait(timeout=10)
+            got.append(zoo.get("pt-2"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=resolve_after_barrier) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 8 and all(entry is got[0] for entry in got)
+        assert zoo.get("pt-2") is got[0]
+
+    def test_a_shared_entry_equals_a_fresh_build(self):
+        for name in zoo.names():
+            if name == "rel-3":
+                continue  # building the 512-element table again takes most of a second
+            assert zoo.get(name) == zoo._REGISTRY[name]()
+
+    def test_example_uris_resolve_to_equal_files(self):
+        assert resolve("example://pt-3") == resolve("example://pt-3")
 
 
 def oracle_enumeration_count(n):
