@@ -39,6 +39,7 @@ from .orders import (
     OrderedSemigroup,
     PartialOrder,
     _bits,
+    _composite_up_sets,
     _derived_orders,
     _is_natural,
     _lowest,
@@ -49,7 +50,6 @@ from .orders import (
     _os3_witness,
     _osi_witness,
     _products_with,
-    compose_relations,
 )
 
 CompTable = tuple[tuple[int | None, ...], ...]
@@ -1050,7 +1050,7 @@ def _two_orders(c0: FiniteCategory, leq_l: PartialOrder, leq_r: PartialOrder, ev
     b2 = ev("oc8b", c_r).holds
     b3 = all(rel_l[e][f] == rel_r[e][f] for e in ids for f in ids)
     b4 = b3 and c_l.meet is not None
-    b5 = compose_relations(leq_l, leq_r) == compose_relations(leq_r, leq_l)
+    b5 = _composite_up_sets(leq_l, leq_r) == _composite_up_sets(leq_r, leq_l)
     b6 = b7 = False
     witness67: tuple[int, ...] | None = None
     if b1 and b2 and b4:

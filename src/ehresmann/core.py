@@ -327,10 +327,11 @@ def evaluate(key: str, x: Any) -> LawReport:
 
 
 # Tables up to this size are scanned without Light's test in front.  On
-# tables that associate (2 CPUs, Python 3.11) the scan is faster up to the
-# 6-element orderless-band (17-19 us against 20-22 us), and the test from
-# the 7-element inj-2 on (19-23 us against 19-26 us; at the 16-element
-# rel-2 66-88 us against 214-231 us).
+# tables that associate (2 CPUs, Python 3.11, us) the scan is faster on the
+# size-4 sweep (9.4 against 16.8 for the test), at size 5 (11.7 against
+# 18.9 over every third class) and on the 6-element orderless-band (15.0
+# against 24.3), and the test from the 7-element inj-2 on (18.8 against
+# 21.5; rel-2 64 against 180, pt-3 650 against 10,000).
 _ASSOCIATIVITY_SCAN_MAX_N = 6
 
 
@@ -339,31 +340,36 @@ def _generators_associate(mul: tuple[tuple[int, ...], ...]) -> bool:
 
     The g with (xg)y = x(gy) for all x, y form a submagma (Clifford and
     Preston, *The Algebraic Theory of Semigroups* I, 1.2), so the table is
-    associative iff every generator passes.  The next generator is the
-    least element outside the magma closure of the earlier ones; it passes
-    when row (xg) equals row x read through row g, for every x.  Needs n > 1,
-    where ``itemgetter`` returns a tuple.
+    associative iff every generator passes.  Candidates come largest
+    one-sided principal ideals first (|gS| + |Sg|, then index), and each
+    one outside the closure so far becomes a generator; it passes when row
+    (xg) equals row x read through row g, for every x.  The closure is
+    taken under right multiplication by the generators, O(n) per
+    generator: its members are products of passing elements, so they pass
+    too.  Needs n > 1, where ``itemgetter`` returns a tuple.
     """
     n = len(mul)
+    cols = tuple(zip(*mul))
     inside = [False] * n
     members: list[int] = []
-    for g in range(n):
+    gens: list[int] = []
+    for g in sorted(range(n), key=lambda g: (-len(set(mul[g])) - len(set(cols[g])), g)):
         if inside[g]:
             continue
         through_g = itemgetter(*mul[g])
         if any(mul[row[g]] != through_g(row) for row in mul):
             return False
-        inside[g] = True
-        queue = [g]
+        gens.append(g)
+        # the old members times g, then each new member times every generator
+        queue = [g, *map(cols[g].__getitem__, members)]
         while queue:
             x = queue.pop()
-            members.append(x)
-            row_x = mul[x]
-            for y in members:
-                for p in (row_x[y], mul[y][x]):
-                    if not inside[p]:
-                        inside[p] = True
-                        queue.append(p)
+            if not inside[x]:
+                inside[x] = True
+                members.append(x)
+                queue += map(mul[x].__getitem__, gens)
+        if len(members) == n:
+            break
     return True
 
 
@@ -559,6 +565,30 @@ def check_functional(s: FiniteBiunarySemigroup) -> LawReport:
     return evaluate("functional", s)
 
 
+def _de_barros_rows_hold(s: FiniteBiunarySemigroup, proj: tuple[int, ...]) -> bool:
+    """Whether xey = D(xey) xy R(xey) for all x, y and projections e, read by rows.
+
+    At (x, e, y) the two sides are l and D(l) m R(l), where l is entry y of
+    row xe and m entry y of row x; so each distinct pair (x, xe) gives one
+    zip of two rows, and each distinct (l, m) cell of those zips is tested
+    once.  The cells are tested each time the rows read have doubled, so a
+    failure in an early row stops the pass early.
+    """
+    mul, D, R = s.mul, s.dmap, s.rmap
+    tested: set[tuple[int, int]] = set()
+    cells: set[tuple[int, int]] = set()
+    for x, row in enumerate(mul, 1):
+        for xe in set(map(row.__getitem__, proj)):
+            cells.update(zip(mul[xe], row))
+        if x & (x - 1) == 0 or x == s.n:
+            cells -= tested
+            if not all(mul[mul[D[l]][m]][R[l]] == l for l, m in cells):
+                return False
+            tested |= cells
+            cells = set()
+    return True
+
+
 def _de_barros_equational(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
     mul, D, R, n = s.mul, s.dmap, s.rmap, s.n
 
@@ -572,8 +602,11 @@ def _de_barros_equational(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawRepor
                 f"D(..)*{_fmt(s, x)}*{_fmt(s, y)}*R(..) = {_fmt(s, rhs)}")
 
     proj = projections(s).sorted_members
-    w = next(((x, e, y) for x in range(n) for e in proj for y in range(n)
-              for lhs, rhs in [sides(x, e, y)] if lhs != rhs), None)
+    w = None
+    # the row test says "holds" on a larger structure; a failure is scanned for the least triple
+    if not _de_barros_rows_hold(s, proj):
+        w = next(((x, e, y) for x in range(n) for e in proj for y in range(n)
+                  for lhs, rhs in [sides(x, e, y)] if lhs != rhs), None)
     return _leaf("de-barros-equational", w, detail)
 
 

@@ -147,14 +147,19 @@ def _bool_row(mask: int, n: int) -> tuple[bool, ...]:
     return tuple(chain.from_iterable(map(_BYTE_BITS.__getitem__, octets)))[:n]
 
 
+def _up_sets(n: int, rel: tuple[tuple[bool, ...], ...]) -> list[int]:
+    """The up-set of each row of the n x n matrix ``rel`` as a bitmask: bit b of entry a is set when a <= b."""
+    weights = [1 << b for b in range(n)]
+    return [sum(compress(weights, row)) for row in rel]
+
+
 def _is_partial_order(n: int, rel: tuple[tuple[bool, ...], ...]) -> bool:
     """Whether the n x n matrix ``rel`` is a partial order, read on up-set bitmasks.
 
     It is when each a is in its up-set, each b >= a has its up-set inside
     a's, and (given those two) no two elements have the same up-set.
     """
-    weights = [1 << b for b in range(n)]
-    up = [sum(compress(weights, row)) for row in rel]
+    up = _up_sets(n, rel)
     if len(set(up)) != n:
         return False
     for a, u in enumerate(up):
@@ -166,20 +171,12 @@ def _is_partial_order(n: int, rel: tuple[tuple[bool, ...], ...]) -> bool:
     return True
 
 
-def compose_relations(p: PartialOrder, q: PartialOrder) -> tuple[tuple[bool, ...], ...]:
-    """Left-to-right relational composite of two orders, as a raw matrix."""
-    n = p.n
-    out = []
-    for a in range(n):
-        row = [False] * n
-        for u in range(n):
-            if p.rel[a][u]:
-                qrow = q.rel[u]
-                for b in range(n):
-                    if qrow[b]:
-                        row[b] = True
-        out.append(tuple(row))
-    return tuple(out)
+def _composite_up_sets(p: PartialOrder, q: PartialOrder) -> list[int]:
+    """The up-sets of the left-to-right relational composite of two orders, as
+    bitmasks: bit c of entry a is set when a <= b under ``p`` and b <= c under
+    ``q`` for some b."""
+    up_q = _up_sets(q.n, q.rel)
+    return [reduce(or_, compress(up_q, row)) for row in p.rel]
 
 
 @dataclass(frozen=True)
@@ -210,23 +207,26 @@ def derive_orders(s: FiniteBiunarySemigroup) -> DerivedOrders:
 
     a <=_l b iff a = D(a)b, a <=_r b iff a = bR(a), and a <=_e b iff
     a = D(a)bR(a).  Each is validated as a partial order and the composite
-    identity leq_e = leq_l . leq_r = leq_r . leq_l is asserted; violations
-    raise InternalInconsistency and indicate the input is not Ehresmann.
+    identity leq_e = leq_l . leq_r = leq_r . leq_l is asserted on up-set
+    bitmasks; violations raise InternalInconsistency and indicate the input
+    is not Ehresmann.
     """
     n, mul, D, R = s.n, s.mul, s.dmap, s.rmap
+    cols = tuple(zip(*mul))
+
+    def relation(compared) -> PartialOrder:
+        """The order with a <= b when ``compared[a][b]`` is a."""
+        return PartialOrder(n, tuple(tuple([v == a for v in row]) for a, row in enumerate(compared)))
+
     try:
-        leq_l = PartialOrder(n, tuple(
-            tuple(a == mul[D[a]][b] for b in range(n)) for a in range(n)
-        ))
-        leq_r = PartialOrder(n, tuple(
-            tuple(a == mul[b][R[a]] for b in range(n)) for a in range(n)
-        ))
-        leq_e = PartialOrder(n, tuple(
-            tuple(a == mul[mul[D[a]][b]][R[a]] for b in range(n)) for a in range(n)
-        ))
+        # D(a)b is row D(a) of the table, bR(a) column R(a), D(a)bR(a) row D(a) read through column R(a)
+        leq_l = relation(mul[D[a]] for a in range(n))
+        leq_r = relation(cols[R[a]] for a in range(n))
+        leq_e = relation(map(cols[R[a]].__getitem__, mul[D[a]]) for a in range(n))
     except StructureError as exc:
         raise InternalInconsistency(f"derived relation is not a partial order: {exc}") from exc
-    if compose_relations(leq_l, leq_r) != leq_e.rel or compose_relations(leq_r, leq_l) != leq_e.rel:
+    up_e = _up_sets(leq_e.n, leq_e.rel)
+    if _composite_up_sets(leq_l, leq_r) != up_e or _composite_up_sets(leq_r, leq_l) != up_e:
         raise InternalInconsistency("left and right orders do not compose to the e-order")
     return DerivedOrders(leq_l, leq_r, leq_e)
 
@@ -379,19 +379,84 @@ def _os4_law(name: str, need_d: bool, need_r: bool) -> Law:
     return Law(name, "ordered", decide, pre="ehresmann-order", ladder=True)
 
 
+# Orders on at most this many elements skip the cover pass of ``_os7_holds``
+# and go straight to the witness search.  Where OS7 holds (2 CPUs, Python
+# 3.11, mean over Ehresmann orders, us) the search is faster on the size-4
+# sweep (25.5 against 28.9 for the pass), level at size 5 (31.4 against
+# 31.1 over every third class) and faster on 150 size-6 structures (39.8
+# against 42.4); the pass wins from the 7-element inj-2 on (46 against 61;
+# rel-2 241 against 574, pt-3 1,790 against 6,280).
+_OS7_SCAN_MAX_N = 6
+
+# The cover pass builds this many columns b at a time.  pt-3 took 3.2, 1.7,
+# 1.6, 1.5 and 1.65 ms with blocks of 8, 16, 32, 64 and 128 columns; rel-3,
+# which fails OS7, gave up after 11, 8, 10, 14 and 25 ms.
+_OS7_BLOCK = 64
+
+
+def _lower_covers(below: Sequence[Sequence[int]], down: Sequence[int]) -> list[list[int]]:
+    """The lower covers of each element: the c < a with nothing strictly between,
+    from the down-set lists ``below`` and their bitmasks ``down``."""
+    covers = []
+    for a, ys in enumerate(below):
+        strict = [y for y in ys if y != a]
+        inner = reduce(or_, (down[y] ^ 1 << y for y in strict), 0)
+        covers.append([y for y in strict if not inner >> y & 1])
+    return covers
+
+
+def _os7_holds(mul, below: Sequence[Sequence[int]], down: Sequence[int]) -> bool:
+    """Whether every u <= ab is some x*y with x <= a and y <= b, on bitmasks.
+
+    A down-set is its top and the down-sets of its lower covers.  So the
+    mask {x*y : y <= b} of each x is the bit of x*b or'ed with the masks of
+    the lower covers of b, one column b at a time, and the mask
+    {x*y : x <= a, y <= b} of a is its own or'ed with those of the lower
+    covers of a, a row of ``_OS7_BLOCK`` columns at a time.  Both run up a
+    linear extension (by down-set size), and a False comes at the first
+    row that misses an element, in the first block where one does.
+    """
+    n = len(mul)
+    bit = [1 << v for v in range(n)]
+    covers = _lower_covers(below, down)
+    rising = sorted(range(n), key=lambda a: len(below[a]))
+    cols = tuple(zip(*mul))
+    right: list = [None] * n  # right[b][x] is {x*y : y <= b}
+    for start in range(0, n, _OS7_BLOCK):
+        block = rising[start:start + _OS7_BLOCK]
+        for b in block:
+            col = list(map(bit.__getitem__, cols[b]))
+            for d in covers[b]:
+                col = list(map(or_, col, right[d]))
+            right[b] = col
+        rows = list(zip(*map(right.__getitem__, block)))
+        made: list = [None] * n  # made[a][i] is {x*y : x <= a, y <= block[i]}
+        for a in rising:
+            row = rows[a]
+            for c in covers[a]:
+                row = tuple(map(or_, row, made[c]))
+            made[a] = row
+            if tuple(map(or_, map(down.__getitem__, map(mul[a].__getitem__, block)), row)) != row:
+                return False
+    return True
+
+
 def _os7(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
-    s, rel, n = os.base, os.order.rel, os.base.n
-    below = [[y for y in range(n) if rel[y][x]] for x in range(n)]
+    s, n = os.base, os.base.n
+    below = [list(compress(range(n), col)) for col in zip(*os.order.rel)]
     down = [sum(1 << y for y in ys) for ys in below]
-    products = _products_with(s.mul, below)
+    w = None
+    # the cover pass says "holds" on a larger order; a failure is searched for the least witness
+    if n <= _OS7_SCAN_MAX_N or not _os7_holds(s.mul, below, down):
+        products = _products_with(s.mul, below)
 
-    def missing(a: int, b: int) -> int:
-        """The u <= ab that no x*y with x <= a, y <= b gives, as a bitmask."""
-        ab = s.mul[a][b]
-        need = down[ab] & ~(1 << ab)  # ab = a*b is one
-        return need & ~products(below[a], b) if need else 0
+        def missing(a: int, b: int) -> int:
+            """The u <= ab that no x*y with x <= a, y <= b gives, as a bitmask."""
+            ab = s.mul[a][b]
+            need = down[ab] & ~(1 << ab)  # ab = a*b is one
+            return need & ~products(below[a], b) if need else 0
 
-    w = next(((a, b, _lowest(m)) for a in range(n) for b in range(n) for m in [missing(a, b)] if m), None)
+        w = next(((a, b, _lowest(m)) for a in range(n) for b in range(n) for m in [missing(a, b)] if m), None)
     return _leaf("OS7", w, lambda a, b, u: (
         f"{s.name_of(u)} <= {s.name_of(a)}*{s.name_of(b)} has no factorisation below the factors"))
 
@@ -576,8 +641,8 @@ class _OrderSearch:
         self.cols = tuple(tuple(row[c] for row in s.mul) for c in range(n))
         self.proj = sum(1 << e for e in projections(s).members)
         rel = ev.build(_derived_orders, s).leq_e.rel
-        up = [sum(1 << b for b in range(n) if rel[a][b]) for a in range(n)]
-        down = [sum(1 << a for a in range(n) if rel[a][b]) for b in range(n)]
+        up = _up_sets(n, rel)
+        down = _up_sets(n, tuple(zip(*rel)))
         queue = [(a, b) for a in range(n) for b in _bits(up[a]) if a != b]
         self.root_ok = self._close(up, down, queue, [0] * n)
         self.root = (up, down)

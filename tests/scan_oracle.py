@@ -3,20 +3,64 @@
 The package closes pairs into a partial order and validates one on
 up-set bitmasks, validates a category's associativity on composable
 triples only, decides a semigroup's associativity by Light's test, the
-functional law row by row, OS7 and OC7/OC7' from one product set per
-pair of factors, OC3 on a partial composition by up-set bitmasks, and
-tabulates the unique part below an element and the maximum below an
-element with its domain (range) under an identity once per category and
-side.  The functions below are the scans those replace, loop by loop;
-the tests compare the reports of both on every small structure, the
-zoo, random orders and mutated tables.
+functional law row by row, the de Barros identity once per distinct pair
+of rows, OS7 by recursion over lower covers, OC7/OC7' from one product
+set per pair of factors, OC3 on a partial composition and the composites
+of two orders by up-set bitmasks, and tabulates the unique part below an
+element and the maximum below an element with its domain (range) under
+an identity once per category and side.  The functions below are the
+scans those replace, loop by loop; the tests compare the reports of both
+on every small structure, the zoo, random orders and mutated tables.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from ehresmann.category import FiniteCategory, FiniteOrderedCategory, _derive_meet, _max_below
-from ehresmann.core import Evaluation, FiniteBiunarySemigroup, LawReport, StructureError, _first_failure, _fmt, _leaf
-from ehresmann.orders import OrderedSemigroup, PartialOrder, _os2_witness, _os3_witness, compose_relations
+from ehresmann.core import (
+    Evaluation,
+    FiniteBiunarySemigroup,
+    InternalInconsistency,
+    LawReport,
+    StructureError,
+    _first_failure,
+    _fmt,
+    _leaf,
+    projections,
+)
+from ehresmann.orders import DerivedOrders, OrderedSemigroup, PartialOrder, _os2_witness, _os3_witness
+
+
+def compose_relations(p: PartialOrder, q: PartialOrder) -> tuple[tuple[bool, ...], ...]:
+    """Left-to-right relational composite of two orders, as a raw matrix."""
+    n = p.n
+    out = []
+    for a in range(n):
+        row = [False] * n
+        for u in range(n):
+            if p.rel[a][u]:
+                qrow = q.rel[u]
+                for b in range(n):
+                    if qrow[b]:
+                        row[b] = True
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def derive_orders(s: FiniteBiunarySemigroup) -> DerivedOrders:
+    """The three derived orders built cell by cell, with the composite identity
+    checked on matrices; raises what ``orders.derive_orders`` raises."""
+    n, mul, D, R = s.n, s.mul, s.dmap, s.rmap
+    try:
+        leq_l = PartialOrder(n, tuple(tuple(a == mul[D[a]][b] for b in range(n)) for a in range(n)))
+        leq_r = PartialOrder(n, tuple(tuple(a == mul[b][R[a]] for b in range(n)) for a in range(n)))
+        leq_e = PartialOrder(n, tuple(tuple(a == mul[mul[D[a]][b]][R[a]] for b in range(n)) for a in range(n)))
+    except StructureError as exc:
+        raise InternalInconsistency(f"derived relation is not a partial order: {exc}") from exc
+    if compose_relations(leq_l, leq_r) != leq_e.rel or compose_relations(leq_r, leq_l) != leq_e.rel:
+        raise InternalInconsistency("left and right orders do not compose to the e-order")
+    return DerivedOrders(leq_l, leq_r, leq_e)
 
 
 def partial_order_failure(n: int, rel) -> str | None:
@@ -83,6 +127,14 @@ def _associativity(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
         f" but {_fmt(s, a)}*({_fmt(s, b)}*{_fmt(s, c)}) = {_fmt(s, mul[a][mul[b][c]])}"))
 
 
+def associates_by_rows(mul) -> bool:
+    """Whether the table ``mul`` (n > 1) is associative, by the n³ scan with
+    its innermost loop over c done as one row comparison per (a, b): row ab
+    against row a read through row b."""
+    through = [itemgetter(*row) for row in mul]
+    return all(mul[row_a[b]] == through[b](row_a) for row_a in mul for b in range(len(mul)))
+
+
 def _functional(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
     mul, R, n = s.mul, s.rmap, s.n
     w = next(((x, y, z) for x in range(n) for row, rrow in [(mul[x], mul[R[x]])]
@@ -100,6 +152,24 @@ def _os7(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
               if not any(s.mul[x][y] == u for x in below[a] for y in below[b])), None)
     return _leaf("OS7", w, lambda a, b, u: (
         f"{s.name_of(u)} <= {s.name_of(a)}*{s.name_of(b)} has no factorisation below the factors"))
+
+
+def _de_barros_equational(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
+    mul, D, R, n = s.mul, s.dmap, s.rmap, s.n
+
+    def sides(x: int, e: int, y: int) -> tuple[int, int]:
+        lhs = mul[mul[x][e]][y]
+        return lhs, mul[mul[D[lhs]][mul[x][y]]][R[lhs]]
+
+    def detail(x: int, e: int, y: int) -> str:
+        lhs, rhs = sides(x, e, y)
+        return (f"{_fmt(s, x)}*{_fmt(s, e)}*{_fmt(s, y)} = {_fmt(s, lhs)} but "
+                f"D(..)*{_fmt(s, x)}*{_fmt(s, y)}*R(..) = {_fmt(s, rhs)}")
+
+    proj = projections(s).sorted_members
+    w = next(((x, e, y) for x in range(n) for e in proj for y in range(n)
+              for lhs, rhs in [sides(x, e, y)] if lhs != rhs), None)
+    return _leaf("de-barros-equational", w, detail)
 
 
 def _oc7_witness(c: FiniteOrderedCategory, prime: bool):

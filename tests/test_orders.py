@@ -13,6 +13,7 @@ from ehresmann import (
     StructureError,
     automorphisms,
     check_OS_property,
+    check_ehresmann,
     check_ehresmann_order,
     check_leq_e_partial_laws,
     derive_orders,
@@ -314,6 +315,32 @@ class TestDeBarros:
         for n in (1, 2, 3):
             for s in zoo.enumerate_ehresmann_semigroups(n):
                 assert is_de_barros(s).holds == check_de_barros_equational(s).holds
+
+
+class TestN5_0213:
+    """The smallest structure where the de Barros identity fails: every Ehresmann
+    semigroup of size at most 4 is de Barros, yet n5-0213 has Ehresmann orders,
+    and none of them is OS4 (the fixture is in conftest.py)."""
+
+    def test_is_ehresmann(self, n5_0213):
+        assert check_ehresmann(n5_0213).holds
+
+    def test_de_barros_fails_at_1_2_4(self, n5_0213):
+        rep = check_de_barros_equational(n5_0213)
+        assert not rep.holds
+        assert rep.witness == (1, 2, 4)
+        assert rep.detail == "1*2*4 = 0 but D(..)*1*4*R(..) = 4"
+        assert not is_de_barros(n5_0213).holds
+
+    def test_two_orders_each_os7_and_not_os4(self, n5_0213):
+        found = enumerate_ehresmann_orders(n5_0213)
+        assert len(found) == 2
+        for order in found:
+            os = OrderedSemigroup(n5_0213, order)
+            assert check_OS_property(os, "OS7").holds
+            os4 = check_OS_property(os, "OS4")
+            assert not os4.holds
+            assert os4.witness == (0, 4)
 
 
 class TestEnumerateOrders:

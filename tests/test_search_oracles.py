@@ -667,3 +667,170 @@ def test_oc7_pass_matches_the_scans_on_every_small_category():
         verdicts[oc7.holds, oc7p.holds] += 1
     # OC7 implies OC7'; the other three verdict pairs all occur
     assert verdicts == {(True, True): 645, (False, True): 269, (False, False): 90}
+
+
+# Light's test, the OS7 cover pass and the de Barros rows on their own (small
+# subjects skip them), and the composite of two orders on up-set bitmasks
+
+
+def every_magma(n):
+    """Every n x n table on 0..n-1."""
+    for cells in itertools.product(range(n), repeat=n * n):
+        yield tuple(cells[a * n:(a + 1) * n] for a in range(n))
+
+
+def test_lights_test_matches_the_scan_on_every_magma_on_two_and_three_points():
+    verdicts = collections.Counter()
+    for n in (2, 3):
+        for mul in every_magma(n):
+            s = FiniteBiunarySemigroup(n, mul, (0,) * n, (0,) * n)
+            light = core._generators_associate(mul)
+            assert light == scan_oracle._associativity(s, Evaluation()).holds
+            verdicts[n, light] += 1
+    # A023814: 8 of the 16 tables on 2 points associate, 113 of the 19,683 on 3
+    assert verdicts == {(2, True): 8, (2, False): 8, (3, True): 113, (3, False): 19570}
+
+
+def test_lights_test_matches_the_scan_on_the_zoo_and_its_mutations():
+    """Every zoo table, rel-3 included, and seeded single-entry mutations of each;
+    the n³ scan runs a row comparison per (a, b)."""
+    rng = random.Random(21)
+    sides = set()
+    for name in zoo.names():
+        mul = zoo.get(name).structure.mul
+        n = len(mul)
+        if n == 1:
+            continue
+        tables = [mul]
+        for _ in range(3 if n <= 64 else 1):
+            rows = [list(row) for row in mul]
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            tables.append(tuple(map(tuple, rows)))
+        for table in tables:
+            light = core._generators_associate(table)
+            assert light == scan_oracle.associates_by_rows(table), name
+            sides.add(light)
+    assert sides == {True, False}
+
+
+def cover_pass(os):
+    """``orders._os7_holds`` on ``os``, from the down-sets ``orders._os7`` reads."""
+    n, rel = os.base.n, os.order.rel
+    below = [[y for y in range(n) if rel[y][x]] for x in range(n)]
+    return orders._os7_holds(os.base.mul, below, [sum(1 << y for y in ys) for ys in below])
+
+
+@pytest.mark.parametrize("block", [3, 64])
+def test_os7_cover_pass_matches_the_scan_on_every_order_of_size_at_most_4(monkeypatch, block):
+    monkeypatch.setattr(orders, "_OS7_BLOCK", block)
+    verdicts = collections.Counter()
+    for n in range(1, 5):
+        for s in zoo.enumerate_ehresmann_semigroups(n, allow_large=True):
+            for order in enumerate_ehresmann_orders(s):
+                os = OrderedSemigroup(s, order)
+                holds = cover_pass(os)
+                assert holds == scan_oracle._os7(os, Evaluation()).holds
+                verdicts[holds] += 1
+    assert sum(verdicts.values()) == 10147 and set(verdicts) == {True, False}
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_os7_cover_pass_matches_the_scan_on_every_zoo_order(monkeypatch, block, n5_0213):
+    """Each zoo order (rel-3 against its known least witness, where the scan is
+    slow), the three derived orders of the zoo entries up to pt-3 and of n5-0213,
+    and the two Ehresmann orders of n5-0213; a block of 7 columns does not
+    divide pt-3's 64."""
+    monkeypatch.setattr(orders, "_OS7_BLOCK", block)
+    sides = set()
+    subjects = [(s, order) for s, orders_of_s in zoo_orders() for order in orders_of_s]
+    derived = derive_orders(n5_0213)
+    subjects += [(n5_0213, order) for order in (*enumerate_ehresmann_orders(n5_0213), derived.leq_l, derived.leq_r, derived.leq_e)]
+    for s, order in subjects:
+        os = OrderedSemigroup(s, order)
+        holds = cover_pass(os)
+        assert holds == scan_oracle._os7(os, Evaluation()).holds
+        sides.add(holds)
+    assert sides == {True, False}
+    rel3 = OrderedSemigroup(zoo.get("rel-3").structure, zoo.get("rel-3").orders[0][1])
+    assert not cover_pass(rel3)
+    assert orders._os7(rel3, Evaluation()).witness == (9, 3, 10)
+
+
+def de_barros_subjects(n5_0213):
+    """Every Ehresmann semigroup of size at most 4, n5-0213 and every zoo entry, rel-3 included."""
+    for n in range(1, 5):
+        yield from zoo.enumerate_ehresmann_semigroups(n, allow_large=True)
+    yield n5_0213
+    for name in zoo.names():
+        yield zoo.get(name).structure
+
+
+def test_de_barros_rows_match_the_triple_scan(n5_0213):
+    verdicts = collections.Counter()
+    for s in de_barros_subjects(n5_0213):
+        scan = scan_oracle._de_barros_equational(s, Evaluation())
+        rows = core._de_barros_rows_hold(s, projections(s).sorted_members)
+        assert rows == scan.holds
+        assert core._de_barros_equational(s, Evaluation()) == scan
+        verdicts[s.n, rows] += 1
+    # every Ehresmann semigroup of size at most 4 is de Barros; n5-0213,
+    # orderless-band (6) and rel-3 (512) are not
+    assert [key for key, count in verdicts.items() if not key[1]] == [(5, False), (6, False), (512, False)]
+    assert verdicts[4, True] == 1708
+
+
+def test_de_barros_rows_fail_wherever_the_failing_rows_are(n5_0213):
+    """n5-0213 under each of its 120 relabellings, so that its failing rows
+    come before, at and after each point where the rows test its cells."""
+    n = n5_0213.n
+    for perm in itertools.permutations(range(n)):
+        dmap, rmap = [0] * n, [0] * n
+        for x in range(n):
+            dmap[perm[x]], rmap[perm[x]] = perm[n5_0213.dmap[x]], perm[n5_0213.rmap[x]]
+        s = FiniteBiunarySemigroup(n, relabelled(n5_0213.mul, perm), dmap, rmap)
+        assert not core._de_barros_rows_hold(s, projections(s).sorted_members)
+        assert core._de_barros_equational(s, Evaluation()) == scan_oracle._de_barros_equational(s, Evaluation())
+
+
+def test_mask_composites_match_the_matrix_composites(n5_0213):
+    """Each of the nine composites of two derived orders on every subject of the
+    de Barros test, as bitmasks against the matrix; both sides of "equals the
+    e-order" occur."""
+    sides = set()
+    for s in de_barros_subjects(n5_0213):
+        derived = derive_orders(s)
+        three = (derived.leq_l, derived.leq_r, derived.leq_e)
+        for p, q in itertools.product(three, repeat=2):
+            masks = orders._composite_up_sets(p, q)
+            matrix = scan_oracle.compose_relations(p, q)
+            assert tuple(orders._bool_row(u, s.n) for u in masks) == matrix
+            sides.add(matrix == derived.leq_e.rel)
+    assert sides == {True, False}
+
+
+def test_derived_orders_match_the_cell_by_cell_build():
+    """``derive_orders`` against the matrix build on every Ehresmann semigroup of
+    size at most 3, the zoo up to pt-3, and seeded single-entry mutations of
+    them, where it must raise the same error."""
+    rng = random.Random(22)
+    outcomes = collections.Counter()
+    subjects = [s for n in (1, 2, 3) for s in zoo.enumerate_ehresmann_semigroups(n)]
+    subjects += [s for s, _ in zoo_orders()]
+    for s in subjects:
+        for trial in range(1 + (40 if s.n <= 16 else 2)):
+            mul = [list(row) for row in s.mul]
+            if trial:
+                mul[rng.randrange(s.n)][rng.randrange(s.n)] = rng.randrange(s.n)
+            t = FiniteBiunarySemigroup(s.n, mul, s.dmap, s.rmap)
+            try:
+                want = scan_oracle.derive_orders(t)
+            except InternalInconsistency as exc:
+                with pytest.raises(InternalInconsistency) as err:
+                    derive_orders(t)
+                assert str(err.value) == str(exc)
+                outcomes[str(exc).split(":")[0]] += 1
+            else:
+                assert derive_orders(t) == want
+                outcomes["orders"] += 1
+    assert set(outcomes) == {"orders", "derived relation is not a partial order",
+                             "left and right orders do not compose to the e-order"}
