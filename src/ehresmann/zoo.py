@@ -116,15 +116,11 @@ def gen_rel(k: int) -> ZooEntry:
     if not 1 <= k <= 3:
         raise TooLargeError("relation semigroups are generated for 1..3 points only")
     n = 1 << (k * k)
-    mul = tuple(
-        tuple(_rel_compose(a, b, k) for b in range(n)) for a in range(n)
-    )
-    dmap = []
-    rmap = []
+    mul = tuple(tuple(_rel_compose(a, b, k) for b in range(n)) for a in range(n))
+    dmap, rmap = [], []
     for a in range(n):
         rows = _rel_rows(a, k)
-        dom = 0
-        ran = 0
+        dom = ran = 0
         for i in range(k):
             if rows[i]:
                 dom |= 1 << (i * k + i)
@@ -135,9 +131,7 @@ def gen_rel(k: int) -> ZooEntry:
         rmap.append(ran)
     names = tuple(_rel_name(a, k) for a in range(n))
     s = FiniteBiunarySemigroup(n, mul, tuple(dmap), tuple(rmap), names)
-    incl = PartialOrder(
-        n, tuple(tuple(a | b == b for b in range(n)) for a in range(n))
-    )
+    incl = PartialOrder(n, tuple(tuple(a | b == b for b in range(n)) for a in range(n)))
     return ZooEntry(f"rel-{k}", s, (("inclusion", incl),), provenance="ehresmann-order")
 
 
@@ -165,18 +159,13 @@ def _pt_name(f: tuple[int, ...]) -> str:
 def _pt_entry(name: str, elements: list[tuple[int, ...]], provenance: str) -> ZooEntry:
     index = {f: i for i, f in enumerate(elements)}
     n = len(elements)
-    mul = tuple(
-        tuple(index[_pt_compose(f, g)] for g in elements) for f in elements
-    )
+    mul = tuple(tuple(index[_pt_compose(f, g)] for g in elements) for f in elements)
     dmap = tuple(index[_pt_dom_identity(f)] for f in elements)
     rmap = tuple(index[_pt_ran_identity(f)] for f in elements)
     names = tuple(_pt_name(f) for f in elements)
     s = FiniteBiunarySemigroup(n, mul, dmap, rmap, names)
     rel = tuple(
-        tuple(
-            all(v == 0 or v == g[x] for x, v in enumerate(f)) for g in elements
-        )
-        for f in elements
+        tuple(all(v == 0 or v == g[x] for x, v in enumerate(f)) for g in elements) for f in elements
     )
     return ZooEntry(name, s, (("inclusion", PartialOrder(n, rel)),), provenance)
 
@@ -251,12 +240,14 @@ def get(name: str) -> ZooEntry:
     return entry
 
 
-def _new_cell_consistent(t: list[list[int]], n: int, i: int, j: int) -> bool:
-    """(ab)c = a(bc) on every defined triple that reads cell (i, j).
+Table = tuple[tuple[int, ...], ...]
+Perm = tuple[int, ...]
 
-    Unset cells hold -1.  A triple (a, b, c) reads the cells ab, bc,
-    (ab)c and a(bc); those that read (i, j) are (i, j, c), (a, i, j),
-    (a, b, j) with ab = i and (i, b, c) with bc = j.
+
+def _new_cell_consistent(t: list[list[int]], pre: list[list], n: int, i: int, j: int) -> bool:
+    """(ab)c = a(bc) on every defined triple that reads the new cell (i, j):
+    (i, j, c), (a, i, j), (a, b, j) with ab = i and (i, b, c) with bc = j.
+    Unset cells hold -1, and pre[v] lists the filled cells (a, b) with ab = v.
     """
     ti, tj = t[i], t[j]
     v = ti[j]
@@ -265,68 +256,77 @@ def _new_cell_consistent(t: list[list[int]], n: int, i: int, j: int) -> bool:
         jc = tj[c]
         if jc >= 0 and tv[c] >= 0 and ti[jc] >= 0 and tv[c] != ti[jc]:
             return False
-    for a in range(n):
+    for a in range(n):  # (ai)j = a(ij)
         ta = t[a]
         ai = ta[i]
-        if ai >= 0 and t[ai][j] >= 0 and ta[v] >= 0 and t[ai][j] != ta[v]:  # (ai)j = a(ij)
+        if ai >= 0 and t[ai][j] >= 0 and ta[v] >= 0 and t[ai][j] != ta[v]:
             return False
-        for b in range(n):  # (ab)j = a(bj) where ab = i
-            if ta[b] == i:
-                bj = t[b][j]
-                if bj >= 0 and ta[bj] >= 0 and ta[bj] != v:
-                    return False
-    for b in range(n):  # (ib)c = i(bc) where bc = j
+    for a, b in pre[i]:  # (ab)j = a(bj) where ab = i
+        bj = t[b][j]
+        if bj >= 0 and t[a][bj] >= 0 and t[a][bj] != v:
+            return False
+    for b, c in pre[j]:  # (ib)c = i(bc) where bc = j
         ib = ti[b]
-        if ib < 0:
-            continue
-        tb, tib = t[b], t[ib]
-        for c in range(n):
-            if tb[c] == j and tib[c] >= 0 and tib[c] != v:
-                return False
+        if ib >= 0 and t[ib][c] >= 0 and t[ib][c] != v:
+            return False
     return True
 
 
-def _lex_least_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The associative n x n tables no relabelling makes smaller, in lexicographic order.
+def _tables_with_automorphisms(n: int) -> Iterator[tuple[Table, list[Perm]]]:
+    """The associative n x n tables no relabelling makes smaller, in lexicographic
+    order, each with its automorphisms other than the identity, sorted.
 
-    Cells are filled in row-major order, and only the triples that read
-    the new cell are checked.  As orderly generation (Read, 1978), a node
-    is also cut when a relabelling p already gives a smaller table on the
-    filled cells 0..k; cell (x, y) of the image is p(T[p^-1 x][p^-1 y]).
-    At a leaf the test is complete, so one table per isomorphism class is left.
+    Cells are filled in row-major order, and only the triples that read the
+    new cell are checked.  As orderly generation (Read, 1978), a node is cut
+    when a relabelling p gives a smaller table on the filled cells 0..k; cell
+    (x, y) of the image is p(T[p^-1 x][p^-1 y]).  A relabelling still tied
+    waits in ``waiting`` at the first index where its next image cell can be
+    compared, and resumes there; one found larger is dropped, as cells 0..k
+    stay fixed below the node.  Those tied at a leaf are its automorphisms.
     """
+    nn = n * n
     table = [[-1] * n for _ in range(n)]
-    flat = [-1] * (n * n)
-    # every relabelling but the identity, with the cell each image cell reads
-    relabellings = [
-        (p, [p.index(x) * n + p.index(y) for x in range(n) for y in range(n)])
-        for p in itertools.islice(itertools.permutations(range(n)), 1, None)
-    ]
+    flat = [-1] * nn
+    pre: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    waiting: list[list[tuple]] = [[] for _ in range(nn + 1)]
+    for p in itertools.islice(itertools.permutations(range(n)), 1, None):
+        src = [p.index(x) * n + p.index(y) for x in range(n) for y in range(n)]
+        # image cell c is compared once cells c and src[c] are filled
+        need = [max(c, s) for c, s in enumerate(src)] + [nn]
+        waiting[need[0]].append((p, src, need, 0))
 
-    def beaten(k: int) -> bool:
-        for p, src in relabellings:
-            for c in range(k + 1):
-                if src[c] > k:  # image cell c is not known yet
-                    break
-                image = p[flat[src[c]]]
-                if image < flat[c]:
-                    return True
-                if image > flat[c]:
-                    break
-        return False
-
-    def fill(idx: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if idx == n * n:
-            yield tuple(tuple(row) for row in table)
+    def fill(idx: int) -> Iterator[tuple[Table, list[Perm]]]:
+        if idx == nn:
+            yield tuple(tuple(row) for row in table), sorted(p for p, *_ in waiting[nn])
             return
         i, j = divmod(idx, n)
+        row, here = table[i], waiting[idx]
         for v in range(n):
-            table[i][j] = flat[idx] = v
-            if _new_cell_consistent(table, n, i, j) and not beaten(idx):
-                yield from fill(idx + 1)
-        table[i][j] = flat[idx] = -1
+            row[j] = flat[idx] = v
+            pre[v].append((i, j))
+            if _new_cell_consistent(table, pre, n, i, j):
+                moved = []
+                for p, src, need, c in here:
+                    while need[c] <= idx and p[flat[src[c]]] == flat[c]:
+                        c += 1
+                    if need[c] > idx:  # still tied
+                        waiting[need[c]].append((p, src, need, c))
+                        moved.append(need[c])
+                    elif p[flat[src[c]]] < flat[c]:
+                        break
+                else:
+                    yield from fill(idx + 1)
+                for w in moved:
+                    waiting[w].pop()
+            pre[v].pop()
+        row[j] = flat[idx] = -1
 
     return fill(0)
+
+
+def _lex_least_tables(n: int) -> Iterator[Table]:
+    """The tables of :func:`_tables_with_automorphisms` alone."""
+    return (table for table, _ in _tables_with_automorphisms(n))
 
 
 def _d_laws_ok(mul, dmap, n: int) -> bool:
@@ -355,14 +355,10 @@ def _r_laws_ok(mul, dmap, rmap, n: int) -> bool:
     return True
 
 
-def _structures_for_table(
-    n: int, mul: tuple[tuple[int, ...], ...]
-) -> Iterator[FiniteBiunarySemigroup]:
+def _structures_for_table(n: int, mul: Table) -> Iterator[FiniteBiunarySemigroup]:
     idem = [e for e in range(n) if mul[e][e] == e]
     cand_d = [[e for e in idem if mul[e][x] == x] for x in range(n)]
     cand_r = [[e for e in idem if mul[x][e] == x] for x in range(n)]
-    if any(not c for c in cand_d) or any(not c for c in cand_r):
-        return
     for dmap in itertools.product(*cand_d):
         if not _d_laws_ok(mul, dmap, n):
             continue
@@ -385,26 +381,30 @@ def _permuted_key(s: FiniteBiunarySemigroup, perm: tuple[int, ...]) -> tuple[int
     return (n, *flat)
 
 
-def _orbits(
-    n: int,
-) -> Iterator[tuple[FiniteBiunarySemigroup, dict[tuple[int, ...], tuple[int, ...]]]]:
-    """Each isomorphism class once: its least structure and its relabellings.
+def _least_structures(n: int) -> Iterator[FiniteBiunarySemigroup]:
+    """Each isomorphism class's least structure, in lexicographic (mul, D, R) order.
 
-    The relabellings map the key of each member of the class to the first
-    permutation p (in ``itertools.permutations`` order) that renames x of
-    the least structure to p[x] in that member.  The least key of a class
-    has a lex-least table, so the (D, R) search runs on
-    :func:`_lex_least_tables` only, and a structure is yielded when no
-    relabelling gives a smaller key.  Order is lexicographic in (mul, D, R).
+    Its table T is lex-least, and a relabelling that is not an automorphism
+    of T makes T larger, so no automorphism p of T gives a smaller (pD, pR).
+    """
+    for mul, automorphisms in _tables_with_automorphisms(n):
+        for s in _structures_for_table(n, mul):
+            key = s.key()
+            if all(_permuted_key(s, p) >= key for p in automorphisms):
+                yield s
+
+
+def _orbits(n: int) -> Iterator[tuple[FiniteBiunarySemigroup, dict[tuple[int, ...], Perm]]]:
+    """Each structure of :func:`_least_structures` with its relabellings: the
+    key of each member of its class maps to the first permutation p (in
+    ``itertools.permutations`` order) that renames x to p[x] in that member.
     """
     perms = list(itertools.permutations(range(n)))
-    for mul in _lex_least_tables(n):
-        for s in _structures_for_table(n, mul):
-            relabellings: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for p in perms:
-                relabellings.setdefault(_permuted_key(s, p), p)
-            if min(relabellings) == s.key():
-                yield s, relabellings
+    for s in _least_structures(n):
+        relabellings: dict[tuple[int, ...], Perm] = {}
+        for p in perms:
+            relabellings.setdefault(_permuted_key(s, p), p)
+        yield s, relabellings
 
 
 def _from_key(key: tuple[int, ...], rows: dict) -> FiniteBiunarySemigroup:
@@ -433,18 +433,17 @@ def enumerate_ehresmann_semigroups(
 ) -> Iterator[FiniteBiunarySemigroup]:
     """Stream every Ehresmann semigroup on the indexed carrier 0..n-1.
 
-    Both modes read :func:`_orbits`, which searches (D, R) on the
-    lex-least tables only.  With ``up_to_iso`` each class's least
-    structure is yielded as found; otherwise the keys of every class's
-    relabellings are collected and sorted before the first is yielded.
-    Emission order is lexicographic in (mul, D, R) and therefore stable
-    across runs.  Size 4 is permitted only behind ``allow_large``;
-    anything beyond is refused, and a size that is not an ``int`` is
-    malformed.
+    Both modes search (D, R) on the lex-least tables only.  With
+    ``up_to_iso`` each class's least structure is yielded as found, and
+    only the tables' automorphisms relabel it; otherwise the keys of
+    every class's :func:`_orbits` relabellings are sorted before the first
+    is yielded.  Emission order is lexicographic in (mul, D, R).  Size 4
+    is permitted only behind ``allow_large``; anything beyond is refused,
+    and a size that is not an ``int`` is malformed.
     """
     _check_size(n, allow_large)
     if up_to_iso:
-        return (s for s, _ in _orbits(n))
+        return _least_structures(n)
     rows: dict = {}
     keys = sorted(key for _, relabellings in _orbits(n) for key in relabellings)
     return (_from_key(key, rows) for key in keys)

@@ -114,6 +114,14 @@ def test_lex_least_tables_are_the_rescan_orbit_leaders(n, count):
     assert list(zoo._lex_least_tables(n)) == leaders
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_leaders_carry_their_automorphisms(n):
+    # the relabellings still tied at a leaf are its automorphisms, the identity left out
+    perms = list(itertools.permutations(range(n)))
+    for t, automorphisms in zoo._tables_with_automorphisms(n):
+        assert automorphisms == [p for p in perms[1:] if relabelled(t, p) == t]
+
+
 def recursive_orders(s):
     """Ehresmann orders by the recursive bool-matrix search over extensions of the e-order."""
     n, mul, D, R = s.n, s.mul, s.dmap, s.rmap
