@@ -326,29 +326,29 @@ def evaluate(key: str, x: Any) -> LawReport:
     return Evaluation()(key, x)
 
 
-# Tables up to this size are scanned without Light's test in front.  On
-# tables that associate (2 CPUs, Python 3.11, us) the scan is faster on the
-# size-4 sweep (9.4 against 16.8 for the test), at size 5 (11.7 against
-# 18.9 over every third class) and on the 6-element orderless-band (15.0
-# against 24.3), and the test from the 7-element inj-2 on (18.8 against
-# 21.5; rel-2 64 against 180, pt-3 650 against 10,000).
-_ASSOCIATIVITY_SCAN_MAX_N = 6
+# Tables up to this size build no generating set and decide associativity,
+# L3, L4, OS3 and the order search's closure over every product.  On tables
+# that associate (2 CPUs, Python 3.11, us) the associativity scan beats
+# Light's test on the size-4 sweep (9.4 against 16.8), at size 5 (11.7
+# against 18.9 over every third class) and on the 6-element orderless-band
+# (15.0 against 24.3); the test wins from the 7-element inj-2 on (18.8
+# against 21.5; rel-2 64 against 180, pt-3 650 against 10,000).
+_PRODUCT_SCAN_MAX_N = 6
 
 
-def _generators_associate(mul: tuple[tuple[int, ...], ...]) -> bool:
-    """Light's associativity test over a greedy generating set of the table ``mul``.
+def _generating_set(s: FiniteBiunarySemigroup, ev: Evaluation) -> tuple[int, ...] | None:
+    """A greedy generating set of ``s``, None when ``s`` has at most ``_PRODUCT_SCAN_MAX_N`` elements.
 
-    The g with (xg)y = x(gy) for all x, y form a submagma (Clifford and
-    Preston, *The Algebraic Theory of Semigroups* I, 1.2), so the table is
-    associative iff every generator passes.  Candidates come largest
-    one-sided principal ideals first (|gS| + |Sg|, then index), and each
-    one outside the closure so far becomes a generator; it passes when row
-    (xg) equals row x read through row g, for every x.  The closure is
-    taken under right multiplication by the generators, O(n) per
-    generator: its members are products of passing elements, so they pass
-    too.  Needs n > 1, where ``itemgetter`` returns a tuple.
+    Candidates come largest one-sided principal ideals first (|gS| + |Sg|,
+    then index), and each one outside the closure so far becomes a
+    generator.  The closure grows by right multiplication with the
+    generators, O(n) per generator, so each element is a left-bracketed
+    product of generators: all Light's test needs, and all products once
+    the evaluation has decided associativity, as the other readers need.
     """
-    n = len(mul)
+    mul, n = s.mul, s.n
+    if n <= _PRODUCT_SCAN_MAX_N:
+        return None
     cols = tuple(zip(*mul))
     inside = [False] * n
     members: list[int] = []
@@ -356,9 +356,6 @@ def _generators_associate(mul: tuple[tuple[int, ...], ...]) -> bool:
     for g in sorted(range(n), key=lambda g: (-len(set(mul[g])) - len(set(cols[g])), g)):
         if inside[g]:
             continue
-        through_g = itemgetter(*mul[g])
-        if any(mul[row[g]] != through_g(row) for row in mul):
-            return False
         gens.append(g)
         # the old members times g, then each new member times every generator
         queue = [g, *map(cols[g].__getitem__, members)]
@@ -370,14 +367,31 @@ def _generators_associate(mul: tuple[tuple[int, ...], ...]) -> bool:
                 queue += map(mul[x].__getitem__, gens)
         if len(members) == n:
             break
+    return tuple(gens)
+
+
+def _generators_associate(mul: tuple[tuple[int, ...], ...], gens: tuple[int, ...]) -> bool:
+    """Light's associativity test of the table ``mul`` over its generating set ``gens``.
+
+    The g with (xg)y = x(gy) for all x, y form a submagma (Clifford and
+    Preston, *The Algebraic Theory of Semigroups* I, 1.2), so the table is
+    associative iff every generator passes; g passes when row (xg) equals
+    row x read through row g, for every x.  Needs n > 1, where
+    ``itemgetter`` returns a tuple.
+    """
+    for g in gens:
+        through_g = itemgetter(*mul[g])
+        if any(mul[row[g]] != through_g(row) for row in mul):
+            return False
     return True
 
 
 def _associativity(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
     mul, n = s.mul, s.n
+    gens = ev.build(_generating_set, s)
     w = None
     # Light's test says "holds" on a larger table; a failure is scanned for the least triple
-    if n <= _ASSOCIATIVITY_SCAN_MAX_N or not _generators_associate(mul):
+    if gens is None or not _generators_associate(mul, gens):
         w = next(((a, b, c)
                   for a in range(n) for row_a in [mul[a]]
                   for b in range(n) for row_ab, row_b in [(mul[row_a[b]], mul[b])]
@@ -406,8 +420,16 @@ def _l2(s: FiniteBiunarySemigroup) -> tuple[int, ...] | None:
     return None
 
 
-def _l3(s: FiniteBiunarySemigroup) -> tuple[int, ...] | None:
+def _l3(s: FiniteBiunarySemigroup, gens: tuple[int, ...] | None) -> tuple[int, ...] | None:
     mul, D, R = s.mul, s.dmap, s.rmap
+    # D(xy) = D(xD(y)) holds for all x once it holds for x in a generating set, as
+    # D(x1x2y) = D(x1D(x2y)) = D(x1D(x2D(y))) = D(x1x2D(y)); dually R(xy) = R(R(x)y) and y
+    if gens is not None:
+        rows, cols = map(mul.__getitem__, gens), (tuple(map(itemgetter(g), mul)) for g in gens)
+        # row g holds the products gy, column g the products xg
+        if all([D[v] for v in row] == [D[row[d]] for d in D] for row in rows) and all(
+                [R[v] for v in col] == [R[col[r]] for r in R] for col in cols):
+            return None
     for x in range(s.n):
         for y in range(s.n):
             if D[mul[x][y]] != D[mul[x][D[y]]] or R[mul[x][y]] != R[mul[R[x]][y]]:
@@ -417,6 +439,11 @@ def _l3(s: FiniteBiunarySemigroup) -> tuple[int, ...] | None:
 
 def _l4(s: FiniteBiunarySemigroup) -> tuple[int, ...] | None:
     mul, D = s.mul, s.dmap
+    # L4 reads x and y only through D(x) and D(y): a larger table tests pairs of projections
+    if s.n > _PRODUCT_SCAN_MAX_N:
+        proj = set(D)
+        if all(D[p] == p for e in proj for p in map(mul[e].__getitem__, proj)):
+            return None
     for x in range(s.n):
         for y in range(s.n):
             p = mul[D[x]][D[y]]
@@ -425,11 +452,9 @@ def _l4(s: FiniteBiunarySemigroup) -> tuple[int, ...] | None:
     return None
 
 
-_LOCALISABLE_SUBLAWS = (("L1", _l1), ("L2", _l2), ("L3", _l3), ("L4", _l4))
-
-
 def _localisable(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
-    return _first_failure("localisable", s, ((name, fn(s)) for name, fn in _LOCALISABLE_SUBLAWS))
+    gens = ev.build(_generating_set, s)
+    return _first_failure("localisable", s, (("L1", _l1(s)), ("L2", _l2(s)), ("L3", _l3(s, gens)), ("L4", _l4(s))))
 
 
 def check_localisable(s: FiniteBiunarySemigroup) -> LawReport:

@@ -26,6 +26,7 @@ from .core import (
     _check_map,
     _first_failure,
     _fmt,
+    _generating_set,
     _hom_clauses,
     _hom_wording,
     _leaf,
@@ -267,21 +268,32 @@ def _os3_witness(n: int, mul, rel) -> tuple[int, ...] | None:
     return None
 
 
-def _os3_total_witness(n: int, mul, rel) -> tuple[int, ...] | None:
-    """``_os3_witness`` for a total ``mul``, decided in |<|·n steps.
+def _products_by(mul, gens: Sequence[int] | None) -> tuple[Sequence, Sequence]:
+    """``right`` and ``left`` of ``mul``: right[a] lists the products a*g and
+    left[a] the products g*a, for g in ``gens`` (every g when None)."""
+    if gens is None:
+        return mul, tuple(zip(*mul))
+    return [tuple(map(row.__getitem__, gens)) for row in mul], tuple(zip(*map(mul.__getitem__, gens)))
+
+
+def _os3_total_witness(n: int, mul, rel, gens: Sequence[int] | None = None) -> tuple[int, ...] | None:
+    """``_os3_witness`` for a total, associative ``mul`` generated by ``gens``
+    (every element when None), decided in |<|·|gens| steps.
 
     On a total table OS3 holds iff a < b implies ac <= bc and ca <= cb for
-    every c, since then ac <= bc <= bd.  Only when that fails does the
-    scan run, to report the least witness.
+    every c, since then ac <= bc <= bd.  The generators are enough: if
+    a <= b gives ag <= bg and ga <= gb for every generator g, then for
+    c = g1…gk induction gives ac <= bc and ca <= cb.  Only when that fails
+    does the scan run, to report the least witness.
     """
-    cols = tuple(tuple(row[c] for row in mul) for c in range(n))
+    right, left = _products_by(mul, gens)
     for a in range(n):
-        ra, ma, ca = rel[a], mul[a], cols[a]
+        ra, ma, ca = rel[a], right[a], left[a]
         for b in range(n):
             if a == b or not ra[b]:
                 continue
-            mb, cb = mul[b], cols[b]
-            for c in range(n):
+            mb, cb = right[b], left[b]
+            for c in range(len(ma)):
                 if not rel[ma[c]][mb[c]] or not rel[ca[c]][cb[c]]:
                     return _os3_witness(n, mul, rel)
     return None
@@ -339,7 +351,7 @@ def _ehresmann_order(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
     proj = projections(s).sorted_members
     checks = (
         ("OS2", _os2_witness(s.n, s.dmap, s.rmap, os.order.rel)),
-        ("OS3", _os3_total_witness(s.n, s.mul, os.order.rel)),
+        ("OS3", _os3_total_witness(s.n, s.mul, os.order.rel, ev.build(_generating_set, s))),
         ("OS6", _os6_witness(os, proj)),
         ("OSI", _osi_witness(s.n, proj, os.order.rel)),
     )
@@ -628,9 +640,10 @@ class _OrderSearch:
     """DFS over order extensions of the derived e-order.
 
     A state is a relation kept closed under transitivity, the monotonicity
-    rule for D and R, and product compatibility, as bitmask rows: bit b of
-    ``up[a]`` and bit a of ``down[b]`` are set when a <= b, and bit b of
-    ``ex[a]`` when the branch has excluded a <= b.  Pairs that would break
+    rule for D and R, and product compatibility, read on the generators of
+    ``_generating_set``, as bitmask rows: bit b of ``up[a]`` and bit a of
+    ``down[b]`` are set when a <= b, and bit b of ``ex[a]`` when the
+    branch has excluded a <= b.  Pairs that would break
     antisymmetry, put a non-projection under a projection or add an
     excluded pair prune the branch.
     """
@@ -638,8 +651,8 @@ class _OrderSearch:
     def __init__(self, s: FiniteBiunarySemigroup, ev: Evaluation):
         n = self.n = s.n
         self.s = s
-        self.cols = tuple(tuple(row[c] for row in s.mul) for c in range(n))
-        self.proj = sum(1 << e for e in projections(s).members)
+        self.right, self.left = _products_by(s.mul, ev.build(_generating_set, s))
+        proj = self.proj = sum(1 << e for e in projections(s).members)
         rel = ev.build(_derived_orders, s).leq_e.rel
         up = _up_sets(n, rel)
         down = _up_sets(n, tuple(zip(*rel)))
@@ -649,35 +662,37 @@ class _OrderSearch:
         # OS2 puts D(a) <= D(b) and R(a) <= R(b) under a <= b, and every
         # Ehresmann order agrees with the root on projections (e <= f gives
         # e = ee <= fe, and fe <= e in the root), so no Ehresmann order holds a
-        # pair whose D or R images the root leaves unordered: none is branched on
-        D, R = s.dmap, s.rmap
-        self.candidates = [
-            (a, b)
-            for a in range(n)
-            for b in range(n)
-            if a != b
-            and not up[a] >> b & 1
-            and not up[b] >> a & 1
-            and not (self.proj >> b & 1 and not self.proj >> a & 1)
-            and up[D[a]] >> D[b] & 1
-            and up[R[a]] >> R[b] & 1
-        ] if self.root_ok else []
+        # pair whose D or R images the root leaves unordered: none is branched
+        # on.  So the candidates b of a are read from one mask: unordered with
+        # a, no projection over a non-projection, D(a) <= D(b) and R(a) <= R(b)
+        self.candidates = []
+        if self.root_ok:
+            D, R = s.dmap, s.rmap
+            # bit b of d_above[e] is set when e <= D(b) in the root, of r_above[e] when e <= R(b)
+            d_above, r_above = ({e: sum(1 << b for b, f in enumerate(idmap) if up[e] >> f & 1) for e in set(idmap)}
+                                for idmap in (D, R))
+            for a in range(n):
+                mask = d_above[D[a]] & r_above[R[a]] & ~(up[a] | down[a] | (0 if proj >> a & 1 else proj))
+                self.candidates += ((a, b) for b in _bits(mask))
 
     def _close(self, up: list[int], down: list[int], queue: list[tuple[int, int]],
                ex: Sequence[int]) -> bool:
         """Add what the queued pairs imply; False when that prunes the branch.
 
         From a popped a <= b this derives D(a) <= D(b), R(a) <= R(b),
-        ac <= bc and ca <= cb for every c, and x <= y for every x <= a and
-        b <= y.  With reflexivity and transitivity that reaches the
-        closure under a <= b, c <= d => ac <= bd.
+        ag <= bg and ga <= gb for every generator g, and x <= y for every
+        x <= a and b <= y.  Every pair added is popped in turn, so for
+        c = g1…gk induction gives ac <= bc and ca <= cb, and with
+        reflexivity and transitivity that reaches the closure under
+        a <= b, c <= d => ac <= bd: the same orders and the same prunes as
+        multiplying by every c.
         """
-        mul, cols, D, R, proj = self.s.mul, self.cols, self.s.dmap, self.s.rmap, self.proj
+        right, left, D, R, proj = self.right, self.left, self.s.dmap, self.s.rmap, self.proj
         while queue:
             a, b = queue.pop()
             derived = [(D[a], D[b]), (R[a], R[b])]
-            derived += zip(mul[a], mul[b])
-            derived += zip(cols[a], cols[b])
+            derived += zip(right[a], right[b])
+            derived += zip(left[a], left[b])
             for p, q in derived:
                 if p == q or up[p] >> q & 1:
                     continue

@@ -2,8 +2,9 @@
 
 The package closes pairs into a partial order and validates one on
 up-set bitmasks, validates a category's associativity on composable
-triples only, decides a semigroup's associativity by Light's test, the
-functional law row by row, the de Barros identity once per distinct pair
+triples only, decides a semigroup's associativity by Light's test, L3
+and the order search's product closure on a generating set, L4 on pairs
+of projections, the functional law row by row, the de Barros identity once per distinct pair
 of rows, OS7 by recursion over lower covers, OC7/OC7' from one product
 set per pair of factors, OC3 on a partial composition and the composites
 of two orders by up-set bitmasks, and tabulates the unique part below an
@@ -29,7 +30,15 @@ from ehresmann.core import (
     _leaf,
     projections,
 )
-from ehresmann.orders import DerivedOrders, OrderedSemigroup, PartialOrder, _os2_witness, _os3_witness
+from ehresmann.orders import (
+    DerivedOrders,
+    OrderedSemigroup,
+    PartialOrder,
+    _bits,
+    _OrderSearch,
+    _os2_witness,
+    _os3_witness,
+)
 
 
 def compose_relations(p: PartialOrder, q: PartialOrder) -> tuple[tuple[bool, ...], ...]:
@@ -125,6 +134,66 @@ def _associativity(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
     return _leaf("associativity", w, lambda a, b, c: (
         f"({_fmt(s, a)}*{_fmt(s, b)})*{_fmt(s, c)} = {_fmt(s, mul[mul[a][b]][c])}"
         f" but {_fmt(s, a)}*({_fmt(s, b)}*{_fmt(s, c)}) = {_fmt(s, mul[a][mul[b][c]])}"))
+
+
+def _localisable(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
+    mul, D, R, n = s.mul, s.dmap, s.rmap, s.n
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    checks = (
+        ("L1", next(((x,) for x in range(n) if mul[D[x]][x] != x or mul[x][R[x]] != x), None)),
+        ("L2", next(((x,) for x in range(n) if D[R[x]] != R[x] or R[D[x]] != D[x]), None)),
+        ("L3", next(((x, y) for x, y in pairs
+                     if D[mul[x][y]] != D[mul[x][D[y]]] or R[mul[x][y]] != R[mul[R[x]][y]]), None)),
+        ("L4", next(((x, y) for x, y in pairs if D[mul[D[x]][D[y]]] != mul[D[x]][D[y]]), None)),
+    )
+    return _first_failure("localisable", s, checks)
+
+
+class AllProductsSearch(_OrderSearch):
+    """The order search with the closure that multiplies by every element."""
+
+    def _close(self, up, down, queue, ex) -> bool:
+        """From a popped a <= b derive D(a) <= D(b), R(a) <= R(b), ac <= bc and
+        ca <= cb for every c, and x <= y for every x <= a and b <= y."""
+        mul, D, R, proj = self.s.mul, self.s.dmap, self.s.rmap, self.proj
+        cols = tuple(zip(*mul))
+        while queue:
+            a, b = queue.pop()
+            derived = [(D[a], D[b]), (R[a], R[b])]
+            derived += zip(mul[a], mul[b])
+            derived += zip(cols[a], cols[b])
+            for p, q in derived:
+                if p == q or up[p] >> q & 1:
+                    continue
+                if up[q] >> p & 1 or ex[p] >> q & 1 or (proj >> q & 1 and not proj >> p & 1):
+                    return False
+                up[p] |= 1 << q
+                down[q] |= 1 << p
+                queue.append((p, q))
+            above = up[b]
+            for x in _bits(down[a]):
+                new = above & ~up[x]
+                if not new:
+                    continue
+                if new & (down[x] | ex[x]) or (new & proj and not proj >> x & 1):
+                    return False
+                up[x] |= new
+                for y in _bits(new):
+                    down[y] |= 1 << x
+                    queue.append((x, y))
+        return True
+
+
+def order_candidates(search: _OrderSearch) -> list[tuple[int, int]]:
+    """The pairs (a, b) the order search branches on, tested pair by pair on its root:
+    unordered, no projection over a non-projection, and D and R images ordered."""
+    n, (up, _), proj, D, R = search.n, search.root, search.proj, search.s.dmap, search.s.rmap
+    if not search.root_ok:
+        return []
+    return [(a, b) for a in range(n) for b in range(n)
+            if a != b and not up[a] >> b & 1 and not up[b] >> a & 1
+            and not (proj >> b & 1 and not proj >> a & 1)
+            and up[D[a]] >> D[b] & 1 and up[R[a]] >> R[b] & 1]
 
 
 def associates_by_rows(mul) -> bool:

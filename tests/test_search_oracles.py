@@ -1,6 +1,7 @@
 """The two exhaustive searches, the fast law deciders and the e-order laws against the scans they replace."""
 
 import collections
+import contextlib
 import functools
 import itertools
 import random
@@ -467,6 +468,15 @@ CATEGORY_DECIDERS = {
 }
 
 
+def greedy_set(mul):
+    """``core._generating_set`` of the table ``mul`` at any size, the cutoff below
+    which the package builds none lifted."""
+    n = len(mul)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_PRODUCT_SCAN_MAX_N", 1)
+        return core._generating_set(FiniteBiunarySemigroup(n, mul, (0,) * n, (0,) * n), Evaluation())
+
+
 def assert_semigroup_deciders_agree(s, order, sides):
     for name, (fast, scan) in SEMIGROUP_DECIDERS.items():
         rep = fast(s, order)
@@ -474,7 +484,7 @@ def assert_semigroup_deciders_agree(s, order, sides):
         sides.setdefault(name, set()).add(rep.holds)
     if s.n > 1:
         # Light's test on its own: small tables are scanned without it
-        light = core._generators_associate(s.mul)
+        light = core._generators_associate(s.mul, greedy_set(s.mul))
         assert light == scan_oracle._associativity(s, Evaluation()).holds
         sides.setdefault("Light's test", set()).add(light)
 
@@ -692,7 +702,7 @@ def test_lights_test_matches_the_scan_on_every_magma_on_two_and_three_points():
     for n in (2, 3):
         for mul in every_magma(n):
             s = FiniteBiunarySemigroup(n, mul, (0,) * n, (0,) * n)
-            light = core._generators_associate(mul)
+            light = core._generators_associate(mul, greedy_set(mul))
             assert light == scan_oracle._associativity(s, Evaluation()).holds
             verdicts[n, light] += 1
     # A023814: 8 of the 16 tables on 2 points associate, 113 of the 19,683 on 3
@@ -715,10 +725,130 @@ def test_lights_test_matches_the_scan_on_the_zoo_and_its_mutations():
             rows[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
             tables.append(tuple(map(tuple, rows)))
         for table in tables:
-            light = core._generators_associate(table)
+            light = core._generators_associate(table, greedy_set(table))
             assert light == scan_oracle.associates_by_rows(table), name
             sides.add(light)
     assert sides == {True, False}
+
+
+# the generating set above the cutoff, and the three readers that multiply
+# only by its generators: the order search's closure, OS3 and L3
+
+
+def product_closure(mul, gens):
+    """The elements made from ``gens`` by products on either side, closed."""
+    members, queue = set(gens), list(gens)
+    while queue:
+        x = queue.pop()
+        for y in list(members):
+            for z in (mul[x][y], mul[y][x]):
+                if z not in members:
+                    members.add(z)
+                    queue.append(z)
+    return members
+
+
+def test_generating_set_generates_every_zoo_table_above_the_cutoff():
+    sizes = {}
+    for name in zoo.names():
+        s = zoo.get(name).structure
+        gens = core._generating_set(s, Evaluation())
+        if s.n <= core._PRODUCT_SCAN_MAX_N:
+            assert gens is None, name
+            continue
+        assert product_closure(s.mul, gens) == set(range(s.n)), name
+        sizes[name] = len(gens)
+    assert sizes["pt-3"] == 5 and sizes["rel-3"] == 5
+    assert {"inj-2", "pt-2", "rel-2"} <= set(sizes)
+
+
+GENERATED = ("inj-2", "pt-2", "rel-2", "pt-3")
+
+
+def generated_searches(monkeypatch):
+    """(the search on generator rows, the search multiplying by every element) on
+    every Ehresmann semigroup of size at most 4, given its greedy set with the
+    cutoff lifted, and on the zoo entries above the cutoff."""
+    subjects = [s for n in range(1, 5) for s in zoo.enumerate_ehresmann_semigroups(n, allow_large=True)]
+    subjects += [zoo.get(name).structure for name in GENERATED]
+    monkeypatch.setattr(core, "_PRODUCT_SCAN_MAX_N", 1)
+    for s in subjects:
+        yield s, _OrderSearch(s, Evaluation()), scan_oracle.AllProductsSearch(s, Evaluation())
+
+
+def test_order_search_on_generators_matches_the_closure_by_every_product(monkeypatch):
+    fewer = 0
+    for s, fast, scan in generated_searches(monkeypatch):
+        assert (fast.root_ok, fast.root) == (scan.root_ok, scan.root)
+        assert fast.candidates == scan.candidates == scan_oracle.order_candidates(scan)
+        assert fast.solve() == scan.solve()
+        fewer += s.n > 1 and len(fast.right[0]) < s.n
+    assert fewer > 1000  # most tables need fewer generators than elements
+
+
+def closed_under(s, pairs, gens):
+    """The least order holding ``pairs`` with ag <= bg and ga <= gb for each
+    a < b in it and g in ``gens``; StructureError when there is none."""
+    mul = s.mul
+    while True:
+        order = PartialOrder.from_pairs(s.n, pairs)
+        strict = order.pairs(strict=True)
+        more = {(mul[a][g], mul[b][g]) for a, b in strict for g in gens}
+        more |= {(mul[g][a], mul[g][b]) for a, b in strict for g in gens}
+        more = sorted((p, q) for p, q in more if not order.rel[p][q])
+        if not more:
+            return order
+        pairs = strict + more
+
+
+def test_os3_on_generators_matches_the_scan_above_the_cutoff():
+    """Each zoo order; the e-order with random pairs added; and the e-order with
+    a random pair added, closed under products with all generators but one, so
+    that OS3 fails there, if at all, only through the one left out."""
+    rng = random.Random(23)
+    sides, left_out = set(), collections.Counter()
+    for name in GENERATED:
+        s = zoo.get(name).structure
+        gens = core._generating_set(s, Evaluation())
+        leq_e = derive_orders(s).leq_e.pairs()
+        subjects = [(order, None) for _, order in zoo.get(name).orders]
+        for _ in range(12):
+            with contextlib.suppress(StructureError):
+                extra = [(rng.randrange(s.n), rng.randrange(s.n)) for _ in range(rng.randrange(1, 4))]
+                subjects.append((PartialOrder.from_pairs(s.n, leq_e + extra), None))
+        for i, g in enumerate(gens):
+            for _ in range(20):
+                with contextlib.suppress(StructureError):
+                    pair = (rng.randrange(s.n), rng.randrange(s.n))
+                    subjects.append((closed_under(s, leq_e + [pair], gens[:i] + gens[i + 1:]), g))
+        for order, g in subjects:
+            w = _os3_witness(s.n, s.mul, order.rel)
+            assert _os3_total_witness(s.n, s.mul, order.rel, gens) == w, name
+            sides.add(w is None)
+            left_out[name, g] += w is not None and g is not None
+    assert sides == {True, False}
+    # every subject has some order that fails OS3 only through one generator
+    assert {name for (name, g), fails in left_out.items() if fails} == set(GENERATED)
+
+
+def test_localisable_on_generators_matches_the_scan_above_the_cutoff():
+    """L3 on generators and L4 on pairs of projections, on each table and on
+    single-entry D and R mutations of it, which keep it associative."""
+    rng = random.Random(24)
+    sides = collections.defaultdict(set)
+    for name in GENERATED:
+        s = zoo.get(name).structure
+        subjects = [s]
+        for _ in range(60):
+            maps = [list(s.dmap), list(s.rmap)]
+            maps[rng.randrange(2)][rng.randrange(s.n)] = rng.randrange(s.n)
+            subjects.append(FiniteBiunarySemigroup(s.n, s.mul, *maps))
+        for t in subjects:
+            rep = core._localisable(t, Evaluation())
+            assert rep == scan_oracle._localisable(t, Evaluation()), name
+            for part, holds in rep.parts:
+                sides[part].add(holds)
+    assert all(sides[part] == {True, False} for part in ("L3", "L4")), dict(sides)
 
 
 def cover_pass(os):
