@@ -38,6 +38,54 @@ from .sweep import run_sweep
 
 SCHEMA = "ehresmann-report/1"
 
+_quote = json.encoder.encode_basestring_ascii
+_STR = frozenset((str,))
+_SCALARS = frozenset((str, int, bool, type(None)))
+
+
+@functools.cache
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """A compact encoder whose item separator is the newline and indent that
+    ``json.dumps(..., indent=2)`` writes inside a container at ``depth``."""
+    sep = ",\n" + "  " * (depth + 1)
+    return json.JSONEncoder(sort_keys=True, check_circular=False, separators=(sep, ": "))
+
+
+def _to_json(value, depth: int = 0) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for a value at ``depth``.
+
+    The bytes are the same, but ``indent`` makes ``json`` run its pure-Python
+    encoder, so only the nesting is written here: a container whose items are
+    all strings, ints, bools or None goes to a compact C encoder whose item
+    separator carries the indent.  Anything else (floats, keys that are not
+    strings, other types) goes to ``json.dumps`` and is re-indented, which is
+    safe as a JSON string holds no raw newline.
+    """
+    t = type(value)
+    if t is str:
+        return _quote(value)
+    if t is int:
+        return int.__repr__(value)
+    if t is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    is_dict = t is dict and _STR.issuperset(map(type, value))
+    if is_dict or t is list or t is tuple:
+        if not value:
+            return "{}" if is_dict else "[]"
+        inner = "\n" + "  " * (depth + 1)
+        if _SCALARS.issuperset(map(type, value.values() if is_dict else value)):
+            text = _flat_encoder(depth).encode(value)
+            return text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
+        if is_dict:
+            items = (f"{_quote(k)}: {_to_json(value[k], depth + 1)}" for k in sorted(value))
+            return "{" + inner + ("," + inner).join(items) + inner[:-2] + "}"
+        items = (_to_json(v, depth + 1) for v in value)
+        return "[" + inner + ("," + inner).join(items) + inner[:-2] + "]"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+
+
 @dataclass
 class RunReport:
     command: list[str]
@@ -62,7 +110,7 @@ class RunReport:
             "artifacts": self.artifacts,
             "exit_code": self.exit_code,
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _to_json(payload) + "\n"
 
     def to_text(self) -> str:
         lines = list(self.text_lines)
@@ -290,8 +338,7 @@ def _cmd_sweep(args, report: RunReport) -> None:
     }
     report.artifacts = result
     if getattr(args, "json", False):
-        # indent makes json run its pure-Python encoder, slow on a size-4 report
-        report.raw_json = json.dumps(result, sort_keys=True, indent=2) + "\n"
+        report.raw_json = _to_json(result) + "\n"
     for name, ok in sorted(result["criteria"].items()):
         report.text_lines.append(f"{name}: {'PASS' if ok else 'FAIL'}")
     report.exit_code = 0 if result["all_pass"] else 1

@@ -381,7 +381,7 @@ def _permuted_key(s: FiniteBiunarySemigroup, perm: tuple[int, ...]) -> tuple[int
     return (n, *flat)
 
 
-def _least_structures(n: int) -> Iterator[FiniteBiunarySemigroup]:
+def _search_least_structures(n: int) -> Iterator[FiniteBiunarySemigroup]:
     """Each isomorphism class's least structure, in lexicographic (mul, D, R) order.
 
     Its table T is lex-least, and a relabelling that is not an automorphism
@@ -392,6 +392,20 @@ def _least_structures(n: int) -> Iterator[FiniteBiunarySemigroup]:
             key = s.key()
             if all(_permuted_key(s, p) >= key for p in automorphisms):
                 yield s
+
+
+# class leaders per size, searched so far; each is frozen, so one tuple is shared
+_LEADERS: dict[int, tuple[FiniteBiunarySemigroup, ...]] = {}
+
+
+def _least_structures(n: int) -> Iterator[FiniteBiunarySemigroup]:
+    """The structures of :func:`_search_least_structures`, searched on the first
+    request for ``n`` in a process and replayed on every later one."""
+    leaders = _LEADERS.get(n)
+    if leaders is None:
+        # two threads may both search; setdefault hands both the first tuple stored
+        leaders = _LEADERS.setdefault(n, tuple(_search_least_structures(n)))
+    return iter(leaders)
 
 
 def _orbits(n: int) -> Iterator[tuple[FiniteBiunarySemigroup, dict[tuple[int, ...], Perm]]]:
@@ -433,11 +447,12 @@ def enumerate_ehresmann_semigroups(
 ) -> Iterator[FiniteBiunarySemigroup]:
     """Stream every Ehresmann semigroup on the indexed carrier 0..n-1.
 
-    Both modes search (D, R) on the lex-least tables only.  With
-    ``up_to_iso`` each class's least structure is yielded as found, and
-    only the tables' automorphisms relabel it; otherwise the keys of
-    every class's :func:`_orbits` relabellings are sorted before the first
-    is yielded.  Emission order is lexicographic in (mul, D, R).  Size 4
+    Both modes read the class leaders of :func:`_least_structures`: the
+    first call for a size in a process runs the table search and searches
+    (D, R) on the lex-least tables only, and later calls replay the stored
+    leaders.  With ``up_to_iso`` the leaders are the stream; otherwise the
+    keys of every class's :func:`_orbits` relabellings are sorted before the
+    first is yielded.  Emission order is lexicographic in (mul, D, R).  Size 4
     is permitted only behind ``allow_large``; anything beyond is refused,
     and a size that is not an ``int`` is malformed.
     """

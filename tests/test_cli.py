@@ -324,6 +324,91 @@ class TestParserReuse:
         assert reused == fresh
 
 
+class TestJsonWriter:
+    """``cli._to_json`` against ``json.dumps(..., sort_keys=True, indent=2)``, the
+    call it replaces."""
+
+    @staticmethod
+    def assert_oracle_bytes(value, text):
+        expected = json.dumps(value, sort_keys=True, indent=2)
+        if text != expected:
+            # where the two first differ, not pytest's diff of documents of up to 142 KB
+            at = len(os.path.commonprefix([text, expected]))
+            lo = max(at - 40, 0)
+            pytest.fail(f"differs at {at}: {text[lo:at + 40]!r} != {expected[lo:at + 40]!r}")
+
+    @pytest.fixture
+    def written(self, monkeypatch):
+        """Each whole document the writer is handed, with the text it gave."""
+        calls = []
+        writer = cli._to_json
+
+        def recorded(value, depth=0):
+            text = writer(value, depth)
+            if depth == 0:
+                calls.append((value, text))
+            return text
+
+        monkeypatch.setattr(cli, "_to_json", recorded)
+        return calls
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("check",),
+            ("orders", "--count-only"),
+            ("cat", "--biaction"),
+            ("cat", "--two-orders"),
+            ("esn",),
+            ("derive", "--order", "e"),
+        ],
+        ids=" ".join,
+    )
+    def test_zoo_reports(self, written, command):
+        names = [name for name in zoo.names() if name != "rel-3"]
+        for name in names:
+            r = run_command(["--json", command[0], f"example://{name}", *command[1:]])
+            assert r.to_json() == written[-1][1] + "\n"
+        assert len(written) == len(names)
+        for value, text in written:
+            self.assert_oracle_bytes(value, text)
+
+    @pytest.mark.parametrize(
+        "argv", [["enumerate", "--size", "3"], ["sweep", "--max-size", "3"]], ids=" ".join
+    )
+    def test_enumeration_and_sweep_reports(self, written, argv):
+        r = run_command(["--json", *argv])
+        text = r.raw_json if r.raw_json is not None else r.to_json()
+        assert len(written) == 1
+        value, written_text = written[0]
+        assert text == written_text + "\n"
+        self.assert_oracle_bytes(value, written_text)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            (),
+            [[]],
+            {"a": {}, "b": [], "c": [[], {}]},
+            [True, 1, None, 0, False, "1"],
+            {"t": (1, ("x", None)), "u": [(), {"k": (True,)}]},
+            {"na\u00efve": "caf\u00e9 \u2603", "esc": ["\"", "\\", "\n", "\t", "\x00", "\x7f"]},
+            [float("nan"), float("inf"), float("-inf"), -0.0, 1.5],
+            {"x": [1, 2.0], "y": {"z": 0.1}},
+            {1: "a", 2: [1, {"b": None}]},
+            {"outer": {3: [True], 1: {"k": [{}]}}},
+            [[[[["deep"]]]], {"z": 1, "a": 2, "m": [3]}],
+            "top",
+            7,
+            None,
+        ],
+    )
+    def test_edge_payloads(self, value):
+        self.assert_oracle_bytes(value, cli._to_json(value))
+
+
 def run_cli_module(*args: str) -> subprocess.CompletedProcess:
     """Run ``python -m ehresmann.cli`` on the package under test, installed or not."""
     src = str(Path(ehresmann.__file__).resolve().parents[1])

@@ -93,17 +93,30 @@ def test_labelled_stream_matches_the_full_rescan(n, count):
 
 @pytest.mark.parametrize("up_to_iso", [False, True], ids=["labelled", "up-to-iso"])
 def test_dr_search_runs_once_per_orbit_leader(monkeypatch, up_to_iso):
-    searched = []
-    search = zoo._structures_for_table
+    # an empty memo, as in a process that has not enumerated size 4 yet
+    monkeypatch.setattr(zoo, "_LEADERS", {})
+    searched, table_searches = [], []
+    search, table_search = zoo._structures_for_table, zoo._tables_with_automorphisms
 
     def counted(n, mul):
         searched.append(mul)
         return search(n, mul)
 
+    def counted_tables(n):
+        table_searches.append(n)
+        return table_search(n)
+
     monkeypatch.setattr(zoo, "_structures_for_table", counted)
-    list(zoo.enumerate_ehresmann_semigroups(4, up_to_iso, allow_large=True))
+    monkeypatch.setattr(zoo, "_tables_with_automorphisms", counted_tables)
+    first = list(zoo.enumerate_ehresmann_semigroups(4, up_to_iso, allow_large=True))
     assert len(searched) == 188
-    assert searched == list(zoo._lex_least_tables(4))
+    assert searched == [t for t, _ in table_search(4)]
+    # later enumerations in the process, in either mode, search no table
+    assert list(zoo.enumerate_ehresmann_semigroups(4, up_to_iso, allow_large=True)) == first
+    list(zoo.enumerate_ehresmann_semigroups(4, not up_to_iso, allow_large=True))
+    list(zoo._orbits(4))
+    assert table_searches == [4]
+    assert len(searched) == 188
 
 
 @pytest.mark.parametrize("n, count", [(1, 1), (2, 5), (3, 24), (4, 188)])

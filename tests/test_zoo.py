@@ -402,6 +402,22 @@ class TestEnumeration:
             assert list(enumerate_ehresmann_semigroups(n, True, allow_large=True)) == least
             assert [s for s, _ in zoo._orbits(n)] == least
 
+    def test_later_calls_replay_the_same_leader_objects(self):
+        for n in (1, 2, 3):
+            first = zoo._least_structures(n)
+            leaders = list(first)
+            # a fresh iterator each call, over the objects the first call stored
+            assert list(first) == []
+            assert all(a is b for a, b in zip(zoo._least_structures(n), leaders, strict=True))
+            stream = enumerate_ehresmann_semigroups(n, True)
+            assert all(a is b for a, b in zip(stream, leaders, strict=True))
+            assert all(s is b for (s, _), b in zip(zoo._orbits(n), leaders, strict=True))
+
+    def test_stored_leaders_equal_a_cold_search(self):
+        for n in (1, 2, 3, 4):
+            stored = list(zoo._least_structures(n))
+            assert zoo._LEADERS[n] == tuple(stored) == tuple(zoo._search_least_structures(n))
+
     def test_size_5_leaders_and_classes_are_pinned(self):
         # 1,915 tables is OEIS A027851 at n = 5; the digests were taken from the search
         # that rescanned every relabelling at every node and built every (D, R)
