@@ -286,15 +286,15 @@ def category_of(os: OrderedSemigroup) -> FiniteOrderedCategory:
     return _category_of(os, Evaluation())
 
 
-def _products_stay_above(n: int, comp: CompTable, rel) -> bool:
-    """OC3 on a partial composition, decided by up-set bitmasks: for each
-    composable a, c, every defined product of an element above a and one
-    above c lies above ac."""
-    above = [[y for y in range(n) if rel[x][y]] for x in range(n)]
-    up = [sum(1 << y for y in ys) for ys in above]
+def _products_stay_above(comp: CompTable, order: PartialOrder) -> bool:
+    """OC3 on a partial composition, decided by the up-set bitmasks of
+    ``order``: for each composable a, c, every defined product of an element
+    above a and one above c lies above ac."""
+    up = order.up
+    above = [list(_bits(u)) for u in up]
     products = _products_with(comp, above)
     return not any(ac is not None and products(above[a], c) & ~up[ac]
-                   for a in range(n) for c, ac in enumerate(comp[a]))
+                   for a in range(order.n) for c, ac in enumerate(comp[a]))
 
 
 # Categories up to this size are scanned for OC3 without the bitmask test in
@@ -305,19 +305,18 @@ def _products_stay_above(n: int, comp: CompTable, rel) -> bool:
 _OC3_SCAN_MAX_N = 16
 
 
-def _oc3_witness(n: int, comp: CompTable, rel) -> tuple[int, ...] | None:
+def _oc3_witness(comp: CompTable, order: PartialOrder) -> tuple[int, ...] | None:
     """``_os3_witness`` on a partial composition; above ``_OC3_SCAN_MAX_N``
     elements the scan runs only when ``_products_stay_above`` fails.  Read
     only by ``omega-structured``, which the two-order law reaches through
     ``oc8a`` and ``oc8b``."""
-    if n > _OC3_SCAN_MAX_N and _products_stay_above(n, comp, rel):
+    if order.n > _OC3_SCAN_MAX_N and _products_stay_above(comp, order):
         return None
-    return _os3_witness(n, comp, rel)
+    return _os3_witness(order.n, comp, order.rel)
 
 
 def _omega_structured(c: FiniteOrderedCategory, ev: Evaluation) -> LawReport:
-    rel = c.order.rel
-    checks = (("OC2", _os2_witness(c.n, c.dmap, c.rmap, rel)), ("OC3", _oc3_witness(c.n, c.comp, rel)))
+    checks = (("OC2", _os2_witness(c.n, c.dmap, c.rmap, c.order.rel)), ("OC3", _oc3_witness(c.comp, c.order)))
     return _first_failure("omega-structured", c, checks, lead=(("OC1", True),))
 
 
@@ -383,8 +382,7 @@ def _maxima_below(c: FiniteOrderedCategory, idmap) -> list[list[int | None]]:
     """``[x][e]`` is ``_max_below(c, idmap, x, e)`` for every x and identity
     e <= idmap(x), None elsewhere.  The pool of y <= x with idmap(y) <= e is
     a bitmask, and its maximum is the m in it whose down-set covers it."""
-    n, rel = c.n, c.order.rel
-    down = [sum(1 << y for y, below in enumerate(col) if below) for col in zip(*rel)]
+    n, rel, down = c.n, c.order.rel, c.order.down
     under = [(e, sum(1 << y for y in range(n) if rel[idmap[y]][e])) for e in c.identities()]
     table: list[list[int | None]] = [[None] * n for _ in range(n)]
     for x in range(n):
@@ -436,9 +434,8 @@ def _oc7_witnesses(c: FiniteOrderedCategory, ev: Evaluation):
     An a that is such an x o y lies below itself in its own hom-set, so only
     the a outside the products can fail either law, and an OC7' failure is
     an OC7 failure."""
-    rel, n, comp, dmap, rmap = c.order.rel, c.n, c.comp, c.dmap, c.rmap
-    below = [[y for y in range(n) if rel[y][x]] for x in range(n)]
-    down = [sum(1 << y for y in ys) for ys in below]
+    n, comp, dmap, rmap, up, down = c.n, c.comp, c.dmap, c.rmap, c.order.up, c.order.down
+    below = [list(_bits(d)) for d in down]
     products = _products_with(comp, below)
     starting: dict[int, list[int]] = {}
     for d in range(n):
@@ -461,7 +458,7 @@ def _oc7_witnesses(c: FiniteOrderedCategory, ev: Evaluation):
                 best, limit = (a, b, d), (1 << a) - 1
             if above_in_hom is None:
                 # per a, the elements above a with its domain and range
-                above_in_hom = [sum(1 << y for y in range(n) if rel[a][y] and dmap[y] == dmap[a] and rmap[y] == rmap[a])
+                above_in_hom = [sum(1 << y for y in _bits(up[a]) if dmap[y] == dmap[a] and rmap[y] == rmap[a])
                                 for a in range(n)]
             a = next((a for a in _bits(cands) if not above_in_hom[a] & made), None)
             if a is not None:

@@ -7,8 +7,8 @@ enumerator for all Ehresmann orders on a finite Ehresmann semigroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import reduce
+from dataclasses import dataclass, field, replace
+from functools import cached_property, reduce
 from itertools import chain, compress
 from operator import or_
 from typing import Callable, Iterable, Sequence
@@ -43,11 +43,17 @@ class PartialOrder:
     """Reflexive, antisymmetric, transitive boolean relation on 0..n-1.
 
     ``rel[a][b]`` means a <= b.  The constructor rejects anything that is
-    not a partial order.
+    not a partial order.  The order also carries its bitmask rows, the one
+    form every decider and search reads: bit b of ``up[a]`` and bit a of
+    ``down[b]`` are set when a <= b, and ``covers[a]`` lists the lower
+    covers of a, the c < a with no d such that c < d < a, lowest first.
+    ``up`` is built with the order; ``down`` and ``covers`` on first use.
+    Equality and hashing read ``n`` and ``rel`` only.
     """
 
     n: int
     rel: tuple[tuple[bool, ...], ...]
+    up: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         try:
@@ -57,25 +63,37 @@ class PartialOrder:
         n = self.n
         if len(self.rel) != n or any(len(row) != n for row in self.rel):
             raise StructureError("order relation must be an n x n matrix")
-        rel = self.rel
-        if _is_partial_order(n, rel):
+        up = _up_sets(n, self.rel)
+        object.__setattr__(self, "up", up)
+        if _is_partial_order(self.rel, up):
             return
         # the scan names the least violation
         for a in range(n):
-            if not rel[a][a]:
+            if not up[a] >> a & 1:
                 raise StructureError(f"order is not reflexive at {a}")
         for a in range(n):
-            for b in range(n):
-                if a != b and rel[a][b] and rel[b][a]:
+            for b in _bits(up[a]):
+                if a != b and up[b] >> a & 1:
                     raise StructureError(f"order is not antisymmetric at ({a}, {b})")
-                if rel[a][b]:
-                    for c in range(n):
-                        if rel[b][c] and not rel[a][c]:
-                            raise StructureError(f"order is not transitive at ({a}, {b}, {c})")
+                if up[b] & ~up[a]:
+                    raise StructureError(f"order is not transitive at ({a}, {b}, {_lowest(up[b] & ~up[a])})")
+
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        return _up_sets(self.n, tuple(zip(*self.rel)))
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, ...], ...]:
+        down, out = self.down, []
+        for a, d in enumerate(down):
+            strict = list(_bits(d ^ 1 << a))
+            inner = reduce(or_, (down[y] ^ 1 << y for y in strict), 0)
+            out.append(tuple(y for y in strict if not inner >> y & 1))
+        return tuple(out)
 
     @classmethod
     def equality(cls, n: int) -> "PartialOrder":
-        return cls(n, tuple(tuple(a == b for b in range(n)) for a in range(n)))
+        return cls.from_pairs(n, ())
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "PartialOrder":
@@ -83,7 +101,8 @@ class PartialOrder:
 
         Raises StructureError when the closure breaks antisymmetry.
         """
-        # bit b of up[a] is set when a <= b
+        if not isinstance(n, int) or n < 0:
+            raise StructureError(f"order size {n!r} is not a non-negative integer")
         up = [1 << a for a in range(n)]
         for pair in _as_tuple(pairs, "order pairs must be an iterable of pairs", rows=True):
             if len(pair) != 2:
@@ -111,12 +130,7 @@ class PartialOrder:
         return self.rel[a][b]
 
     def pairs(self, strict: bool = False) -> list[tuple[int, int]]:
-        return [
-            (a, b)
-            for a in range(self.n)
-            for b in range(self.n)
-            if self.rel[a][b] and (not strict or a != b)
-        ]
+        return [(a, b) for a, u in enumerate(self.up) for b in _bits(u) if not strict or a != b]
 
     def contains(self, other: "PartialOrder") -> bool:
         """True when every pair of ``other`` is also related here."""
@@ -127,7 +141,7 @@ class PartialOrder:
 
     def glb(self, a: int, b: int, within: Sequence[int] | None = None) -> int | None:
         """Greatest lower bound of a and b, restricted to ``within`` if given."""
-        pool = range(self.n) if within is None else within
+        pool = range(self.n) if within is None else _as_tuple(within, "glb pool must be an iterable of elements")
         for v in (a, b, *pool):
             if not isinstance(v, int) or not 0 <= v < self.n:
                 raise StructureError(f"glb element {v!r} out of range 0..{self.n - 1}")
@@ -148,20 +162,27 @@ def _bool_row(mask: int, n: int) -> tuple[bool, ...]:
     return tuple(chain.from_iterable(map(_BYTE_BITS.__getitem__, octets)))[:n]
 
 
-def _up_sets(n: int, rel: tuple[tuple[bool, ...], ...]) -> list[int]:
+def _bits(mask: int) -> Iterable[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _up_sets(n: int, rel: tuple[tuple[bool, ...], ...]) -> tuple[int, ...]:
     """The up-set of each row of the n x n matrix ``rel`` as a bitmask: bit b of entry a is set when a <= b."""
     weights = [1 << b for b in range(n)]
-    return [sum(compress(weights, row)) for row in rel]
+    return tuple(sum(compress(weights, row)) for row in rel)
 
 
-def _is_partial_order(n: int, rel: tuple[tuple[bool, ...], ...]) -> bool:
-    """Whether the n x n matrix ``rel`` is a partial order, read on up-set bitmasks.
+def _is_partial_order(rel: tuple[tuple[bool, ...], ...], up: Sequence[int]) -> bool:
+    """Whether the n x n matrix ``rel``, with up-set bitmasks ``up``, is a partial order.
 
     It is when each a is in its up-set, each b >= a has its up-set inside
     a's, and (given those two) no two elements have the same up-set.
     """
-    up = _up_sets(n, rel)
-    if len(set(up)) != n:
+    if len(set(up)) != len(up):
         return False
     for a, u in enumerate(up):
         if not u >> a & 1:
@@ -172,12 +193,11 @@ def _is_partial_order(n: int, rel: tuple[tuple[bool, ...], ...]) -> bool:
     return True
 
 
-def _composite_up_sets(p: PartialOrder, q: PartialOrder) -> list[int]:
+def _composite_up_sets(p: PartialOrder, q: PartialOrder) -> tuple[int, ...]:
     """The up-sets of the left-to-right relational composite of two orders, as
     bitmasks: bit c of entry a is set when a <= b under ``p`` and b <= c under
     ``q`` for some b."""
-    up_q = _up_sets(q.n, q.rel)
-    return [reduce(or_, compress(up_q, row)) for row in p.rel]
+    return tuple(reduce(or_, compress(q.up, row)) for row in p.rel)
 
 
 @dataclass(frozen=True)
@@ -226,8 +246,7 @@ def derive_orders(s: FiniteBiunarySemigroup) -> DerivedOrders:
         leq_e = relation(map(cols[R[a]].__getitem__, mul[D[a]]) for a in range(n))
     except StructureError as exc:
         raise InternalInconsistency(f"derived relation is not a partial order: {exc}") from exc
-    up_e = _up_sets(leq_e.n, leq_e.rel)
-    if _composite_up_sets(leq_l, leq_r) != up_e or _composite_up_sets(leq_r, leq_l) != up_e:
+    if _composite_up_sets(leq_l, leq_r) != leq_e.up or _composite_up_sets(leq_r, leq_l) != leq_e.up:
         raise InternalInconsistency("left and right orders do not compose to the e-order")
     return DerivedOrders(leq_l, leq_r, leq_e)
 
@@ -406,19 +425,9 @@ _OS7_SCAN_MAX_N = 6
 _OS7_BLOCK = 64
 
 
-def _lower_covers(below: Sequence[Sequence[int]], down: Sequence[int]) -> list[list[int]]:
-    """The lower covers of each element: the c < a with nothing strictly between,
-    from the down-set lists ``below`` and their bitmasks ``down``."""
-    covers = []
-    for a, ys in enumerate(below):
-        strict = [y for y in ys if y != a]
-        inner = reduce(or_, (down[y] ^ 1 << y for y in strict), 0)
-        covers.append([y for y in strict if not inner >> y & 1])
-    return covers
-
-
-def _os7_holds(mul, below: Sequence[Sequence[int]], down: Sequence[int]) -> bool:
-    """Whether every u <= ab is some x*y with x <= a and y <= b, on bitmasks.
+def _os7_holds(mul, order: PartialOrder) -> bool:
+    """Whether every u <= ab is some x*y with x <= a and y <= b, on the
+    down-set bitmasks and lower covers of ``order``.
 
     A down-set is its top and the down-sets of its lower covers.  So the
     mask {x*y : y <= b} of each x is the bit of x*b or'ed with the masks of
@@ -430,8 +439,8 @@ def _os7_holds(mul, below: Sequence[Sequence[int]], down: Sequence[int]) -> bool
     """
     n = len(mul)
     bit = [1 << v for v in range(n)]
-    covers = _lower_covers(below, down)
-    rising = sorted(range(n), key=lambda a: len(below[a]))
+    down, covers = order.down, order.covers
+    rising = sorted(range(n), key=lambda a: down[a].bit_count())
     cols = tuple(zip(*mul))
     right: list = [None] * n  # right[b][x] is {x*y : y <= b}
     for start in range(0, n, _OS7_BLOCK):
@@ -454,12 +463,11 @@ def _os7_holds(mul, below: Sequence[Sequence[int]], down: Sequence[int]) -> bool
 
 
 def _os7(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
-    s, n = os.base, os.base.n
-    below = [list(compress(range(n), col)) for col in zip(*os.order.rel)]
-    down = [sum(1 << y for y in ys) for ys in below]
+    s, n, down = os.base, os.base.n, os.order.down
     w = None
     # the cover pass says "holds" on a larger order; a failure is searched for the least witness
-    if n <= _OS7_SCAN_MAX_N or not _os7_holds(s.mul, below, down):
+    if n <= _OS7_SCAN_MAX_N or not _os7_holds(s.mul, os.order):
+        below = [list(_bits(d)) for d in down]
         products = _products_with(s.mul, below)
 
         def missing(a: int, b: int) -> int:
@@ -628,14 +636,6 @@ def automorphisms(s: FiniteBiunarySemigroup) -> list[tuple[int, ...]]:
     return result
 
 
-def _bits(mask: int) -> Iterable[int]:
-    """The positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class _OrderSearch:
     """DFS over order extensions of the derived e-order.
 
@@ -653,9 +653,8 @@ class _OrderSearch:
         self.s = s
         self.right, self.left = _products_by(s.mul, ev.build(_generating_set, s))
         proj = self.proj = sum(1 << e for e in projections(s).members)
-        rel = ev.build(_derived_orders, s).leq_e.rel
-        up = _up_sets(n, rel)
-        down = _up_sets(n, tuple(zip(*rel)))
+        leq_e = ev.build(_derived_orders, s).leq_e
+        up, down = list(leq_e.up), list(leq_e.down)  # copies: _close extends them
         queue = [(a, b) for a in range(n) for b in _bits(up[a]) if a != b]
         self.root_ok = self._close(up, down, queue, [0] * n)
         self.root = (up, down)

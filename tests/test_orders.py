@@ -123,8 +123,14 @@ class TestPartialOrder:
             (lambda: PartialOrder.from_pairs(2, [(0.0, 1)]), r"order pair \(0.0, 1\) out of range"),
             (lambda: PartialOrder.from_pairs(2, [(0,)]), r"order pair \(0,\) is not a pair"),
             (lambda: PartialOrder.from_pairs(2, 5), "order pairs must be an iterable of pairs"),
+            (lambda: PartialOrder.from_pairs(-1, []), "order size -1 is not a non-negative integer"),
+            (lambda: PartialOrder.from_pairs(2.5, []), "order size 2.5 is not a non-negative integer"),
+            (lambda: PartialOrder.from_pairs("2", []), "order size '2' is not a non-negative integer"),
+            (lambda: PartialOrder.equality("a"), "order size 'a' is not a non-negative integer"),
+            (lambda: PartialOrder.equality(2).glb(0, 1, within=5), "glb pool must be an iterable of elements"),
         ],
-        ids=["no-matrix", "str-pair", "float-pair", "short-pair", "no-pairs"],
+        ids=["no-matrix", "str-pair", "float-pair", "short-pair", "no-pairs",
+             "negative-size", "float-size", "str-size", "str-equality-size", "scalar-glb-pool"],
     )
     def test_malformed_relation_raises_structure_error(self, make, message):
         with pytest.raises(StructureError, match=message):

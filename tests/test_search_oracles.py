@@ -9,6 +9,7 @@ import random
 import pytest
 
 import scan_oracle
+from test_duality import labelled_posets
 
 from ehresmann import (
     InternalInconsistency,
@@ -302,6 +303,36 @@ def test_os3_fast_path_matches_the_scan_on_random_orders():
     assert sides == {True, False}
 
 
+def assert_masks_match_rel(order):
+    """``up``, ``down`` and ``covers`` of ``order`` against their definitions on ``rel``."""
+    n, rel = order.n, order.rel
+    assert order.up == tuple(sum(1 << b for b in range(n) if rel[a][b]) for a in range(n))
+    assert order.down == tuple(sum(1 << a for a in range(n) if rel[a][b]) for b in range(n))
+    below = [[c for c in range(n) if c != a and rel[c][a]] for a in range(n)]
+    assert order.covers == tuple(tuple(c for c in below[a] if not any(rel[c][d] for d in below[a] if d != c))
+                                 for a in range(n))
+
+
+def test_order_masks_match_rel_on_every_small_poset_and_zoo_order():
+    """Every labelled poset on at most 4 points (1, 3, 19, 219) and every zoo order
+    through pt-3, the derived orders included."""
+    posets = [order for n in range(1, 5) for order in labelled_posets(n)]
+    assert len(posets) == 242
+    posets += [order for _, orders_of_s in zoo_orders() for order in orders_of_s]
+    for order in posets:
+        assert_masks_match_rel(order)
+    assert any(len(row) > 1 for order in posets for row in order.covers)
+
+
+def test_reading_the_lazy_masks_keeps_equal_orders_equal():
+    for order in labelled_posets(3):
+        twin = PartialOrder(order.n, order.rel)
+        assert twin == order and hash(twin) == hash(order)
+        twin.down, twin.covers
+        assert twin == order and hash(twin) == hash(order)
+        assert order == twin and {order, twin} == {order}
+
+
 def zoo_orders():
     for name in zoo.SWEEP_NAMES + ("orderless-band", "pt-3"):
         entry = zoo.get(name)
@@ -543,8 +574,8 @@ def assert_category_deciders_agree(c0, order, sides, left=None, right=None):
     assert_maxima_agree(c, sides)
     # the OC3 bitmask test on its own: small categories are scanned without it
     w = _os3_witness(c.n, c.comp, order.rel)
-    assert category._oc3_witness(c.n, c.comp, order.rel) == w
-    stays_above = category._products_stay_above(c.n, c.comp, order.rel)
+    assert category._oc3_witness(c.comp, order) == w
+    stays_above = category._products_stay_above(c.comp, order)
     assert stays_above == (w is None)
     sides.setdefault("OC3 bitmask test", set()).add(stays_above)
     for name, (fast, scan) in CATEGORY_DECIDERS.items():
@@ -865,10 +896,8 @@ def test_localisable_on_generators_matches_the_scan_above_the_cutoff():
 
 
 def cover_pass(os):
-    """``orders._os7_holds`` on ``os``, from the down-sets ``orders._os7`` reads."""
-    n, rel = os.base.n, os.order.rel
-    below = [[y for y in range(n) if rel[y][x]] for x in range(n)]
-    return orders._os7_holds(os.base.mul, below, [sum(1 << y for y in ys) for ys in below])
+    """``orders._os7_holds`` on ``os``, reading the masks of its order as ``orders._os7`` does."""
+    return orders._os7_holds(os.base.mul, os.order)
 
 
 @pytest.mark.parametrize("block", [3, 64])
