@@ -17,6 +17,7 @@ from typing import Iterator, Sequence
 from .core import (
     Evaluation,
     FiniteBiunarySemigroup,
+    HomCandidate,
     InternalInconsistency,
     Law,
     LawReport,
@@ -228,16 +229,9 @@ class Biaction:
         object.__setattr__(self, "right", _coerce_comp(self.right))
 
 
-@dataclass(frozen=True)
-class FunctorCandidate:
-    """A total map between category carriers, proposed as a functor."""
-
-    source: str
-    target: str
-    map: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "map", tuple(self.map))
+# a total map between category carriers, proposed as a functor, is the same
+# named map as one between semigroups
+FunctorCandidate = HomCandidate
 
 
 def _composition_category(s: FiniteBiunarySemigroup, ev: Evaluation) -> FiniteCategory:
@@ -291,9 +285,8 @@ def _products_stay_above(comp: CompTable, order: PartialOrder) -> bool:
     ``order``: for each composable a, c, every defined product of an element
     above a and one above c lies above ac."""
     up = order.up
-    above = [list(_bits(u)) for u in up]
-    products = _products_with(comp, above)
-    return not any(ac is not None and products(above[a], c) & ~up[ac]
+    products = _products_with(comp, up)
+    return not any(ac is not None and products(a, c) & ~up[ac]
                    for a in range(order.n) for c, ac in enumerate(comp[a]))
 
 
@@ -435,8 +428,7 @@ def _oc7_witnesses(c: FiniteOrderedCategory, ev: Evaluation):
     the a outside the products can fail either law, and an OC7' failure is
     an OC7 failure."""
     n, comp, dmap, rmap, up, down = c.n, c.comp, c.dmap, c.rmap, c.order.up, c.order.down
-    below = [list(_bits(d)) for d in down]
-    products = _products_with(comp, below)
+    products = _products_with(comp, down)
     starting: dict[int, list[int]] = {}
     for d in range(n):
         starting.setdefault(dmap[d], []).append(d)
@@ -449,7 +441,7 @@ def _oc7_witnesses(c: FiniteOrderedCategory, ev: Evaluation):
             cands = down[comp[b][d]] & limit_p
             if not cands:
                 continue
-            made = products(below[b], d)
+            made = products(b, d)
             cands &= ~made
             if not cands:
                 continue
@@ -607,119 +599,115 @@ def derive_biaction(c: FiniteOrderedCategory) -> Biaction:
     return _derive_biaction(c, Evaluation())
 
 
+def _at(right: bool, *tup: int) -> tuple[int, ...]:
+    """A biaction check's index tuple as its witness: the right action x.e is
+    the left one with products reversed, so its witnesses read backwards."""
+    return tup[::-1] if right else tup
+
+
+# Each biaction scan below yields (witness, message) for every failing tuple
+# in the order the report reads them: left, then right, at each index tuple.
+# A side is (right?, action table by [e][x], near and far identity maps,
+# composition), the right side's table and composition read transposed.
+
+def _e2(n, ids, meet, sides):
+    for x in range(n):
+        for right, act, near, far, comp in sides:
+            if act[near[x]][x] != x:
+                yield (x,), ("D(x).x != x", "x.R(x) != x")[right]
+    for e in ids:
+        for x in range(n):
+            for right, act, near, far, comp in sides:
+                if near[act[e][x]] != meet[e][near[x]]:
+                    yield _at(right, e, x), ("D(e.x) != e meet D(x)", "R(x.e) != R(x) meet e")[right]
+            for f in ids:
+                for right, act, near, far, comp in sides:
+                    # e.(f.x) applies f first, (x.e).f applies e first
+                    g, h = (f, e) if right else (e, f)
+                    if act[meet[g][h]][x] != act[g][act[h][x]]:
+                        yield _at(right, g, h, x), ("(e meet f).x != e.(f.x)",
+                                                    "x.(e meet f) != (x.e).f")[right]
+
+
+def _e3(n, ids, la, ra):
+    for e in ids:
+        for x in range(n):
+            for f in ids:
+                if ra[la[e][x]][f] != la[e][ra[x][f]]:
+                    yield (e, x, f), "(e.x).f != e.(x.f)"
+
+
+def _e4(ids, meet, sides):
+    for e in ids:
+        for a in ids:
+            for right, act, near, far, comp in sides:
+                if act[e][a] != meet[e][a]:
+                    yield _at(right, e, a), ("e.a != e meet a on identities",
+                                             "a.e != a meet e on identities")[right]
+
+
+def _e5(n, ids, meet, sides):
+    for e in ids:
+        for x in range(n):
+            for right, act, near, far, comp in sides:
+                g = far[act[e][x]]
+                if meet[g][far[x]] != g:
+                    yield _at(right, e, x), ("R(e.x) not below R(x)", "D(x.e) not below D(x)")[right]
+
+
+def _e6(n, ids, table, sides):
+    for x in range(n):
+        for y in range(n):
+            xy = table[x][y]
+            if xy is None:
+                continue
+            for e in ids:
+                for right, act, near, far, comp in sides:
+                    p, q = (y, x) if right else (x, y)
+                    u = act[e][p]
+                    v = act[far[u]][q]
+                    if comp[u][v] is None or act[e][xy] != comp[u][v]:
+                        yield _at(right, e, p, q), ("e.(x o y) != (e.x) o (R(e.x).y)",
+                                                    "(x o y).e != (x.D(y.e)) o (y.e)")[right]
+
+
 def verify_biaction(c: FiniteOrderedCategory, b: Biaction) -> LawReport:
     """Check the six biaction axiom groups over all applicable tuples.
 
-    ``parts`` marks the groups verified to hold; groups that could not be
-    evaluated (no meet table, or action tables not total) count as failed.
+    ``parts`` marks the groups evaluated and found to hold; the witness is
+    the first failing tuple of the first failing group, left before right.
+    With no meet table (E1) or action tables that are not total (E2) no
+    group after it is evaluated, and the report carries no witness.
     """
-    ids = c.identities()
-    meet = c.meet
-    n = c.n
+    ids, meet, n = c.identities(), c.meet, c.n
     for label, table in (("left", b.left), ("right", b.right)):
         if len(table) != n or any(
             len(row) != n or any(v is not None and not 0 <= v < n for v in row) for row in table
         ):
             raise StructureError(f"{label} action table must be {n} x {n} over 0..{n - 1} and None")
-    failures: list[tuple[str, tuple[int, ...], str]] = []
-    evaluated = {"E1"}
-
-    def fail(axiom: str, tup: tuple[int, ...], msg: str) -> None:
-        if not any(f[0] == axiom for f in failures):
-            failures.append((axiom, tup, msg))
-
-    # E1: identities form a commutative idempotent semigroup under meet, which
-    # a table of greatest lower bounds is whenever it exists
-    if meet is None:
-        fail("E1", (), "no meet table on the identities")
-
-    def lt(e: int, f: int) -> bool:
-        return meet is not None and meet[e][f] == e
-
     la, ra = b.left, b.right
-    total = all(
-        la[e][x] is not None and ra[x][e] is not None for e in ids for x in range(n)
+    # E1: identities form a commutative idempotent semigroup under meet, which
+    # a table of greatest lower bounds is whenever it exists; the scans read
+    # the action tables only where those are total on identity/element pairs
+    if meet is None or not all(la[e][x] is not None and ra[x][e] is not None for e in ids for x in range(n)):
+        axiom, msg = (("E1", "no meet table on the identities") if meet is None
+                      else ("E2", "action tables are not total on identity/element pairs"))
+        return LawReport("biaction", False, detail=f"{axiom} fails at (): {msg}",
+                         parts=(("E1", meet is not None), *((f"E{k}", False) for k in range(2, 7))))
+    sides = (
+        (False, la, c.dmap, c.rmap, c.comp),
+        (True, tuple(zip(*ra)), c.rmap, c.dmap, tuple(zip(*c.comp))),
     )
-    if not total:
-        fail("E2", (), "action tables are not total on identity/element pairs")
-    if meet is not None and total and not failures:
-        evaluated.update(("E2", "E3", "E4", "E5", "E6"))
-        # (right?, action table by [e][x], near and far identity maps,
-        # composition): the right action x.e is the left one with products
-        # reversed, so its table and the composition are read transposed and
-        # its witnesses backwards.  Each check runs left, then right, at each
-        # index tuple, which fixes the first failure reported per axiom.
-        sides = (
-            (False, la, c.dmap, c.rmap, c.comp),
-            (True, tuple(zip(*ra)), c.rmap, c.dmap, tuple(zip(*c.comp))),
-        )
-
-        def at(right: bool, *tup: int) -> tuple[int, ...]:
-            return tup[::-1] if right else tup
-
-        for x in range(n):
-            for right, act, near, far, comp in sides:
-                if act[near[x]][x] != x:
-                    fail("E2", (x,), ("D(x).x != x", "x.R(x) != x")[right])
-        for e in ids:
-            for x in range(n):
-                for right, act, near, far, comp in sides:
-                    if near[act[e][x]] != meet[e][near[x]]:
-                        fail("E2", at(right, e, x),
-                             ("D(e.x) != e meet D(x)", "R(x.e) != R(x) meet e")[right])
-                for f in ids:
-                    for right, act, near, far, comp in sides:
-                        # e.(f.x) applies f first, (x.e).f applies e first
-                        g, h = (f, e) if right else (e, f)
-                        if act[meet[g][h]][x] != act[g][act[h][x]]:
-                            fail("E2", at(right, g, h, x),
-                                 ("(e meet f).x != e.(f.x)", "x.(e meet f) != (x.e).f")[right])
-        for e in ids:
-            for x in range(n):
-                for f in ids:
-                    if ra[la[e][x]][f] != la[e][ra[x][f]]:
-                        fail("E3", (e, x, f), "(e.x).f != e.(x.f)")
-        for e in ids:
-            for a in ids:
-                for right, act, near, far, comp in sides:
-                    if act[e][a] != meet[e][a]:
-                        fail("E4", at(right, e, a),
-                             ("e.a != e meet a on identities", "a.e != a meet e on identities")[right])
-        for e in ids:
-            for x in range(n):
-                for right, act, near, far, comp in sides:
-                    if not lt(far[act[e][x]], far[x]):
-                        fail("E5", at(right, e, x),
-                             ("R(e.x) not below R(x)", "D(x.e) not below D(x)")[right])
-        for x in range(n):
-            for y in range(n):
-                xy = c.comp[x][y]
-                if xy is None:
-                    continue
-                for e in ids:
-                    for right, act, near, far, comp in sides:
-                        p, q = (y, x) if right else (x, y)
-                        u = act[e][p]
-                        v = act[far[u]][q]
-                        if comp[u][v] is None or act[e][xy] != comp[u][v]:
-                            fail("E6", at(right, e, p, q),
-                                 ("e.(x o y) != (e.x) o (R(e.x).y)", "(x o y).e != (x.D(y.e)) o (y.e)")[right])
-
-    axiom_names = ("E1", "E2", "E3", "E4", "E5", "E6")
-    failed = {f[0] for f in failures}
-    parts = tuple(
-        (name, name in evaluated and name not in failed) for name in axiom_names
-    )
-    if not failures:
-        return LawReport("biaction", True, parts=parts)
-    axiom, tup, msg = failures[0]
-    return LawReport(
-        "biaction",
-        False,
-        witness=tup or None,
-        detail=f"{axiom} fails at {tup}: {msg}",
-        parts=parts,
-    )
+    hits = {
+        "E2": next(_e2(n, ids, meet, sides), None),
+        "E3": next(_e3(n, ids, la, ra), None),
+        "E4": next(_e4(ids, meet, sides), None),
+        "E5": next(_e5(n, ids, meet, sides), None),
+        "E6": next(_e6(n, ids, c.comp, sides), None),
+    }
+    return _first_failure("biaction", c, ((axiom, hit and hit[0]) for axiom, hit in hits.items()),
+                          lead=(("E1", True),),
+                          wording=lambda axiom, w: f"{axiom} fails at {w}: {hits[axiom][1]}")
 
 
 def _semigroup_of(c: FiniteOrderedCategory, ev: Evaluation) -> OrderedSemigroup:

@@ -162,7 +162,8 @@ class ProjectionSet:
 
 @dataclass(frozen=True)
 class HomCandidate:
-    """A total map between carriers, proposed as a homomorphism."""
+    """A total map between carriers, proposed as a homomorphism (or, between
+    categories, as a functor: ``category.FunctorCandidate`` is this class)."""
 
     source: str
     target: str

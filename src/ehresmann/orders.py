@@ -318,18 +318,19 @@ def _os3_total_witness(n: int, mul, rel, gens: Sequence[int] | None = None) -> t
     return None
 
 
-def _products_with(table, sets: Sequence[Sequence[int]]) -> Callable[[Iterable[int], int], int]:
-    """``products(xs, b)``: the bitmask of the defined products x*y with x in
-    ``xs`` and y in ``sets[b]`` (a down-set or an up-set); each row x*sets[b]
-    is made once, when first needed."""
+def _products_with(table, masks: Sequence[int]) -> Callable[[int, int], int]:
+    """``products(a, b)``: the bitmask of the defined products x*y with x in
+    ``masks[a]`` and y in ``masks[b]`` (an order's down-sets or up-sets);
+    each row x*masks[b] is made once, when first needed."""
     n = len(table)
+    sets = [list(_bits(m)) for m in masks]
     bit = {v: 1 << v for v in range(n)}
     bit[None] = 0
     rows: list[list[int | None]] = [[None] * n for _ in range(n)]
 
-    def products(xs: Iterable[int], b: int) -> int:
+    def products(a: int, b: int) -> int:
         ys, out = sets[b], 0
-        for x in xs:
+        for x in sets[a]:
             m = rows[x][b]
             if m is None:
                 m = rows[x][b] = reduce(or_, map(bit.__getitem__, map(table[x].__getitem__, ys)))
@@ -467,14 +468,13 @@ def _os7(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
     w = None
     # the cover pass says "holds" on a larger order; a failure is searched for the least witness
     if n <= _OS7_SCAN_MAX_N or not _os7_holds(s.mul, os.order):
-        below = [list(_bits(d)) for d in down]
-        products = _products_with(s.mul, below)
+        products = _products_with(s.mul, down)
 
         def missing(a: int, b: int) -> int:
             """The u <= ab that no x*y with x <= a, y <= b gives, as a bitmask."""
             ab = s.mul[a][b]
             need = down[ab] & ~(1 << ab)  # ab = a*b is one
-            return need & ~products(below[a], b) if need else 0
+            return need & ~products(a, b) if need else 0
 
         w = next(((a, b, _lowest(m)) for a in range(n) for b in range(n) for m in [missing(a, b)] if m), None)
     return _leaf("OS7", w, lambda a, b, u: (

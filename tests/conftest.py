@@ -1,8 +1,14 @@
 """Fixtures shared by the test modules."""
 
 import pytest
+from hypothesis import settings
 
 from ehresmann import FiniteBiunarySemigroup
+
+# every run draws the same examples, so a failure in a CI log reproduces from
+# it, and nothing is written to a .hypothesis/ example database
+settings.register_profile("workbench", derandomize=True, database=None, deadline=None)
+settings.load_profile("workbench")
 
 
 @pytest.fixture

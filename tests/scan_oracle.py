@@ -7,18 +7,20 @@ and the order search's product closure on a generating set, L4 on pairs
 of projections, the functional law row by row, the de Barros identity once per distinct pair
 of rows, OS7 by recursion over lower covers, OC7/OC7' from one product
 set per pair of factors, OC3 on a partial composition and the composites
-of two orders by up-set bitmasks, and tabulates the unique part below an
+of two orders by up-set bitmasks, tabulates the unique part below an
 element and the maximum below an element with its domain (range) under
-an identity once per category and side.  The functions below are the
-scans those replace, loop by loop; the tests compare the reports of both
-on every small structure, the zoo, random orders and mutated tables.
+an identity once per category and side, and verifies a biaction with one
+witness scan per axiom group that stops at its first failure.  The
+functions below are the scans those replace, loop by loop; the tests
+compare the reports of both on every small structure, the zoo, random
+orders and mutated tables.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 
-from ehresmann.category import FiniteCategory, FiniteOrderedCategory, _derive_meet, _max_below
+from ehresmann.category import Biaction, FiniteCategory, FiniteOrderedCategory, _derive_meet, _max_below
 from ehresmann.core import (
     Evaluation,
     FiniteBiunarySemigroup,
@@ -399,5 +401,120 @@ def check_ehresmann_category_two_orders(
         holds,
         witness=witness67,
         detail=detail,
+        parts=parts,
+    )
+
+
+def verify_biaction(c: FiniteOrderedCategory, b: Biaction) -> LawReport:
+    """Check the six biaction axiom groups over all applicable tuples.
+
+    ``parts`` marks the groups verified to hold; groups that could not be
+    evaluated (no meet table, or action tables not total) count as failed.
+    """
+    ids = c.identities()
+    meet = c.meet
+    n = c.n
+    for label, table in (("left", b.left), ("right", b.right)):
+        if len(table) != n or any(
+            len(row) != n or any(v is not None and not 0 <= v < n for v in row) for row in table
+        ):
+            raise StructureError(f"{label} action table must be {n} x {n} over 0..{n - 1} and None")
+    failures: list[tuple[str, tuple[int, ...], str]] = []
+    evaluated = {"E1"}
+
+    def fail(axiom: str, tup: tuple[int, ...], msg: str) -> None:
+        if not any(f[0] == axiom for f in failures):
+            failures.append((axiom, tup, msg))
+
+    # E1: identities form a commutative idempotent semigroup under meet, which
+    # a table of greatest lower bounds is whenever it exists
+    if meet is None:
+        fail("E1", (), "no meet table on the identities")
+
+    def lt(e: int, f: int) -> bool:
+        return meet is not None and meet[e][f] == e
+
+    la, ra = b.left, b.right
+    total = all(
+        la[e][x] is not None and ra[x][e] is not None for e in ids for x in range(n)
+    )
+    if not total:
+        fail("E2", (), "action tables are not total on identity/element pairs")
+    if meet is not None and total and not failures:
+        evaluated.update(("E2", "E3", "E4", "E5", "E6"))
+        # (right?, action table by [e][x], near and far identity maps,
+        # composition): the right action x.e is the left one with products
+        # reversed, so its table and the composition are read transposed and
+        # its witnesses backwards.  Each check runs left, then right, at each
+        # index tuple, which fixes the first failure reported per axiom.
+        sides = (
+            (False, la, c.dmap, c.rmap, c.comp),
+            (True, tuple(zip(*ra)), c.rmap, c.dmap, tuple(zip(*c.comp))),
+        )
+
+        def at(right: bool, *tup: int) -> tuple[int, ...]:
+            return tup[::-1] if right else tup
+
+        for x in range(n):
+            for right, act, near, far, comp in sides:
+                if act[near[x]][x] != x:
+                    fail("E2", (x,), ("D(x).x != x", "x.R(x) != x")[right])
+        for e in ids:
+            for x in range(n):
+                for right, act, near, far, comp in sides:
+                    if near[act[e][x]] != meet[e][near[x]]:
+                        fail("E2", at(right, e, x),
+                             ("D(e.x) != e meet D(x)", "R(x.e) != R(x) meet e")[right])
+                for f in ids:
+                    for right, act, near, far, comp in sides:
+                        # e.(f.x) applies f first, (x.e).f applies e first
+                        g, h = (f, e) if right else (e, f)
+                        if act[meet[g][h]][x] != act[g][act[h][x]]:
+                            fail("E2", at(right, g, h, x),
+                                 ("(e meet f).x != e.(f.x)", "x.(e meet f) != (x.e).f")[right])
+        for e in ids:
+            for x in range(n):
+                for f in ids:
+                    if ra[la[e][x]][f] != la[e][ra[x][f]]:
+                        fail("E3", (e, x, f), "(e.x).f != e.(x.f)")
+        for e in ids:
+            for a in ids:
+                for right, act, near, far, comp in sides:
+                    if act[e][a] != meet[e][a]:
+                        fail("E4", at(right, e, a),
+                             ("e.a != e meet a on identities", "a.e != a meet e on identities")[right])
+        for e in ids:
+            for x in range(n):
+                for right, act, near, far, comp in sides:
+                    if not lt(far[act[e][x]], far[x]):
+                        fail("E5", at(right, e, x),
+                             ("R(e.x) not below R(x)", "D(x.e) not below D(x)")[right])
+        for x in range(n):
+            for y in range(n):
+                xy = c.comp[x][y]
+                if xy is None:
+                    continue
+                for e in ids:
+                    for right, act, near, far, comp in sides:
+                        p, q = (y, x) if right else (x, y)
+                        u = act[e][p]
+                        v = act[far[u]][q]
+                        if comp[u][v] is None or act[e][xy] != comp[u][v]:
+                            fail("E6", at(right, e, p, q),
+                                 ("e.(x o y) != (e.x) o (R(e.x).y)", "(x o y).e != (x.D(y.e)) o (y.e)")[right])
+
+    axiom_names = ("E1", "E2", "E3", "E4", "E5", "E6")
+    failed = {f[0] for f in failures}
+    parts = tuple(
+        (name, name in evaluated and name not in failed) for name in axiom_names
+    )
+    if not failures:
+        return LawReport("biaction", True, parts=parts)
+    axiom, tup, msg = failures[0]
+    return LawReport(
+        "biaction",
+        False,
+        witness=tup or None,
+        detail=f"{axiom} fails at {tup}: {msg}",
         parts=parts,
     )
