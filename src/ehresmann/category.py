@@ -26,6 +26,7 @@ from .core import (
     PreconditionError,
     StructureError,
     TooLargeError,
+    _as_names,
     _as_tuple,
     _check_map,
     _first_failure,
@@ -128,10 +129,8 @@ class FiniteCategory:
         object.__setattr__(self, "dmap", _as_tuple(self.dmap, "D must be an n-vector of element indices"))
         object.__setattr__(self, "rmap", _as_tuple(self.rmap, "R must be an n-vector of element indices"))
         object.__setattr__(self, "comp", _coerce_comp(self.comp))
-        if self.names is not None:
-            names = _as_tuple(self.names, "names must be a sequence of element names")
-            object.__setattr__(self, "names", tuple(map(str, names)))
         _validate_category(self.n, self.dmap, self.rmap, self.comp)
+        object.__setattr__(self, "names", _as_names(self.names, self.n))
 
     def identities(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.dmap)))

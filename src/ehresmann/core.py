@@ -84,6 +84,18 @@ def _as_tuple(value, message: str, rows: bool = False) -> tuple:
         raise StructureError(message) from None
 
 
+def _as_names(names, n: int) -> tuple[str, ...] | None:
+    """``names`` as n distinct strings, one per element, or None when None."""
+    if names is None:
+        return None
+    names = tuple(map(str, _as_tuple(names, "names must be a sequence of element names")))
+    if len(names) != n:
+        raise StructureError("names must cover the whole carrier")
+    if len(set(names)) != n:
+        raise StructureError("element names must be distinct")
+    return names
+
+
 @dataclass(frozen=True)
 class FiniteBiunarySemigroup:
     """Carrier 0..n-1 with a total multiplication table and unary maps D, R.
@@ -103,9 +115,6 @@ class FiniteBiunarySemigroup:
         object.__setattr__(self, "mul", _as_tuple(self.mul, "multiplication table must be n x n", rows=True))
         object.__setattr__(self, "dmap", _as_tuple(self.dmap, "D must be an n-vector of element indices"))
         object.__setattr__(self, "rmap", _as_tuple(self.rmap, "R must be an n-vector of element indices"))
-        if self.names is not None:
-            names = _as_tuple(self.names, "names must be a sequence of element names")
-            object.__setattr__(self, "names", tuple(map(str, names)))
         n = self.n
         if not isinstance(n, int) or n < 1:
             raise StructureError("carrier must have at least one element")
@@ -121,11 +130,7 @@ class FiniteBiunarySemigroup:
             for v in vec:
                 if not isinstance(v, int) or not 0 <= v < n:
                     raise StructureError(f"{label} entry {v!r} out of range 0..{n - 1}")
-        if self.names is not None:
-            if len(self.names) != n:
-                raise StructureError("names must cover the whole carrier")
-            if len(set(self.names)) != n:
-                raise StructureError("element names must be distinct")
+        object.__setattr__(self, "names", _as_names(self.names, n))
 
     def name_of(self, i: int) -> str:
         return self.names[i] if self.names is not None else str(i)
@@ -170,7 +175,7 @@ class HomCandidate:
     map: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "map", tuple(self.map))
+        object.__setattr__(self, "map", _as_tuple(self.map, "candidate map must be a sequence of element indices"))
 
 
 def _fmt(s, *indices: int) -> str:
@@ -316,7 +321,7 @@ def property_key(prop: str, family: str) -> str:
 
     Raises ValueError for a name that is not such a property.
     """
-    law = LAWS.get(prop.lower())
+    law = LAWS.get(prop.lower()) if isinstance(prop, str) else None
     if law is None or not law.name.startswith(family):
         raise ValueError(f"unknown {family} property {prop!r}")
     return law.key

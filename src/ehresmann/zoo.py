@@ -1,14 +1,16 @@
 """Named example structures, generic generators, and exhaustive enumeration.
 
-Relation elements are encoded as k*k-bit masks (bit i*k+j set when the
-pair (i, j) is in the relation) so composition stays bit-parallel;
-partial transformations are tuples over 0..k with 0 meaning undefined.
+rel-k, pt-k and inj-k are sets of relations on k points, each a k*k-bit
+mask (bit i*k+j set when the pair (i, j) is in the relation), built by one
+constructor; a partial map keeps its image-tuple name, - where undefined.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterator
 
 from .core import FiniteBiunarySemigroup, StructureError, TooLargeError
@@ -81,24 +83,34 @@ def example_zero_one_nabla() -> ZooEntry:
     return ZooEntry("zero-one-nabla", s, (("inclusion", incl),), provenance="ehresmann-order")
 
 
-def _rel_rows(mask: int, k: int) -> list[int]:
-    return [(mask >> (i * k)) & ((1 << k) - 1) for i in range(k)]
+def _relations(name: str, k: int, masks: list[int], names: tuple[str, ...], provenance: str) -> ZooEntry:
+    """The relations ``masks`` on k points, closed under composition, in index order.
 
-
-def _rel_compose(a: int, b: int, k: int) -> int:
-    rows_b = _rel_rows(b, k)
-    res = 0
-    for i in range(k):
-        row = (a >> (i * k)) & ((1 << k) - 1)
-        out = 0
-        j = 0
-        while row:
-            if row & 1:
-                out |= rows_b[j]
-            row >>= 1
-            j += 1
-        res |= out << (i * k)
-    return res
+    The product ab is a then b, read through a table of the 2^k row images
+    under b; D and R are the identities on the domain and on the range, and
+    the order is inclusion.
+    """
+    full, shifts = (1 << k) - 1, range(0, k * k, k)
+    index = {m: i for i, m in enumerate(masks)}
+    rows = [[m >> s & full for s in shifts] for m in masks]
+    cols = []
+    for rows_b in rows:
+        # image[r] is the union of b's rows j over the points j of r
+        image = [0]
+        for r in range(1, full + 1):
+            low = r & -r
+            image.append(image[r ^ low] | rows_b[low.bit_length() - 1])
+        # row i of ab is image[row i of a] at bits i*k.., so the rows sum to ab
+        placed = [[v << s for v in image] for s in shifts]
+        cols.append([index[sum(map(list.__getitem__, placed, rows_a))] for rows_a in rows])
+    # identity[r] is the identity relation on the points r; D(a) is it on the
+    # points whose rows are not empty, R(a) on the union of the rows
+    identity = [sum(1 << (j * k + j) for j in range(k) if r >> j & 1) for r in range(full + 1)]
+    dmap = tuple(index[identity[sum(1 << i for i, row in enumerate(rows_a) if row)]] for rows_a in rows)
+    rmap = tuple(index[identity[reduce(or_, rows_a)]] for rows_a in rows)
+    s = FiniteBiunarySemigroup(len(masks), tuple(zip(*cols)), dmap, rmap, names)
+    incl = PartialOrder(len(masks), tuple(tuple(a | b == b for b in masks) for a in masks))
+    return ZooEntry(name, s, (("inclusion", incl),), provenance)
 
 
 def _rel_name(mask: int, k: int) -> str:
@@ -115,78 +127,42 @@ def gen_rel(k: int) -> ZooEntry:
     """All binary relations on k points with composition, D, R, and inclusion."""
     if not 1 <= k <= 3:
         raise TooLargeError("relation semigroups are generated for 1..3 points only")
-    n = 1 << (k * k)
-    mul = tuple(tuple(_rel_compose(a, b, k) for b in range(n)) for a in range(n))
-    dmap, rmap = [], []
-    for a in range(n):
-        rows = _rel_rows(a, k)
-        dom = ran = 0
-        for i in range(k):
-            if rows[i]:
-                dom |= 1 << (i * k + i)
-            for j in range(k):
-                if rows[i] & (1 << j):
-                    ran |= 1 << (j * k + j)
-        dmap.append(dom)
-        rmap.append(ran)
-    names = tuple(_rel_name(a, k) for a in range(n))
-    s = FiniteBiunarySemigroup(n, mul, tuple(dmap), tuple(rmap), names)
-    incl = PartialOrder(n, tuple(tuple(a | b == b for b in range(n)) for a in range(n)))
-    return ZooEntry(f"rel-{k}", s, (("inclusion", incl),), provenance="ehresmann-order")
-
-
-def _pt_elements(k: int) -> list[tuple[int, ...]]:
-    return list(itertools.product(range(k + 1), repeat=k))
-
-
-def _pt_compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(0 if v == 0 else g[v - 1] for v in f)
-
-
-def _pt_dom_identity(f: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + 1 if f[x] != 0 else 0 for x in range(len(f)))
-
-
-def _pt_ran_identity(f: tuple[int, ...]) -> tuple[int, ...]:
-    image = {v - 1 for v in f if v != 0}
-    return tuple(x + 1 if x in image else 0 for x in range(len(f)))
+    masks = list(range(1 << (k * k)))
+    names = tuple(_rel_name(a, k) for a in masks)
+    return _relations(f"rel-{k}", k, masks, names, provenance="ehresmann-order")
 
 
 def _pt_name(f: tuple[int, ...]) -> str:
     return "[" + ",".join(str(v) if v != 0 else "-" for v in f) + "]"
 
 
-def _pt_entry(name: str, elements: list[tuple[int, ...]], provenance: str) -> ZooEntry:
-    index = {f: i for i, f in enumerate(elements)}
-    n = len(elements)
-    mul = tuple(tuple(index[_pt_compose(f, g)] for g in elements) for f in elements)
-    dmap = tuple(index[_pt_dom_identity(f)] for f in elements)
-    rmap = tuple(index[_pt_ran_identity(f)] for f in elements)
-    names = tuple(_pt_name(f) for f in elements)
-    s = FiniteBiunarySemigroup(n, mul, dmap, rmap, names)
-    rel = tuple(
-        tuple(all(v == 0 or v == g[x] for x, v in enumerate(f)) for g in elements) for f in elements
-    )
-    return ZooEntry(name, s, (("inclusion", PartialOrder(n, rel)),), provenance)
+def _partial_maps(name: str, k: int, injective: bool, provenance: str) -> ZooEntry:
+    """The partial maps on k points, or the injective ones, as relations.
+
+    A map f is its image tuple over 0..k, 0 where undefined, taken in
+    ``itertools.product`` order; it is the relation of the pairs (x, f[x] - 1).
+    """
+    maps = [
+        f
+        for f in itertools.product(range(k + 1), repeat=k)
+        if not injective or len(set(f) - {0}) == k - f.count(0)
+    ]
+    masks = [sum(1 << (x * k + v - 1) for x, v in enumerate(f) if v != 0) for f in maps]
+    return _relations(name, k, masks, tuple(map(_pt_name, maps)), provenance)
 
 
 def gen_pt(k: int) -> ZooEntry:
     """All partial transformations on k points, with inclusion."""
     if not 1 <= k <= 3:
         raise TooLargeError("partial transformation semigroups are generated for 1..3 points only")
-    return _pt_entry(f"pt-{k}", _pt_elements(k), provenance="ehresmann-order")
+    return _partial_maps(f"pt-{k}", k, injective=False, provenance="ehresmann-order")
 
 
 def gen_partial_injections(k: int) -> ZooEntry:
     """The partial injections on k points; a restriction semigroup under inclusion."""
     if not 1 <= k <= 3:
         raise TooLargeError("partial injection semigroups are generated for 1..3 points only")
-    elements = [
-        f
-        for f in _pt_elements(k)
-        if len({v for v in f if v != 0}) == sum(1 for v in f if v != 0)
-    ]
-    return _pt_entry(f"inj-{k}", elements, provenance="restriction")
+    return _partial_maps(f"inj-{k}", k, injective=True, provenance="restriction")
 
 
 _REGISTRY: dict[str, Callable[[], ZooEntry]] = {

@@ -117,6 +117,27 @@ class TestStructureValidation:
         with pytest.raises(StructureError, match="^names must be a sequence of element names$"):
             make(names)
 
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (("a",), "names must cover the whole carrier"),
+            (("a", "b", "c"), "names must cover the whole carrier"),
+            (("a", "a"), "element names must be distinct"),
+        ],
+        ids=["short", "long", "duplicate"],
+    )
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda names: FiniteBiunarySemigroup(2, ((0, 0), (0, 1)), (1, 1), (1, 1), names=names),
+            lambda names: FiniteCategory(2, (0, 1), (0, 1), ((0, None), (None, 1)), names=names),
+        ],
+        ids=["semigroup", "category"],
+    )
+    def test_names_must_be_one_distinct_name_per_element(self, make, names, message):
+        with pytest.raises(StructureError, match=f"^{message}$"):
+            make(names)
+
 
 class TestAssociativity:
     def test_one_element_holds(self):
@@ -349,6 +370,10 @@ class TestEhresmannHom:
         s = monoid()
         with pytest.raises(StructureError):
             is_ehresmann_hom(HomCandidate("S", "S", (0, 5)), s, s)
+
+    def test_map_that_is_not_a_sequence_raises_structure_error(self):
+        with pytest.raises(StructureError, match="^candidate map must be a sequence of element indices$"):
+            HomCandidate("a", "b", None)
 
 
 def test_restriction_implies_de_barros_on_small_sweep():

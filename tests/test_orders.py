@@ -214,6 +214,11 @@ class TestOSProperties:
         with pytest.raises(ValueError):
             check_OS_property(monoid_entry().ordered("leq1"), "OS99")
 
+    @pytest.mark.parametrize("prop", [4, None, ("OS4",)])
+    def test_property_that_is_not_a_string_rejected(self, prop):
+        with pytest.raises(ValueError, match="^unknown OS property "):
+            check_OS_property(monoid_entry().ordered("leq1"), prop)
+
     def test_unknown_property_rejected_before_the_prerequisite(self):
         band = zoo.example_orderless_band().structure
         osg = OrderedSemigroup(band, PartialOrder.equality(band.n))

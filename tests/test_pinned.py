@@ -13,7 +13,7 @@ import pytest
 from ehresmann import zoo
 from ehresmann.category import category_of
 from ehresmann.cli import run_command
-from ehresmann.fileformat import category_file, emit_structure
+from ehresmann.fileformat import category_file, emit_structure, semigroup_file
 from ehresmann.sweep import _enumerated_record, run_sweep
 
 SWEEP_3 = "eba66f7150dc7720742dba68d975684fb3ee4f6fdbb04f79ef454d64f281f582"
@@ -115,6 +115,24 @@ CATEGORY_REPORTS = {
     ("esn", "inj-2"): "495bcacc30181dc7d6033207e090ce8ec2a9847dd32ea9dd12b22738bd55a8c1",
 }
 
+# emit_structure of each catalogued entry under each of its orders in turn
+# (with no order when it has none), concatenated; inj-3 is
+# gen_partial_injections(3), built but not catalogued
+EMITTED = {
+    "two-element-monoid": "53071528160b46bc4b2e5cfb2adec264db650295ce5de0531c11ebaad1fb3477",
+    "orderless-band": "d2fe51ac564efd3a86aff82db421d361459215983e1d73d3646d3c12fc6a6dc4",
+    "zero-one-nabla": "8483ec6e4ff44310bebae49a4c4b45c4a413a221564ac25fa2b93310562d9a0b",
+    "rel-1": "42b4c4452a11275f8b5f6267c16e852284537c1959575471f50e137c9245fed8",
+    "rel-2": "e1f7a971cd67c13e7beb5ca9c59fc0ced288b299db23f732aa4858048001b9ae",
+    "rel-3": "771d8d05b7935ef5dd3d8fe01f5e1169490c559bf18e8724b9fe82533e3b92bd",
+    "pt-1": "2cb905a89834051c7e7c8b197077918b453f9bd4cb5ef5047daed3d6f6abde1c",
+    "pt-2": "6a44c4e7df4e2a8d38f366a26a7c8a7c012abc60526c6736f07550c97f063129",
+    "pt-3": "e6e4589fa2a1d55956f466d76ba7a0c9807ff0dfa99fa90e70367c0db52990d3",
+    "inj-1": "2cb905a89834051c7e7c8b197077918b453f9bd4cb5ef5047daed3d6f6abde1c",
+    "inj-2": "76385b6a2366fde8af3454fc26cf901decf53af08ac625a0983615e52c5eb254",
+    "inj-3": "becd80eafcdf4dc82a8b10d0fd52a077d48fb9191ff539fbe3f16c2974b73eaa",
+}
+
 
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -156,3 +174,15 @@ def test_category_file_json_report_is_pinned(tmp_path, label, name):
     payload = json.loads(run_command([cmd, str(path), *flags, "--json"]).to_json())
     del payload["command"]
     assert digest(json.dumps(payload, sort_keys=True, indent=2)) == CATEGORY_REPORTS[(label, name)]
+
+
+def test_every_catalogued_entry_is_emitted_and_pinned():
+    assert set(EMITTED) == {*zoo.names(), "inj-3"}
+
+
+@pytest.mark.parametrize("name", sorted(EMITTED))
+def test_emitted_entry_is_pinned(name):
+    entry = zoo.gen_partial_injections(3) if name == "inj-3" else zoo.get(name)
+    orders = [order for _, order in entry.orders] or [None]
+    text = "".join(emit_structure(semigroup_file(entry.structure, order)) for order in orders)
+    assert digest(text) == EMITTED[name]

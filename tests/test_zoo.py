@@ -176,27 +176,32 @@ class TestGenPt:
         assert check_left_restriction_with_range(s).holds
         assert check_functional(s).holds
 
-    def test_pt_embeds_in_rel_closed_under_d_and_r(self):
-        pt = zoo.gen_pt(2)
-        rel = zoo.gen_rel(2)
-
-        def to_mask(f):
-            return rel_mask({(x, v - 1) for x, v in enumerate(f) if v != 0}, 2)
-
-        elems = list(itertools.product(range(3), repeat=2))
-        masks = {i: to_mask(f) for i, f in enumerate(elems)}
-        for i, f in enumerate(elems):
-            assert rel.structure.dmap[masks[i]] == masks[pt.structure.dmap[i]]
-            assert rel.structure.rmap[masks[i]] == masks[pt.structure.rmap[i]]
-            for j in range(9):
-                assert (
-                    rel.structure.mul[masks[i]][masks[j]]
-                    == masks[pt.structure.mul[i][j]]
-                )
-                assert (
-                    rel.get_order().rel[masks[i]][masks[j]]
-                    == pt.get_order().rel[i][j]
-                )
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("injective", [False, True], ids=["pt", "inj"])
+    def test_pt_embeds_in_rel_closed_under_d_and_r(self, injective, k):
+        # pt-k and inj-k are the functional and the injective relations of
+        # rel-k, with its product, D, R and inclusion
+        maps = zoo.gen_partial_injections(k) if injective else zoo.gen_pt(k)
+        rel = zoo.get(f"rel-{k}")
+        # [1,-,3] is the map 1 -> 1, 3 -> 3, undefined at 2
+        masks = [
+            rel_mask({(x, int(v) - 1) for x, v in enumerate(name[1:-1].split(",")) if v != "-"}, k)
+            for name in maps.structure.names
+        ]
+        expected = []
+        for m in range(rel.structure.n):
+            pairs = rel_pairs(m, k)
+            images = {j for _, j in pairs}
+            if len({i for i, _ in pairs}) == len(pairs) and (not injective or len(images) == len(pairs)):
+                expected.append(m)
+        assert sorted(masks) == expected
+        s, order = maps.structure, maps.get_order()
+        for i, a in enumerate(masks):
+            assert rel.structure.dmap[a] == masks[s.dmap[i]]
+            assert rel.structure.rmap[a] == masks[s.rmap[i]]
+            for j, b in enumerate(masks):
+                assert rel.structure.mul[a][b] == masks[s.mul[i][j]]
+                assert rel.get_order().rel[a][b] == order.rel[i][j]
 
 
 class TestGenPartialInjections:
