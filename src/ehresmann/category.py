@@ -12,6 +12,7 @@ violation of the corresponding law, not assumed away.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .core import (
@@ -33,6 +34,7 @@ from .core import (
     _fmt,
     _leaf,
     _map_report,
+    _trusted,
     evaluate,
     property_key,
     register,
@@ -133,6 +135,11 @@ class FiniteCategory:
         object.__setattr__(self, "names", _as_names(self.names, self.n))
 
     def identities(self) -> tuple[int, ...]:
+        return self._identities
+
+    @cached_property
+    def _identities(self) -> tuple[int, ...]:
+        # the sorted D image, made on the first call
         return tuple(sorted(set(self.dmap)))
 
     def name_of(self, i: int) -> str:
@@ -172,9 +179,9 @@ def _compare_meet(c: FiniteOrderedCategory, given, derived) -> None:
 
 @dataclass(frozen=True)
 class FiniteOrderedCategory:
-    """A validated category ``base`` with a partial order and a meet table on
+    """A category ``base`` with a partial order and a meet table on
     identities, as an ``OrderedSemigroup`` is a semigroup with an order: one
-    base may carry many orders, and its table is validated once, when built.
+    base may carry many orders, and its table is checked once, when built.
     ``n``, ``dmap``, ``rmap``, ``comp`` and ``names`` are copied from ``base``.
 
     The meet is always derived from the order: greatest lower bounds of
@@ -194,8 +201,10 @@ class FiniteOrderedCategory:
     comp: CompTable = field(init=False, repr=False, compare=False)
     names: tuple[str, ...] | None = field(init=False, repr=False, compare=False)
 
-    identities = FiniteCategory.identities
     name_of = FiniteCategory.name_of
+
+    def identities(self) -> tuple[int, ...]:
+        return self.base.identities()
 
     def __post_init__(self) -> None:
         if not isinstance(self.base, FiniteCategory):
@@ -234,13 +243,55 @@ FunctorCandidate = HomCandidate
 
 
 def _composition_category(s: FiniteBiunarySemigroup, ev: Evaluation) -> FiniteCategory:
-    """The products x*y with R(x) = D(y), None elsewhere, validated once per unit
-    of work: the base of C₀ under both derived orders and of C(S) under every order."""
+    """The products x*y with R(x) = D(y), None elsewhere, built once per unit of
+    work: the base of C₀ under both derived orders and of C(S) under every order.
+
+    Callers decide ``ehresmann`` on ``s`` first, and then this is a
+    category, so it skips ``FiniteCategory``'s checks.  n, D, R and the
+    names are those ``s`` was built with, and each entry is a product of
+    ``s`` or None, defined exactly where R(x) = D(y).  By L2, D(x) and R(x)
+    are identities: D(R(x)) = R(x) and R(D(x)) = D(x), so D(x) o x and
+    x o R(x) are defined, and by L1 both are x.  Where R(x) = D(y), L3 and
+    L1 give D(xy) = D(xD(y)) = D(xR(x)) = D(x), and dually R(xy) =
+    R(R(x)y) = R(D(y)y) = R(y).  Composition is the product of ``s``,
+    which associates.
+    """
     comp = tuple(
         tuple(s.mul[x][y] if s.rmap[x] == s.dmap[y] else None for y in range(s.n))
         for x in range(s.n)
     )
-    return FiniteCategory(s.n, s.dmap, s.rmap, comp, s.names)
+    return _trusted(FiniteCategory, n=s.n, dmap=s.dmap, rmap=s.rmap, comp=comp, names=s.names)
+
+
+def _product_meet(s: FiniteBiunarySemigroup, ev: Evaluation) -> tuple[tuple[int | None, ...], ...]:
+    """The products e*f of pairs of projections of ``s``, None off them: one
+    table per unit of work, shared by the categories on ``s`` that take it.
+
+    When ``ehresmann`` holds the projections form a semilattice under the
+    product: by L4 ef is a projection, by L1 and L2 each is idempotent
+    (ee = D(e)e = e), and they commute.  So when an order agrees with it on
+    the projections (e <= f iff e = ef), ef is the greatest lower bound of
+    e and f among them: ef = (ef)e = (ef)f lies below both, and any
+    projection g below both has g = ge = gf, so g(ef) = g and g <= ef.
+    The projections are the identities of the categories built on ``s``,
+    so this table is the one ``FiniteOrderedCategory`` derives from such
+    an order.
+    """
+    n, mul = s.n, s.mul
+    meet = [[None] * n for _ in range(n)]
+    ids = sorted(set(s.dmap))
+    for e in ids:
+        for f in ids:
+            meet[e][f] = mul[e][f]
+    return tuple(map(tuple, meet))
+
+
+def _ordered_on(base: FiniteCategory, order: PartialOrder, meet) -> FiniteOrderedCategory:
+    """``FiniteOrderedCategory(base, order, meet)`` without its checks, for a
+    caller that has shown ``order`` is on base's n elements and ``meet`` is
+    the table of greatest lower bounds the order gives on the identities."""
+    return _trusted(FiniteOrderedCategory, base=base, order=order, meet=meet, n=base.n, dmap=base.dmap,
+                    rmap=base.rmap, comp=base.comp, names=base.names)
 
 
 def _partial_product_category(s: FiniteBiunarySemigroup, ev: Evaluation) -> FiniteCategory:
@@ -256,18 +307,27 @@ def partial_product_category(s: FiniteBiunarySemigroup) -> FiniteCategory:
 
 
 def _category_of(os: OrderedSemigroup, ev: Evaluation) -> FiniteOrderedCategory:
+    """C(S) of an ordered Ehresmann semigroup: its composition category under
+    its order, with the product of projections as the meet.
+
+    Once ``ehresmann-order`` holds, so do ``ehresmann`` on the base and
+    ``semilattice-order-agreement`` on ``os``.  OS1 makes the base
+    localisable.  For projections p <= q, OS3 gives p = pp <= pq and
+    p <= qp, and OS6 gives pq <= p and qp <= p, so p = pq = qp.  By L4 ef
+    and fe are projections, and by OS6 both lie below e, so ef = (ef)e =
+    efe = e(fe) = fe: the projections commute.  And e = ef gives e <= f by
+    OS6, so e <= f iff e = ef.  Then ``_product_meet`` is the derived meet
+    and the base is a category (``_composition_category``); the order is a
+    ``PartialOrder`` on the n elements, as ``OrderedSemigroup`` checks.
+    So the category skips ``FiniteOrderedCategory``'s checks.
+    """
     rep = ev("ehresmann-order", os)
     if not rep.holds:
         raise NotOrderedEhresmann(
             f"not an ordered Ehresmann semigroup: {rep.detail}"
         )
     s = os.base
-    ids = sorted({s.dmap[x] for x in range(s.n)})
-    meet = [[None] * s.n for _ in range(s.n)]
-    for e in ids:
-        for f in ids:
-            meet[e][f] = s.mul[e][f]
-    return FiniteOrderedCategory(ev.build(_composition_category, s), os.order, tuple(map(tuple, meet)))
+    return _ordered_on(ev.build(_composition_category, s), os.order, ev.build(_product_meet, s))
 
 
 def category_of(os: OrderedSemigroup) -> FiniteOrderedCategory:
@@ -577,6 +637,10 @@ def check_ehresmann_ordered_category(c: FiniteOrderedCategory) -> LawReport:
 
 
 def _derive_biaction(c: FiniteOrderedCategory, ev: Evaluation) -> Biaction:
+    """The biaction of an Ehresmann-ordered category, from one table of
+    restrictions and one of corestrictions.  Both tables are n x n
+    tuples of indices and None, all ``Biaction`` coerces its input to,
+    so they skip its constructor."""
     pre = ev("ehresmann-ordered-category", c)
     if not pre.holds:
         raise PreconditionError(f"not an Ehresmann-ordered category: {pre.detail}")
@@ -590,7 +654,7 @@ def _derive_biaction(c: FiniteOrderedCategory, ev: Evaluation) -> Biaction:
         for x in range(n):
             left[e][x] = restrictions[x][meet[e][dmap[x]]]
             right[x][e] = corestrictions[x][meet[rmap[x]][e]]
-    return Biaction(tuple(tuple(row) for row in left), tuple(tuple(row) for row in right))
+    return _trusted(Biaction, left=tuple(map(tuple, left)), right=tuple(map(tuple, right)))
 
 
 def derive_biaction(c: FiniteOrderedCategory) -> Biaction:
@@ -710,6 +774,13 @@ def verify_biaction(c: FiniteOrderedCategory, b: Biaction) -> LawReport:
 
 
 def _semigroup_of(c: FiniteOrderedCategory, ev: Evaluation) -> OrderedSemigroup:
+    """The pseudoproduct semigroup of ``c`` under its order.
+
+    It skips the checks of ``FiniteBiunarySemigroup`` and
+    ``OrderedSemigroup``: n, D, R, the names and the order are those of
+    the category ``c``, and every product is a defined composite of
+    ``c``, so an index in range.
+    """
     # the biaction raises the precondition error; e = R(x) meet D(y) lies below
     # R(x) and D(y), so the factors x|e and e|y are its entries x.e and e.y
     b = ev.build(_derive_biaction, c)
@@ -722,10 +793,9 @@ def _semigroup_of(c: FiniteOrderedCategory, ev: Evaluation) -> OrderedSemigroup:
             if v is None:
                 raise InternalInconsistency("pseudoproduct factors do not compose")
             mul[x][y] = v
-    base = FiniteBiunarySemigroup(
-        n, tuple(tuple(row) for row in mul), c.dmap, c.rmap, c.names
-    )
-    return OrderedSemigroup(base, c.order)
+    base = _trusted(FiniteBiunarySemigroup, n=n, mul=tuple(map(tuple, mul)), dmap=c.dmap, rmap=c.rmap,
+                    names=c.names)
+    return _trusted(OrderedSemigroup, base=base, order=c.order)
 
 
 def semigroup_of(c: FiniteOrderedCategory) -> OrderedSemigroup:
@@ -816,14 +886,20 @@ def is_eoc_morphism(
 
 
 def _all_epi_witness(c: FiniteOrderedCategory) -> tuple[int, ...] | None:
-    for x in range(c.n):
-        row = c.comp[x]
-        for t in range(c.n):
-            if row[t] is None:
-                continue
-            for u in range(c.n):
-                if t != u and row[u] is not None and row[t] == row[u]:
-                    return (x, t, u)
+    """Least (x, t, u), t != u, with x o t = x o u defined, one pass per row x.
+
+    The defined composites of row x fall into groups by value; the least t
+    is the least index of any group of two or more, the first of its group,
+    and the least u is that group's second index.
+    """
+    for x, row in enumerate(c.comp):
+        first: dict[int, int] = {}
+        second: dict[int, int] = {}
+        for t, v in enumerate(row):
+            if v is not None and first.setdefault(v, t) != t:
+                second.setdefault(v, t)
+        if second:
+            return (x, *min((first[v], u) for v, u in second.items()))
     return None
 
 
@@ -1024,10 +1100,11 @@ def _monotone_witness(ids, idmap, unique, rel, meet) -> tuple[int, ...] | None:
     return None
 
 
-def _two_orders(c0: FiniteCategory, leq_l: PartialOrder, leq_r: PartialOrder, ev: Evaluation) -> LawReport:
-    """The seven clauses of ``check_ehresmann_category_two_orders``: the first
-    two are the registered OC8a on C₀ under ``leq_l`` and OC8b under ``leq_r``."""
-    c_l, c_r = (FiniteOrderedCategory(c0, order) for order in (leq_l, leq_r))
+def _two_orders(c_l: FiniteOrderedCategory, c_r: FiniteOrderedCategory, ev: Evaluation) -> LawReport:
+    """The seven clauses of ``check_ehresmann_category_two_orders`` on C₀
+    under ≤_l (``c_l``) and under ≤_r (``c_r``), which share their base: the
+    first two are the registered OC8a on ``c_l`` and OC8b on ``c_r``."""
+    c0, leq_l, leq_r = c_l.base, c_l.order, c_r.order
     ids = c0.identities()
     rel_l, rel_r = leq_l.rel, leq_r.rel
     b1 = ev("oc8a", c_l).holds
@@ -1066,8 +1143,17 @@ def _two_orders(c0: FiniteCategory, leq_l: PartialOrder, leq_r: PartialOrder, ev
 
 
 def _ehresmann_category_two_orders(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
+    """The two-order law on C₀ of ``s`` under its derived orders ≤_l and ≤_r.
+
+    C₀ is built only once ``ehresmann`` holds on ``s``, and then both
+    orders agree with the semilattice on the projections: e <=_l f iff
+    e = D(e)f = ef, and e <=_r f iff e = fR(e) = fe = ef.  So
+    ``_product_meet`` is the meet each derives, and both ordered
+    categories skip ``FiniteOrderedCategory``'s checks.
+    """
     two = ev.build(_derived_orders, s)
-    return _two_orders(ev.build(_partial_product_category, s), two.leq_l, two.leq_r, ev)
+    c0, meet = ev.build(_partial_product_category, s), ev.build(_product_meet, s)
+    return _two_orders(*(_ordered_on(c0, order, meet) for order in (two.leq_l, two.leq_r)), ev)
 
 
 def check_ehresmann_category_two_orders(
@@ -1082,7 +1168,7 @@ def check_ehresmann_category_two_orders(
     monotone in the stated mixed sense.  Later clauses that need earlier
     ones are only evaluated when those hold.
     """
-    return _two_orders(c0, leq_l, leq_r, Evaluation())
+    return _two_orders(*(FiniteOrderedCategory(c0, order) for order in (leq_l, leq_r)), Evaluation())
 
 
 register(

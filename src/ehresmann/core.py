@@ -96,6 +96,21 @@ def _as_names(names, n: int) -> tuple[str, ...] | None:
     return names
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given,
+    without the checks and coercions of its ``__post_init__``.
+
+    For package builders only, each of which proves in its docstring that
+    every check of the public constructor would pass on what it passes
+    here: inputs already validated, or laws the same evaluation has
+    decided.  ``fields`` names every field, in the form the constructor
+    would store it.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class FiniteBiunarySemigroup:
     """Carrier 0..n-1 with a total multiplication table and unary maps D, R.

@@ -31,6 +31,7 @@ from .core import (
     _hom_wording,
     _leaf,
     _map_report,
+    _trusted,
     evaluate,
     projections,
     property_key,
@@ -99,7 +100,11 @@ class PartialOrder:
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "PartialOrder":
         """Reflexive-transitive closure of the given pairs.
 
-        Raises StructureError when the closure breaks antisymmetry.
+        Raises StructureError when the closure breaks antisymmetry.  The
+        closed up-sets are the order's ``up`` rows, and the order skips the
+        constructor's checks: each up-set holds its own element (reflexive)
+        and the up-set of each of its members (transitive), and no two are
+        equal, as a <= b <= a would make them (antisymmetric).
         """
         if not isinstance(n, int) or n < 0:
             raise StructureError(f"order size {n!r} is not a non-negative integer")
@@ -124,7 +129,7 @@ class PartialOrder:
             a = next(a for a, u in enumerate(up) if up.count(u) > 1)
             b = up.index(up[a], a + 1)
             raise StructureError(f"order closure breaks antisymmetry between {a} and {b}")
-        return cls(n, tuple(_bool_row(u, n) for u in up))
+        return _trusted(cls, n=n, rel=tuple(_bool_row(u, n) for u in up), up=tuple(up))
 
     def leq(self, a: int, b: int) -> bool:
         return self.rel[a][b]
@@ -742,19 +747,29 @@ class _OrderSearch:
 
 
 def _ehresmann_orders(s: FiniteBiunarySemigroup, ev: Evaluation) -> tuple[OrderedSemigroup, ...]:
-    """``s`` under each of its Ehresmann orders, canonically sorted."""
+    """``s`` under each of its Ehresmann orders, canonically sorted.
+
+    Each closed up-set family the search yields is the ``up`` rows of a
+    partial order on the n elements of ``s``, so the orders and ordered
+    semigroups skip their constructors' checks: every row starts from the
+    reflexive e-order and only gains bits, ``_close`` adds x <= y for each
+    x below and y above every pair it adds (transitive), and a pair whose
+    reverse is already related prunes its branch (antisymmetric).
+    """
     pre = ev("ehresmann", s)
     if not pre.holds:
         raise PreconditionError(f"structure is not an Ehresmann semigroup: {pre.detail}")
     n = s.n
-    mats = sorted(
-        tuple(_bool_row(row, n) for row in up)
+    # matrices differ, so the up rows are never compared
+    closed = sorted(
+        (tuple(_bool_row(row, n) for row in up), up)
         for up in _OrderSearch(s, ev).solve()
     )
     natural = ev.build(_natural, s)
     found = []
-    for mat in mats:
-        osg = natural if mat == natural.order.rel else OrderedSemigroup(s, PartialOrder(n, mat))
+    for mat, up in closed:
+        osg = natural if mat == natural.order.rel else _trusted(
+            OrderedSemigroup, base=s, order=_trusted(PartialOrder, n=n, rel=mat, up=up))
         rep = ev("ehresmann-order", osg)
         if not rep.holds:
             raise InternalInconsistency(

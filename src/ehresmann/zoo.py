@@ -13,7 +13,7 @@ from functools import reduce
 from operator import or_
 from typing import Callable, Iterator
 
-from .core import FiniteBiunarySemigroup, StructureError, TooLargeError
+from .core import FiniteBiunarySemigroup, StructureError, TooLargeError, _trusted
 from .orders import OrderedSemigroup, PartialOrder
 
 
@@ -401,11 +401,15 @@ def _from_key(key: tuple[int, ...], rows: dict) -> FiniteBiunarySemigroup:
     """The structure whose :meth:`~FiniteBiunarySemigroup.key` is ``key``.
 
     Equal rows of the tables made with one ``rows`` dict are one tuple.
+    Each key is a relabelling of a class leader that was built through
+    the constructor, so every entry is an index in range and the
+    structure skips the constructor's checks.
     """
     n = key[0]
     cells = n * n + 1
     mul = tuple(rows.setdefault(r, r) for r in (key[i:i + n] for i in range(1, cells, n)))
-    return FiniteBiunarySemigroup(n, mul, key[cells:cells + n], key[cells + n:])
+    return _trusted(FiniteBiunarySemigroup, n=n, mul=mul, dmap=key[cells:cells + n], rmap=key[cells + n:],
+                    names=None)
 
 
 def _check_size(n: int, allow_large: bool) -> None:

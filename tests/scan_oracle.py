@@ -2,7 +2,8 @@
 
 The package closes pairs into a partial order and validates one on
 up-set bitmasks, validates a category's associativity on composable
-triples only, decides a semigroup's associativity by Light's test, L3
+triples only, finds the least pair of equal composites in a row by
+grouping it by value, decides a semigroup's associativity by Light's test, L3
 and the order search's product closure on a generating set, L4 on pairs
 of projections, the functional law row by row, the de Barros identity once per distinct pair
 of rows, OS7 by recursion over lower covers, OC7/OC7' from one product
@@ -341,6 +342,19 @@ def _monotone_witness(n: int, ids, idmap, rel_unique, rel, meet) -> tuple[int, .
                 v = _unique_below(n, idmap, rel_unique, y, meet[idmap[y]][e])
                 if u is None or v is None or not rel[u][v]:
                     return (x, y, e)
+    return None
+
+
+def all_epi_witness(c: FiniteOrderedCategory) -> tuple[int, ...] | None:
+    """Least (x, t, u), t != u, with x o t = x o u defined, by the triple scan."""
+    for x in range(c.n):
+        row = c.comp[x]
+        for t in range(c.n):
+            if row[t] is None:
+                continue
+            for u in range(c.n):
+                if t != u and row[u] is not None and row[t] == row[u]:
+                    return (x, t, u)
     return None
 
 

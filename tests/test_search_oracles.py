@@ -668,6 +668,21 @@ def test_fast_deciders_match_the_scans_on_single_entry_mutations():
         assert sides[name] == {True, False}, name
 
 
+def test_all_epi_witness_matches_the_triple_scan():
+    # every structure of size at most 4 under each Ehresmann order, then the
+    # zoo below rel-3 under each of its orders
+    sides = set()
+    subjects = [osg for s in order_subjects() for osg in orders._ehresmann_orders(s, Evaluation())]
+    subjects += [entry.ordered(name) for entry in map(zoo.get, zoo.names()) if entry.name != "rel-3"
+                 for name in entry.order_names()]
+    for osg in subjects:
+        c = category_of(osg)
+        w = category._all_epi_witness(c)
+        assert w == scan_oracle.all_epi_witness(c)
+        sides.add(w is None)
+    assert sides == {True, False}
+
+
 def small_categories(n):
     """Every category on the arrows 0..n-1: D and R onto the identities, then each
     choice of composites in the right hom-sets that ``FiniteCategory`` accepts."""

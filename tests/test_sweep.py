@@ -36,8 +36,10 @@ def count_decisions(monkeypatch, key: str) -> list:
     return subjects
 
 
-def count_constructions(monkeypatch, cls) -> list:
-    """Each instance of ``cls`` made from now on, in order."""
+def count_constructions(monkeypatch, cls, module=None) -> list:
+    """Each instance of ``cls`` made from now on, in order: through its
+    constructor, and when ``module`` is given, through that module's
+    unchecked builder ``_trusted`` too."""
     made = []
     init = cls.__init__
 
@@ -46,6 +48,16 @@ def count_constructions(monkeypatch, cls) -> list:
         made.append(self)
 
     monkeypatch.setattr(cls, "__init__", counted)
+    if module is not None:
+        trusted = module._trusted
+
+        def counted_trusted(kind, **fields):
+            obj = trusted(kind, **fields)
+            if kind is cls:
+                made.append(obj)
+            return obj
+
+        monkeypatch.setattr(module, "_trusted", counted_trusted)
     return made
 
 
@@ -68,8 +80,9 @@ def test_record_builds_and_decides_each_thing_once(monkeypatch):
     associativity = count_decisions(monkeypatch, "associativity")
     ehresmann_order = count_decisions(monkeypatch, "ehresmann-order")
     eoc = count_decisions(monkeypatch, "ehresmann-ordered-category")
-    categories = count_constructions(monkeypatch, FiniteOrderedCategory)
+    categories = count_constructions(monkeypatch, FiniteOrderedCategory, category)
     validations = count_calls(monkeypatch, category, "_validate_category")
+    meets = count_calls(monkeypatch, category, "_derive_meet")
     os3_scans = count_calls(monkeypatch, orders, "_os3_total_witness")
     _, rec = _enumerated_record(("n4-0013", S))
     assert rec["order_count"] == 5 and rec["smallest_order"]
@@ -84,13 +97,15 @@ def test_record_builds_and_decides_each_thing_once(monkeypatch):
     assert len(associativity) == 1 and associativity[0] is S
     # five C(S), one per Ehresmann order, and C₀ under ≤_l and under ≤_r for
     # the two-order law, which the record decides first: all seven share one
-    # composition table, validated once
+    # composition table, built once.  S is Ehresmann and each order agrees
+    # with the semilattice of projections, so neither the table nor a meet
+    # is checked again
     d = derive_orders(S)
     assert len(categories) == 7
     assert [c.order for c in categories[:2]] == [d.leq_l, d.leq_r]
     assert [c.order for c in categories[2:]] == [osg.order for osg in ehresmann_order]
     assert len({id(c.base) for c in categories}) == 1
-    assert len(validations) == 1
+    assert validations == [] and meets == []
     assert len(eoc) == 5
     assert len({id(c) for c in eoc}) == 5
 
