@@ -987,9 +987,11 @@ def _accepted_maps(
             yield tuple(images), sem, cat
 
 
-def morphism_correspondence(
-    s_os: OrderedSemigroup, t_os: OrderedSemigroup, ceiling: int = 10_000_000
-) -> LawReport:
+# the most candidate maps |T|^|S| morphism_correspondence will consider
+_MAP_CEILING = 10_000_000
+
+
+def morphism_correspondence(s_os: OrderedSemigroup, t_os: OrderedSemigroup) -> LawReport:
     """Compare semigroup and category morphism verdicts over all total maps.
 
     For every map S -> T the ordered-homomorphism verdict must agree with
@@ -999,8 +1001,8 @@ def morphism_correspondence(
     the failure reported is the lexicographically least failing map.
     """
     total = t_os.base.n**s_os.base.n
-    if total > ceiling:
-        raise TooLargeError(f"{total} candidate maps exceed the ceiling of {ceiling}")
+    if total > _MAP_CEILING:
+        raise TooLargeError(f"{total} candidate maps exceed the ceiling of {_MAP_CEILING}")
     ev = Evaluation()
     c1 = ev.build(_category_of, s_os)
     c2 = ev.build(_category_of, t_os)

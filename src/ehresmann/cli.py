@@ -97,7 +97,7 @@ class RunReport:
     text_lines: list[str] = field(default_factory=list)
     json_requested: bool = False
     # when set, --json emits this document instead of the wrapped report;
-    # used by sweep so its bytes do not depend on worker count
+    # used by sweep, whose bytes are the sweep report alone, not the command line
     raw_json: str | None = None
 
     def to_json(self) -> str:
@@ -330,7 +330,7 @@ def _cmd_example(args, report: RunReport) -> None:
 
 
 def _cmd_sweep(args, report: RunReport) -> None:
-    result = run_sweep(max_size=args.max_size, jobs=args.jobs, allow_large=args.allow_large)
+    result = run_sweep(max_size=args.max_size, allow_large=args.allow_large)
     report.kind = "sweep"
     report.summary = {
         "max_size": result["max_size"],
@@ -407,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common], help="run the exhaustive theorem sweep")
     p.add_argument("--max-size", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored; the sweep runs in one thread")
     p.add_argument("--allow-large", action="store_true", help="permit the long-running size 4")
     p.set_defaults(fn=_cmd_sweep)
     return parser

@@ -66,9 +66,7 @@ class PartialOrder:
             raise StructureError("order relation must be an n x n matrix")
         up = _up_sets(n, self.rel)
         object.__setattr__(self, "up", up)
-        if _is_partial_order(self.rel, up):
-            return
-        # the scan names the least violation
+        # the scan decides the order and names its least violation
         for a in range(n):
             if not up[a] >> a & 1:
                 raise StructureError(f"order is not reflexive at {a}")
@@ -179,23 +177,6 @@ def _up_sets(n: int, rel: tuple[tuple[bool, ...], ...]) -> tuple[int, ...]:
     """The up-set of each row of the n x n matrix ``rel`` as a bitmask: bit b of entry a is set when a <= b."""
     weights = [1 << b for b in range(n)]
     return tuple(sum(compress(weights, row)) for row in rel)
-
-
-def _is_partial_order(rel: tuple[tuple[bool, ...], ...], up: Sequence[int]) -> bool:
-    """Whether the n x n matrix ``rel``, with up-set bitmasks ``up``, is a partial order.
-
-    It is when each a is in its up-set, each b >= a has its up-set inside
-    a's, and (given those two) no two elements have the same up-set.
-    """
-    if len(set(up)) != len(up):
-        return False
-    for a, u in enumerate(up):
-        if not u >> a & 1:
-            return False
-        for ub in compress(up, rel[a]):
-            if ub | u != u:
-                return False
-    return True
 
 
 def _composite_up_sets(p: PartialOrder, q: PartialOrder) -> tuple[int, ...]:

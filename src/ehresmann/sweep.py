@@ -2,13 +2,11 @@
 
 The sweep replays every law-transfer statement on every Ehresmann
 semigroup up to a given size and on the catalogued examples, and reduces
-the outcomes to named criteria.  Records are keyed canonically so the
-JSON report is byte-identical regardless of worker count.
+the outcomes to named criteria.  Records are keyed canonically, so the
+JSON report is byte-identical from run to run.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 from . import zoo
 from .category import _category_of, _derive_biaction, _esn_round_trip, verify_biaction
@@ -155,28 +153,20 @@ def _criteria(records: list[dict]) -> dict:
     }
 
 
-def _map(fn, items: list, jobs: int) -> list:
-    """``fn`` over ``items`` in order, on ``jobs`` threads when more than one."""
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
-
-
-def run_sweep(max_size: int = 3, jobs: int = 1, allow_large: bool = False) -> dict:
+def run_sweep(max_size: int = 3, allow_large: bool = False) -> dict:
     """Run the full theorem sweep and return a JSON-ready report.
 
     Every criterion is invariant under isomorphism, so each class is
     decided once, on its least structure, and each labelled structure's
-    record is that record relabelled; ``jobs`` spreads the classes and
-    the zoo entries over threads.  Size 4 is swept only with
+    record is that record relabelled.  Classes and zoo entries are
+    decided in order, in the calling thread.  Size 4 is swept only with
     ``allow_large``.
     """
     zoo._check_size(max_size, allow_large)
     structures: dict[str, dict] = {}
     for n in range(1, max_size + 1):
         classes = list(zoo._orbits(n))
-        records = _map(_class_record, [s for s, _ in classes], jobs)
+        records = [_class_record(s) for s, _ in classes]
         members = {
             key: (record, perm)
             for (_, relabellings), record in zip(classes, records)
@@ -185,7 +175,7 @@ def run_sweep(max_size: int = 3, jobs: int = 1, allow_large: bool = False) -> di
         for i, key in enumerate(sorted(members)):
             (rec, orders), perm = members[key]
             structures[f"n{n}-{i:04d}"] = _relabelled(rec, orders, perm)
-    zoo_records = _map(_zoo_record, list(zoo.SWEEP_NAMES) + ["orderless-band"], jobs)
+    zoo_records = [_zoo_record(name) for name in (*zoo.SWEEP_NAMES, "orderless-band")]
     all_records = [*structures.values(), *(rec for _, rec in zoo_records)]
     criteria = _criteria(all_records)
     return {

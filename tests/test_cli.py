@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -258,10 +259,16 @@ class TestSweepCommand:
         assert text.to_text() == doc.to_text() == "".join(
             f"{name}: {'PASS' if ok else 'FAIL'}\n" for name, ok in sorted(text.artifacts["criteria"].items()))
 
-    def test_json_bytes_do_not_depend_on_jobs(self):
-        a = run_command(["--json", "sweep", "--max-size", "2", "--jobs", "1"])
-        b = run_command(["--json", "sweep", "--max-size", "2", "--jobs", "3"])
-        assert a.raw_json == b.raw_json
+    def test_jobs_is_accepted_and_starts_no_thread(self, monkeypatch):
+        single = run_command(["--json", "sweep", "--max-size", "2", "--jobs", "1"])
+
+        def refuse(thread):
+            raise AssertionError("the sweep started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        r = run_command(["--json", "sweep", "--max-size", "2", "--jobs", "4"])
+        assert r.exit_code == 0
+        assert r.raw_json == single.raw_json
 
     @pytest.mark.parametrize("size", ["0", "-1"])
     def test_size_below_one_is_refused(self, size):
