@@ -12,7 +12,8 @@ violation of the corresponding law, not assumed away.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterator, Sequence
 
 from .core import (
@@ -53,10 +54,12 @@ from .orders import (
     _os2_witness,
     _os3_witness,
     _osi_witness,
-    _products_with,
+    _product_sets,
 )
 
 CompTable = tuple[tuple[int | None, ...], ...]
+# the report ``_omega_structured`` gives where OC2 and OC3 hold, which ``_category_of`` seeds
+_OMEGA_HOLDS = LawReport("omega-structured", True, parts=(("OC1", True), ("OC2", True), ("OC3", True)))
 
 
 def _validate_category(
@@ -320,6 +323,12 @@ def _category_of(os: OrderedSemigroup, ev: Evaluation) -> FiniteOrderedCategory:
     and the base is a category (``_composition_category``); the order is a
     ``PartialOrder`` on the n elements, as ``OrderedSemigroup`` checks.
     So the category skips ``FiniteOrderedCategory``'s checks.
+
+    It is also Ω-structured, and the evaluation is seeded with
+    ``_OMEGA_HOLDS``.  OC1 holds by construction.  OC2 is OS2: the same D,
+    R and order.  OC3 asks ac <= bd for a <= b and c <= d where both
+    composites are defined; there they are the products ac and bd, so OS3
+    gives it.
     """
     rep = ev("ehresmann-order", os)
     if not rep.holds:
@@ -327,7 +336,8 @@ def _category_of(os: OrderedSemigroup, ev: Evaluation) -> FiniteOrderedCategory:
             f"not an ordered Ehresmann semigroup: {rep.detail}"
         )
     s = os.base
-    return _ordered_on(ev.build(_composition_category, s), os.order, ev.build(_product_meet, s))
+    c = _ordered_on(ev.build(_composition_category, s), os.order, ev.build(_product_meet, s))
+    return ev.seed("omega-structured", c, _OMEGA_HOLDS)
 
 
 def category_of(os: OrderedSemigroup) -> FiniteOrderedCategory:
@@ -340,28 +350,33 @@ def category_of(os: OrderedSemigroup) -> FiniteOrderedCategory:
 
 
 def _products_stay_above(comp: CompTable, order: PartialOrder) -> bool:
-    """OC3 on a partial composition, decided by the up-set bitmasks of
-    ``order``: for each composable a, c, every defined product of an element
-    above a and one above c lies above ac."""
+    """OC3 on a partial composition, from the up-set bitmasks of ``order``: for
+    each composable a, c, the defined products of an element above a and one
+    above c (the product sets of the dual order, whose down-sets are these
+    up-sets) lie above ac.  The transpose of a partial order is one, so the
+    dual skips the constructor's checks."""
     up = order.up
-    products = _products_with(comp, up)
-    return not any(ac is not None and products(a, c) & ~up[ac]
+    dual = _trusted(PartialOrder, n=order.n, rel=tuple(zip(*order.rel)), up=order.down, down=up)
+    sets = _product_sets(comp, dual)
+    return not any(ac is not None and sets[a][c] & ~up[ac]
                    for a in range(order.n) for c, ac in enumerate(comp[a]))
 
 
 # Categories up to this size are scanned for OC3 without the bitmask test in
-# front.  Where OC3 holds (2 CPUs, Python 3.11) the scan is 2-5 times faster
-# up to the 9 arrows of C(pt-2), the two are within noise of each other on
-# C(rel-2) (16 arrows, 250-350 us each) and C(inj-3) (34 arrows, 1.0-1.3 ms
-# each), and the test is 1.6-1.9 times faster on C(pt-3) (64 arrows).
+# front.  Where OC3 holds (2 CPUs, Python 3.11.7, us a decision, scan/test)
+# the scan is faster on sweep-n4's C₀ under ≤_l and ≤_r (6.7/25), C₀(pt-2)
+# (123/197) and a 14-arrow C₀ (178/258), the test on C(rel-2) (1,210/573),
+# C₀(rel-2) (481/433) and C₀(pt-3) (15,600/6,900); an 18-arrow C₀ still
+# favours the scan (312/477), so size alone does not settle it.
 _OC3_SCAN_MAX_N = 16
 
 
 def _oc3_witness(comp: CompTable, order: PartialOrder) -> tuple[int, ...] | None:
     """``_os3_witness`` on a partial composition; above ``_OC3_SCAN_MAX_N``
     elements the scan runs only when ``_products_stay_above`` fails.  Read
-    only by ``omega-structured``, which the two-order law reaches through
-    ``oc8a`` and ``oc8b``."""
+    only by ``omega-structured`` where C(S) does not seed it: on C₀ under
+    the derived orders, which the two-order law reaches through ``oc8a`` and
+    ``oc8b``, on categories read from files and in ``check_omega_structured``."""
     if order.n > _OC3_SCAN_MAX_N and _products_stay_above(comp, order):
         return None
     return _os3_witness(order.n, comp, order.rel)
@@ -486,12 +501,12 @@ def _oc7_witnesses(c: FiniteOrderedCategory, ev: Evaluation):
     An a that is such an x o y lies below itself in its own hom-set, so only
     the a outside the products can fail either law, and an OC7' failure is
     an OC7 failure."""
-    n, comp, dmap, rmap, up, down = c.n, c.comp, c.dmap, c.rmap, c.order.up, c.order.down
-    products = _products_with(comp, down)
+    n, comp, dmap, rmap, down = c.n, c.comp, c.dmap, c.rmap, c.order.down
+    sets = _product_sets(comp, c.order)
     starting: dict[int, list[int]] = {}
     for d in range(n):
         starting.setdefault(dmap[d], []).append(d)
-    above_in_hom = None
+    below_in_hom, reached = None, {}
     # only an a below a law's least failure so far can lower it; OC7 fails
     # wherever OC7' does, so its limit is never above the OC7' one
     best, best_p, limit, limit_p = None, None, -1, -1
@@ -500,19 +515,22 @@ def _oc7_witnesses(c: FiniteOrderedCategory, ev: Evaluation):
             cands = down[comp[b][d]] & limit_p
             if not cands:
                 continue
-            made = products(b, d)
+            made = sets[b][d]
             cands &= ~made
             if not cands:
                 continue
             if cands & limit:
                 a = _lowest(cands & limit)
                 best, limit = (a, b, d), (1 << a) - 1
-            if above_in_hom is None:
-                # per a, the elements above a with its domain and range
-                above_in_hom = [sum(1 << y for y in _bits(up[a]) if dmap[y] == dmap[a] and rmap[y] == rmap[a])
-                                for a in range(n)]
-            a = next((a for a in _bits(cands) if not above_in_hom[a] & made), None)
-            if a is not None:
+            if below_in_hom is None:
+                # per y, the elements below y with its domain and range
+                below_in_hom = [sum(1 << x for x in _bits(down[y]) if dmap[x] == dmap[y] and rmap[x] == rmap[y])
+                                for y in range(n)]
+            # the elements below some product of their own hom-set, once per product set
+            if (covered := reached.get(made)) is None:
+                covered = reached[made] = reduce(or_, map(below_in_hom.__getitem__, _bits(made)))
+            if cands & ~covered:
+                a = _lowest(cands & ~covered)
                 best_p, limit_p = (a, b, d), (1 << a) - 1
     return best, best_p
 
@@ -1045,8 +1063,8 @@ def _special_correspondences(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
     c = ev.build(_category_of, os)
     natural = _is_natural(os, ev)
 
-    # C(S) of an ordered Ehresmann semigroup is Omega-structured (OC2 is OS2,
-    # OC3 is OS3 on the defined products), so its OC laws are decided in full
+    # C(S) of an ordered Ehresmann semigroup is Omega-structured (seeded by
+    # ``_category_of``), so its OC laws are decided in full
     os_side = {name: ev(name.lower(), os).holds for name in ("OS4", "OS7", "OS4A", "OS4B")}
     oc_side = {name: ev(name.lower(), c).holds for name in ("OC4", "OC7", "OC4A", "OC4B")}
     restriction_sem = ev("restriction", os.base).holds and natural

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from itertools import chain, compress
 from operator import or_
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     Evaluation,
@@ -304,26 +304,31 @@ def _os3_total_witness(n: int, mul, rel, gens: Sequence[int] | None = None) -> t
     return None
 
 
-def _products_with(table, masks: Sequence[int]) -> Callable[[int, int], int]:
-    """``products(a, b)``: the bitmask of the defined products x*y with x in
-    ``masks[a]`` and y in ``masks[b]`` (an order's down-sets or up-sets);
-    each row x*masks[b] is made once, when first needed."""
-    n = len(table)
-    sets = [list(_bits(m)) for m in masks]
-    bit = {v: 1 << v for v in range(n)}
-    bit[None] = 0
-    rows: list[list[int | None]] = [[None] * n for _ in range(n)]
+def _product_sets(table, order: PartialOrder) -> list[list[int]]:
+    """``[a][b]``: the bitmask of the defined products x*y of ``table`` with
+    x <= a and y <= b under ``order`` (a None entry gives nothing).
 
-    def products(a: int, b: int) -> int:
-        ys, out = sets[b], 0
-        for x in sets[a]:
-            m = rows[x][b]
-            if m is None:
-                m = rows[x][b] = reduce(or_, map(bit.__getitem__, map(table[x].__getitem__, ys)))
-            out |= m
-        return out
-
-    return products
+    The pairs below (a, b) are (a, b) itself and the pairs below (c, b) for
+    each lower cover c of a and below (a, d) for each lower cover d of b.
+    So entry [a][b] is the bit of a*b or'ed with entries [c][b] and [a][d],
+    and rows a and, within a row, entries b are made up a linear extension
+    (by down-set size), each after those it reads.  Equal sets share one
+    int: on rel-3 the 262,144 entries take 4,882 values.
+    """
+    n, down, covers = len(table), order.down, order.covers
+    bit = {v: 1 << v for v in range(n)} | {None: 0}
+    rising = sorted(range(n), key=lambda a: down[a].bit_count())
+    steps = [(b, d) for b in rising for d in covers[b]]
+    sets: list = [None] * n
+    seen: dict[int, int] = {}
+    for a in rising:
+        row = list(map(bit.__getitem__, table[a]))
+        for c in covers[a]:
+            row = list(map(or_, row, sets[c]))
+        for b, d in steps:
+            row[b] |= row[d]
+        sets[a] = list(map(seen.setdefault, row, row))
+    return sets
 
 
 def _lowest(mask: int) -> int:
@@ -397,72 +402,14 @@ def _os4_law(name: str, need_d: bool, need_r: bool) -> Law:
     return Law(name, "ordered", decide, pre="ehresmann-order", ladder=True)
 
 
-# Orders on at most this many elements skip the cover pass of ``_os7_holds``
-# and go straight to the witness search.  Where OS7 holds (2 CPUs, Python
-# 3.11, mean over Ehresmann orders, us) the search is faster on the size-4
-# sweep (25.5 against 28.9 for the pass), level at size 5 (31.4 against
-# 31.1 over every third class) and faster on 150 size-6 structures (39.8
-# against 42.4); the pass wins from the 7-element inj-2 on (46 against 61;
-# rel-2 241 against 574, pt-3 1,790 against 6,280).
-_OS7_SCAN_MAX_N = 6
-
-# The cover pass builds this many columns b at a time.  pt-3 took 3.2, 1.7,
-# 1.6, 1.5 and 1.65 ms with blocks of 8, 16, 32, 64 and 128 columns; rel-3,
-# which fails OS7, gave up after 11, 8, 10, 14 and 25 ms.
-_OS7_BLOCK = 64
-
-
-def _os7_holds(mul, order: PartialOrder) -> bool:
-    """Whether every u <= ab is some x*y with x <= a and y <= b, on the
-    down-set bitmasks and lower covers of ``order``.
-
-    A down-set is its top and the down-sets of its lower covers.  So the
-    mask {x*y : y <= b} of each x is the bit of x*b or'ed with the masks of
-    the lower covers of b, one column b at a time, and the mask
-    {x*y : x <= a, y <= b} of a is its own or'ed with those of the lower
-    covers of a, a row of ``_OS7_BLOCK`` columns at a time.  Both run up a
-    linear extension (by down-set size), and a False comes at the first
-    row that misses an element, in the first block where one does.
-    """
-    n = len(mul)
-    bit = [1 << v for v in range(n)]
-    down, covers = order.down, order.covers
-    rising = sorted(range(n), key=lambda a: down[a].bit_count())
-    cols = tuple(zip(*mul))
-    right: list = [None] * n  # right[b][x] is {x*y : y <= b}
-    for start in range(0, n, _OS7_BLOCK):
-        block = rising[start:start + _OS7_BLOCK]
-        for b in block:
-            col = list(map(bit.__getitem__, cols[b]))
-            for d in covers[b]:
-                col = list(map(or_, col, right[d]))
-            right[b] = col
-        rows = list(zip(*map(right.__getitem__, block)))
-        made: list = [None] * n  # made[a][i] is {x*y : x <= a, y <= block[i]}
-        for a in rising:
-            row = rows[a]
-            for c in covers[a]:
-                row = tuple(map(or_, row, made[c]))
-            made[a] = row
-            if tuple(map(or_, map(down.__getitem__, map(mul[a].__getitem__, block)), row)) != row:
-                return False
-    return True
-
-
 def _os7(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
-    s, n, down = os.base, os.base.n, os.order.down
-    w = None
-    # the cover pass says "holds" on a larger order; a failure is searched for the least witness
-    if n <= _OS7_SCAN_MAX_N or not _os7_holds(s.mul, os.order):
-        products = _products_with(s.mul, down)
-
-        def missing(a: int, b: int) -> int:
-            """The u <= ab that no x*y with x <= a, y <= b gives, as a bitmask."""
-            ab = s.mul[a][b]
-            need = down[ab] & ~(1 << ab)  # ab = a*b is one
-            return need & ~products(a, b) if need else 0
-
-        w = next(((a, b, _lowest(m)) for a in range(n) for b in range(n) for m in [missing(a, b)] if m), None)
+    """OS7: every u <= ab is some x*y with x <= a and y <= b.  The least
+    witness (a, b, u) is the least u <= ab missing from the product set of
+    (a, b), for the least such (a, b)."""
+    s, down = os.base, os.order.down
+    sets = _product_sets(s.mul, os.order)
+    w = next(((a, b, _lowest(m)) for a, row in enumerate(sets) for b, made in enumerate(row)
+              for m in [down[s.mul[a][b]] & ~made] if m), None)
     return _leaf("OS7", w, lambda a, b, u: (
         f"{s.name_of(u)} <= {s.name_of(a)}*{s.name_of(b)} has no factorisation below the factors"))
 

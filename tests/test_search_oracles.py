@@ -752,8 +752,9 @@ def test_oc7_pass_matches_the_scans_on_every_small_category():
     assert verdicts == {(True, True): 645, (False, True): 269, (False, False): 90}
 
 
-# Light's test, the OS7 cover pass and the de Barros rows on their own (small
-# subjects skip them), and the composite of two orders on up-set bitmasks
+# Light's test and the de Barros rows on their own (small subjects skip them),
+# OS7 and the product sets it reads, and the composite of two orders on up-set
+# bitmasks
 
 
 def every_magma(n):
@@ -916,45 +917,62 @@ def test_localisable_on_generators_matches_the_scan_above_the_cutoff():
     assert all(sides[part] == {True, False} for part in ("L3", "L4")), dict(sides)
 
 
-def cover_pass(os):
-    """``orders._os7_holds`` on ``os``, reading the masks of its order as ``orders._os7`` does."""
-    return orders._os7_holds(os.base.mul, os.order)
-
-
-@pytest.mark.parametrize("block", [3, 64])
-def test_os7_cover_pass_matches_the_scan_on_every_order_of_size_at_most_4(monkeypatch, block):
-    monkeypatch.setattr(orders, "_OS7_BLOCK", block)
+def test_os7_matches_the_scan_on_every_order_of_size_at_most_4():
     verdicts = collections.Counter()
     for n in range(1, 5):
         for s in zoo.enumerate_ehresmann_semigroups(n, allow_large=True):
             for order in enumerate_ehresmann_orders(s):
                 os = OrderedSemigroup(s, order)
-                holds = cover_pass(os)
-                assert holds == scan_oracle._os7(os, Evaluation()).holds
-                verdicts[holds] += 1
+                rep = orders._os7(os, Evaluation())
+                assert rep == scan_oracle._os7(os, Evaluation())
+                verdicts[rep.holds] += 1
     assert sum(verdicts.values()) == 10147 and set(verdicts) == {True, False}
 
 
-@pytest.mark.parametrize("block", [7, 64])
-def test_os7_cover_pass_matches_the_scan_on_every_zoo_order(monkeypatch, block, n5_0213):
+def test_os7_matches_the_scan_on_every_zoo_order(n5_0213):
     """Each zoo order (rel-3 against its known least witness, where the scan is
     slow), the three derived orders of the zoo entries up to pt-3 and of n5-0213,
-    and the two Ehresmann orders of n5-0213; a block of 7 columns does not
-    divide pt-3's 64."""
-    monkeypatch.setattr(orders, "_OS7_BLOCK", block)
+    and the two Ehresmann orders of n5-0213."""
     sides = set()
     subjects = [(s, order) for s, orders_of_s in zoo_orders() for order in orders_of_s]
     derived = derive_orders(n5_0213)
     subjects += [(n5_0213, order) for order in (*enumerate_ehresmann_orders(n5_0213), derived.leq_l, derived.leq_r, derived.leq_e)]
     for s, order in subjects:
         os = OrderedSemigroup(s, order)
-        holds = cover_pass(os)
-        assert holds == scan_oracle._os7(os, Evaluation()).holds
-        sides.add(holds)
+        rep = orders._os7(os, Evaluation())
+        assert rep == scan_oracle._os7(os, Evaluation())
+        sides.add(rep.holds)
     assert sides == {True, False}
     rel3 = OrderedSemigroup(zoo.get("rel-3").structure, zoo.get("rel-3").orders[0][1])
-    assert not cover_pass(rel3)
     assert orders._os7(rel3, Evaluation()).witness == (9, 3, 10)
+
+
+def brute_product_sets(table, order):
+    """``[a][b]``: the bitmask of the defined products x*y with x <= a and y <= b, from ``rel``."""
+    below = [[x for x in range(order.n) if order.rel[x][a]] for a in range(order.n)]
+    return [[sum({1 << v for x in below[a] for y in below[b] for v in [table[x][y]] if v is not None})
+             for b in range(order.n)] for a in range(order.n)]
+
+
+def test_product_sets_match_the_brute_force_on_small_orders_and_the_zoo():
+    """Every Ehresmann semigroup of size at most 4 under each of its Ehresmann
+    orders, then the zoo entries below rel-3 under theirs and the derived
+    orders; each on its total table and its C(S) composition, under the
+    order and under its dual."""
+    subjects = [(s, order) for n in range(1, 5) for s in zoo.enumerate_ehresmann_semigroups(n, allow_large=True)
+                for order in enumerate_ehresmann_orders(s)]
+    assert len(subjects) == 10147
+    subjects += [(s, order) for s, orders_of_s in zoo_orders() for order in orders_of_s]
+    partial = 0
+    for s, order in subjects:
+        comp = tuple(tuple(v if s.rmap[x] == s.dmap[y] else None for y, v in enumerate(row))
+                     for x, row in enumerate(s.mul))
+        dual = PartialOrder(order.n, tuple(zip(*order.rel)))
+        for table in (s.mul, comp):
+            for o in (order, dual):
+                assert orders._product_sets(table, o) == brute_product_sets(table, o)
+        partial += comp != s.mul
+    assert partial > 0
 
 
 def de_barros_subjects(n5_0213):

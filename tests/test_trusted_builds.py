@@ -10,6 +10,7 @@ must still reject malformed data with the messages they always gave.
 import dataclasses
 
 import pytest
+import scan_oracle
 from test_search_oracles import small_orders
 
 from ehresmann import category, zoo
@@ -122,6 +123,20 @@ def test_orders_categories_biactions_and_pseudoproducts_are_the_constructors():
         back = _semigroup_of(c, ev)
         assert_same(back, OrderedSemigroup(public_semigroup(back.base), public.order))
         assert back == osg
+        count += 1
+    assert count > 1708
+
+
+def test_seeded_omega_structured_is_the_decided_report():
+    # C(S) records omega-structured as holding once ehresmann-order holds; a
+    # fresh evaluation decides it with the OC2 and OC3 scans
+    count = 0
+    for osg in ordered_subjects():
+        ev = Evaluation()
+        c = _category_of(osg, ev)
+        subject, seeded = ev.verdicts[("omega-structured", id(c))]
+        assert subject is c and ev("omega-structured", c) is seeded
+        assert seeded == scan_oracle._omega_structured(c, Evaluation())
         count += 1
     assert count > 1708
 
