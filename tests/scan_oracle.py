@@ -1,47 +1,22 @@
-"""The plain least-witness scans, kept as the oracle of the fast law deciders.
+"""The plain scans of the searches and validators no law formula states.
 
-The package closes pairs into a partial order and validates one on
-up-set bitmasks, validates a category's associativity on composable
-triples only, finds the least pair of equal composites in a row by
-grouping it by value, decides a semigroup's associativity by Light's test, L3
-and the order search's product closure on a generating set, L4 on pairs
-of projections, the functional law row by row, the de Barros identity once per distinct pair
-of rows, OS7 by recursion over lower covers, OC7/OC7' from one product
-set per pair of factors, OC3 on a partial composition and the composites
-of two orders by up-set bitmasks, tabulates the unique part below an
-element and the maximum below an element with its domain (range) under
-an identity once per category and side, and verifies a biaction with one
-witness scan per axiom group that stops at its first failure.  The
-functions below are the scans those replace, loop by loop; the tests
-compare the reports of both on every small structure, the zoo, random
-orders and mutated tables.
+The package validates and closes orders on up-set bitmasks, validates a
+category's associativity on composable triples only, composes two orders
+on bitmasks, searches Ehresmann orders multiplying only by a generating
+set, decides a large table's associativity by Light's test, finds equal
+composites in a row by grouping it, and verifies a biaction one axiom
+group at a time.  These are the scans those replace, loop by loop; every
+law stated as a sentence, and the derived orders, are checked by
+``formulas.py``.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 
-from ehresmann.category import Biaction, FiniteCategory, FiniteOrderedCategory, _derive_meet, _max_below
-from ehresmann.core import (
-    Evaluation,
-    FiniteBiunarySemigroup,
-    InternalInconsistency,
-    LawReport,
-    StructureError,
-    _first_failure,
-    _fmt,
-    _leaf,
-    projections,
-)
-from ehresmann.orders import (
-    DerivedOrders,
-    OrderedSemigroup,
-    PartialOrder,
-    _bits,
-    _OrderSearch,
-    _os2_witness,
-    _os3_witness,
-)
+from ehresmann.category import Biaction, FiniteOrderedCategory
+from ehresmann.core import LawReport, StructureError
+from ehresmann.orders import PartialOrder, _bits, _OrderSearch
 
 
 def compose_relations(p: PartialOrder, q: PartialOrder) -> tuple[tuple[bool, ...], ...]:
@@ -58,21 +33,6 @@ def compose_relations(p: PartialOrder, q: PartialOrder) -> tuple[tuple[bool, ...
                         row[b] = True
         out.append(tuple(row))
     return tuple(out)
-
-
-def derive_orders(s: FiniteBiunarySemigroup) -> DerivedOrders:
-    """The three derived orders built cell by cell, with the composite identity
-    checked on matrices; raises what ``orders.derive_orders`` raises."""
-    n, mul, D, R = s.n, s.mul, s.dmap, s.rmap
-    try:
-        leq_l = PartialOrder(n, tuple(tuple(a == mul[D[a]][b] for b in range(n)) for a in range(n)))
-        leq_r = PartialOrder(n, tuple(tuple(a == mul[b][R[a]] for b in range(n)) for a in range(n)))
-        leq_e = PartialOrder(n, tuple(tuple(a == mul[mul[D[a]][b]][R[a]] for b in range(n)) for a in range(n)))
-    except StructureError as exc:
-        raise InternalInconsistency(f"derived relation is not a partial order: {exc}") from exc
-    if compose_relations(leq_l, leq_r) != leq_e.rel or compose_relations(leq_r, leq_l) != leq_e.rel:
-        raise InternalInconsistency("left and right orders do not compose to the e-order")
-    return DerivedOrders(leq_l, leq_r, leq_e)
 
 
 def partial_order_failure(n: int, rel) -> str | None:
@@ -126,30 +86,6 @@ def category_associativity_failure(n: int, dmap, rmap, comp) -> str | None:
                 if rmap[y] == dmap[z] and comp[xy][z] != comp[x][comp[y][z]]:
                     return f"composition not associative at ({x}, {y}, {z})"
     return None
-
-
-def _associativity(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
-    mul, n = s.mul, s.n
-    w = next(((a, b, c)
-              for a in range(n) for row_a in [mul[a]]
-              for b in range(n) for row_ab, row_b in [(mul[row_a[b]], mul[b])]
-              for c in range(n) if row_ab[c] != row_a[row_b[c]]), None)
-    return _leaf("associativity", w, lambda a, b, c: (
-        f"({_fmt(s, a)}*{_fmt(s, b)})*{_fmt(s, c)} = {_fmt(s, mul[mul[a][b]][c])}"
-        f" but {_fmt(s, a)}*({_fmt(s, b)}*{_fmt(s, c)}) = {_fmt(s, mul[a][mul[b][c]])}"))
-
-
-def _localisable(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
-    mul, D, R, n = s.mul, s.dmap, s.rmap, s.n
-    pairs = [(x, y) for x in range(n) for y in range(n)]
-    checks = (
-        ("L1", next(((x,) for x in range(n) if mul[D[x]][x] != x or mul[x][R[x]] != x), None)),
-        ("L2", next(((x,) for x in range(n) if D[R[x]] != R[x] or R[D[x]] != D[x]), None)),
-        ("L3", next(((x, y) for x, y in pairs
-                     if D[mul[x][y]] != D[mul[x][D[y]]] or R[mul[x][y]] != R[mul[R[x]][y]]), None)),
-        ("L4", next(((x, y) for x, y in pairs if D[mul[D[x]][D[y]]] != mul[D[x]][D[y]]), None)),
-    )
-    return _first_failure("localisable", s, checks)
 
 
 class AllProductsSearch(_OrderSearch):
@@ -207,144 +143,6 @@ def associates_by_rows(mul) -> bool:
     return all(mul[row_a[b]] == through[b](row_a) for row_a in mul for b in range(len(mul)))
 
 
-def _functional(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
-    mul, R, n = s.mul, s.rmap, s.n
-    w = next(((x, y, z) for x in range(n) for row, rrow in [(mul[x], mul[R[x]])]
-              for y in range(n) for z in range(n) if row[y] == row[z] and rrow[y] != rrow[z]), None)
-    return _leaf("functional", w, lambda x, y, z: (
-        f"{_fmt(s, x)}*{_fmt(s, y)} = {_fmt(s, x)}*{_fmt(s, z)}"
-        f" = {_fmt(s, mul[x][y])} but R({_fmt(s, x)})*{_fmt(s, y)} ="
-        f" {_fmt(s, mul[R[x]][y])} and R({_fmt(s, x)})*{_fmt(s, z)} = {_fmt(s, mul[R[x]][z])}"))
-
-
-def _os7(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
-    s, rel = os.base, os.order.rel
-    below = [[y for y in range(s.n) if rel[y][x]] for x in range(s.n)]
-    w = next(((a, b, u) for a in range(s.n) for b in range(s.n) for u in below[s.mul[a][b]]
-              if not any(s.mul[x][y] == u for x in below[a] for y in below[b])), None)
-    return _leaf("OS7", w, lambda a, b, u: (
-        f"{s.name_of(u)} <= {s.name_of(a)}*{s.name_of(b)} has no factorisation below the factors"))
-
-
-def _de_barros_equational(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawReport:
-    mul, D, R, n = s.mul, s.dmap, s.rmap, s.n
-
-    def sides(x: int, e: int, y: int) -> tuple[int, int]:
-        lhs = mul[mul[x][e]][y]
-        return lhs, mul[mul[D[lhs]][mul[x][y]]][R[lhs]]
-
-    def detail(x: int, e: int, y: int) -> str:
-        lhs, rhs = sides(x, e, y)
-        return (f"{_fmt(s, x)}*{_fmt(s, e)}*{_fmt(s, y)} = {_fmt(s, lhs)} but "
-                f"D(..)*{_fmt(s, x)}*{_fmt(s, y)}*R(..) = {_fmt(s, rhs)}")
-
-    proj = projections(s).sorted_members
-    w = next(((x, e, y) for x in range(n) for e in proj for y in range(n)
-              for lhs, rhs in [sides(x, e, y)] if lhs != rhs), None)
-    return _leaf("de-barros-equational", w, detail)
-
-
-def _oc7_witness(c: FiniteOrderedCategory, prime: bool):
-    rel = c.order.rel
-    n = c.n
-    below = [[y for y in range(n) if rel[y][x]] for x in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for d in range(n):
-                bc = c.comp[b][d]
-                if bc is None or not rel[a][bc]:
-                    continue
-                if prime:
-                    found = any(
-                        c.dmap[bp] == c.dmap[a]
-                        and c.rmap[cp] == c.rmap[a]
-                        and c.comp[bp][cp] is not None
-                        and rel[a][c.comp[bp][cp]]
-                        for bp in below[b]
-                        for cp in below[d]
-                    )
-                else:
-                    found = any(
-                        c.comp[bp][cp] == a for bp in below[b] for cp in below[d]
-                    )
-                if not found:
-                    return (a, b, d)
-    return None
-
-
-def oc7_report(c: FiniteOrderedCategory, prime: bool) -> LawReport:
-    """The OC7 or OC7' report from the scan, worded as the package's ``_oc_law`` words it."""
-    name = "OC7'" if prime else "OC7"
-    return _leaf(name, _oc7_witness(c, prime), lambda *w: f"fails at ({_fmt(c, *w)})")
-
-
-def _omega_structured(c: FiniteOrderedCategory, ev: Evaluation) -> LawReport:
-    rel = c.order.rel
-    checks = (("OC2", _os2_witness(c.n, c.dmap, c.rmap, rel)), ("OC3", _os3_witness(c.n, c.comp, rel)))
-    return _first_failure("omega-structured", c, checks, lead=(("OC1", True),))
-
-
-def _oc6_witness(c: FiniteOrderedCategory, idmap) -> tuple[int, ...] | None:
-    """Least (x, e) with e <= idmap(x) whose maximum below x with idmap under e
-    is missing or off e: OC6a with D, OC6b with R."""
-    rel = c.order.rel
-    for x in range(c.n):
-        for e in c.identities():
-            if not rel[e][idmap[x]]:
-                continue
-            m = _max_below(c, idmap, x, e)
-            if m is None or idmap[m] != e:
-                return (x, e)
-    return None
-
-
-def oc6_report(c: FiniteOrderedCategory, name: str, idmap) -> LawReport:
-    """The OC6A (``idmap`` D) or OC6B (R) report from the scan, worded as ``_oc_law`` words it."""
-    return _leaf(name, _oc6_witness(c, idmap), lambda *w: f"fails at ({_fmt(c, *w)})")
-
-
-def oc6_pair_report(c: FiniteOrderedCategory) -> LawReport:
-    """The OC6 report from the scans on an omega-structured category: both
-    halves as parts, the first failing one as the witness."""
-    return _first_failure("OC6", c, (("oc6a", _oc6_witness(c, c.dmap)), ("oc6b", _oc6_witness(c, c.rmap))))
-
-
-def _unique_below(n: int, idmap, rel, x: int, e: int) -> int | None:
-    ys = [y for y in range(n) if rel[y][x] and idmap[y] == e]
-    return ys[0] if len(ys) == 1 else None
-
-
-def _oc8_witness(n: int, ids, idmap, rel) -> tuple[int, ...] | None:
-    """Least (x, e) with e <= idmap(x) but not exactly one y <= x with idmap(y) = e."""
-    for x in range(n):
-        for e in ids:
-            if rel[e][idmap[x]] and _unique_below(n, idmap, rel, x, e) is None:
-                return (x, e)
-    return None
-
-
-def oc8_report(c: FiniteOrderedCategory, name: str, idmap) -> LawReport:
-    """The OC8A (``idmap`` D) or OC8B (R) report from the scan, worded as ``_oc_law`` words it."""
-    w = _oc8_witness(c.n, c.identities(), idmap, c.order.rel)
-    return _leaf(name, w, lambda *w: f"fails at ({_fmt(c, *w)})")
-
-
-def _monotone_witness(n: int, ids, idmap, rel_unique, rel, meet) -> tuple[int, ...] | None:
-    """Least x <= y under ``rel`` and identity e whose unique parts below, taken
-    under ``rel_unique`` with ``idmap`` at (``idmap``(x) meet e), are missing or unrelated.
-    """
-    for x in range(n):
-        for y in range(n):
-            if not rel[x][y]:
-                continue
-            for e in ids:
-                u = _unique_below(n, idmap, rel_unique, x, meet[idmap[x]][e])
-                v = _unique_below(n, idmap, rel_unique, y, meet[idmap[y]][e])
-                if u is None or v is None or not rel[u][v]:
-                    return (x, y, e)
-    return None
-
-
 def all_epi_witness(c: FiniteOrderedCategory) -> tuple[int, ...] | None:
     """Least (x, t, u), t != u, with x o t = x o u defined, by the triple scan."""
     for x in range(c.n):
@@ -356,67 +154,6 @@ def all_epi_witness(c: FiniteOrderedCategory) -> tuple[int, ...] | None:
                 if t != u and row[u] is not None and row[t] == row[u]:
                     return (x, t, u)
     return None
-
-
-def check_ehresmann_category_two_orders(
-    c0: FiniteCategory, leq_l: PartialOrder, leq_r: PartialOrder
-) -> LawReport:
-    """Decide the seven clauses of the two-order Ehresmann category laws.
-
-    The left order must be Omega-structured with unique restrictions, the
-    right order Omega-structured with unique corestrictions, the orders
-    must agree on the identities and form a meet-semilattice there, the
-    two orders must permute, and restriction/corestriction must be
-    monotone in the stated mixed sense.  Later clauses that need earlier
-    ones are only evaluated when those hold.
-    """
-    n = c0.n
-    if leq_l.n != n or leq_r.n != n:
-        raise StructureError("order and carrier sizes differ")
-    ids = c0.identities()
-    rel_l, rel_r = leq_l.rel, leq_r.rel
-
-    def omega_ok(rel) -> bool:
-        return (
-            _os2_witness(n, c0.dmap, c0.rmap, rel) is None
-            and _os3_witness(n, c0.comp, rel) is None
-        )
-
-    b1 = omega_ok(rel_l) and _oc8_witness(n, ids, c0.dmap, rel_l) is None
-    b2 = omega_ok(rel_r) and _oc8_witness(n, ids, c0.rmap, rel_r) is None
-    b3 = all(rel_l[e][f] == rel_r[e][f] for e in ids for f in ids)
-    meet = _derive_meet(n, ids, leq_l) if b3 else None
-    b4 = meet is not None
-    lr = compose_relations(leq_l, leq_r)
-    rl = compose_relations(leq_r, leq_l)
-    b5 = lr == rl
-    b6 = b7 = False
-    witness67: tuple[int, ...] | None = None
-    if b1 and b2 and b3 and b4:
-        w6 = _monotone_witness(n, ids, c0.dmap, rel_l, rel_r, meet)
-        w7 = _monotone_witness(n, ids, c0.rmap, rel_r, rel_l, meet)
-        b6, b7 = w6 is None, w7 is None
-        witness67 = w6 or w7
-    parts = (
-        ("left-order-oc8a", b1),
-        ("right-order-oc8b", b2),
-        ("orders-agree-on-identities", b3),
-        ("meet-semilattice", b4),
-        ("orders-permute", b5),
-        ("restriction-monotone", b6),
-        ("corestriction-monotone", b7),
-    )
-    holds = all(ok for _, ok in parts)
-    detail = "" if holds else "first failing clause: " + next(
-        name for name, ok in parts if not ok
-    )
-    return LawReport(
-        "ehresmann-category-two-orders",
-        holds,
-        witness=witness67,
-        detail=detail,
-        parts=parts,
-    )
 
 
 def verify_biaction(c: FiniteOrderedCategory, b: Biaction) -> LawReport:

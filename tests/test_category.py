@@ -44,6 +44,7 @@ from ehresmann import category, zoo
 from ehresmann.core import Evaluation, evaluate
 
 import morphism_oracle
+from test_duality import labelled_posets
 
 
 ONE = FiniteBiunarySemigroup(1, ((0,),), (0,), (0,))
@@ -416,19 +417,6 @@ class TestTwoOrderCategories:
                 check_ehresmann_category_two_orders(c0, left, right)
 
 
-def all_partial_orders(n: int) -> list[PartialOrder]:
-    """Every partial order on 0..n-1, as the closures of sets of strict pairs."""
-    strict = [(a, b) for a in range(n) for b in range(n) if a != b]
-    found = {}
-    for bits in range(1 << len(strict)):
-        try:
-            order = PartialOrder.from_pairs(n, [p for i, p in enumerate(strict) if bits >> i & 1])
-        except StructureError:
-            continue
-        found[order.key()] = order
-    return list(found.values())
-
-
 def e1_failure(ids, meet) -> tuple[str, tuple[int, ...]] | None:
     """The first failure of idempotence, commutativity or associativity of ``meet`` on ``ids``."""
     for e in ids:
@@ -474,7 +462,7 @@ class TestBiaction:
         # table of greatest lower bounds is idempotent, commutative and associative
         tables = 0
         for n in (1, 2, 3):
-            orders = all_partial_orders(n)
+            orders = labelled_posets(n)
             for s in zoo.enumerate_ehresmann_semigroups(n):
                 ids = partial_product_category(s).identities()
                 for order in orders:

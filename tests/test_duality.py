@@ -8,6 +8,7 @@ the same verdicts and the same witnesses.
 
 import itertools
 
+import formulas
 import pytest
 
 from ehresmann import (
@@ -124,6 +125,15 @@ def test_semigroup_right_law_is_left_law_on_dual(right, left):
         assert verdict(on_s) == verdict(left(dual))
         seen.add(on_s.holds)
     assert seen == {True, False}
+
+
+def test_every_right_handed_formula_is_the_dual_of_its_left_twin():
+    twins = [("right-restriction-with-domain", "left-restriction-with-range"), ("os4b", "os4a"),
+             ("oc4b", "oc4a"), ("oc6b", "oc6a"), ("oc8b", "oc8a")]
+    specs = [(formulas.FORMULAS[right], formulas.FORMULAS[left]) for right, left in twins]
+    specs.append((formulas.CORESTRICTION_MONOTONE, formulas.RESTRICTION_MONOTONE))
+    for right, left in specs:
+        assert right.flipped and not left.flipped and (right.sorts, right.body) == (left.sorts, left.body)
 
 
 def test_category_of_dual_is_dual_category():

@@ -5,11 +5,13 @@ A mutation sets one product, one D value or one R value of a
 structure's orders.  Most such inputs are not Ehresmann, not ordered
 Ehresmann or not even associative, so each entry point must either
 answer or refuse the input with a ``WorkbenchError``; no other exception
-may escape.
+may escape.  Every failing law report met replays through its formula;
+the biaction's, whose axioms have no formula, is not replayed.
 """
 
 import collections
 
+import formulas
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,8 +49,9 @@ def mutations(draw):
 
 def test_only_workbench_errors_escape_on_single_entry_mutations():
     """1,500 drawn mutations; every step answers some, and the five that check
-    a precondition or validate a table refuse some."""
-    seen = collections.Counter()
+    a precondition or validate a table refuse some.  Every law of the three
+    ladders fails, and replays, on some of them."""
+    seen, replayed = collections.Counter(), collections.Counter()
 
     def attempt(step: str, f, *args):
         """``f(*args)``, or None when it refuses its input with a WorkbenchError."""
@@ -63,7 +66,10 @@ def test_only_workbench_errors_escape_on_single_entry_mutations():
     def decide(kind: str, subject) -> None:
         ev = Evaluation()
         for law in ladder(kind):
-            attempt(kind, ev, law.key, subject)
+            rep = attempt(kind, ev, law.key, subject)
+            if rep is not None and not rep.holds:
+                formulas.replay(rep, subject)
+                replayed[law.key] += rep.witness is not None
         if kind == "category":
             b = attempt("derive_biaction", derive_biaction, subject)
             if b is not None:
@@ -100,3 +106,5 @@ def test_only_workbench_errors_escape_on_single_entry_mutations():
     assert {step for step, outcome in seen if outcome == "answered"} == refused | {
         "FiniteBiunarySemigroup", "OrderedSemigroup", "FiniteOrderedCategory",
         "semigroup", "ordered", "category", "esn_round_trip", "verify_biaction"}
+    assert {key for key, count in replayed.items() if count} == {
+        law.key for kind in ("semigroup", "ordered", "category") for law in ladder(kind)}

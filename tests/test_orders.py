@@ -2,7 +2,9 @@
 
 import itertools
 
+import formulas
 import pytest
+import scan_oracle
 
 from ehresmann import (
     FiniteBiunarySemigroup,
@@ -39,46 +41,19 @@ def monoid_entry():
 def oracle_ehresmann_orders(s):
     """All Ehresmann orders by filtering every relation on the carrier.
 
-    Independent of the search code: posets are recognised and the OS laws
-    evaluated with inline loops.
+    Independent of the search code: posets are recognised by the order
+    validation scan and the OS laws evaluated by their formulas.
     """
     n = s.n
     offdiag = [(a, b) for a in range(n) for b in range(n) if a != b]
-    proj = set(projections(s).members)
+    proj = projections(s).sorted_members
     out = []
     for bits in itertools.product((False, True), repeat=len(offdiag)):
         rel = [[a == b for b in range(n)] for a in range(n)]
         for (a, b), v in zip(offdiag, bits):
             rel[a][b] = v
-        ok = True
-        for a in range(n):
-            for b in range(n):
-                if a != b and rel[a][b] and rel[b][a]:
-                    ok = False
-                if rel[a][b]:
-                    for c in range(n):
-                        if rel[b][c] and not rel[a][c]:
-                            ok = False
-        if not ok:
-            continue
-        for a in range(n):
-            for b in range(n):
-                if rel[a][b] and (
-                    not rel[s.dmap[a]][s.dmap[b]] or not rel[s.rmap[a]][s.rmap[b]]
-                ):
-                    ok = False
-        pairs = [(a, b) for a in range(n) for b in range(n) if rel[a][b]]
-        for a, b in pairs:
-            for c, d in pairs:
-                if not rel[s.mul[a][c]][s.mul[b][d]]:
-                    ok = False
-        for a in range(n):
-            for e in proj:
-                if not rel[s.mul[a][e]][a] or not rel[s.mul[e][a]][a]:
-                    ok = False
-                if a not in proj and rel[a][e]:
-                    ok = False
-        if ok:
+        view = formulas.View(n, s.mul, s.dmap, s.rmap, rel, proj, str)
+        if scan_oracle.partial_order_failure(n, rel) is None and formulas.least(formulas.EHRESMANN_ORDER, view) is None:
             out.append(tuple(tuple(r) for r in rel))
     return sorted(out)
 
@@ -241,22 +216,8 @@ class TestOSProperties:
             for s in zoo.enumerate_ehresmann_semigroups(n):
                 for order in enumerate_ehresmann_orders(s):
                     osg = OrderedSemigroup(s, order)
-                    rep = check_OS_property(osg, "OS4")
-                    if not rep.holds:
-                        a, b = rep.witness
-                        assert order.rel[a][b] and a != b
-                        assert s.dmap[a] == s.dmap[b] and s.rmap[a] == s.rmap[b]
-                    rep = check_OS_property(osg, "OS7")
-                    if not rep.holds:
-                        a, b, u = rep.witness
-                        assert order.rel[u][s.mul[a][b]]
-                        assert not any(
-                            s.mul[x][y] == u
-                            for x in range(s.n)
-                            if order.rel[x][a]
-                            for y in range(s.n)
-                            if order.rel[y][b]
-                        )
+                    for prop in ("OS4", "OS7"):
+                        formulas.replay(check_OS_property(osg, prop), osg)
 
 
 class TestSemilatticeAgreement:

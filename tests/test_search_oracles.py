@@ -1,4 +1,4 @@
-"""The two exhaustive searches, the fast law deciders and the e-order laws against the scans they replace."""
+"""The two exhaustive searches against the scans they replace, and the law deciders against their formulas."""
 
 import collections
 import contextlib
@@ -10,19 +10,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import formulas
 import scan_oracle
 from test_duality import labelled_posets
 
 from ehresmann import (
     Biaction,
     InternalInconsistency,
-    LawReport,
     OrderedSemigroup,
     PartialOrder,
     StructureError,
     automorphisms,
     category_of,
-    check_de_barros_equational,
     check_leq_e_partial_laws,
     derive_biaction,
     derive_orders,
@@ -34,15 +33,8 @@ from ehresmann import (
 )
 from ehresmann import category, core, orders
 from ehresmann.category import FiniteCategory, FiniteOrderedCategory, check_ehresmann_category_two_orders
-from ehresmann.core import LAWS, Evaluation, FiniteBiunarySemigroup, _fmt
-from ehresmann.orders import (
-    _OrderSearch,
-    _os2_witness,
-    _os3_total_witness,
-    _os3_witness,
-    _os6_witness,
-    _osi_witness,
-)
+from ehresmann.core import LAWS, Evaluation, FiniteBiunarySemigroup
+from ehresmann.orders import DerivedOrders, _OrderSearch, _os3_total_witness
 
 
 def rescan_tables(n):
@@ -290,23 +282,31 @@ def random_order(rng, n):
         return None
 
 
-def assert_os3_agrees(mul, order, sides):
-    n = order.n
-    fast, scan = _os3_total_witness(n, mul, order.rel), _os3_witness(n, mul, order.rel)
-    assert fast == scan
-    sides.add(scan is None)
+def os3_witness(mul, order):
+    """The least witness of OS3 on the table ``mul`` under ``order``, by its formula."""
+    return formulas.least(formulas.OS3, formulas.View(order.n, mul, (), (), order.rel, (), str))
 
 
-def test_os3_fast_path_matches_the_scan_on_random_orders():
-    rng = random.Random(6)
-    sides = set()
+def test_os3_fast_path_matches_the_formula_on_random_orders_and_mutations():
+    """Every Ehresmann semigroup of size at most 4 under three random orders, and
+    200 single-entry mutations of each zoo table of at most 16 elements under
+    one of its orders; both verdicts occur in each."""
+    rng, rng_mutations = random.Random(6), random.Random(7)
+    subjects = {"random orders": [], "mutations": []}
     for n in range(1, 5):
         for s in zoo.enumerate_ehresmann_semigroups(n, allow_large=True):
-            for _ in range(3):
-                order = random_order(rng, n)
-                if order is not None:
-                    assert_os3_agrees(s.mul, order, sides)
-    assert sides == {True, False}
+            orders_of_s = (random_order(rng, n) for _ in range(3))
+            subjects["random orders"] += [(s.mul, order) for order in orders_of_s if order is not None]
+    for s, orders_of_s in zoo_orders():
+        for _ in range(200 if s.n <= 16 else 0):
+            mul = [list(row) for row in s.mul]
+            a, b = rng_mutations.randrange(s.n), rng_mutations.randrange(s.n)
+            mul[a][b] = rng_mutations.randrange(s.n)
+            subjects["mutations"].append((mul, rng_mutations.choice(orders_of_s)))
+    for source, pairs in subjects.items():
+        ws = [os3_witness(mul, order) for mul, order in pairs]
+        assert [_os3_total_witness(order.n, mul, order.rel) for mul, order in pairs] == ws
+        assert {w is None for w in ws} == {True, False}, source
 
 
 def assert_masks_match_rel(order):
@@ -346,28 +346,6 @@ def zoo_orders():
         orders = [order for _, order in entry.orders]
         orders += [derived.leq_l, derived.leq_r, derived.leq_e]
         yield entry.structure, orders
-
-
-def test_os3_fast_path_matches_the_scan_on_the_zoo():
-    sides = set()
-    for s, orders in zoo_orders():
-        for order in orders:
-            assert_os3_agrees(s.mul, order, sides)
-    assert sides == {True, False}  # orderless-band is not de Barros: its e-order fails OS3
-
-
-def test_os3_fast_path_matches_the_scan_on_single_entry_mutations():
-    rng = random.Random(7)
-    sides = set()
-    for s, orders in zoo_orders():
-        if s.n > 16:
-            continue
-        for _ in range(200):
-            mul = [list(row) for row in s.mul]
-            a, b = rng.randrange(s.n), rng.randrange(s.n)
-            mul[a][b] = rng.randrange(s.n)
-            assert_os3_agrees(mul, rng.choice(orders), sides)
-    assert sides == {True, False}
 
 
 def assert_order_check_agrees(n, rel, kinds):
@@ -451,71 +429,20 @@ def test_order_closure_matches_the_scan_on_the_zoo():
     assert sides == {True, False}
 
 
-def scanned_leq_e_partial_laws(s):
-    """leq-e-partial-laws by scanning OS2, OS6, OSI and OS3 on the e-order by hand."""
-    os = OrderedSemigroup(s, derive_orders(s).leq_e)
-    proj = projections(s).sorted_members
-    verdicts = (
-        ("OS1", None),
-        ("OS2", _os2_witness(s.n, s.dmap, s.rmap, os.order.rel)),
-        ("OS6", _os6_witness(os, proj)),
-        ("OSI", _osi_witness(s.n, proj, os.order.rel)),
-    )
-    for name, w in verdicts:
-        if w is not None:
-            raise InternalInconsistency(f"{name} fails for the derived e-order at {w}")
-    w3 = _os3_total_witness(s.n, s.mul, os.order.rel)
-    parts = tuple([(name, True) for name, _ in verdicts] + [("OS3", w3 is None)])
-    if w3 is None:
-        return LawReport("leq-e-partial-laws", True, parts=parts)
-    detail = f"OS3 fails for the e-order at ({_fmt(s, *w3)})"
-    return LawReport("leq-e-partial-laws", False, witness=w3, detail=detail, parts=parts)
-
-
-def scanned_de_barros(s):
-    """de-barros from its own OS3 scan of the e-order, checked against the equational form."""
-    w3 = _os3_total_witness(s.n, s.mul, derive_orders(s).leq_e.rel)
-    assert (w3 is None) == check_de_barros_equational(s).holds
-    if w3 is None:
-        return LawReport("de-barros", True, detail="equational criterion agrees")
-    detail = f"OS3 fails for the e-order at ({_fmt(s, *w3)}); equational criterion agrees"
-    return LawReport("de-barros", False, witness=w3, detail=detail)
-
-
-def test_e_order_laws_match_the_scans():
+def test_e_order_laws_match_the_formulas():
     subjects = [s for n in (1, 2, 3) for s in zoo.enumerate_ehresmann_semigroups(n)]
     subjects += [zoo.get(name).structure for name in (*zoo.SWEEP_NAMES, "orderless-band", "pt-3")]
     sides = set()
     for s in subjects:
-        assert check_leq_e_partial_laws(s) == scanned_leq_e_partial_laws(s)
-        rep = is_de_barros(s)
-        assert rep == scanned_de_barros(s)
+        assert formulas.compare("leq-e-partial-laws", s) == check_leq_e_partial_laws(s)
+        rep = formulas.compare("de-barros", s)
+        assert rep == is_de_barros(s)
         sides.add(rep.holds)
     assert sides == {True, False}  # orderless-band is not de Barros
 
 
-# each fast decider against its scan in scan_oracle: (semigroup deciders on a
-# table and an order) and (category deciders on a category), compared as reports
-
-SEMIGROUP_DECIDERS = {
-    "associativity": (lambda s, order: core._associativity(s, Evaluation()),
-                      lambda s, order: scan_oracle._associativity(s, Evaluation())),
-    "functional": (lambda s, order: core._functional(s, Evaluation()),
-                   lambda s, order: scan_oracle._functional(s, Evaluation())),
-    "OS7": (lambda s, order: orders._os7(OrderedSemigroup(s, order), Evaluation()),
-            lambda s, order: scan_oracle._os7(OrderedSemigroup(s, order), Evaluation())),
-}
-
-CATEGORY_DECIDERS = {
-    "omega-structured": (lambda c: category._omega_structured(c, Evaluation()),
-                         lambda c: scan_oracle._omega_structured(c, Evaluation())),
-    "OC6A": (lambda c: LAWS["oc6a"].decide(c, Evaluation()), lambda c: scan_oracle.oc6_report(c, "OC6A", c.dmap)),
-    "OC6B": (lambda c: LAWS["oc6b"].decide(c, Evaluation()), lambda c: scan_oracle.oc6_report(c, "OC6B", c.rmap)),
-    "OC7": (lambda c: LAWS["oc7"].decide(c, Evaluation()), lambda c: scan_oracle.oc7_report(c, False)),
-    "OC7'": (lambda c: LAWS["oc7'"].decide(c, Evaluation()), lambda c: scan_oracle.oc7_report(c, True)),
-    "OC8A": (lambda c: LAWS["oc8a"].decide(c, Evaluation()), lambda c: scan_oracle.oc8_report(c, "OC8A", c.dmap)),
-    "OC8B": (lambda c: LAWS["oc8b"].decide(c, Evaluation()), lambda c: scan_oracle.oc8_report(c, "OC8B", c.rmap)),
-}
+# every formula law against its registered decider (formulas.compare), and the
+# fast paths that small subjects skip on their own
 
 
 def greedy_set(mul):
@@ -527,16 +454,13 @@ def greedy_set(mul):
         return core._generating_set(FiniteBiunarySemigroup(n, mul, (0,) * n, (0,) * n), Evaluation())
 
 
-def assert_semigroup_deciders_agree(s, order, sides):
-    for name, (fast, scan) in SEMIGROUP_DECIDERS.items():
-        rep = fast(s, order)
-        assert rep == scan(s, order), name
-        sides.setdefault(name, set()).add(rep.holds)
+def assert_semigroup_laws_agree(s, sides):
+    """The semigroup laws on ``s``, and Light's test on its own: small tables are scanned without it."""
+    formulas.compare_all(s, "semigroup", sides)
     if s.n > 1:
-        # Light's test on its own: small tables are scanned without it
         light = core._generators_associate(s.mul, greedy_set(s.mul))
-        assert light == scan_oracle._associativity(s, Evaluation()).holds
-        sides.setdefault("Light's test", set()).add(light)
+        assert light == formulas.report("associativity", s).holds
+        sides["Light's test", light] += 1
 
 
 def category_or_none(s, sides=None):
@@ -555,102 +479,116 @@ def category_or_none(s, sides=None):
         message = None
     assert message == scan_oracle.category_associativity_failure(s.n, s.dmap, s.rmap, comp)
     if sides is not None:
-        sides.setdefault("category associativity", set()).add(message is None)
+        sides["category associativity", message is None] += 1
     return c
 
 
-def assert_maxima_agree(c, sides):
-    """Both sides' tables of maxima on ``c``, entry by entry against ``_max_below``,
-    and the OC6 pair against its scan where ``c`` is omega-structured."""
+def assert_maxima_agree(c):
+    """Both sides' tables of maxima on ``c``, entry by entry against ``_max_below``."""
     ids = set(c.identities())
     for builder, idmap in ((category._restrictions, c.dmap), (category._corestrictions, c.rmap)):
         expected = [[category._max_below(c, idmap, x, e) if e in ids and c.order.rel[e][idmap[x]]
                      else None for e in range(c.n)] for x in range(c.n)]
         assert builder(c, Evaluation()) == expected
-    if scan_oracle._omega_structured(c, Evaluation()).holds:
-        rep = Evaluation()("oc6", c)
-        assert rep == scan_oracle.oc6_pair_report(c)
-        sides.setdefault("OC6", set()).add(rep.holds)
 
 
-def assert_category_deciders_agree(c0, order, sides, left=None, right=None):
-    """The OC deciders on ``c0`` under ``order``, and the two-order law under
-    ``left`` and ``right`` (by default ``order`` on both sides)."""
+def assert_category_laws_agree(c0, order, sides, right=None):
+    """The category laws on ``c0`` under ``order``, and the two-order law under
+    ``order`` and ``right`` (by default ``order`` again)."""
     c = FiniteOrderedCategory(c0, order)
-    assert_maxima_agree(c, sides)
+    assert_maxima_agree(c)
+    formulas.compare_all(c, "category", sides)
     # the OC3 bitmask test on its own: small categories are scanned without it
-    w = _os3_witness(c.n, c.comp, order.rel)
+    w = formulas.least(formulas.OS3, formulas.view(c))
     assert category._oc3_witness(c.comp, order) == w
     stays_above = category._products_stay_above(c.comp, order)
     assert stays_above == (w is None)
-    sides.setdefault("OC3 bitmask test", set()).add(stays_above)
-    for name, (fast, scan) in CATEGORY_DECIDERS.items():
-        rep = fast(c)
-        assert rep == scan(c), name
-        sides.setdefault(name, set()).add(rep.holds)
-    left, right = left or order, right or order
+    sides["OC3 bitmask test", stays_above] += 1
+    left, right = order, right or order
     rep = check_ehresmann_category_two_orders(c0, left, right)
-    assert rep == scan_oracle.check_ehresmann_category_two_orders(c0, left, right)
-    sides.setdefault("two-orders", set()).add(rep.holds)
-    # the monotonicity clauses on the unique-below table, also where the
-    # two-order law never reaches them
-    meet = category._derive_meet(c0.n, c0.identities(), left)
-    if meet is not None:
-        for idmap, rel_unique, rel in ((c0.dmap, left.rel, right.rel), (c0.rmap, right.rel, left.rel)):
-            unique = category._unique_below(c0.n, idmap, rel_unique)
-            w = category._monotone_witness(c0.identities(), idmap, unique, rel, meet)
-            assert w == scan_oracle._monotone_witness(c0.n, c0.identities(), idmap, rel_unique, rel, meet)
-            sides.setdefault("monotone", set()).add(w is None)
+    assert rep == formulas.two_orders(c, right)
+    sides["two-orders", rep.holds] += 1
+    # the monotone clauses on the unique-below table, also where the two-order
+    # law never reaches them; both read one meet, so the orders agree on identities
+    ids = c0.identities()
+    meet = category._derive_meet(c0.n, ids, left)
+    if meet is not None and all(left.rel[e][f] == right.rel[e][f] for e in ids for f in ids):
+        v = formulas.two_order_view(c, right)
+        for idmap, rel_unique, rel, spec in ((c0.dmap, left.rel, right.rel, formulas.RESTRICTION_MONOTONE),
+                                             (c0.rmap, right.rel, left.rel, formulas.CORESTRICTION_MONOTONE)):
+            w = category._monotone_witness(ids, idmap, category._unique_below(c0.n, idmap, rel_unique), rel, meet)
+            assert w == formulas.least(spec, v)
+            sides["monotone", w is None] += 1
 
 
-def decider_subjects():
-    """(structure, orders): every Ehresmann semigroup of size at most 3, and every
-    17th of size 4, under each Ehresmann order and each derived order, then the
-    zoo entries with theirs."""
-    small = [s for n in (1, 2, 3) for s in zoo.enumerate_ehresmann_semigroups(n)]
-    small += list(zoo.enumerate_ehresmann_semigroups(4, allow_large=True))[::17]
-    for s in small:
-        derived = derive_orders(s)
-        yield s, [*enumerate_ehresmann_orders(s), derived.leq_l, derived.leq_r, derived.leq_e]
-    yield from zoo_orders()
+def one_sided(sides):
+    """The names seen with one verdict only, or never compared."""
+    return {name for name, _ in sides if not (sides[name, True] and sides[name, False])}
 
 
-def test_fast_deciders_match_the_scans_on_small_structures_and_the_zoo():
-    sides = {}
-    for s, orders_of_s in decider_subjects():
+def class_leaders():
+    """Each isomorphism class's least structure, of size at most 4."""
+    return [s for n in range(1, 5) for s in zoo.enumerate_ehresmann_semigroups(n, up_to_iso=True, allow_large=True)]
+
+
+def assert_laws_agree_under_orders(subjects):
+    """Every formula law on each (structure, orders) of ``subjects``: the ordered
+    and category laws under each distinct order, among them both derived orders
+    <=_l and <=_r, and the two-order law under <=_l and <=_r and under each
+    other order on both sides."""
+    sides = collections.Counter()
+    for s, orders_of_s in subjects:
+        assert_semigroup_laws_agree(s, sides)
         c0 = category_or_none(s)
         derived = derive_orders(s)
-        for order in orders_of_s:
-            assert_semigroup_deciders_agree(s, order, sides)
-            assert_category_deciders_agree(c0, order, sides)
-        assert_category_deciders_agree(c0, derived.leq_e, sides, derived.leq_l, derived.leq_r)
-    # these tables are associative and OC7' holds on all of them; mutations and
-    # random orders below reach the failing sides
-    assert {name for name, seen in sides.items() if seen != {True, False}} == {
-        "associativity", "Light's test", "OC7'"}
+        for order in dict.fromkeys(orders_of_s):
+            formulas.compare_all(OrderedSemigroup(s, order), "ordered", sides)
+            assert_category_laws_agree(c0, order, sides, derived.leq_r if order == derived.leq_l else None)
+    return sides
 
 
-def test_fast_deciders_match_the_scans_on_random_orders():
+def test_formulas_match_the_deciders_on_every_class_of_size_at_most_4():
+    """Each class leader under each Ehresmann order and each derived order."""
+    subjects = []
+    for s in class_leaders():
+        derived = derive_orders(s)
+        subjects.append((s, [*enumerate_ehresmann_orders(s), derived.leq_l, derived.leq_r, derived.leq_e]))
+    sides = assert_laws_agree_under_orders(subjects)
+    # these tables are associative, de Barros and Ehresmann, and every order
+    # gives an omega-structured category; random orders, mutations and the zoo
+    # reach the failing sides
+    assert one_sided(sides) == {
+        "associativity", "Light's test", "localisable", "ehresmann", "de-barros-equational",
+        "leq-e-partial-laws", "de-barros", "ehresmann-category-two-orders", "semilattice-order-agreement",
+        "omega-structured", "OC3 bitmask test", "oc7'", "oci"}
+
+
+def test_formulas_match_the_deciders_on_the_zoo():
+    """Each zoo entry below rel-3 under each of its orders and each derived order."""
+    sides = assert_laws_agree_under_orders(zoo_orders())
+    assert "OC3 bitmask test" not in one_sided(sides)
+
+
+def test_formulas_match_the_deciders_on_random_orders():
+    """Each class leader of size at most 4 and each zoo entry of at most 16
+    elements under four pairs of random orders; every OS and OC law both holds
+    and fails on some of them."""
     rng = random.Random(11)
-    sides = {}
-    subjects = [s for n in (1, 2, 3) for s in zoo.enumerate_ehresmann_semigroups(n)]
-    subjects += [s for s, _ in zoo_orders() if s.n <= 16]
-    for s in subjects:
+    sides = collections.Counter()
+    for s in class_leaders() + [s for s, _ in zoo_orders() if s.n <= 16]:
         c0 = category_or_none(s)
-        for _ in range(4):
-            order = random_order(rng, s.n)
-            other = random_order(rng, s.n)
-            if order is None or other is None:
-                continue
-            assert_semigroup_deciders_agree(s, order, sides)
-            assert_category_deciders_agree(c0, order, sides, order, other)
-    # every table here is associative; mutations below reach both sides of associativity
-    assert {name for name, seen in sides.items() if seen != {True, False}} == {"associativity", "Light's test"}
+        for order, other in [(random_order(rng, s.n), random_order(rng, s.n)) for _ in range(4)]:
+            if order is not None and other is not None:
+                formulas.compare_all(OrderedSemigroup(s, order), "ordered", sides)
+                assert_category_laws_agree(c0, order, sides, other)
+    assert {name for name in one_sided(sides) if name.startswith(("os", "oc", "ehresmann-order"))} == set()
 
 
-def test_fast_deciders_match_the_scans_on_single_entry_mutations():
+def test_formulas_match_the_deciders_on_single_entry_mutations():
+    """Seeded single-entry mutations of the tables of size 2 and 3 and of the zoo
+    below pt-3, each (structure, order) drawn again compared once: 927 of 1,468."""
     rng = random.Random(12)
-    sides = {}
+    sides, drawn = collections.Counter(), set()
     subjects = [(s, [derive_orders(s).leq_e]) for n in (2, 3) for s in zoo.enumerate_ehresmann_semigroups(n)]
     subjects += [(s, orders_of_s) for s, orders_of_s in zoo_orders() if s.n <= 16]
     for s, orders_of_s in subjects:
@@ -660,12 +598,17 @@ def test_fast_deciders_match_the_scans_on_single_entry_mutations():
             mul[a][b] = rng.randrange(s.n)
             mutated = FiniteBiunarySemigroup(s.n, mul, s.dmap, s.rmap)
             order = rng.choice(orders_of_s)
-            assert_semigroup_deciders_agree(mutated, order, sides)
+            if (mutated.key(), order.key()) in drawn:
+                continue
+            drawn.add((mutated.key(), order.key()))
+            assert_semigroup_laws_agree(mutated, sides)
+            formulas.compare_all(OrderedSemigroup(mutated, order), "ordered", sides)
             c0 = category_or_none(mutated, sides)
             if c0 is not None:
-                assert_category_deciders_agree(c0, order, sides)
-    for name in (*SEMIGROUP_DECIDERS, "Light's test", "category associativity"):
-        assert sides[name] == {True, False}, name
+                assert_category_laws_agree(c0, order, sides)
+    assert len(drawn) == 927
+    for name in ("associativity", "functional", "os7", "Light's test", "category associativity"):
+        assert sides[name, True] and sides[name, False], name
 
 
 def test_all_epi_witness_matches_the_triple_scan():
@@ -705,21 +648,12 @@ def small_categories(n):
                     pass
 
 
-def small_orders(n):
-    """Every partial order on 0..n-1, each once."""
-    for bits in itertools.product((False, True), repeat=n * n):
-        try:
-            yield PartialOrder(n, [bits[a * n:(a + 1) * n] for a in range(n)])
-        except StructureError:
-            pass
-
-
 def every_small_ordered_category():
     """Every labelled category on 1, 2 and 3 arrows under every partial order;
     the (categories, posets) count of each size is checked once all are made."""
     counts = []
     for n in (1, 2, 3):
-        cats, orders_on_n = list(small_categories(n)), list(small_orders(n))
+        cats, orders_on_n = list(small_categories(n)), labelled_posets(n)
         counts.append((len(cats), len(orders_on_n)))
         for c0 in cats:
             for order in orders_on_n:
@@ -727,27 +661,17 @@ def every_small_ordered_category():
     assert counts == [(1, 1), (5, 3), (52, 19)]
 
 
-def test_oc6_matches_the_scans_on_every_small_category():
-    sides = {}
+def test_oc_laws_match_the_formulas_on_every_small_category():
+    sides, verdicts = collections.Counter(), collections.Counter()
     for c in every_small_ordered_category():
-        assert_maxima_agree(c, sides)
-        for name in ("OC6A", "OC6B"):
-            fast, scan = CATEGORY_DECIDERS[name]
-            rep = fast(c)
-            assert rep == scan(c), name
-            sides.setdefault(name, set()).add(rep.holds)
-    assert all(seen == {True, False} for seen in sides.values()) and len(sides) == 3
-
-
-def test_oc7_pass_matches_the_scans_on_every_small_category():
-    verdicts = collections.Counter()
-    for c in every_small_ordered_category():
-        # both laws read their witness from one pass built in the evaluation
+        assert_maxima_agree(c)
+        formulas.compare_all(c, "category", sides)
+        # OC7 and OC7' read their witnesses from one pass built in the evaluation
         ev = Evaluation()
         oc7, oc7p = LAWS["oc7"].decide(c, ev), LAWS["oc7'"].decide(c, ev)
-        assert oc7 == scan_oracle.oc7_report(c, False)
-        assert oc7p == scan_oracle.oc7_report(c, True)
+        assert (oc7, oc7p) == (formulas.report("oc7", c), formulas.report("oc7'", c))
         verdicts[oc7.holds, oc7p.holds] += 1
+    assert one_sided(sides) == set()
     # OC7 implies OC7'; the other three verdict pairs all occur
     assert verdicts == {(True, True): 645, (False, True): 269, (False, False): 90}
 
@@ -763,13 +687,12 @@ def every_magma(n):
         yield tuple(cells[a * n:(a + 1) * n] for a in range(n))
 
 
-def test_lights_test_matches_the_scan_on_every_magma_on_two_and_three_points():
+def test_lights_test_matches_the_formula_on_every_magma_on_two_and_three_points():
     verdicts = collections.Counter()
     for n in (2, 3):
         for mul in every_magma(n):
-            s = FiniteBiunarySemigroup(n, mul, (0,) * n, (0,) * n)
             light = core._generators_associate(mul, greedy_set(mul))
-            assert light == scan_oracle._associativity(s, Evaluation()).holds
+            assert light == (formulas.least(formulas.ASSOCIATIVITY, formulas.View(n, mul, (), (), None, (), str)) is None)
             verdicts[n, light] += 1
     # A023814: 8 of the 16 tables on 2 points associate, 113 of the 19,683 on 3
     assert verdicts == {(2, True): 8, (2, False): 8, (3, True): 113, (3, False): 19570}
@@ -867,7 +790,7 @@ def closed_under(s, pairs, gens):
         pairs = strict + more
 
 
-def test_os3_on_generators_matches_the_scan_above_the_cutoff():
+def test_os3_on_generators_matches_the_formula_above_the_cutoff():
     """Each zoo order; the e-order with random pairs added; and the e-order with
     a random pair added, closed under products with all generators but one, so
     that OS3 fails there, if at all, only through the one left out."""
@@ -888,7 +811,7 @@ def test_os3_on_generators_matches_the_scan_above_the_cutoff():
                     pair = (rng.randrange(s.n), rng.randrange(s.n))
                     subjects.append((closed_under(s, leq_e + [pair], gens[:i] + gens[i + 1:]), g))
         for order, g in subjects:
-            w = _os3_witness(s.n, s.mul, order.rel)
+            w = os3_witness(s.mul, order)
             assert _os3_total_witness(s.n, s.mul, order.rel, gens) == w, name
             sides.add(w is None)
             left_out[name, g] += w is not None and g is not None
@@ -897,7 +820,7 @@ def test_os3_on_generators_matches_the_scan_above_the_cutoff():
     assert {name for (name, g), fails in left_out.items() if fails} == set(GENERATED)
 
 
-def test_localisable_on_generators_matches_the_scan_above_the_cutoff():
+def test_localisable_on_generators_matches_the_formula_above_the_cutoff():
     """L3 on generators and L4 on pairs of projections, on each table and on
     single-entry D and R mutations of it, which keep it associative."""
     rng = random.Random(24)
@@ -911,38 +834,30 @@ def test_localisable_on_generators_matches_the_scan_above_the_cutoff():
             subjects.append(FiniteBiunarySemigroup(s.n, s.mul, *maps))
         for t in subjects:
             rep = core._localisable(t, Evaluation())
-            assert rep == scan_oracle._localisable(t, Evaluation()), name
+            assert rep == formulas.report("localisable", t), name
             for part, holds in rep.parts:
                 sides[part].add(holds)
     assert all(sides[part] == {True, False} for part in ("L3", "L4")), dict(sides)
 
 
-def test_os7_matches_the_scan_on_every_order_of_size_at_most_4():
+def test_os7_matches_the_formula_on_every_order_of_size_at_most_4():
     verdicts = collections.Counter()
     for n in range(1, 5):
         for s in zoo.enumerate_ehresmann_semigroups(n, allow_large=True):
             for order in enumerate_ehresmann_orders(s):
-                os = OrderedSemigroup(s, order)
-                rep = orders._os7(os, Evaluation())
-                assert rep == scan_oracle._os7(os, Evaluation())
+                rep = formulas.compare("os7", OrderedSemigroup(s, order))
                 verdicts[rep.holds] += 1
     assert sum(verdicts.values()) == 10147 and set(verdicts) == {True, False}
 
 
-def test_os7_matches_the_scan_on_every_zoo_order(n5_0213):
-    """Each zoo order (rel-3 against its known least witness, where the scan is
-    slow), the three derived orders of the zoo entries up to pt-3 and of n5-0213,
-    and the two Ehresmann orders of n5-0213."""
-    sides = set()
-    subjects = [(s, order) for s, orders_of_s in zoo_orders() for order in orders_of_s]
+def test_os7_matches_the_formula_on_n5_0213_and_pins_rel3(n5_0213):
+    """The two Ehresmann orders and the three derived orders of n5-0213 (the
+    zoo orders are compared in the zoo test), and rel-3 against its known
+    least witness, where the formula is slow."""
     derived = derive_orders(n5_0213)
-    subjects += [(n5_0213, order) for order in (*enumerate_ehresmann_orders(n5_0213), derived.leq_l, derived.leq_r, derived.leq_e)]
-    for s, order in subjects:
-        os = OrderedSemigroup(s, order)
-        rep = orders._os7(os, Evaluation())
-        assert rep == scan_oracle._os7(os, Evaluation())
-        sides.add(rep.holds)
-    assert sides == {True, False}
+    subjects = (*enumerate_ehresmann_orders(n5_0213), derived.leq_l, derived.leq_r, derived.leq_e)
+    # OS7 holds under all five
+    assert all(formulas.compare("os7", OrderedSemigroup(n5_0213, order)).holds for order in subjects)
     rel3 = OrderedSemigroup(zoo.get("rel-3").structure, zoo.get("rel-3").orders[0][1])
     assert orders._os7(rel3, Evaluation()).witness == (9, 3, 10)
 
@@ -984,13 +899,11 @@ def de_barros_subjects(n5_0213):
         yield zoo.get(name).structure
 
 
-def test_de_barros_rows_match_the_triple_scan(n5_0213):
+def test_de_barros_rows_match_the_formula(n5_0213):
     verdicts = collections.Counter()
     for s in de_barros_subjects(n5_0213):
-        scan = scan_oracle._de_barros_equational(s, Evaluation())
         rows = core._de_barros_rows_hold(s, projections(s).sorted_members)
-        assert rows == scan.holds
-        assert core._de_barros_equational(s, Evaluation()) == scan
+        assert rows == formulas.compare("de-barros-equational", s).holds
         verdicts[s.n, rows] += 1
     # every Ehresmann semigroup of size at most 4 is de Barros; n5-0213,
     # orderless-band (6) and rel-3 (512) are not
@@ -1008,7 +921,7 @@ def test_de_barros_rows_fail_wherever_the_failing_rows_are(n5_0213):
             dmap[perm[x]], rmap[perm[x]] = perm[n5_0213.dmap[x]], perm[n5_0213.rmap[x]]
         s = FiniteBiunarySemigroup(n, relabelled(n5_0213.mul, perm), dmap, rmap)
         assert not core._de_barros_rows_hold(s, projections(s).sorted_members)
-        assert core._de_barros_equational(s, Evaluation()) == scan_oracle._de_barros_equational(s, Evaluation())
+        assert not formulas.compare("de-barros-equational", s).holds
 
 
 def test_mask_composites_match_the_matrix_composites(n5_0213):
@@ -1027,6 +940,20 @@ def test_mask_composites_match_the_matrix_composites(n5_0213):
     assert sides == {True, False}
 
 
+def formula_orders(t):
+    """The three derived orders read from their formulas, each validated as a
+    partial order and checked to compose; raises what ``derive_orders`` raises."""
+    two, e = formulas.derived_two_orders(formulas.view(t)), formulas.e_order(formulas.view(t))
+    try:
+        leq_l, leq_r, leq_e = (PartialOrder(t.n, rel) for rel in (two.le, two.le2, e.le))
+    except StructureError as exc:
+        raise InternalInconsistency(f"derived relation is not a partial order: {exc}") from exc
+    compose = scan_oracle.compose_relations
+    if compose(leq_l, leq_r) != leq_e.rel or compose(leq_r, leq_l) != leq_e.rel:
+        raise InternalInconsistency("left and right orders do not compose to the e-order")
+    return DerivedOrders(leq_l, leq_r, leq_e)
+
+
 def test_derived_orders_match_the_cell_by_cell_build():
     """``derive_orders`` against the matrix build on every Ehresmann semigroup of
     size at most 3, the zoo up to pt-3, and seeded single-entry mutations of
@@ -1042,7 +969,7 @@ def test_derived_orders_match_the_cell_by_cell_build():
                 mul[rng.randrange(s.n)][rng.randrange(s.n)] = rng.randrange(s.n)
             t = FiniteBiunarySemigroup(s.n, mul, s.dmap, s.rmap)
             try:
-                want = scan_oracle.derive_orders(t)
+                want = formula_orders(t)
             except InternalInconsistency as exc:
                 with pytest.raises(InternalInconsistency) as err:
                     derive_orders(t)

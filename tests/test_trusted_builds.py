@@ -9,9 +9,9 @@ must still reject malformed data with the messages they always gave.
 
 import dataclasses
 
+import formulas
 import pytest
-import scan_oracle
-from test_search_oracles import small_orders
+from test_duality import labelled_posets
 
 from ehresmann import category, zoo
 from ehresmann.category import (
@@ -98,7 +98,7 @@ def test_labelled_structures_are_the_constructors():
 def test_closed_pairs_are_the_constructors():
     # every poset on at most 4 points and every zoo order, from its covers,
     # so that the closure adds the rest
-    orders = [order for n in range(5) for order in small_orders(n)]
+    orders = [order for n in range(5) for order in labelled_posets(n)]
     orders += [order for entry in zoo_entries() for _, order in entry.orders]
     assert len(orders) == 243 + 10
     for order in orders:
@@ -129,14 +129,14 @@ def test_orders_categories_biactions_and_pseudoproducts_are_the_constructors():
 
 def test_seeded_omega_structured_is_the_decided_report():
     # C(S) records omega-structured as holding once ehresmann-order holds; a
-    # fresh evaluation decides it with the OC2 and OC3 scans
+    # fresh evaluation decides it as the OC2 and OC3 formulas do
     count = 0
     for osg in ordered_subjects():
         ev = Evaluation()
         c = _category_of(osg, ev)
         subject, seeded = ev.verdicts[("omega-structured", id(c))]
         assert subject is c and ev("omega-structured", c) is seeded
-        assert seeded == scan_oracle._omega_structured(c, Evaluation())
+        assert seeded == formulas.report("omega-structured", c)
         count += 1
     assert count > 1708
 

@@ -5,6 +5,7 @@ import itertools
 import sys
 import threading
 
+import formulas
 import pytest
 
 from ehresmann import (
@@ -286,55 +287,23 @@ class TestSharedEntries:
 def oracle_enumeration_count(n):
     """Count Ehresmann structures by filtering every table and map choice.
 
-    Shares no code with the production enumerator: associativity and the
-    biunary laws are written out as plain loops.
+    Shares no code with the production enumerator: associativity, the
+    localisable laws and commuting projections are read through their
+    formulas, the laws that read D alone before any R is chosen.
     """
     count = 0
+    d_only = [part for name, part in formulas.LOCALISABLE.parts + formulas.EHRESMANN.parts
+              if name in ("L4", "commuting-projections")]
     for flat in itertools.product(range(n), repeat=n * n):
-        mul = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
-        if any(
-            mul[mul[a][b]][c] != mul[a][mul[b][c]]
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
-        ):
+        mul = [flat[i * n:(i + 1) * n] for i in range(n)]
+        if formulas.least(formulas.ASSOCIATIVITY, formulas.View(n, mul, None, None, None, (), str)):
             continue
         for dmap in itertools.product(range(n), repeat=n):
-            if any(mul[dmap[x]][x] != x for x in range(n)):
+            ids = sorted(set(dmap))
+            if any(formulas.least(part, formulas.View(n, mul, dmap, None, None, ids, str)) for part in d_only):
                 continue
-            if any(
-                dmap[mul[dmap[x]][dmap[y]]] != mul[dmap[x]][dmap[y]]
-                for x in range(n)
-                for y in range(n)
-            ):
-                continue
-            if any(
-                dmap[mul[x][y]] != dmap[mul[x][dmap[y]]]
-                for x in range(n)
-                for y in range(n)
-            ):
-                continue
-            if any(
-                mul[dmap[x]][dmap[y]] != mul[dmap[y]][dmap[x]]
-                for x in range(n)
-                for y in range(n)
-            ):
-                continue
-            for rmap in itertools.product(range(n), repeat=n):
-                if any(mul[x][rmap[x]] != x for x in range(n)):
-                    continue
-                if any(
-                    dmap[rmap[x]] != rmap[x] or rmap[dmap[x]] != dmap[x]
-                    for x in range(n)
-                ):
-                    continue
-                if any(
-                    rmap[mul[x][y]] != rmap[mul[rmap[x]][y]]
-                    for x in range(n)
-                    for y in range(n)
-                ):
-                    continue
-                count += 1
+            count += sum(not formulas.least(formulas.LOCALISABLE, formulas.View(n, mul, dmap, rmap, None, ids, str))
+                         for rmap in itertools.product(range(n), repeat=n))
     return count
 
 
