@@ -287,26 +287,43 @@ def os3_witness(mul, order):
     return formulas.least(formulas.OS3, formulas.View(order.n, mul, (), (), order.rel, (), str))
 
 
-def test_os3_fast_path_matches_the_formula_on_random_orders_and_mutations():
-    """Every Ehresmann semigroup of size at most 4 under three random orders, and
-    200 single-entry mutations of each zoo table of at most 16 elements under
-    one of its orders; both verdicts occur in each."""
-    rng, rng_mutations = random.Random(6), random.Random(7)
-    subjects = {"random orders": [], "mutations": []}
+def assert_os3_agrees(pairs, source):
+    """The fast OS3 path against the formula on each (table, order) of ``pairs``;
+    both verdicts occur."""
+    ws = [os3_witness(mul, order) for mul, order in pairs]
+    assert [_os3_total_witness(order.n, mul, order.rel) for mul, order in pairs] == ws
+    assert {w is None for w in ws} == {True, False}, source
+
+
+def test_os3_fast_path_matches_the_formula_on_random_orders():
+    """Every Ehresmann semigroup of size at most 4 under three random orders."""
+    rng = random.Random(6)
+    pairs = []
     for n in range(1, 5):
         for s in zoo.enumerate_ehresmann_semigroups(n, allow_large=True):
             orders_of_s = (random_order(rng, n) for _ in range(3))
-            subjects["random orders"] += [(s.mul, order) for order in orders_of_s if order is not None]
+            pairs += [(s.mul, order) for order in orders_of_s if order is not None]
+    assert_os3_agrees(pairs, "random orders")
+
+
+def test_os3_fast_path_matches_the_formula_on_the_zoo():
+    """Each zoo entry under each of its orders and each derived order;
+    orderless-band is not de Barros, so its e-order fails OS3."""
+    assert_os3_agrees([(s.mul, order) for s, orders_of_s in zoo_orders() for order in orders_of_s], "zoo")
+
+
+def test_os3_fast_path_matches_the_formula_on_single_entry_mutations():
+    """200 single-entry mutations of each zoo table of at most 16 elements under
+    one of its orders."""
+    rng = random.Random(7)
+    pairs = []
     for s, orders_of_s in zoo_orders():
         for _ in range(200 if s.n <= 16 else 0):
             mul = [list(row) for row in s.mul]
-            a, b = rng_mutations.randrange(s.n), rng_mutations.randrange(s.n)
-            mul[a][b] = rng_mutations.randrange(s.n)
-            subjects["mutations"].append((mul, rng_mutations.choice(orders_of_s)))
-    for source, pairs in subjects.items():
-        ws = [os3_witness(mul, order) for mul, order in pairs]
-        assert [_os3_total_witness(order.n, mul, order.rel) for mul, order in pairs] == ws
-        assert {w is None for w in ws} == {True, False}, source
+            a, b = rng.randrange(s.n), rng.randrange(s.n)
+            mul[a][b] = rng.randrange(s.n)
+            pairs.append((mul, rng.choice(orders_of_s)))
+    assert_os3_agrees(pairs, "mutations")
 
 
 def assert_masks_match_rel(order):
