@@ -40,12 +40,13 @@ class View:
     def __init__(self, n, mul, D, R, le, ids, name_of, le2=None):
         self.n, self.mul, self.D, self.R, self.le, self.name_of = n, mul, D, R, le, name_of
         self.ids, self.id_set, self.le2 = tuple(ids), frozenset(ids), le if le2 is None else le2
+        self.of: View | None = None  # the view this is the dual of
 
     @cached_property
     def dual(self) -> View:
-        """Products reversed, D and R swapped and the two orders swapped; the same ids."""
+        """Products reversed, D and R swapped and the two orders swapped; the same ids and meet."""
         dual = View(self.n, tuple(zip(*self.mul)), self.R, self.D, self.le2, self.ids, self.name_of, self.le)
-        dual.__dict__["dual"] = self
+        dual.__dict__["dual"], dual.of = self, self
         return dual
 
     @cached_property
@@ -61,7 +62,10 @@ class View:
 
     @cached_property
     def meet(self) -> dict[tuple[int, int], int | None]:
-        """``[e, f]``: the greatest lower bound of e and f among the ids under ``le``, or None."""
+        """``[e, f]``: the greatest lower bound of e and f among the ids under ``le``, or
+        None; a dual reads the meet of its view, so both monotone clauses read the left order's."""
+        if self.of:
+            return self.of.meet
         lower = {(e, f): [g for g in self.ids if self.le[g][e] and self.le[g][f]] for e in self.ids for f in self.ids}
         return {ef: next((g for g in gs if all(self.le[h][g] for h in gs)), None) for ef, gs in lower.items()}
 
@@ -111,12 +115,12 @@ class Spec:
     A leaf has ``sorts`` ("x" an element, "e" a projection or identity, "p" a
     pair a <= b, two positions) and a bool ``body(v, *w)``, True where the law
     holds at w.  A composite fails at its first failing (name, spec) in
-    ``parts``, listed after ``lead``, parts that hold by construction; those
-    from ``witness_from`` on give the witness.  ``detail(v, *w)`` words a leaf
-    (default "fails at (…)"), ``detail(v, part, *w)`` a composite (default
-    "{part} fails at (…)").  ``flipped`` reads the dual view, ``on`` maps the
-    subject's view to the law's, ``assemble(spec, v)`` builds another report,
-    and ``gate`` keys a law the decider presupposes or reads its parts through.
+    ``parts``, listed after ``lead``, parts that hold by construction.
+    ``detail(v, *w)`` words a leaf (default "fails at (…)"), ``detail(v, part,
+    *w)`` a composite (default "{part} fails at (…)").  ``flipped`` reads the
+    dual view, ``on`` maps the subject's view to the law's, ``assemble(spec,
+    v)`` builds another report, and ``gate`` keys a law the decider
+    presupposes or reads its parts through.
     """
 
     name: str
@@ -125,7 +129,6 @@ class Spec:
     detail: Callable[..., str] | None = None
     parts: tuple[tuple[str, Spec], ...] = ()
     lead: tuple[tuple[str, bool], ...] = ()
-    witness_from: int = 0
     flipped: bool = False
     on: Callable[[View], View] | None = None
     assemble: Callable[[Spec, View], LawReport] | None = None
@@ -265,14 +268,14 @@ LEQ_E_PARTIAL_LAWS = Spec(
 
 
 def _de_barros(spec: Spec, v: View) -> LawReport:
-    """The e-order laws' verdict and witness, checked against the equational form."""
+    """The e-order laws' verdict and witness, worded as the equational criterion agreeing."""
     partial, agrees = _report(LEQ_E_PARTIAL_LAWS, v), "equational criterion agrees"
-    assert partial.holds == (least(DE_BARROS_EQUATIONAL, v) is None)
     detail = f"{partial.detail}; {agrees}" if partial.detail else agrees
     return LawReport(spec.name, partial.holds, partial.witness, detail)
 
 
-DE_BARROS = replace(LEQ_E_PARTIAL_LAWS, name="de-barros", assemble=_de_barros)
+# under ehresmann OS2, OS6 and OSI hold for the e-order, so OS3 decides the law
+DE_BARROS = replace(OS3, name="de-barros", on=e_order, gate="ehresmann", assemble=_de_barros)
 
 SEMILATTICE_ORDER_AGREEMENT = Spec(
     "semilattice-order-agreement", "ee", lambda v, e, f: v.le[e][f] == (e == v.mul[e][f]),
@@ -341,21 +344,8 @@ RESTRICTION_MONOTONE = Spec("restriction-monotone", "xxe", lambda v, x, y, e: no
 CORESTRICTION_MONOTONE = dual(RESTRICTION_MONOTONE, "corestriction-monotone")
 LEFT_ORDER_OC8A = Spec("left-order-oc8a", parts=(("OC2", OS2), ("OC3", OS3), ("OC8A", OC8A)))
 AGREE = Spec("orders-agree-on-identities", "ee", lambda v, e, f: v.le[e][f] == v.le2[e][f])
-
-
-def _two_orders(spec: Spec, v: View) -> LawReport:
-    """Every clause listed; the monotone ones decided, and giving the witness,
-    only once the first four hold."""
-    clauses, monotone = spec.parts[:spec.witness_from], spec.parts[spec.witness_from:]
-    parts = [(name, least(part, v) is None) for name, part in clauses]
-    found = [least(part, v) for _, part in monotone] if all(ok for _, ok in parts[:4]) else [()] * len(monotone)
-    parts += [(name, w is None) for (name, _), w in zip(monotone, found)]
-    holds = all(ok for _, ok in parts)
-    detail = "" if holds else "first failing clause: " + next(name for name, ok in parts if not ok)
-    return LawReport(spec.name, holds, witness=next(filter(None, found), None), detail=detail, parts=tuple(parts))
-
-
-TWO_ORDERS = Spec("ehresmann-category-two-orders", parts=(
+# the clauses that give no witness
+TWO_ORDER_CLAUSES = (
     ("left-order-oc8a", LEFT_ORDER_OC8A),
     ("right-order-oc8b", dual(LEFT_ORDER_OC8A, "right-order-oc8b")),
     ("orders-agree-on-identities", AGREE),
@@ -364,9 +354,23 @@ TWO_ORDERS = Spec("ehresmann-category-two-orders", parts=(
         ("agree", AGREE), ("meet", Spec("meet", "ee", lambda v, e, f: v.meet[e, f] is not None))))),
     ("orders-permute", Spec("orders-permute", "xx", lambda v, a, c: any(v.le[a][b] and v.le2[b][c] for b in range(v.n))
                             == any(v.le2[a][b] and v.le[b][c] for b in range(v.n)))),
-    ("restriction-monotone", RESTRICTION_MONOTONE),
-    ("corestriction-monotone", CORESTRICTION_MONOTONE),
-), witness_from=5, on=derived_two_orders, assemble=_two_orders, gate="ehresmann")
+)
+
+
+def _two_orders(spec: Spec, v: View) -> LawReport:
+    """Every clause listed; the monotone ones, the law's parts, decided and
+    giving the witness only once the first four hold."""
+    parts = [(name, least(part, v) is None) for name, part in TWO_ORDER_CLAUSES]
+    found = [least(part, v) for _, part in spec.parts] if all(ok for _, ok in parts[:4]) else [()] * len(spec.parts)
+    parts += [(name, w is None) for (name, _), w in zip(spec.parts, found)]
+    holds = all(ok for _, ok in parts)
+    detail = "" if holds else "first failing clause: " + next(name for name, ok in parts if not ok)
+    return LawReport(spec.name, holds, witness=next(filter(None, found), None), detail=detail, parts=tuple(parts))
+
+
+TWO_ORDERS = Spec("ehresmann-category-two-orders", parts=(
+    ("restriction-monotone", RESTRICTION_MONOTONE), ("corestriction-monotone", CORESTRICTION_MONOTONE)),
+    on=derived_two_orders, assemble=_two_orders, gate="ehresmann")
 
 
 def two_orders(c, leq_r) -> LawReport:
@@ -410,12 +414,9 @@ def _holds(key: str, x) -> bool:
 
 
 def refutes(spec: Spec, v: View, w: tuple[int, ...]) -> bool:
-    """Whether ``w`` falsifies ``spec`` on ``v``: a leaf's body is false at ``w``, a
-    tuple of its sorts; a composite's is, in a part that may give the witness."""
+    """Whether ``w``, a tuple of the sorts of the leaf ``spec``, falsifies its body on ``v``."""
     if spec.flipped:
         v = v.dual
-    if spec.parts:
-        return any(refutes(part, v, w) for _, part in spec.parts[spec.witness_from:])
     if len(w) != len(spec.sorts) + spec.sorts.count("p"):
         return False
     at, n = iter(w), v.n
@@ -426,8 +427,10 @@ def refutes(spec: Spec, v: View, w: tuple[int, ...]) -> bool:
 def replay(rep: LawReport, x) -> None:
     """Assert that the witness of a failing ``rep``, an evaluation's report on
     ``x``, falsifies the formula it came from: the prerequisite's, where the
-    evaluation's wording says it short-circuited, and the failing part's, for
-    a law read from registered laws.  A report without a witness replays trivially."""
+    evaluation's wording says it short-circuited; the failing part's, for a law
+    read from registered laws; and, for a composite, that of the first failing
+    part the report names (or the formula's report, where it names none).  A
+    report without a witness replays trivially."""
     if rep.holds or rep.witness is None:
         return
     law = LAWS[rep.law.lower()]
@@ -441,12 +444,18 @@ def replay(rep: LawReport, x) -> None:
     if spec is None:
         part = next(name for name, ok in rep.parts if not ok)
         return replay(LawReport(LAWS[part.lower()].name, False, witness=rep.witness), x)
-    assert refutes(spec, _view_of(spec, x), rep.witness), (rep, x)
+    v = _view_of(spec, x)
+    if spec.parts:
+        # a short-circuit report names no parts; the formula's report names them
+        named, parts = dict(spec.parts), rep.parts or _report(spec, v).parts
+        v, spec = v.dual if spec.flipped else v, named[next(name for name, ok in parts if not ok and name in named)]
+    assert refutes(spec, v, rep.witness), (rep, x)
 
 
 def compare(key: str, x) -> LawReport | None:
     """The registered decider's report of ``key`` on ``x``, asserted equal to the
-    formula's and replayed; None where it refuses ``x`` or the law's gate fails."""
+    formula's, whose witness falsifies the part it names; None where the
+    decider refuses ``x`` or the law's gate fails."""
     spec, law = FORMULAS[key], LAWS[key]
     if spec.gate and not _holds(spec.gate, x.base if LAWS[spec.gate].subject != law.subject else x):
         return None
@@ -456,7 +465,6 @@ def compare(key: str, x) -> LawReport | None:
         return None
     want = report(key, x)
     assert got == want, f"{key}: the decider gives {got}, the formula {want}"
-    assert got.witness is None or refutes(spec, _view_of(spec, x), got.witness), got
     return got
 
 

@@ -1,13 +1,13 @@
 """The plain scans of the searches and validators no law formula states.
 
 The package validates and closes orders on up-set bitmasks, validates a
-category's associativity on composable triples only, composes two orders
-on bitmasks, searches Ehresmann orders multiplying only by a generating
-set, decides a large table's associativity by Light's test, finds equal
-composites in a row by grouping it, and verifies a biaction one axiom
-group at a time.  These are the scans those replace, loop by loop; every
-law stated as a sentence, and the derived orders, are checked by
-``formulas.py``.
+category's associativity on composable triples only, derives the three
+orders from table rows and columns, composes two orders on bitmasks,
+searches Ehresmann orders multiplying only by a generating set, decides
+a large table's associativity by Light's test, finds equal composites in
+a row by grouping it, and verifies a biaction one axiom group at a time.
+These are the scans those replace, loop by loop; every law stated as a
+sentence is checked by ``formulas.py``.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 from operator import itemgetter
 
 from ehresmann.category import Biaction, FiniteOrderedCategory
-from ehresmann.core import LawReport, StructureError
-from ehresmann.orders import PartialOrder, _bits, _OrderSearch
+from ehresmann.core import FiniteBiunarySemigroup, InternalInconsistency, LawReport, StructureError
+from ehresmann.orders import DerivedOrders, PartialOrder, _bits, _OrderSearch
 
 
 def compose_relations(p: PartialOrder, q: PartialOrder) -> tuple[tuple[bool, ...], ...]:
@@ -33,6 +33,21 @@ def compose_relations(p: PartialOrder, q: PartialOrder) -> tuple[tuple[bool, ...
                         row[b] = True
         out.append(tuple(row))
     return tuple(out)
+
+
+def derive_orders(s: FiniteBiunarySemigroup) -> DerivedOrders:
+    """The three derived orders built cell by cell, with the composite identity
+    checked on matrices; raises what ``orders.derive_orders`` raises."""
+    n, mul, D, R = s.n, s.mul, s.dmap, s.rmap
+    try:
+        leq_l = PartialOrder(n, tuple(tuple(a == mul[D[a]][b] for b in range(n)) for a in range(n)))
+        leq_r = PartialOrder(n, tuple(tuple(a == mul[b][R[a]] for b in range(n)) for a in range(n)))
+        leq_e = PartialOrder(n, tuple(tuple(a == mul[mul[D[a]][b]][R[a]] for b in range(n)) for a in range(n)))
+    except StructureError as exc:
+        raise InternalInconsistency(f"derived relation is not a partial order: {exc}") from exc
+    if compose_relations(leq_l, leq_r) != leq_e.rel or compose_relations(leq_r, leq_l) != leq_e.rel:
+        raise InternalInconsistency("left and right orders do not compose to the e-order")
+    return DerivedOrders(leq_l, leq_r, leq_e)
 
 
 def partial_order_failure(n: int, rel) -> str | None:
