@@ -33,6 +33,7 @@ from .core import (
     _check_map,
     _first_failure,
     _fmt,
+    _holding,
     _leaf,
     _map_report,
     _trusted,
@@ -59,7 +60,7 @@ from .orders import (
 
 CompTable = tuple[tuple[int | None, ...], ...]
 # the report ``_omega_structured`` gives where OC2 and OC3 hold, which ``_category_of`` seeds
-_OMEGA_HOLDS = LawReport("omega-structured", True, parts=(("OC1", True), ("OC2", True), ("OC3", True)))
+_OMEGA_HOLDS = _holding("omega-structured", (("OC1", True), ("OC2", True), ("OC3", True)))
 
 
 def _validate_category(
@@ -760,12 +761,20 @@ def verify_biaction(c: FiniteOrderedCategory, b: Biaction) -> LawReport:
     With no meet table (E1) or action tables that are not total (E2) no
     group after it is evaluated, and the report carries no witness.
     """
-    ids, meet, n = c.identities(), c.meet, c.n
+    n = c.n
     for label, table in (("left", b.left), ("right", b.right)):
         if len(table) != n or any(
             len(row) != n or any(v is not None and not 0 <= v < n for v in row) for row in table
         ):
             raise StructureError(f"{label} action table must be {n} x {n} over 0..{n - 1} and None")
+    return _verify_biaction(c, b)
+
+
+def _verify_biaction(c: FiniteOrderedCategory, b: Biaction) -> LawReport:
+    """``verify_biaction`` on action tables that are n x n over 0..n-1 and
+    None, as ``_derive_biaction`` builds them: its entries are the maxima
+    of ``_maxima_below``, elements of ``c`` or None."""
+    ids, meet, n = c.identities(), c.meet, c.n
     la, ra = b.left, b.right
     # E1: identities form a commutative idempotent semigroup under meet, which
     # a table of greatest lower bounds is whenever it exists; the scans read

@@ -9,7 +9,8 @@ instance so the failure can be replayed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cache
 from operator import itemgetter
 from typing import Any, Callable, Iterator
 
@@ -198,6 +199,15 @@ def _fmt(s, *indices: int) -> str:
     return ", ".join(s.name_of(i) for i in indices)
 
 
+@cache
+def _holding(law: str, parts: tuple[tuple[str, bool], ...] = ()) -> LawReport:
+    """The report of ``law`` holding with ``parts``: one frozen instance per
+    (law, parts), shared as a constant is.  It names no subject, so no
+    verdict outlives the evaluation that reached it, and the laws and part
+    names are the package's own, so there are few."""
+    return LawReport(law, True, parts=parts)
+
+
 def _first_failure(law: str, subject, checks, lead=(), trail=(), wording=None) -> LawReport:
     """The report of a law made of named parts, each a (part, witness) pair in ``checks``.
 
@@ -213,14 +223,14 @@ def _first_failure(law: str, subject, checks, lead=(), trail=(), wording=None) -
         if w is not None:
             detail = wording(name, w) if wording else f"{name} fails at ({_fmt(subject, *w)})"
             return LawReport(law, False, witness=w, detail=detail, parts=parts)
-    return LawReport(law, True, parts=parts)
+    return _holding(law, parts)
 
 
 def _leaf(law: str, w: tuple[int, ...] | None, detail: Callable[..., str]) -> LawReport:
     """The report of a law without parts whose least failing instance is ``w``,
     None when it holds; ``detail(*w)`` words the failure and runs only then."""
     if w is None:
-        return LawReport(law, True)
+        return _holding(law)
     return LawReport(law, False, witness=w, detail=detail(*w))
 
 
@@ -228,8 +238,8 @@ def _leaf(law: str, w: tuple[int, ...] | None, detail: Callable[..., str]) -> La
 class Law:
     """One registered law: what it is decided on, what it presupposes, how.
 
-    ``name`` is the report's ``law``; its lower-case form (or an alias) is
-    the command-line name.  ``subject`` is the kind decided on:
+    ``name`` is the report's ``law``; its lower-case form ``key`` (or an
+    alias) is the command-line name.  ``subject`` is the kind decided on:
     ``"semigroup"``, ``"ordered"`` (an OrderedSemigroup) or ``"category"``
     (a FiniteOrderedCategory).  ``decide(subject, evaluation)`` returns the
     verdict and may ask the evaluation for other laws.
@@ -253,10 +263,11 @@ class Law:
     part: str | None = None
     ladder: bool = False
     aliases: tuple[str, ...] = ()
+    key: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> str:
-        return self.name.lower()
+    def __post_init__(self) -> None:
+        # read on every decision, so made once
+        object.__setattr__(self, "key", self.name.lower())
 
 
 # every law by key and alias, in registration order: core, orders, category
@@ -283,7 +294,9 @@ class Evaluation:
     construction that several steps of the work need goes through
     ``build``.  Entries are keyed by the subject's identity, which is
     cheaper than hashing a whole table; each entry holds its subject, so no
-    id is reused while the evaluation lives.
+    id is reused while the evaluation lives.  A verdict is stored under the
+    law's own key and under each alias it was asked by, so an alias reads
+    the law's one decision and every repeated call is one lookup.
     """
 
     def __init__(self) -> None:
@@ -300,18 +313,20 @@ class Evaluation:
 
     def __call__(self, key: str, x: Any) -> LawReport:
         """The verdict of the law registered as ``key`` on the subject ``x``."""
-        law = LAWS[key]
-        memo = (law.name, id(x))
-        entry = self.verdicts.get(memo)
+        entry = self.verdicts.get((key, id(x)))
         if entry is None:
-            entry = self.verdicts[memo] = (x, self._decide(law, x))
+            law = LAWS[key]
+            entry = self.verdicts.get((law.key, id(x)))
+            if entry is None:
+                entry = self.verdicts[law.key, id(x)] = (x, self._decide(law, x))
+            self.verdicts[key, id(x)] = entry
         return entry[1]
 
     def seed(self, key: str, x: Any, report: LawReport) -> Any:
         """Record ``report`` as the verdict of the law ``key`` on ``x``, and
         return ``x``: for a builder that has shown, from laws this evaluation
         decided, that the law's decider would give ``report``."""
-        self.verdicts[(LAWS[key].name, id(x))] = (x, report)
+        self.verdicts[LAWS[key].key, id(x)] = (x, report)
         return x
 
     def _decide(self, law: Law, x: Any) -> LawReport:
@@ -545,6 +560,11 @@ def projections(s: FiniteBiunarySemigroup) -> ProjectionSet:
     return ProjectionSet(frozenset(dimg))
 
 
+def _projections(s: FiniteBiunarySemigroup, ev: Evaluation) -> tuple[int, ...]:
+    """``projections(s).sorted_members``, made once per unit of work for every law that reads it."""
+    return projections(s).sorted_members
+
+
 def _one_sided_restriction(name: str, side: Callable, template: str) -> Law:
     """The law x*I(y) = I(x*y)*x on the table and identity map I that ``side`` picks.
 
@@ -654,7 +674,7 @@ def _de_barros_equational(s: FiniteBiunarySemigroup, ev: Evaluation) -> LawRepor
         return (f"{_fmt(s, x)}*{_fmt(s, e)}*{_fmt(s, y)} = {_fmt(s, lhs)} but "
                 f"D(..)*{_fmt(s, x)}*{_fmt(s, y)}*R(..) = {_fmt(s, rhs)}")
 
-    proj = projections(s).sorted_members
+    proj = ev.build(_projections, s)
     w = None
     # the row test says "holds" on a larger structure; a failure is scanned for the least triple
     if not _de_barros_rows_hold(s, proj):

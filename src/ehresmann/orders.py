@@ -31,9 +31,9 @@ from .core import (
     _hom_wording,
     _leaf,
     _map_report,
+    _projections,
     _trusted,
     evaluate,
-    projections,
     property_key,
     register,
 )
@@ -48,7 +48,9 @@ class PartialOrder:
     form every decider and search reads: bit b of ``up[a]`` and bit a of
     ``down[b]`` are set when a <= b, and ``covers[a]`` lists the lower
     covers of a, the c < a with no d such that c < d < a, lowest first.
-    ``up`` is built with the order; ``down`` and ``covers`` on first use.
+    ``rising`` is a linear extension, the elements by down-set size, and
+    ``cover_steps`` the pairs (b, d) of each b in that order and each lower
+    cover d of b.  ``up`` is built with the order, the rest on first use.
     Equality and hashing read ``n`` and ``rel`` only.
     """
 
@@ -79,7 +81,14 @@ class PartialOrder:
 
     @cached_property
     def down(self) -> tuple[int, ...]:
-        return _up_sets(self.n, tuple(zip(*self.rel)))
+        down = [0] * self.n
+        for a, u in enumerate(self.up):
+            bit = 1 << a
+            while u:
+                low = u & -u
+                down[low.bit_length() - 1] |= bit
+                u ^= low
+        return tuple(down)
 
     @cached_property
     def covers(self) -> tuple[tuple[int, ...], ...]:
@@ -89,6 +98,16 @@ class PartialOrder:
             inner = reduce(or_, (down[y] ^ 1 << y for y in strict), 0)
             out.append(tuple(y for y in strict if not inner >> y & 1))
         return tuple(out)
+
+    @cached_property
+    def rising(self) -> tuple[int, ...]:
+        down = self.down
+        return tuple(sorted(range(self.n), key=lambda a: down[a].bit_count()))
+
+    @cached_property
+    def cover_steps(self) -> tuple[tuple[int, int], ...]:
+        covers = self.covers
+        return tuple((b, d) for b in self.rising for d in covers[b])
 
     @classmethod
     def equality(cls, n: int) -> "PartialOrder":
@@ -209,6 +228,18 @@ class DerivedOrders:
     leq_e: PartialOrder
 
 
+def _derived_relations(s: FiniteBiunarySemigroup) -> tuple[tuple[tuple[bool, ...], ...], ...]:
+    """The matrices of <=_l, <=_r and <=_e on ``s``: a <= b when D(a)b, bR(a) or D(a)bR(a) is a."""
+    n, mul, D, R = s.n, s.mul, s.dmap, s.rmap
+    cols = tuple(zip(*mul))
+    # D(a)b is row D(a) of the table, bR(a) column R(a), D(a)bR(a) row D(a) read through column R(a)
+    return tuple(tuple(tuple([v == a for v in row]) for a, row in enumerate(compared)) for compared in (
+        (mul[D[a]] for a in range(n)),
+        (cols[R[a]] for a in range(n)),
+        (map(cols[R[a]].__getitem__, mul[D[a]]) for a in range(n)),
+    ))
+
+
 def derive_orders(s: FiniteBiunarySemigroup) -> DerivedOrders:
     """Compute the three algebraic orders of an Ehresmann semigroup.
 
@@ -218,18 +249,8 @@ def derive_orders(s: FiniteBiunarySemigroup) -> DerivedOrders:
     bitmasks; violations raise InternalInconsistency and indicate the input
     is not Ehresmann.
     """
-    n, mul, D, R = s.n, s.mul, s.dmap, s.rmap
-    cols = tuple(zip(*mul))
-
-    def relation(compared) -> PartialOrder:
-        """The order with a <= b when ``compared[a][b]`` is a."""
-        return PartialOrder(n, tuple(tuple([v == a for v in row]) for a, row in enumerate(compared)))
-
     try:
-        # D(a)b is row D(a) of the table, bR(a) column R(a), D(a)bR(a) row D(a) read through column R(a)
-        leq_l = relation(mul[D[a]] for a in range(n))
-        leq_r = relation(cols[R[a]] for a in range(n))
-        leq_e = relation(map(cols[R[a]].__getitem__, mul[D[a]]) for a in range(n))
+        leq_l, leq_r, leq_e = (PartialOrder(s.n, rel) for rel in _derived_relations(s))
     except StructureError as exc:
         raise InternalInconsistency(f"derived relation is not a partial order: {exc}") from exc
     if _composite_up_sets(leq_l, leq_r) != leq_e.up or _composite_up_sets(leq_r, leq_l) != leq_e.up:
@@ -238,8 +259,31 @@ def derive_orders(s: FiniteBiunarySemigroup) -> DerivedOrders:
 
 
 def _derived_orders(s: FiniteBiunarySemigroup, ev: Evaluation) -> DerivedOrders:
-    """``derive_orders(s)``, in the form ``Evaluation.build`` takes."""
-    return derive_orders(s)
+    """``derive_orders(s)``, in the form ``Evaluation.build`` takes.
+
+    Once ``ehresmann`` holds on ``s`` every check of ``derive_orders``
+    passes, so the orders skip them; other input still goes through
+    ``derive_orders`` and raises as it does.  For a projection e,
+    D(ex) = D(eD(x)) = eD(x) by L3 and L4, so a <=_l b iff a = eb for some
+    projection e, and dually a <=_r b iff a = bf.  So <=_l is reflexive by
+    L1 and transitive, as D(a)D(b) is a projection; and a = D(a)b,
+    b = D(b)a give D(a) = D(a)D(b) = D(b), as projections commute, so
+    a = D(b)b = b.  Dually for <=_r.
+
+    If a <=_l c <=_r b, then a = D(a)bR(c) and R(a) = R(D(a)b)R(c), so
+    D(a)bR(a) = D(a)bR(c) = a by L1 on D(a)b.  If a <=_r c <=_l b, then
+    a = D(c)bR(a) and D(a) = D(c)D(bR(a)), so D(a)bR(a) = D(c)bR(a) = a by
+    L1 on bR(a).  And a = D(a)bR(a) lies <=_l bR(a) <=_r b and
+    <=_r D(a)b <=_l b.  So <=_e is both composites, and a <=_e b iff
+    a = ebf for projections e and f: reflexive by L1, and transitive.
+    a <=_e b gives D(a) = D(a)D(bR(a)), and D(b)D(bR(a)) = D(bR(a)) by L1,
+    so D(a) <= D(b) among the projections, and likewise R(a) <= R(b).  So
+    a <=_e b <=_e a gives a = D(b)bR(b) = b.
+    """
+    if not ev("ehresmann", s).holds:
+        return derive_orders(s)
+    return DerivedOrders(*(_trusted(PartialOrder, n=s.n, rel=rel, up=_up_sets(s.n, rel))
+                           for rel in _derived_relations(s)))
 
 
 def _natural(s: FiniteBiunarySemigroup, ev: Evaluation) -> OrderedSemigroup:
@@ -311,17 +355,15 @@ def _product_sets(table, order: PartialOrder) -> list[list[int]]:
     The pairs below (a, b) are (a, b) itself and the pairs below (c, b) for
     each lower cover c of a and below (a, d) for each lower cover d of b.
     So entry [a][b] is the bit of a*b or'ed with entries [c][b] and [a][d],
-    and rows a and, within a row, entries b are made up a linear extension
-    (by down-set size), each after those it reads.  Equal sets share one
+    and rows a and, within a row, entries b are made up the order's linear
+    extension ``rising``, each after those it reads.  Equal sets share one
     int: on rel-3 the 262,144 entries take 4,882 values.
     """
-    n, down, covers = len(table), order.down, order.covers
+    n, covers, steps = len(table), order.covers, order.cover_steps
     bit = {v: 1 << v for v in range(n)} | {None: 0}
-    rising = sorted(range(n), key=lambda a: down[a].bit_count())
-    steps = [(b, d) for b in rising for d in covers[b]]
     sets: list = [None] * n
     seen: dict[int, int] = {}
-    for a in rising:
+    for a in order.rising:
         row = list(map(bit.__getitem__, table[a]))
         for c in covers[a]:
             row = list(map(or_, row, sets[c]))
@@ -359,7 +401,7 @@ def _osi_witness(n: int, proj: Sequence[int], rel) -> tuple[int, ...] | None:
 
 def _ehresmann_order(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
     s = os.base
-    proj = projections(s).sorted_members
+    proj = ev.build(_projections, s)
     checks = (
         ("OS2", _os2_witness(s.n, s.dmap, s.rmap, os.order.rel)),
         ("OS3", _os3_total_witness(s.n, s.mul, os.order.rel, ev.build(_generating_set, s))),
@@ -421,7 +463,7 @@ def check_OS_property(os: OrderedSemigroup, prop: str) -> LawReport:
 
 def _semilattice_order_agreement(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
     s = os.base
-    proj = projections(s).sorted_members
+    proj = ev.build(_projections, s)
     w = next(((e, f) for e in proj for f in proj if os.order.rel[e][f] != (e == s.mul[e][f])), None)
     return _leaf("semilattice-order-agreement", w,
                  lambda e, f: f"order and semilattice disagree at ({s.name_of(e)}, {s.name_of(f)})")
@@ -585,7 +627,7 @@ class _OrderSearch:
         n = self.n = s.n
         self.s = s
         self.right, self.left = _products_by(s.mul, ev.build(_generating_set, s))
-        proj = self.proj = sum(1 << e for e in projections(s).members)
+        proj = self.proj = sum(1 << e for e in ev.build(_projections, s))
         leq_e = ev.build(_derived_orders, s).leq_e
         up, down = list(leq_e.up), list(leq_e.down)  # copies: _close extends them
         queue = [(a, b) for a in range(n) for b in _bits(up[a]) if a != b]

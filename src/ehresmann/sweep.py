@@ -9,9 +9,16 @@ JSON report is byte-identical from run to run.
 from __future__ import annotations
 
 from . import zoo
-from .category import _category_of, _derive_biaction, _esn_round_trip, verify_biaction
+from .category import _category_of, _derive_biaction, _esn_round_trip, _verify_biaction
 from .core import Evaluation
-from .orders import OrderedSemigroup, PartialOrder, _ehresmann_orders, _is_natural, _permuted_order_key
+from .orders import (
+    OrderedSemigroup,
+    PartialOrder,
+    _ehresmann_orders,
+    _is_natural,
+    _permuted_order_key,
+    automorphisms,
+)
 
 SCHEMA = "ehresmann-sweep/1"
 
@@ -27,7 +34,7 @@ def _ordered_instance_record(osg: OrderedSemigroup, ev: Evaluation) -> dict:
     rrd = ev("right-restriction-with-domain", s).holds
     restr = ev("restriction", s).holds
     c = ev.build(_category_of, osg)
-    bia = verify_biaction(c, ev.build(_derive_biaction, c))
+    bia = _verify_biaction(c, ev.build(_derive_biaction, c))
     return {
         "os4": os4,
         "os7": os7,
@@ -62,17 +69,26 @@ def _base_record(s, ev: Evaluation) -> dict:
 
 
 def _record(s, ev: Evaluation) -> dict:
+    """The record of ``s``, its orders' records decided once per Aut(s)-orbit.
+
+    An automorphism of ``s`` is an isomorphism from ``s`` under an order
+    onto ``s`` under the order's image, and every field of an order's
+    record is an isomorphism invariant, so all orders of an orbit have one
+    record.  It is decided on the first order of the orbit, which is known
+    by its least image key, and each other order gets a copy.
+    """
     rec = _base_record(s, ev)
     ordered = ev.build(_ehresmann_orders, s)
+    auts = automorphisms(s)
     rec["order_count"] = len(ordered)
+    decided: dict[tuple[int, ...], dict] = {}
     per_order = []
-    os4_seen = False
     for osg in ordered:
-        inst = _ordered_instance_record(osg, ev)
-        os4_seen = os4_seen or inst["os4"]
-        per_order.append(inst)
+        orbit = min(_permuted_order_key(osg.order, perm) for perm in auts)
+        first = decided.get(orbit)
+        per_order.append(dict(first) if first else decided.setdefault(orbit, _ordered_instance_record(osg, ev)))
     rec["orders"] = per_order
-    rec["os4_exists_iff_de_barros"] = os4_seen == rec["de_barros"]
+    rec["os4_exists_iff_de_barros"] = any(inst["os4"] for inst in per_order) == rec["de_barros"]
     if rec["de_barros"]:
         rec["smallest_order"] = ev("smallest-ehresmann-order", s).holds
     return rec

@@ -306,9 +306,17 @@ OMEGA_STRUCTURED = Spec("omega-structured", lead=(("OC1", True),), parts=(("OC2"
 OC4, OC4A = _matching("OC4", True, True), _matching("OC4A", True, False)
 OC4B = dual(OC4A, "OC4B")
 
+
+def greatest_below(v: View, x: int, e: int) -> int | None:
+    """The greatest y <= x with D(y) <= e, None when there is none: the
+    restriction of x to e, and on ``v.dual`` the corestriction."""
+    pool = [y for y in v.below[x] if v.le[v.D[y]][e]]
+    return next((m for m in pool if all(v.le[y][m] for y in pool)), None)
+
+
 # e <= D(x) gives a maximum m <= x with D(m) <= e, and D(m) = e
-OC6A = Spec("OC6A", "xe", lambda v, x, e: not v.le[e][v.D[x]] or any(
-    v.D[m] == e and all(v.le[y][m] for y in v.below[x] if v.le[v.D[y]][e]) for m in v.below[x]))
+OC6A = Spec("OC6A", "xe", lambda v, x, e: not v.le[e][v.D[x]] or (
+    (m := greatest_below(v, x, e)) is not None and v.D[m] == e))
 OC6B = dual(OC6A, "OC6B")
 
 # a <= b o d is x o y for some x <= b, y <= d

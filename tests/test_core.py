@@ -1,6 +1,8 @@
 """Core law deciders, checked against hand evaluations and brute-force oracles."""
 
 
+import dataclasses
+
 import formulas
 import pytest
 
@@ -18,10 +20,12 @@ from ehresmann import (
     check_localisable,
     check_restriction,
     check_right_restriction_with_domain,
+    category_of,
     is_ehresmann_hom,
     projections,
 )
 from ehresmann import zoo
+from ehresmann.core import LAWS, Evaluation, LawReport
 
 
 ONE = FiniteBiunarySemigroup(1, ((0,),), (0,), (0,))
@@ -361,3 +365,32 @@ def test_projection_band_properties_on_small_sweep():
                 for f in proj:
                     assert s.mul[e][f] in proj.members
                     assert s.mul[e][f] == s.mul[f][e]
+
+
+def test_an_alias_reads_the_one_decision_of_its_law(monkeypatch):
+    """``oc7p`` names the law ``oc7'``: either key reads the one report the law
+    was decided or seeded to, and the decider in ``LAWS`` is the one called."""
+    c = category_of(zoo.get("two-element-monoid").ordered("leq1"))
+    law, decided = LAWS["oc7'"], []
+
+    def decide(x, ev):
+        decided.append(x)
+        return law.decide(x, ev)
+
+    counted = dataclasses.replace(law, decide=decide)
+    monkeypatch.setitem(LAWS, "oc7'", counted)
+    monkeypatch.setitem(LAWS, "oc7p", counted)
+    for first, then in (("oc7p", "oc7'"), ("oc7'", "oc7p")):
+        ev = Evaluation()
+        rep = ev(first, c)
+        assert ev(then, c) is rep and ev(first, c) is rep
+    assert decided == [c, c]
+    for key, alias in (("oc7p", "oc7'"), ("oc7'", "oc7p")):
+        seeded = LawReport("OC7'", False, detail="seeded")
+        ev = Evaluation()
+        assert ev.seed(key, c, seeded) is c
+        assert ev(alias, c) is seeded and ev(key, c) is seeded
+    assert decided == [c, c]
+    patched = LawReport("OC7'", False, detail="patched")
+    monkeypatch.setitem(LAWS, "oc7p", dataclasses.replace(law, decide=lambda x, ev: patched))
+    assert Evaluation()("oc7p", c) is patched

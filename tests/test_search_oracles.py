@@ -488,12 +488,15 @@ def category_or_none(s, sides=None):
 
 
 def assert_maxima_agree(c):
-    """Both sides' tables of maxima on ``c``, entry by entry against ``_max_below``."""
-    ids = set(c.identities())
-    for builder, idmap in ((category._restrictions, c.dmap), (category._corestrictions, c.rmap)):
-        expected = [[category._max_below(c, idmap, x, e) if e in ids and c.order.rel[e][idmap[x]]
-                     else None for e in range(c.n)] for x in range(c.n)]
+    """Both sides' tables of maxima on ``c``, and ``_max_below`` on every (x, e),
+    entry by entry against the greatest y <= x with D(y) <= e (R(y) on the dual)."""
+    for builder, idmap, v in ((category._restrictions, c.dmap, formulas.view(c)),
+                              (category._corestrictions, c.rmap, formulas.view(c).dual)):
+        expected = [[formulas.greatest_below(v, x, e) if e in v.id_set and v.le[e][v.D[x]] else None
+                     for e in range(c.n)] for x in range(c.n)]
         assert builder(c, Evaluation()) == expected
+        assert all(category._max_below(c, idmap, x, e) == formulas.greatest_below(v, x, e)
+                   for x in range(c.n) for e in v.ids)
 
 
 def assert_category_laws_agree(c0, order, sides, right=None):

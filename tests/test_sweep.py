@@ -10,9 +10,9 @@ from ehresmann.category import (
     check_ehresmann_category_two_orders,
     partial_product_category,
 )
-from ehresmann.core import LAWS, FiniteBiunarySemigroup
-from ehresmann.orders import DerivedOrders, _OrderSearch, derive_orders
-from ehresmann.sweep import _criteria, _enumerated_record, run_sweep
+from ehresmann.core import LAWS, Evaluation, FiniteBiunarySemigroup
+from ehresmann.orders import DerivedOrders, _ehresmann_orders, _OrderSearch, automorphisms, derive_orders
+from ehresmann.sweep import _criteria, _enumerated_record, _ordered_instance_record, _record, run_sweep
 
 # n4-0013 of the size-4 enumeration, which has five Ehresmann orders
 S = FiniteBiunarySemigroup(
@@ -188,6 +188,28 @@ def test_size_4_class_members_get_their_labelled_records():
                 assert report[msid] == rec, msid
                 reordered += rec["orders"] != report[sid_of[min(members)]]["orders"]
     assert reordered  # some member lists its orders in another sequence than its leader
+
+
+def test_orbit_copies_are_the_directly_decided_records(monkeypatch):
+    """Every labelled structure of size at most 4 with an automorphism other than
+    the identity: each order's record, copied from its Aut(S)-orbit or not, is
+    the record decided on that order in a fresh evaluation."""
+    decided = count_calls(monkeypatch, sweep, "_ordered_instance_record")
+    structures = [s for n in range(1, 5) for s in zoo.enumerate_ehresmann_semigroups(n, allow_large=True)
+                  if len(automorphisms(s)) > 1]
+    orders_seen = 0
+    for s in structures:
+        rec = _record(s, Evaluation())
+        # the function imported above, which the count does not see
+        direct = [_ordered_instance_record(osg, Evaluation()) for osg in _ehresmann_orders(s, Evaluation())]
+        assert rec["orders"] == direct
+        nested = [id(d) for d in (rec, rec["leq_e_partial_laws"], *rec["orders"])]
+        assert len(nested) == len(set(nested))
+        orders_seen += len(direct)
+    # 12 structures of size 3 and 316 of the 1,708 of size 4 have one; 12 of
+    # their 36 orders and 960 of their 2,344 are copies
+    assert len(structures) == 12 + 316
+    assert (orders_seen, orders_seen - len(decided)) == (36 + 2344, 12 + 960)
 
 
 def test_a_criterion_no_record_exercises_fails():

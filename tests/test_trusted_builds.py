@@ -23,8 +23,8 @@ from ehresmann.category import (
     _semigroup_of,
     check_ehresmann_category_two_orders,
 )
-from ehresmann.core import Evaluation, FiniteBiunarySemigroup, StructureError
-from ehresmann.orders import OrderedSemigroup, PartialOrder, _ehresmann_orders, derive_orders
+from ehresmann.core import Evaluation, FiniteBiunarySemigroup, InternalInconsistency, StructureError
+from ehresmann.orders import OrderedSemigroup, PartialOrder, _derived_orders, _ehresmann_orders, derive_orders
 
 # the fields compared on each kind; ``base`` and ``order`` are compared in turn
 FIELDS = {
@@ -104,6 +104,36 @@ def test_closed_pairs_are_the_constructors():
     for order in orders:
         covers = [(c, a) for a in range(order.n) for c in order.covers[a]]
         assert_same(PartialOrder.from_pairs(order.n, covers), public_order(order))
+
+
+def test_derived_orders_are_the_validated_orders():
+    # once ehresmann holds the evaluation's orders skip the checks derive_orders makes
+    subjects = [*small_structures(), *(entry.structure for entry in zoo_entries())]
+    for s in subjects:
+        built, public = _derived_orders(s, Evaluation()), derive_orders(s)
+        assert repr(built) == repr(public)
+        for name in ("leq_l", "leq_r", "leq_e"):
+            assert_same(getattr(built, name), getattr(public, name))
+    assert len(subjects) == 1 + 6 + 78 + 1708 + 10
+
+
+# two tables that are not Ehresmann, each with the message derive_orders gives it
+NOT_EHRESMANN = [
+    ((((0, 0), (0, 0)), (0, 1), (0, 1)), "derived relation is not a partial order: order is not reflexive at 1"),
+    ((((0, 0, 0), (0, 1, 0), (0, 1, 2)), (0, 1, 2), (0, 1, 2)),
+     "left and right orders do not compose to the e-order"),
+]
+
+
+@pytest.mark.parametrize("table, message", NOT_EHRESMANN)
+def test_derived_orders_of_a_non_ehresmann_table_raise_as_derive_orders(table, message):
+    s = FiniteBiunarySemigroup(len(table[0]), *table)
+    ev = Evaluation()
+    assert not ev("ehresmann", s).holds
+    for derive in (derive_orders, lambda s: _derived_orders(s, ev)):
+        with pytest.raises(InternalInconsistency) as exc:
+            derive(s)
+        assert str(exc.value) == message
 
 
 def test_orders_categories_biactions_and_pseudoproducts_are_the_constructors():
