@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import zoo
 from .category import _category_of, _derive_biaction, _esn_round_trip, _verify_biaction
-from .core import Evaluation
+from .core import Evaluation, _holding
 from .orders import (
     OrderedSemigroup,
     PartialOrder,
@@ -75,7 +75,11 @@ def _record(s, ev: Evaluation) -> dict:
     onto ``s`` under the order's image, and every field of an order's
     record is an isomorphism invariant, so all orders of an orbit have one
     record.  It is decided on the first order of the orbit, which is known
-    by its least image key, and each other order gets a copy.
+    by its least image key, and each other order gets a copy.  Aut(s)
+    preserves <=_e too, so a copy contains <=_e when the first order of its
+    orbit does; a holding report names no subject, so each such copy is
+    seeded with it, and ``smallest-ehresmann-order`` decides containment
+    once per orbit.
     """
     rec = _base_record(s, ev)
     ordered = ev.build(_ehresmann_orders, s)
@@ -86,7 +90,12 @@ def _record(s, ev: Evaluation) -> dict:
     for osg in ordered:
         orbit = min(_permuted_order_key(osg.order, perm) for perm in auts)
         first = decided.get(orbit)
-        per_order.append(dict(first) if first else decided.setdefault(orbit, _ordered_instance_record(osg, ev)))
+        if first is None:
+            per_order.append(decided.setdefault(orbit, _ordered_instance_record(osg, ev)))
+        else:
+            per_order.append(dict(first))
+            if first["lemma_containment"]:
+                ev.seed("leq-e-containment", osg, _holding("leq-e-containment"))
     rec["orders"] = per_order
     rec["os4_exists_iff_de_barros"] = any(inst["os4"] for inst in per_order) == rec["de_barros"]
     if rec["de_barros"]:

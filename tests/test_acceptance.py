@@ -8,13 +8,11 @@ one PASS/FAIL line (run pytest with -s to see them all).
 import time
 from contextlib import contextmanager
 
-import pytest
+import subjects
 
 from ehresmann import (
-    FiniteBiunarySemigroup,
     FunctorCandidate,
     OrderedSemigroup,
-    PartialOrder,
     category_of,
     check_OC_property,
     check_OS_property,
@@ -30,13 +28,11 @@ from ehresmann import (
     derive_biaction,
     derive_orders,
     enumerate_ehresmann_orders,
-    enumerate_ehresmann_semigroups,
     esn_round_trip,
     esn_round_trip_category,
     is_de_barros,
     is_eoc_morphism,
     morphism_correspondence,
-    semigroup_of,
     verify_biaction,
 )
 from ehresmann import zoo
@@ -53,22 +49,6 @@ def criterion(number: int, name: str):
         print(f"ACCEPTANCE {number:2d} {name}: FAIL")
         raise
     print(f"ACCEPTANCE {number:2d} {name}: PASS")
-
-
-def all_ordered_instances(max_n=3):
-    """Every Ehresmann semigroup of size <= max_n with each of its orders."""
-    for n in range(1, max_n + 1):
-        for s in enumerate_ehresmann_semigroups(n):
-            leq_e = derive_orders(s).leq_e
-            for order in enumerate_ehresmann_orders(s):
-                yield s, order, leq_e
-
-
-def zoo_ordered_instances():
-    for name in zoo.SWEEP_NAMES:
-        entry = zoo.get(name)
-        for _, order in entry.orders:
-            yield entry.structure, order, derive_orders(entry.structure).leq_e
 
 
 def test_criterion_1_example_fidelity():
@@ -104,42 +84,34 @@ def test_criterion_2_orderless_band_structure():
 
 def test_criterion_3_lemma_sweep():
     with criterion(3, "lemma sweep: every order contains leq_e"):
-        count = 0
-        for s, order, leq_e in all_ordered_instances():
-            assert order.contains(leq_e)
-            count += 1
-        assert count > 0
+        for osg in subjects.ordered(3):
+            assert osg.order.contains(derive_orders(osg.base).leq_e)
+        assert subjects.ordered(3)
 
 
 def test_criterion_4_leq_e_partial_laws_sweep():
     with criterion(4, "leq_e partial laws sweep"):
-        for n in (1, 2, 3):
-            for s in enumerate_ehresmann_semigroups(n):
-                rep = check_leq_e_partial_laws(s)
-                parts = dict(rep.parts)
-                assert parts["OS1"] and parts["OS2"] and parts["OS6"] and parts["OSI"]
-                assert parts["OS3"] == check_de_barros_equational(s).holds
-                assert rep.holds == is_de_barros(s).holds
+        for s in subjects.structures(3):
+            rep = check_leq_e_partial_laws(s)
+            parts = dict(rep.parts)
+            assert parts["OS1"] and parts["OS2"] and parts["OS6"] and parts["OSI"]
+            assert parts["OS3"] == check_de_barros_equational(s).holds
+            assert rep.holds == is_de_barros(s).holds
 
 
 def test_criterion_5_os4_de_barros_biconditional():
     with criterion(5, "OS4/de Barros biconditional"):
-        for n in (1, 2, 3):
-            for s in enumerate_ehresmann_semigroups(n):
-                leq_e = derive_orders(s).leq_e
-                orders = enumerate_ehresmann_orders(s)
-                os4_orders = [
-                    o
-                    for o in orders
-                    if check_OS_property(OrderedSemigroup(s, o), "OS4").holds
-                ]
-                assert bool(os4_orders) == is_de_barros(s).holds
-                for o in os4_orders:
-                    assert o.rel == leq_e.rel
-                for o in orders:
-                    osg = OrderedSemigroup(s, o)
-                    if check_OS_property(osg, "OS4").holds:
-                        assert check_OS_property(osg, "OS7").holds
+        for s in subjects.structures(3):
+            leq_e = derive_orders(s).leq_e
+            orders = enumerate_ehresmann_orders(s)
+            os4_orders = [o for o in orders if check_OS_property(OrderedSemigroup(s, o), "OS4").holds]
+            assert bool(os4_orders) == is_de_barros(s).holds
+            for o in os4_orders:
+                assert o.rel == leq_e.rel
+            for o in orders:
+                osg = OrderedSemigroup(s, o)
+                if check_OS_property(osg, "OS4").holds:
+                    assert check_OS_property(osg, "OS7").holds
         # the certifying instance: OS7 holds while OS4 fails
         witness = zoo.example_two_element_monoid().ordered("leq1")
         assert check_OS_property(witness, "OS7").holds
@@ -148,9 +120,9 @@ def test_criterion_5_os4_de_barros_biconditional():
 
 def test_criterion_6_restriction_biconditionals():
     with criterion(6, "restriction biconditionals"):
-        for s, order, leq_e in all_ordered_instances():
-            osg = OrderedSemigroup(s, order)
-            natural = order.rel == leq_e.rel
+        for osg in subjects.ordered(3):
+            s = osg.base
+            natural = osg.order.rel == derive_orders(s).leq_e.rel
             os4a = check_OS_property(osg, "OS4A").holds
             os4b = check_OS_property(osg, "OS4B").holds
             assert os4a == (check_left_restriction_with_range(s).holds and natural)
@@ -163,39 +135,25 @@ def test_criterion_7_esn_round_trip():
         t0 = time.time()
         assert esn_round_trip(zoo.gen_rel(2).ordered()).holds
         assert time.time() - t0 < 5.0
-        for s, order, _ in zoo_ordered_instances():
-            osg = OrderedSemigroup(s, order)
-            assert esn_round_trip(osg).holds
-            assert esn_round_trip_category(category_of(osg)).holds
-        for s, order, _ in all_ordered_instances():
-            osg = OrderedSemigroup(s, order)
+        for osg in subjects.ordered(3, 16):
             assert esn_round_trip(osg).holds
             assert esn_round_trip_category(category_of(osg)).holds
 
 
 def test_criterion_8_biaction_theorem():
     with criterion(8, "biaction axioms E1..E6"):
-        for source in (zoo_ordered_instances(), all_ordered_instances()):
-            for s, order, _ in source:
-                c = category_of(OrderedSemigroup(s, order))
-                assert verify_biaction(c, derive_biaction(c)).holds
+        for osg in subjects.ordered(3, 16):
+            c = category_of(osg)
+            assert verify_biaction(c, derive_biaction(c)).holds
 
 
 def test_criterion_9_oc_equivalence_sweep():
     with criterion(9, "OC equivalences and OS/OC transfer"):
-        for source in (zoo_ordered_instances(), all_ordered_instances()):
-            for s, order, _ in source:
-                osg = OrderedSemigroup(s, order)
-                c = category_of(osg)
-                assert check_prop_oc_equivalences(c).holds
-                assert (
-                    check_OS_property(osg, "OS4").holds
-                    == check_OC_property(c, "OC4").holds
-                )
-                assert (
-                    check_OS_property(osg, "OS7").holds
-                    == check_OC_property(c, "OC7").holds
-                )
+        for osg in subjects.ordered(3, 16):
+            c = category_of(osg)
+            assert check_prop_oc_equivalences(c).holds
+            assert check_OS_property(osg, "OS4").holds == check_OC_property(c, "OC4").holds
+            assert check_OS_property(osg, "OS7").holds == check_OC_property(c, "OC7").holds
 
 
 def test_criterion_10_morphism_counterexamples():

@@ -28,7 +28,6 @@ from ehresmann import (
     corestriction,
     derive_biaction,
     derive_orders,
-    enumerate_ehresmann_orders,
     esn_round_trip,
     esn_round_trip_category,
     is_ehresmann_hom,
@@ -45,7 +44,7 @@ from ehresmann.core import Evaluation, evaluate
 
 import morphism_oracle
 import scan_oracle
-from test_duality import labelled_posets
+import subjects
 
 
 ONE = FiniteBiunarySemigroup(1, ((0,),), (0,), (0,))
@@ -320,12 +319,10 @@ class TestOCProperties:
             assert check_OC_property(c, "OC6").holds
 
     def test_oc4_with_oc7prime_implies_oc7(self):
-        for n in (1, 2, 3):
-            for s in zoo.enumerate_ehresmann_semigroups(n):
-                for order in enumerate_ehresmann_orders(s):
-                    c = category_of(OrderedSemigroup(s, order))
-                    if check_OC_property(c, "OC4").holds and check_OC_property(c, "OC7'").holds:
-                        assert check_OC_property(c, "OC7").holds
+        for osg in subjects.ordered(3):
+            c = category_of(osg)
+            if check_OC_property(c, "OC4").holds and check_OC_property(c, "OC7'").holds:
+                assert check_OC_property(c, "OC7").holds
 
 
 class TestPropOCEquivalences:
@@ -350,11 +347,8 @@ class TestPropOCEquivalences:
         assert not rep.holds
 
     def test_holds_on_all_categories_of_ordered_structures(self):
-        for n in (1, 2, 3):
-            for s in zoo.enumerate_ehresmann_semigroups(n):
-                for order in enumerate_ehresmann_orders(s):
-                    c = category_of(OrderedSemigroup(s, order))
-                    assert check_prop_oc_equivalences(c).holds
+        for osg in subjects.ordered(3):
+            assert check_prop_oc_equivalences(category_of(osg)).holds
 
 
 class TestEhresmannOrderedCategory:
@@ -401,14 +395,13 @@ class TestTwoOrderCategories:
         assert not rep.holds
 
     def test_holds_for_every_small_ehresmann_semigroup(self):
-        for n in (1, 2, 3):
-            for s in zoo.enumerate_ehresmann_semigroups(n):
-                d = derive_orders(s)
-                c0 = partial_product_category(s)
-                rep = check_ehresmann_category_two_orders(c0, d.leq_l, d.leq_r)
-                assert rep.holds
-                # the registered law derives the orders and C₀ itself
-                assert evaluate("ehresmann-category-two-orders", s) == rep
+        for s in subjects.structures(3):
+            d = derive_orders(s)
+            c0 = partial_product_category(s)
+            rep = check_ehresmann_category_two_orders(c0, d.leq_l, d.leq_r)
+            assert rep.holds
+            # the registered law derives the orders and C₀ itself
+            assert evaluate("ehresmann-category-two-orders", s) == rep
 
     def test_orders_of_the_wrong_size_are_rejected(self):
         c0 = partial_product_category(ONE)
@@ -462,15 +455,13 @@ class TestBiaction:
         # verify_biaction's E1 fails only when there is no meet table: every
         # table of greatest lower bounds is idempotent, commutative and associative
         tables = 0
-        for n in (1, 2, 3):
-            orders = labelled_posets(n)
-            for s in zoo.enumerate_ehresmann_semigroups(n):
-                ids = partial_product_category(s).identities()
-                for order in orders:
-                    meet = category._derive_meet(n, ids, order)
-                    if meet is not None:
-                        assert e1_failure(ids, meet) is None
-                        tables += 1
+        for s in subjects.structures(3):
+            ids = partial_product_category(s).identities()
+            for order in subjects.posets(s.n):
+                meet = category._derive_meet(s.n, ids, order)
+                if meet is not None:
+                    assert e1_failure(ids, meet) is None
+                    tables += 1
         for _, name, oname in SWEEP_ORDERED:
             c = category_of(zoo.get(name).ordered(oname))
             assert e1_failure(c.identities(), c.meet) is None
@@ -527,25 +518,10 @@ def reference_pseudoproduct(c: FiniteOrderedCategory) -> OrderedSemigroup:
     return OrderedSemigroup(base, c.order)
 
 
-def pseudoproduct_subjects() -> list[OrderedSemigroup]:
-    """Every ordered Ehresmann semigroup of size <= 3, every SWEEP_NAMES order and pt-3."""
-    subjects = [
-        OrderedSemigroup(s, order)
-        for n in (1, 2, 3)
-        for s in zoo.enumerate_ehresmann_semigroups(n)
-        for order in enumerate_ehresmann_orders(s)
-    ]
-    for name in (*zoo.SWEEP_NAMES, "pt-3"):
-        entry = zoo.get(name)
-        subjects.extend(entry.ordered(oname) for oname in entry.order_names())
-    return subjects
-
-
 class TestSemigroupOf:
     def test_matches_the_restriction_reference(self):
-        subjects = pseudoproduct_subjects()
-        assert len(subjects) == 205
-        for os in subjects:
+        assert len(subjects.ordered(3, 64)) == 205
+        for os in subjects.ordered(3, 64):
             c = category_of(os)
             assert semigroup_of(c) == reference_pseudoproduct(c)
 
@@ -604,10 +580,8 @@ class TestEsnRoundTrip:
             assert esn_round_trip_category(c).holds
 
     def test_small_sweep(self):
-        for n in (1, 2, 3):
-            for s in zoo.enumerate_ehresmann_semigroups(n):
-                for order in enumerate_ehresmann_orders(s):
-                    assert esn_round_trip(OrderedSemigroup(s, order)).holds
+        for osg in subjects.ordered(3):
+            assert esn_round_trip(osg).holds
 
 
 class TestMalformedMaps:
@@ -707,11 +681,7 @@ def reference_correspondence(s_os: OrderedSemigroup, t_os: OrderedSemigroup) -> 
     )
 
 
-SWEEP_ORDERED = [
-    (f"{name}#{oname}", name, oname)
-    for name in zoo.SWEEP_NAMES
-    for oname in zoo.get(name).order_names()
-]
+SWEEP_ORDERED = [(f"{e.name}#{oname}", e.name, oname) for e in subjects.zoo_entries(16) for oname in e.order_names()]
 ORACLE_PAIRS = [
     pytest.param(s[1:], t[1:], id=f"{s[0]}->{t[0]}")
     for s in SWEEP_ORDERED
@@ -877,39 +847,18 @@ class TestOrderRecovery:
         # under OC4 the order splits as the composite of s = D(s)|t and
         # s = t|R(s)
         checked = 0
-        for n in (1, 2, 3):
-            for s in zoo.enumerate_ehresmann_semigroups(n):
-                for order in enumerate_ehresmann_orders(s):
-                    c = category_of(OrderedSemigroup(s, order))
-                    if not check_OC_property(c, "OC4").holds:
-                        continue
-                    checked += 1
-                    rel = c.order.rel
-                    n_ = c.n
-                    leq_l = [
-                        [
-                            rel[c.dmap[a]][c.dmap[b]]
-                            and restriction(c, c.dmap[a], b) == a
-                            for b in range(n_)
-                        ]
-                        for a in range(n_)
-                    ]
-                    leq_r = [
-                        [
-                            rel[c.rmap[a]][c.rmap[b]]
-                            and corestriction(c, b, c.rmap[a]) == a
-                            for b in range(n_)
-                        ]
-                        for a in range(n_)
-                    ]
-                    composite = [
-                        [
-                            any(leq_l[a][u] and leq_r[u][b] for u in range(n_))
-                            for b in range(n_)
-                        ]
-                        for a in range(n_)
-                    ]
-                    assert tuple(tuple(r) for r in composite) == rel
+        for osg in subjects.ordered(3):
+            c = category_of(osg)
+            if not check_OC_property(c, "OC4").holds:
+                continue
+            checked += 1
+            rel, n = c.order.rel, c.n
+            leq_l = [[rel[c.dmap[a]][c.dmap[b]] and restriction(c, c.dmap[a], b) == a for b in range(n)]
+                     for a in range(n)]
+            leq_r = [[rel[c.rmap[a]][c.rmap[b]] and corestriction(c, b, c.rmap[a]) == a for b in range(n)]
+                     for a in range(n)]
+            assert tuple(tuple(any(leq_l[a][u] and leq_r[u][b] for u in range(n)) for b in range(n))
+                         for a in range(n)) == rel
         assert checked > 0
 
 

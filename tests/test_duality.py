@@ -10,6 +10,7 @@ import itertools
 
 import formulas
 import pytest
+import subjects
 
 from ehresmann import (
     Biaction,
@@ -17,19 +18,14 @@ from ehresmann import (
     FiniteCategory,
     FiniteOrderedCategory,
     OrderedSemigroup,
-    PartialOrder,
-    StructureError,
     WorkbenchError,
     category_of,
     check_OC_property,
     check_OS_property,
     check_left_restriction_with_range,
-    check_omega_structured,
     check_right_restriction_with_domain,
     corestriction,
     derive_biaction,
-    enumerate_ehresmann_orders,
-    partial_product_category,
     restriction,
     verify_biaction,
     zoo,
@@ -52,58 +48,12 @@ def dual_biaction(b: Biaction) -> Biaction:
     return Biaction(tuple(zip(*b.right)), tuple(zip(*b.left)))
 
 
-def labelled_posets(n: int) -> list[PartialOrder]:
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    posets = []
-    for chosen in itertools.product((False, True), repeat=len(pairs)):
-        rel = [[a == b for b in range(n)] for a in range(n)]
-        for (a, b), on in zip(pairs, chosen):
-            rel[a][b] = on
-        try:
-            posets.append(PartialOrder(n, rel))
-        except StructureError:
-            pass
-    return posets
-
-
-def ordered_subjects() -> list[OrderedSemigroup]:
-    """Every n <= 3 Ehresmann semigroup under each Ehresmann order, then the zoo's orders."""
-    subjects = [
-        OrderedSemigroup(s, order)
-        for n in (1, 2, 3)
-        for s in zoo.enumerate_ehresmann_semigroups(n)
-        for order in enumerate_ehresmann_orders(s)
-    ]
-    for name in zoo.SWEEP_NAMES:
-        entry = zoo.get(name)
-        subjects += [entry.ordered(oname) for oname in entry.order_names()]
-    return subjects
-
-
-def omega_structured_categories() -> list[FiniteOrderedCategory]:
-    """Each n <= 3 partial-product category under every labelled poset passing OC2/OC3."""
-    cats = []
-    for n in (1, 2, 3):
-        posets = labelled_posets(n)
-        for s in zoo.enumerate_ehresmann_semigroups(n):
-            c0 = partial_product_category(s)
-            for order in posets:
-                c = FiniteOrderedCategory(c0, order)
-                if check_omega_structured(c).holds:
-                    cats.append(c)
-    return cats
-
-
-SUBJECTS = ordered_subjects()
-CATEGORIES = omega_structured_categories()
-
-
 def verdict(rep):
     return rep.holds, rep.witness, rep.applicable
 
 
 def test_subject_counts():
-    assert (len(SUBJECTS), len(CATEGORIES)) == (204, 723)
+    assert (len(subjects.ordered(3, 16)), len(subjects.omega_structured(3))) == (204, 406)
 
 
 @pytest.mark.parametrize(
@@ -119,7 +69,7 @@ def test_subject_counts():
 )
 def test_semigroup_right_law_is_left_law_on_dual(right, left):
     seen = set()
-    for os in SUBJECTS:
+    for os in subjects.ordered(3, 16):
         dual = OrderedSemigroup(dual_semigroup(os.base), os.order)
         on_s = right(os)
         assert verdict(on_s) == verdict(left(dual))
@@ -137,7 +87,7 @@ def test_every_right_handed_formula_is_the_dual_of_its_left_twin():
 
 
 def test_category_of_dual_is_dual_category():
-    for os in SUBJECTS:
+    for os in subjects.ordered(3, 16):
         dual = OrderedSemigroup(dual_semigroup(os.base), os.order)
         assert category_of(dual) == dual_category(category_of(os))
 
@@ -145,7 +95,7 @@ def test_category_of_dual_is_dual_category():
 @pytest.mark.parametrize("half", ["OC4", "OC6", "OC8"])
 def test_category_b_half_is_a_half_on_dual(half):
     seen = set()
-    for c in CATEGORIES:
+    for c in subjects.omega_structured(3):
         on_c = check_OC_property(c, half + "B")
         on_dual = check_OC_property(dual_category(c), half + "A")
         assert verdict(on_c) == verdict(on_dual)
@@ -162,7 +112,7 @@ def outcome(fn, *args):
 
 def test_corestriction_is_restriction_on_dual():
     seen = set()
-    for c in CATEGORIES:
+    for c in subjects.omega_structured(3):
         dual = dual_category(c)
         for x, e in itertools.product(range(c.n), repeat=2):
             got = outcome(corestriction, c, x, e)
@@ -172,7 +122,7 @@ def test_corestriction_is_restriction_on_dual():
 
 
 def test_biaction_on_dual_is_the_mirrored_biaction():
-    for os in SUBJECTS:
+    for os in subjects.ordered(3, 16):
         c = category_of(os)
         b = derive_biaction(c)
         dual = dual_category(c)

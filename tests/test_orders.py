@@ -5,6 +5,7 @@ import itertools
 import formulas
 import pytest
 import scan_oracle
+import subjects
 
 from ehresmann import (
     FiniteBiunarySemigroup,
@@ -212,12 +213,9 @@ class TestOSProperties:
             assert check_OS_property(monoid_entry().ordered("leq1"), spelling).law == "OS4"
 
     def test_witnesses_self_certify_across_the_sweep(self):
-        for n in (1, 2, 3):
-            for s in zoo.enumerate_ehresmann_semigroups(n):
-                for order in enumerate_ehresmann_orders(s):
-                    osg = OrderedSemigroup(s, order)
-                    for prop in ("OS4", "OS7"):
-                        formulas.replay(check_OS_property(osg, prop), osg)
+        for osg in subjects.ordered(3):
+            for prop in ("OS4", "OS7"):
+                formulas.replay(check_OS_property(osg, prop), osg)
 
 
 class TestSemilatticeAgreement:
@@ -230,10 +228,8 @@ class TestSemilatticeAgreement:
         assert semilattice_order_agreement(entry.ordered()).holds
 
     def test_small_sweep(self):
-        for n in (1, 2, 3):
-            for s in zoo.enumerate_ehresmann_semigroups(n):
-                for order in enumerate_ehresmann_orders(s):
-                    assert semilattice_order_agreement(OrderedSemigroup(s, order)).holds
+        for osg in subjects.ordered(3):
+            assert semilattice_order_agreement(osg).holds
 
 
 class TestLeqEContainment:
@@ -284,9 +280,8 @@ class TestDeBarros:
         assert is_de_barros(zoo.gen_pt(2).structure).holds
 
     def test_verdict_always_agrees_with_equation_on_sweep(self):
-        for n in (1, 2, 3):
-            for s in zoo.enumerate_ehresmann_semigroups(n):
-                assert is_de_barros(s).holds == check_de_barros_equational(s).holds
+        for s in subjects.structures(3):
+            assert is_de_barros(s).holds == check_de_barros_equational(s).holds
 
 
 class TestN5_0213:
@@ -334,17 +329,13 @@ class TestEnumerateOrders:
         assert found[0].rel == PartialOrder.equality(1).rel
 
     def test_matches_oracle_on_full_small_sweep(self):
-        for n in (1, 2, 3):
-            for s in zoo.enumerate_ehresmann_semigroups(n):
-                mine = sorted(o.rel for o in enumerate_ehresmann_orders(s))
-                assert mine == oracle_ehresmann_orders(s)
+        for s in subjects.structures(3):
+            mine = sorted(o.rel for o in enumerate_ehresmann_orders(s))
+            assert mine == oracle_ehresmann_orders(s)
 
     def test_every_enumerated_order_contains_leq_e(self):
-        for n in (1, 2, 3):
-            for s in zoo.enumerate_ehresmann_semigroups(n):
-                leq_e = derive_orders(s).leq_e
-                for order in enumerate_ehresmann_orders(s):
-                    assert order.contains(leq_e)
+        for osg in subjects.ordered(3):
+            assert osg.order.contains(derive_orders(osg.base).leq_e)
 
     def test_precondition_enforced(self):
         left_zero = FiniteBiunarySemigroup(2, ((0, 0), (1, 1)), (0, 1), (0, 1))
@@ -360,10 +351,9 @@ class TestSmallestOrder:
         assert smallest_order_check(ONE).holds
 
     def test_all_de_barros_in_sweep(self):
-        for n in (1, 2, 3):
-            for s in zoo.enumerate_ehresmann_semigroups(n):
-                if is_de_barros(s).holds:
-                    assert smallest_order_check(s).holds
+        for s in subjects.structures(3):
+            if is_de_barros(s).holds:
+                assert smallest_order_check(s).holds
 
     def test_not_applicable_outside_de_barros(self):
         rep = smallest_order_check(zoo.example_orderless_band().structure)
@@ -417,12 +407,7 @@ class TestOrderedHom:
             (monoid_entry().structure, zoo.gen_pt(1).structure),
             (zoo.gen_pt(1).structure, zoo.gen_pt(2).structure),
         ]
-        small_db = [
-            s
-            for n in (1, 2)
-            for s in zoo.enumerate_ehresmann_semigroups(n)
-            if is_de_barros(s).holds
-        ]
+        small_db = [s for s in subjects.structures(2) if is_de_barros(s).holds]
         pairs += [(a, b) for a in small_db for b in small_db]
         for src, tgt in pairs:
             src_o = OrderedSemigroup(src, derive_orders(src).leq_e)

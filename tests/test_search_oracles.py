@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import formulas
 import scan_oracle
-from test_duality import labelled_posets
+import subjects
 
 from ehresmann import (
     Biaction,
@@ -70,13 +70,6 @@ def rescanned(n):
     return list(rescan_tables(n))
 
 
-def relabelled(table, perm):
-    """The table with x renamed perm[x], read cell by cell through the inverse."""
-    n = len(perm)
-    inv = [perm.index(x) for x in range(n)]
-    return tuple(tuple(perm[table[inv[x]][inv[y]]] for y in range(n)) for x in range(n))
-
-
 @pytest.mark.parametrize("n, count", [(1, 1), (2, 8), (3, 113), (4, 3492)])
 def test_labelled_stream_matches_the_full_rescan(n, count):
     # counts are OEIS A023814, associative tables on n labelled elements; the
@@ -120,7 +113,7 @@ def test_dr_search_runs_once_per_orbit_leader(monkeypatch, up_to_iso):
 def test_lex_least_tables_are_the_rescan_orbit_leaders(n, count):
     # counts are OEIS A027851, semigroups of order n up to isomorphism
     perms = list(itertools.permutations(range(n)))
-    leaders = [t for t in rescanned(n) if all(relabelled(t, p) >= t for p in perms)]
+    leaders = [t for t in rescanned(n) if all(subjects.relabelled(p, t)[0] >= t for p in perms)]
     assert len(leaders) == count
     assert list(zoo._lex_least_tables(n)) == leaders
 
@@ -130,7 +123,7 @@ def test_leaders_carry_their_automorphisms(n):
     # the relabellings still tied at a leaf are its automorphisms, the identity left out
     perms = list(itertools.permutations(range(n)))
     for t, automorphisms in zoo._tables_with_automorphisms(n):
-        assert automorphisms == [p for p in perms[1:] if relabelled(t, p) == t]
+        assert automorphisms == [p for p in perms[1:] if subjects.relabelled(p, t)[0] == t]
 
 
 def recursive_orders(s):
@@ -191,14 +184,6 @@ def recursive_orders(s):
     return sorted(out)
 
 
-def order_subjects():
-    """Every Ehresmann semigroup of size at most 4, then the sweep's zoo entries."""
-    for n in range(1, 5):
-        yield from zoo.enumerate_ehresmann_semigroups(n, allow_large=True)
-    for name in zoo.SWEEP_NAMES:
-        yield zoo.get(name).structure
-
-
 def pairs_outside_the_root(s, mats):
     """How many strict pairs of the orders ``mats`` the order search's root
     closure lacks; each must have its D and R images ordered in the root, as
@@ -216,7 +201,7 @@ def pairs_outside_the_root(s, mats):
 
 def test_order_search_matches_the_recursive_search():
     total = outside = 0
-    for s in order_subjects():
+    for s in subjects.structures(4, 16):
         found = [order.rel for order in enumerate_ehresmann_orders(s)]
         assert found == recursive_orders(s)
         outside += pairs_outside_the_root(s, found)
@@ -262,10 +247,8 @@ def orders_up_to_automorphism(s):
 
 
 def test_orders_up_to_iso_match_the_image_orders():
-    subjects = [s for n in (1, 2, 3) for s in zoo.enumerate_ehresmann_semigroups(n)]
-    subjects += [zoo.get(name).structure for name in zoo.SWEEP_NAMES]
     reduced = 0
-    for s in subjects:
+    for s in subjects.structures(3, 16):
         found = enumerate_ehresmann_orders(s, up_to_iso=True)
         assert found == orders_up_to_automorphism(s)
         reduced += len(found) < len(enumerate_ehresmann_orders(s))
@@ -294,12 +277,11 @@ def assert_os3_agrees(mul, order, sides):
 def test_os3_fast_path_matches_the_formula_on_random_orders():
     rng = random.Random(6)
     sides = set()
-    for n in range(1, 5):
-        for s in zoo.enumerate_ehresmann_semigroups(n, allow_large=True):
-            for _ in range(3):
-                order = random_order(rng, n)
-                if order is not None:
-                    assert_os3_agrees(s.mul, order, sides)
+    for s in subjects.structures(4):
+        for _ in range(3):
+            order = random_order(rng, s.n)
+            if order is not None:
+                assert_os3_agrees(s.mul, order, sides)
     assert sides == {True, False}
 
 
@@ -316,16 +298,16 @@ def assert_masks_match_rel(order):
 def test_order_masks_match_rel_on_every_small_poset_and_zoo_order():
     """Every labelled poset on at most 4 points (1, 3, 19, 219) and every zoo order
     through pt-3, the derived orders included."""
-    posets = [order for n in range(1, 5) for order in labelled_posets(n)]
+    posets = [order for n in range(1, 5) for order in subjects.posets(n)]
     assert len(posets) == 242
-    posets += [order for _, orders_of_s in zoo_orders() for order in orders_of_s]
+    posets += [order for _, orders_of_s in subjects.zoo_orders(64) for order in orders_of_s]
     for order in posets:
         assert_masks_match_rel(order)
     assert any(len(row) > 1 for order in posets for row in order.covers)
 
 
 def test_reading_the_lazy_masks_keeps_equal_orders_equal():
-    for order in labelled_posets(3):
+    for order in subjects.posets(3):
         twin = PartialOrder(order.n, order.rel)
         assert twin == order and hash(twin) == hash(order)
         twin.down, twin.covers
@@ -333,18 +315,9 @@ def test_reading_the_lazy_masks_keeps_equal_orders_equal():
         assert order == twin and {order, twin} == {order}
 
 
-def zoo_orders():
-    for name in zoo.SWEEP_NAMES + ("orderless-band", "pt-3"):
-        entry = zoo.get(name)
-        derived = derive_orders(entry.structure)
-        orders = [order for _, order in entry.orders]
-        orders += [derived.leq_l, derived.leq_r, derived.leq_e]
-        yield entry.structure, orders
-
-
 def test_os3_fast_path_matches_the_formula_on_the_zoo():
     sides = set()
-    for s, orders in zoo_orders():
+    for s, orders in subjects.zoo_orders(64):
         for order in orders:
             assert_os3_agrees(s.mul, order, sides)
     assert sides == {True, False}  # orderless-band is not de Barros: its e-order fails OS3
@@ -353,9 +326,7 @@ def test_os3_fast_path_matches_the_formula_on_the_zoo():
 def test_os3_fast_path_matches_the_formula_on_single_entry_mutations():
     rng = random.Random(7)
     sides = set()
-    for s, orders in zoo_orders():
-        if s.n > 16:
-            continue
+    for s, orders in subjects.zoo_orders(16):
         for _ in range(200):
             mul = [list(row) for row in s.mul]
             a, b = rng.randrange(s.n), rng.randrange(s.n)
@@ -388,9 +359,9 @@ def test_partial_order_check_matches_the_scan_on_every_small_matrix():
 def test_partial_order_check_matches_the_scan_on_single_entry_flips():
     rng = random.Random(8)
     kinds = set()
-    subjects = [order for _, orders in zoo_orders() for order in orders]
-    subjects += filter(None, (random_order(rng, n) for n in range(4, 9) for _ in range(20)))
-    for order in subjects:
+    orders = [order for _, orders_of_s in subjects.zoo_orders(64) for order in orders_of_s]
+    orders += filter(None, (random_order(rng, n) for n in range(4, 9) for _ in range(20)))
+    for order in orders:
         n = order.n
         assert_order_check_agrees(n, order.rel, kinds)
         for _ in range(10):
@@ -428,9 +399,9 @@ def test_order_closure_matches_the_scan_on_the_zoo():
     """Each zoo order from its strict pairs and from its covers, and its covers
     with one reversed, which closes to a cycle."""
     sides = set()
-    subjects = [order for _, orders in zoo_orders() for order in orders]
-    subjects += [order for _, order in zoo.get("rel-3").orders]
-    for order in subjects:
+    orders = [order for _, orders_of_s in subjects.zoo_orders(64) for order in orders_of_s]
+    orders += [order for _, order in zoo.get("rel-3").orders]
+    for order in orders:
         n, rel = order.n, order.rel
         up = [sum(1 << b for b in range(n) if rel[a][b]) for a in range(n)]
         down = [sum(1 << a for a in range(n) if rel[a][b]) for b in range(n)]
@@ -533,21 +504,13 @@ def one_sided(sides):
     return {name for name, _ in sides if not (sides[name, True] and sides[name, False])}
 
 
-def leaders_of_size_4():
-    return list(zoo.enumerate_ehresmann_semigroups(4, up_to_iso=True, allow_large=True))
-
-
-def labelled_up_to_3():
-    return [s for n in (1, 2, 3) for s in zoo.enumerate_ehresmann_semigroups(n)]
-
-
-def assert_laws_agree_under_orders(subjects):
-    """Every formula law on each (structure, orders) of ``subjects``: the ordered
+def assert_laws_agree_under_orders(pairs):
+    """Every formula law on each (structure, orders) of ``pairs``: the ordered
     and category laws under each distinct order, among them both derived orders
     <=_l and <=_r, and the two-order law under <=_l and <=_r and under each
     other order on both sides."""
     sides = collections.Counter()
-    for s, orders_of_s in subjects:
+    for s, orders_of_s in pairs:
         assert_semigroup_laws_agree(s, sides)
         c0 = category_or_none(s)
         derived = derive_orders(s)
@@ -560,12 +523,9 @@ def assert_laws_agree_under_orders(subjects):
 def test_formulas_match_the_deciders_on_every_class_of_size_at_most_4():
     """Every Ehresmann semigroup of size at most 3, every 17th of size 4 and each
     class leader of size 4, under each Ehresmann order and each derived order."""
-    small = labelled_up_to_3() + list(zoo.enumerate_ehresmann_semigroups(4, allow_large=True))[::17]
-    subjects = []
-    for s in {s.key(): s for s in small + leaders_of_size_4()}.values():
-        derived = derive_orders(s)
-        subjects.append((s, [*enumerate_ehresmann_orders(s), derived.leq_l, derived.leq_r, derived.leq_e]))
-    sides = assert_laws_agree_under_orders(subjects)
+    small = (*subjects.structures(3), *subjects.labelled(4)[::17], *subjects.leaders(4))
+    sides = assert_laws_agree_under_orders((s, subjects.with_derived(s, enumerate_ehresmann_orders(s)))
+                                           for s in {s.key(): s for s in small}.values())
     # these tables are associative, de Barros and Ehresmann, and every order
     # gives an omega-structured category; random orders, mutations and the zoo
     # reach the failing sides
@@ -577,7 +537,7 @@ def test_formulas_match_the_deciders_on_every_class_of_size_at_most_4():
 
 def test_formulas_match_the_deciders_on_the_zoo():
     """Each zoo entry below rel-3 under each of its orders and each derived order."""
-    sides = assert_laws_agree_under_orders(zoo_orders())
+    sides = assert_laws_agree_under_orders(subjects.zoo_orders(64))
     assert "OC3 bitmask test" not in one_sided(sides)
 
 
@@ -586,7 +546,7 @@ def test_formulas_match_the_deciders_on_random_orders():
     elements and each class leader of size 4 under four pairs of random orders."""
     rng = random.Random(11)
     sides = collections.Counter()
-    for s in labelled_up_to_3() + [s for s, _ in zoo_orders() if s.n <= 16] + leaders_of_size_4():
+    for s in (*subjects.structures(3, 16), *(s for s in subjects.leaders(4) if s.n == 4)):
         c0 = category_or_none(s)
         for order, other in [(random_order(rng, s.n), random_order(rng, s.n)) for _ in range(4)]:
             if order is not None and other is not None:
@@ -600,9 +560,8 @@ def test_formulas_match_the_deciders_on_single_entry_mutations():
     below pt-3, each (structure, order) drawn again compared once: 927 of 1,468."""
     rng = random.Random(12)
     sides, drawn = collections.Counter(), set()
-    subjects = [(s, [derive_orders(s).leq_e]) for n in (2, 3) for s in zoo.enumerate_ehresmann_semigroups(n)]
-    subjects += [(s, orders_of_s) for s, orders_of_s in zoo_orders() if s.n <= 16]
-    for s, orders_of_s in subjects:
+    pairs = [(s, [derive_orders(s).leq_e]) for s in subjects.structures(3) if s.n > 1]
+    for s, orders_of_s in pairs + subjects.zoo_orders(16):
         for _ in range(12 if s.n <= 3 else 100):
             mul = [list(row) for row in s.mul]
             a, b = rng.randrange(s.n), rng.randrange(s.n)
@@ -626,10 +585,8 @@ def test_all_epi_witness_matches_the_triple_scan():
     # every structure of size at most 4 under each Ehresmann order, then the
     # zoo below rel-3 under each of its orders
     sides = set()
-    subjects = [osg for s in order_subjects() for osg in orders._ehresmann_orders(s, Evaluation())]
-    subjects += [entry.ordered(name) for entry in map(zoo.get, zoo.names()) if entry.name != "rel-3"
-                 for name in entry.order_names()]
-    for osg in subjects:
+    searched = [osg for e in subjects.zoo_entries(16) for osg in orders._ehresmann_orders(e.structure, Evaluation())]
+    for osg in (*subjects.ordered(4, 64), *searched):
         c = category_of(osg)
         w = category._all_epi_witness(c)
         assert w == scan_oracle.all_epi_witness(c)
@@ -637,44 +594,10 @@ def test_all_epi_witness_matches_the_triple_scan():
     assert sides == {True, False}
 
 
-def small_categories(n):
-    """Every category on the arrows 0..n-1: D and R onto the identities, then each
-    choice of composites in the right hom-sets that ``FiniteCategory`` accepts."""
-    for dmap in itertools.product(range(n), repeat=n):
-        ids = {x for x in range(n) if dmap[x] == x}
-        if not ids.issuperset(dmap):
-            continue
-        for rmap in itertools.product(sorted(ids), repeat=n):
-            if any(rmap[e] != e for e in ids):
-                continue
-            pairs = [(x, y) for x in range(n) for y in range(n) if rmap[x] == dmap[y]]
-            homs = [[z for z in range(n) if dmap[z] == dmap[x] and rmap[z] == rmap[y]] for x, y in pairs]
-            for values in itertools.product(*homs):
-                comp = [[None] * n for _ in range(n)]
-                for (x, y), v in zip(pairs, values):
-                    comp[x][y] = v
-                try:
-                    yield FiniteCategory(n, dmap, rmap, comp)
-                except StructureError:
-                    pass
-
-
-def every_small_ordered_category():
-    """Every labelled category on 1, 2 and 3 arrows under every partial order;
-    the (categories, posets) count of each size is checked once all are made."""
-    counts = []
-    for n in (1, 2, 3):
-        cats, orders_on_n = list(small_categories(n)), labelled_posets(n)
-        counts.append((len(cats), len(orders_on_n)))
-        for c0 in cats:
-            for order in orders_on_n:
-                yield FiniteOrderedCategory(c0, order)
-    assert counts == [(1, 1), (5, 3), (52, 19)]
-
-
 def test_oc_laws_match_the_formulas_on_every_small_category():
     sides, verdicts = collections.Counter(), collections.Counter()
-    for c in every_small_ordered_category():
+    assert [(len(subjects.categories(n)), len(subjects.posets(n))) for n in (1, 2, 3)] == [(1, 1), (5, 3), (52, 19)]
+    for c in subjects.ordered_categories(3):
         assert_maxima_agree(c)
         formulas.compare_all(c, "category", sides)
         # OC7 and OC7' read their witnesses from one pass built in the evaluation
@@ -685,6 +608,33 @@ def test_oc_laws_match_the_formulas_on_every_small_category():
     assert one_sided(sides) == set()
     # OC7 implies OC7'; the other three verdict pairs all occur
     assert verdicts == {(True, True): 645, (False, True): 269, (False, False): 90}
+
+
+def test_labelled_categories_number_1_5_52_973():
+    assert [len(set(subjects.categories(n))) for n in (1, 2, 3, 4)] == [1, 5, 52, 973]
+
+
+# One of the 96 triples (C, <=_l, <=_r) on 4 arrows where restriction-monotone
+# is the first clause of the two-order law to fail. Both monotone clauses fail
+# there, and the restriction clause read under <=_l holds, so that reading gives
+# another report. C is two groups of order 2, on the identities 0 and 2 with 1
+# and 3 their other arrows: commutative with D = R, it is its own dual, and the
+# dual triple swaps the orders.
+Z2_PAIR = FiniteCategory(4, (0, 0, 2, 2), (0, 0, 2, 2),
+                         ((0, 1, None, None), (1, 0, None, None), (None, None, 2, 3), (None, None, 3, 2)))
+
+
+@pytest.mark.parametrize("left, right, witness", [
+    (((2, 0), (3, 1)), ((2, 0), (2, 1)), (2, 1, 2)),
+    (((2, 0), (2, 1)), ((2, 0), (3, 1)), (3, 1, 2)),
+], ids=["triple", "dual"])
+def test_two_order_law_fails_at_the_monotone_clauses_on_4_arrows(left, right, witness):
+    assert FiniteCategory(4, Z2_PAIR.rmap, Z2_PAIR.dmap, tuple(zip(*Z2_PAIR.comp))) == Z2_PAIR
+    leq_l, leq_r = (PartialOrder.from_pairs(4, pairs) for pairs in (left, right))
+    rep = check_ehresmann_category_two_orders(Z2_PAIR, leq_l, leq_r)
+    assert rep == formulas.two_orders(FiniteOrderedCategory(Z2_PAIR, leq_l), leq_r)
+    assert (rep.detail, rep.witness) == ("first failing clause: restriction-monotone", witness)
+    assert [name for name, ok in rep.parts if not ok] == ["restriction-monotone", "corestriction-monotone"]
 
 
 # Light's test and the de Barros rows on their own (small subjects skip them),
@@ -769,10 +719,8 @@ def generated_searches(monkeypatch):
     """(the search on generator rows, the search multiplying by every element) on
     every Ehresmann semigroup of size at most 4, given its greedy set with the
     cutoff lifted, and on the zoo entries above the cutoff."""
-    subjects = [s for n in range(1, 5) for s in zoo.enumerate_ehresmann_semigroups(n, allow_large=True)]
-    subjects += [zoo.get(name).structure for name in GENERATED]
     monkeypatch.setattr(core, "_PRODUCT_SCAN_MAX_N", 1)
-    for s in subjects:
+    for s in (*subjects.structures(4), *(zoo.get(name).structure for name in GENERATED)):
         yield s, _OrderSearch(s, Evaluation()), scan_oracle.AllProductsSearch(s, Evaluation())
 
 
@@ -811,17 +759,17 @@ def test_os3_on_generators_matches_the_formula_above_the_cutoff():
         s = zoo.get(name).structure
         gens = core._generating_set(s, Evaluation())
         leq_e = derive_orders(s).leq_e.pairs()
-        subjects = [(order, None) for _, order in zoo.get(name).orders]
+        drawn = [(order, None) for _, order in zoo.get(name).orders]
         for _ in range(12):
             with contextlib.suppress(StructureError):
                 extra = [(rng.randrange(s.n), rng.randrange(s.n)) for _ in range(rng.randrange(1, 4))]
-                subjects.append((PartialOrder.from_pairs(s.n, leq_e + extra), None))
+                drawn.append((PartialOrder.from_pairs(s.n, leq_e + extra), None))
         for i, g in enumerate(gens):
             for _ in range(20):
                 with contextlib.suppress(StructureError):
                     pair = (rng.randrange(s.n), rng.randrange(s.n))
-                    subjects.append((closed_under(s, leq_e + [pair], gens[:i] + gens[i + 1:]), g))
-        for order, g in subjects:
+                    drawn.append((closed_under(s, leq_e + [pair], gens[:i] + gens[i + 1:]), g))
+        for order, g in drawn:
             w = os3_witness(s.mul, order)
             assert _os3_total_witness(s.n, s.mul, order.rel, gens) == w, name
             sides.add(w is None)
@@ -838,12 +786,12 @@ def test_localisable_on_generators_matches_the_formula_above_the_cutoff():
     sides = collections.defaultdict(set)
     for name in GENERATED:
         s = zoo.get(name).structure
-        subjects = [s]
+        tables = [s]
         for _ in range(60):
             maps = [list(s.dmap), list(s.rmap)]
             maps[rng.randrange(2)][rng.randrange(s.n)] = rng.randrange(s.n)
-            subjects.append(FiniteBiunarySemigroup(s.n, s.mul, *maps))
-        for t in subjects:
+            tables.append(FiniteBiunarySemigroup(s.n, s.mul, *maps))
+        for t in tables:
             rep = core._localisable(t, Evaluation())
             assert rep == formulas.report("localisable", t), name
             for part, holds in rep.parts:
@@ -853,11 +801,8 @@ def test_localisable_on_generators_matches_the_formula_above_the_cutoff():
 
 def test_os7_matches_the_formula_on_every_order_of_size_at_most_4():
     verdicts = collections.Counter()
-    for n in range(1, 5):
-        for s in zoo.enumerate_ehresmann_semigroups(n, allow_large=True):
-            for order in enumerate_ehresmann_orders(s):
-                rep = formulas.compare("os7", OrderedSemigroup(s, order))
-                verdicts[rep.holds] += 1
+    for osg in subjects.ordered(4):
+        verdicts[formulas.compare("os7", osg).holds] += 1
     assert sum(verdicts.values()) == 10147 and set(verdicts) == {True, False}
 
 
@@ -865,10 +810,9 @@ def test_os7_matches_the_formula_on_n5_0213_and_pins_rel3(n5_0213):
     """The two Ehresmann orders and the three derived orders of n5-0213 (the
     zoo orders are compared in the zoo test), and rel-3 against its known
     least witness, where the formula is slow."""
-    derived = derive_orders(n5_0213)
-    subjects = (*enumerate_ehresmann_orders(n5_0213), derived.leq_l, derived.leq_r, derived.leq_e)
+    five = subjects.with_derived(n5_0213, enumerate_ehresmann_orders(n5_0213))
     # OS7 holds under all five
-    assert all(formulas.compare("os7", OrderedSemigroup(n5_0213, order)).holds for order in subjects)
+    assert all(formulas.compare("os7", OrderedSemigroup(n5_0213, order)).holds for order in five)
     rel3 = OrderedSemigroup(zoo.get("rel-3").structure, zoo.get("rel-3").orders[0][1])
     assert orders._os7(rel3, Evaluation()).witness == (9, 3, 10)
 
@@ -885,12 +829,11 @@ def test_product_sets_match_the_brute_force_on_small_orders_and_the_zoo():
     orders, then the zoo entries below rel-3 under theirs and the derived
     orders; each on its total table and its C(S) composition, under the
     order and under its dual."""
-    subjects = [(s, order) for n in range(1, 5) for s in zoo.enumerate_ehresmann_semigroups(n, allow_large=True)
-                for order in enumerate_ehresmann_orders(s)]
-    assert len(subjects) == 10147
-    subjects += [(s, order) for s, orders_of_s in zoo_orders() for order in orders_of_s]
+    pairs = [(osg.base, osg.order) for osg in subjects.ordered(4)]
+    assert len(pairs) == 10147
+    pairs += [(s, order) for s, orders_of_s in subjects.zoo_orders(64) for order in orders_of_s]
     partial = 0
-    for s, order in subjects:
+    for s, order in pairs:
         comp = tuple(tuple(v if s.rmap[x] == s.dmap[y] else None for y, v in enumerate(row))
                      for x, row in enumerate(s.mul))
         dual = PartialOrder(order.n, tuple(zip(*order.rel)))
@@ -901,18 +844,9 @@ def test_product_sets_match_the_brute_force_on_small_orders_and_the_zoo():
     assert partial > 0
 
 
-def de_barros_subjects(n5_0213):
-    """Every Ehresmann semigroup of size at most 4, n5-0213 and every zoo entry, rel-3 included."""
-    for n in range(1, 5):
-        yield from zoo.enumerate_ehresmann_semigroups(n, allow_large=True)
-    yield n5_0213
-    for name in zoo.names():
-        yield zoo.get(name).structure
-
-
 def test_de_barros_rows_match_the_formula(n5_0213):
     verdicts = collections.Counter()
-    for s in de_barros_subjects(n5_0213):
+    for s in (n5_0213, *subjects.structures(4, 512)):
         rows = core._de_barros_rows_hold(s, projections(s).sorted_members)
         assert rows == formulas.compare("de-barros-equational", s).holds
         verdicts[s.n, rows] += 1
@@ -927,10 +861,7 @@ def test_de_barros_rows_fail_wherever_the_failing_rows_are(n5_0213):
     come before, at and after each point where the rows test its cells."""
     n = n5_0213.n
     for perm in itertools.permutations(range(n)):
-        dmap, rmap = [0] * n, [0] * n
-        for x in range(n):
-            dmap[perm[x]], rmap[perm[x]] = perm[n5_0213.dmap[x]], perm[n5_0213.rmap[x]]
-        s = FiniteBiunarySemigroup(n, relabelled(n5_0213.mul, perm), dmap, rmap)
+        s = FiniteBiunarySemigroup(n, *subjects.relabelled(perm, n5_0213.mul, n5_0213.dmap, n5_0213.rmap))
         assert not core._de_barros_rows_hold(s, projections(s).sorted_members)
         assert not formulas.compare("de-barros-equational", s).holds
 
@@ -940,7 +871,7 @@ def test_mask_composites_match_the_matrix_composites(n5_0213):
     de Barros test, as bitmasks against the matrix; both sides of "equals the
     e-order" occur."""
     sides = set()
-    for s in de_barros_subjects(n5_0213):
+    for s in (n5_0213, *subjects.structures(4, 512)):
         derived = derive_orders(s)
         three = (derived.leq_l, derived.leq_r, derived.leq_e)
         for p, q in itertools.product(three, repeat=2):
@@ -957,9 +888,7 @@ def test_derived_orders_match_the_cell_by_cell_build():
     them, where it must raise the same error."""
     rng = random.Random(22)
     outcomes = collections.Counter()
-    subjects = [s for n in (1, 2, 3) for s in zoo.enumerate_ehresmann_semigroups(n)]
-    subjects += [s for s, _ in zoo_orders()]
-    for s in subjects:
+    for s in subjects.structures(3, 64):
         for trial in range(1 + (40 if s.n <= 16 else 2)):
             mul = [list(row) for row in s.mul]
             if trial:

@@ -4,6 +4,8 @@ criterion passing vacuously."""
 
 import dataclasses
 
+import subjects
+
 from ehresmann import category, orders, sweep, zoo
 from ehresmann.category import (
     FiniteOrderedCategory,
@@ -155,11 +157,8 @@ def test_size_3_records_are_the_labelled_records(monkeypatch):
     decided = count_calls(monkeypatch, sweep, "_record")
     report = run_sweep(3)
     # one record decided per isomorphism class, on its least structure
-    leaders = [s for n in range(1, 4) for s in zoo.enumerate_ehresmann_semigroups(n, up_to_iso=True)]
-    assert [s for s, _ in decided] == leaders and len(leaders) == 19
-    labelled = [
-        (f"n{n}-{i:04d}", s) for n in range(1, 4) for i, s in enumerate(zoo.enumerate_ehresmann_semigroups(n))
-    ]
+    assert [s for s, _ in decided] == list(subjects.leaders(3)) and len(subjects.leaders(3)) == 19
+    labelled = [(f"n{n}-{i:04d}", s) for n in range(1, 4) for i, s in enumerate(subjects.labelled(n))]
     assert report["structure_count"] == len(labelled) == 85
     for item in labelled:
         sid, rec = _enumerated_record(item)
@@ -172,7 +171,7 @@ def test_size_3_records_are_the_labelled_records(monkeypatch):
 
 def test_size_4_class_members_get_their_labelled_records():
     report = run_sweep(4, allow_large=True)["structures"]
-    labelled = list(zoo.enumerate_ehresmann_semigroups(4, allow_large=True))
+    labelled = subjects.labelled(4)
     sid_of = {s.key(): f"n4-{i:04d}" for i, s in enumerate(labelled)}
     assert [sid for sid in report if sid.startswith("n4-")] == list(sid_of.values())
     classes = [set(relabellings) for _, relabellings in zoo._orbits(4)]
@@ -193,16 +192,20 @@ def test_size_4_class_members_get_their_labelled_records():
 def test_orbit_copies_are_the_directly_decided_records(monkeypatch):
     """Every labelled structure of size at most 4 with an automorphism other than
     the identity: each order's record, copied from its Aut(S)-orbit or not, is
-    the record decided on that order in a fresh evaluation."""
+    the record decided on that order in a fresh evaluation, and so is each
+    containment verdict seeded on a copy."""
     decided = count_calls(monkeypatch, sweep, "_ordered_instance_record")
-    structures = [s for n in range(1, 5) for s in zoo.enumerate_ehresmann_semigroups(n, allow_large=True)
-                  if len(automorphisms(s)) > 1]
+    contained = count_decisions(monkeypatch, "leq-e-containment")
+    structures = [s for s in subjects.structures(4) if len(automorphisms(s)) > 1]
     orders_seen = 0
     for s in structures:
-        rec = _record(s, Evaluation())
+        ev = Evaluation()
+        rec = _record(s, ev)
         # the function imported above, which the count does not see
         direct = [_ordered_instance_record(osg, Evaluation()) for osg in _ehresmann_orders(s, Evaluation())]
         assert rec["orders"] == direct
+        for osg in ev.build(_ehresmann_orders, s):
+            assert ev("leq-e-containment", osg) == Evaluation()("leq-e-containment", osg)
         nested = [id(d) for d in (rec, rec["leq_e_partial_laws"], *rec["orders"])]
         assert len(nested) == len(set(nested))
         orders_seen += len(direct)
@@ -210,6 +213,9 @@ def test_orbit_copies_are_the_directly_decided_records(monkeypatch):
     # their 36 orders and 960 of their 2,344 are copies
     assert len(structures) == 12 + 316
     assert (orders_seen, orders_seen - len(decided)) == (36 + 2344, 12 + 960)
+    # once in the record of each orbit's first order, once in each direct record
+    # and once more on each order in a fresh evaluation: the copies are seeded
+    assert len(contained) == len(decided) + 2 * orders_seen
 
 
 def test_a_criterion_no_record_exercises_fails():

@@ -11,9 +11,9 @@ import dataclasses
 
 import formulas
 import pytest
-from test_duality import labelled_posets
+import subjects
 
-from ehresmann import category, zoo
+from ehresmann import category
 from ehresmann.category import (
     Biaction,
     FiniteCategory,
@@ -24,7 +24,7 @@ from ehresmann.category import (
     check_ehresmann_category_two_orders,
 )
 from ehresmann.core import Evaluation, FiniteBiunarySemigroup, InternalInconsistency, StructureError
-from ehresmann.orders import OrderedSemigroup, PartialOrder, _derived_orders, _ehresmann_orders, derive_orders
+from ehresmann.orders import OrderedSemigroup, PartialOrder, _derived_orders, derive_orders
 
 # the fields compared on each kind; ``base`` and ``order`` are compared in turn
 FIELDS = {
@@ -69,37 +69,16 @@ def public_category(s):
     return FiniteCategory(s.n, list(s.dmap), list(s.rmap), comp, s.names)
 
 
-def small_structures():
-    """Every Ehresmann semigroup of size at most 4, labelled."""
-    for n in range(1, 5):
-        yield from zoo.enumerate_ehresmann_semigroups(n, allow_large=True)
-
-
-def zoo_entries():
-    """Every zoo entry below rel-3."""
-    return [zoo.get(name) for name in zoo.names() if name != "rel-3"]
-
-
-def ordered_subjects():
-    """Every Ehresmann semigroup of size at most 4 under each of its Ehresmann
-    orders, then every zoo entry below rel-3 under each of its orders."""
-    for s in small_structures():
-        yield from _ehresmann_orders(s, Evaluation())
-    for entry in zoo_entries():
-        for name in entry.order_names():
-            yield entry.ordered(name)
-
-
 def test_labelled_structures_are_the_constructors():
-    for s in small_structures():
+    for s in subjects.structures(4):
         assert_same(s, public_semigroup(s))
 
 
 def test_closed_pairs_are_the_constructors():
     # every poset on at most 4 points and every zoo order, from its covers,
     # so that the closure adds the rest
-    orders = [order for n in range(5) for order in labelled_posets(n)]
-    orders += [order for entry in zoo_entries() for _, order in entry.orders]
+    orders = [order for n in range(5) for order in subjects.posets(n)]
+    orders += [order for entry in subjects.zoo_entries(64) for _, order in entry.orders]
     assert len(orders) == 243 + 10
     for order in orders:
         covers = [(c, a) for a in range(order.n) for c in order.covers[a]]
@@ -108,13 +87,12 @@ def test_closed_pairs_are_the_constructors():
 
 def test_derived_orders_are_the_validated_orders():
     # once ehresmann holds the evaluation's orders skip the checks derive_orders makes
-    subjects = [*small_structures(), *(entry.structure for entry in zoo_entries())]
-    for s in subjects:
+    for s in subjects.structures(4, 64):
         built, public = _derived_orders(s, Evaluation()), derive_orders(s)
         assert repr(built) == repr(public)
         for name in ("leq_l", "leq_r", "leq_e"):
             assert_same(getattr(built, name), getattr(public, name))
-    assert len(subjects) == 1 + 6 + 78 + 1708 + 10
+    assert len(subjects.structures(4, 64)) == 1 + 6 + 78 + 1708 + 10
 
 
 # two tables that are not Ehresmann, each with the message derive_orders gives it
@@ -138,8 +116,7 @@ def test_derived_orders_of_a_non_ehresmann_table_raise_as_derive_orders(table, m
 
 def test_orders_categories_biactions_and_pseudoproducts_are_the_constructors():
     # the searched orders come first, each on a labelled structure
-    count = 0
-    for osg in ordered_subjects():
+    for osg in subjects.ordered(4, 64):
         ev = Evaluation()
         s = osg.base
         order = public_order(osg.order)
@@ -153,22 +130,19 @@ def test_orders_categories_biactions_and_pseudoproducts_are_the_constructors():
         back = _semigroup_of(c, ev)
         assert_same(back, OrderedSemigroup(public_semigroup(back.base), public.order))
         assert back == osg
-        count += 1
-    assert count > 1708
+    assert len(subjects.ordered(4, 64)) > 1708
 
 
 def test_seeded_omega_structured_is_the_decided_report():
     # C(S) records omega-structured as holding once ehresmann-order holds; a
     # fresh evaluation decides it as the OC2 and OC3 formulas do
-    count = 0
-    for osg in ordered_subjects():
+    for osg in subjects.ordered(4, 64):
         ev = Evaluation()
         c = _category_of(osg, ev)
         subject, seeded = ev.verdicts[("omega-structured", id(c))]
         assert subject is c and ev("omega-structured", c) is seeded
         assert seeded == formulas.report("omega-structured", c)
-        count += 1
-    assert count > 1708
+    assert len(subjects.ordered(4, 64)) > 1708
 
 
 def test_two_order_categories_are_the_constructors(monkeypatch):
@@ -180,8 +154,7 @@ def test_two_order_categories_are_the_constructors(monkeypatch):
         return two_orders(c_l, c_r, ev)
 
     monkeypatch.setattr(category, "_two_orders", recorded)
-    subjects = [*small_structures(), *(entry.structure for entry in zoo_entries())]
-    for s in subjects:
+    for s in subjects.structures(4, 64):
         rep = Evaluation()("ehresmann-category-two-orders", s)
         c0, d = public_category(s), derive_orders(s)
         assert rep == check_ehresmann_category_two_orders(c0, d.leq_l, d.leq_r)

@@ -7,8 +7,10 @@ import threading
 
 import formulas
 import pytest
+import subjects
 
 from ehresmann import (
+    FiniteBiunarySemigroup,
     StructureError,
     TooLargeError,
     check_ehresmann,
@@ -24,14 +26,6 @@ from ehresmann import (
 from ehresmann import zoo
 from ehresmann.fileformat import resolve
 from ehresmann.orders import OrderedSemigroup
-
-
-def relabelled_key(s, perm):
-    """The key of ``s`` with x renamed perm[x], each entry read through the inverse."""
-    n = s.n
-    inv = [perm.index(x) for x in range(n)]
-    mul = [perm[s.mul[inv[x]][inv[y]]] for x in range(n) for y in range(n)]
-    return (n, *mul, *(perm[s.dmap[i]] for i in inv), *(perm[s.rmap[i]] for i in inv))
 
 
 class TestTwoElementMonoid:
@@ -328,9 +322,8 @@ class TestEnumeration:
         )
 
     def test_every_emitted_structure_is_ehresmann(self):
-        for n in (1, 2, 3):
-            for s in enumerate_ehresmann_semigroups(n):
-                assert check_ehresmann(s).holds
+        for s in subjects.structures(3):
+            assert check_ehresmann(s).holds
 
     def test_no_duplicates_and_stable_order(self):
         for n in (1, 2, 3):
@@ -347,18 +340,18 @@ class TestEnumeration:
             seen = set()
             orbits = 0
             for s in labeled:
-                if s.key() in seen:
+                if (s.mul, s.dmap, s.rmap) in seen:
                     continue
                 orbits += 1
                 for perm in itertools.permutations(range(n)):
-                    seen.add(relabelled_key(s, perm))
+                    seen.add(subjects.relabelled(perm, s.mul, s.dmap, s.rmap))
             assert len(reps) == orbits == classes
             # a representative is least under every relabelling, not just the automorphisms
             assert reps == [
                 s.key()
                 for s in labeled
                 if all(
-                    relabelled_key(s, perm) >= s.key()
+                    subjects.relabelled(perm, s.mul, s.dmap, s.rmap) >= (s.mul, s.dmap, s.rmap)
                     for perm in itertools.permutations(range(n))
                 )
             ]
@@ -371,7 +364,7 @@ class TestEnumeration:
                 s
                 for t in zoo._lex_least_tables(n)
                 for s in zoo._structures_for_table(n, t)
-                if all(relabelled_key(s, p) >= s.key() for p in perms)
+                if all(subjects.relabelled(p, s.mul, s.dmap, s.rmap) >= (s.mul, s.dmap, s.rmap) for p in perms)
             ]
             assert list(enumerate_ehresmann_semigroups(n, True, allow_large=True)) == least
             assert [s for s, _ in zoo._orbits(n)] == least
@@ -414,7 +407,9 @@ class TestEnumeration:
             perms = list(itertools.permutations(range(n)))
             for s, relabellings in zoo._orbits(n):
                 # each member's key maps to the first permutation that gives it
-                assert relabellings == {relabelled_key(s, p): p for p in reversed(perms)}
+                assert relabellings == {
+                    FiniteBiunarySemigroup(n, *subjects.relabelled(p, s.mul, s.dmap, s.rmap)).key(): p
+                    for p in reversed(perms)}
                 assert min(relabellings) == s.key()
 
     def test_labelled_structures_share_equal_rows(self):
