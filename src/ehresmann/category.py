@@ -897,8 +897,15 @@ def is_eoc_morphism(
     compositions), order preservation, meet preservation on identities,
     and preservation of restrictions and corestrictions.
     """
+    return _is_eoc_morphism(f, c1, c2, Evaluation())
+
+
+def _is_eoc_morphism(
+    f: FunctorCandidate, c1: FiniteOrderedCategory, c2: FiniteOrderedCategory, ev: Evaluation
+) -> LawReport:
+    """``is_eoc_morphism`` in ``ev``, so that maps between one pair of
+    categories share its verdicts on both and its restriction tables."""
     _check_map(f.map, c1.n, c2.n)
-    ev = Evaluation()
     for c, side in ((c1, "source"), (c2, "target")):
         pre = ev("ehresmann-ordered-category", c)
         if not pre.holds:

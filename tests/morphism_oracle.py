@@ -4,15 +4,18 @@
 package decide each map by the clause lists that ``morphism_correspondence``
 prunes with.  The deciders below state the same clauses by hand, loop by
 loop; the tests compare both on every map of small pairs and use these in
-``reference_correspondence``.  Restrictions go through the ``category``
-module, so a monkeypatch there reaches this oracle too.
+``reference_correspondence``.  Restrictions are ``formulas.greatest_below``
+on ``formulas.view`` of each category, corestrictions the same on its dual,
+not the package's tables or scan; a monkeypatch of ``formulas.greatest_below``
+reaches this oracle.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from ehresmann import category
+import formulas
+
 from ehresmann.category import FiniteOrderedCategory
 from ehresmann.core import FiniteBiunarySemigroup, HomCandidate, LawReport, StructureError, _fmt
 from ehresmann.orders import OrderedSemigroup
@@ -132,22 +135,23 @@ def _is_eoc_morphism_unchecked(
             break
     w_res = None
     rel1, rel2 = c1.order.rel, c2.order.rel
+    v1, v2 = formulas.view(c1), formulas.view(c2)
     for s in range(c1.n):
         for e in ids1:
             if rel1[e][c1.dmap[s]]:
-                lhs = fm[category.restriction(c1, e, s)]
+                lhs = fm[formulas.greatest_below(v1, s, e)]
                 if fm[e] not in ids2 or not rel2[fm[e]][c2.dmap[fm[s]]]:
                     w_res = (e, s)
                     break
-                if lhs != category.restriction(c2, fm[e], fm[s]):
+                if lhs != formulas.greatest_below(v2, fm[s], fm[e]):
                     w_res = (e, s)
                     break
             if rel1[e][c1.rmap[s]]:
-                lhs = fm[category.corestriction(c1, s, e)]
+                lhs = fm[formulas.greatest_below(v1.dual, s, e)]
                 if fm[e] not in ids2 or not rel2[fm[e]][c2.rmap[fm[s]]]:
                     w_res = (s, e)
                     break
-                if lhs != category.corestriction(c2, fm[s], fm[e]):
+                if lhs != formulas.greatest_below(v2.dual, fm[s], fm[e]):
                     w_res = (s, e)
                     break
         if w_res is not None:

@@ -42,6 +42,7 @@ from ehresmann import (
 from ehresmann import category, zoo
 from ehresmann.core import Evaluation, evaluate
 
+import formulas
 import morphism_oracle
 import scan_oracle
 import subjects
@@ -704,17 +705,31 @@ class TestPerMapDeciders:
     def test_pair_count(self):
         assert len(PER_MAP_PAIRS) == 63
 
+    def test_the_public_decider_matches_the_oracle_on_every_map(self):
+        # is_eoc_morphism, a fresh evaluation per map, on two pairs whose maps
+        # hold or fail first at each of the four clauses
+        firsts = set()
+        for src, tgt in (("zero-one-nabla", "zero-one-nabla"), ("inj-2", "rel-1")):
+            c1, c2 = category_of(zoo.get(src).ordered()), category_of(zoo.get(tgt).ordered())
+            for fm in itertools.product(range(c2.n), repeat=c1.n):
+                rep = is_eoc_morphism(FunctorCandidate("C", "D", fm), c1, c2)
+                assert rep == morphism_oracle._is_eoc_morphism_unchecked(fm, c1, c2)
+                firsts.add(next((part for part, ok in rep.parts if not ok), None))
+        assert firsts == {None, "functor", "order", "meet", "restriction"}
+
     @pytest.mark.parametrize("src,tgt", PER_MAP_PAIRS)
     def test_reports_match_the_oracle_on_every_map(self, src, tgt):
         s_os = zoo.get(src[0]).ordered(src[1])
         t_os = zoo.get(tgt[0]).ordered(tgt[1])
         c1, c2 = category_of(s_os), category_of(t_os)
+        # one evaluation per pair decides both categories once
+        ev = Evaluation()
         for fm in itertools.product(range(t_os.base.n), repeat=s_os.base.n):
             f = HomCandidate("S", "T", fm)
             assert is_ehresmann_hom(f, s_os.base, t_os.base) == morphism_oracle.is_ehresmann_hom(
                 f, s_os.base, t_os.base)
             assert is_ordered_hom(f, s_os, t_os) == morphism_oracle.is_ordered_hom(f, s_os, t_os)
-            assert is_eoc_morphism(FunctorCandidate("C", "D", fm), c1, c2) == (
+            assert category._is_eoc_morphism(FunctorCandidate("C", "D", fm), c1, c2, ev) == (
                 morphism_oracle._is_eoc_morphism_unchecked(fm, c1, c2))
 
 
@@ -758,13 +773,13 @@ class TestMorphismCorrespondence:
 
     def test_disagreement_witness_matches_brute_force(self, monkeypatch):
         # one wrong restriction of the target, in the table the package reads
-        # and in restriction(), which the oracle reads; the registered OC6a
-        # law holds the table builder itself, so it decides on the true table
-        # while the biaction and the clauses look the builder up by name
+        # and in formulas.greatest_below, which the oracle reads; the registered
+        # OC6a law holds the table builder itself, so it decides on the true
+        # table while the biaction and the clauses look the builder up by name
         s_os = zoo.get("pt-1").ordered()
         t_os = zoo.get("inj-2").ordered()
         target = category_of(t_os)
-        res = category.restriction
+        below, target_view = formulas.greatest_below, formulas.view(target)
         build = category._restrictions
         true_table = build(target, Evaluation())
         witnesses = set()
@@ -772,7 +787,7 @@ class TestMorphismCorrespondence:
             for x in range(target.n):
                 if not target.order.rel[e][target.dmap[x]]:
                     continue
-                wrong = (res(target, e, x) + 1) % target.n
+                wrong = (below(target_view, x, e) + 1) % target.n
                 table = [list(row) for row in true_table]
                 table[x][e] = wrong
                 monkeypatch.setattr(
@@ -781,10 +796,10 @@ class TestMorphismCorrespondence:
                     lambda c, ev, table=table: table if c == target else build(c, ev),
                 )
                 monkeypatch.setattr(
-                    category,
-                    "restriction",
-                    lambda c, f, y, e=e, x=x, wrong=wrong: (
-                        wrong if c == target and (f, y) == (e, x) else res(c, f, y)
+                    formulas,
+                    "greatest_below",
+                    lambda v, y, f, e=e, x=x, wrong=wrong: (
+                        wrong if v is target_view and (y, f) == (x, e) else below(v, y, f)
                     ),
                 )
                 got = morphism_correspondence(s_os, t_os).to_dict()

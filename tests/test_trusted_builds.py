@@ -13,7 +13,7 @@ import formulas
 import pytest
 import subjects
 
-from ehresmann import category
+from ehresmann import category, zoo
 from ehresmann.category import (
     Biaction,
     FiniteCategory,
@@ -22,6 +22,8 @@ from ehresmann.category import (
     _derive_biaction,
     _semigroup_of,
     check_ehresmann_category_two_orders,
+    check_omega_structured,
+    partial_product_category,
 )
 from ehresmann.core import Evaluation, FiniteBiunarySemigroup, InternalInconsistency, StructureError
 from ehresmann.orders import OrderedSemigroup, PartialOrder, _derived_orders, derive_orders
@@ -131,6 +133,21 @@ def test_orders_categories_biactions_and_pseudoproducts_are_the_constructors():
         assert_same(back, OrderedSemigroup(public_semigroup(back.base), public.order))
         assert back == osg
     assert len(subjects.ordered(4, 64)) > 1708
+
+
+def test_rel_3_category_is_the_constructor():
+    # C(rel-3), 512 arrows, as every pinned rel-3 command builds it: no pinned
+    # command validates a category that large, since C(S) skips the category
+    # checks once ehresmann holds on S.  The public constructors check every
+    # axiom, associativity on each composable triple among them.  Then
+    # omega-structured is decided in a fresh evaluation, OC3 through the product
+    # sets of the dual order, where every pinned command reads the seeded verdict
+    osg = zoo.get("rel-3").ordered()
+    public = public_category(osg.base)
+    assert_same(partial_product_category(osg.base), public)
+    c = _category_of(osg, Evaluation())
+    assert_same(c, FiniteOrderedCategory(public, public_order(osg.order)))
+    assert check_omega_structured(c).holds
 
 
 def test_seeded_omega_structured_is_the_decided_report():
