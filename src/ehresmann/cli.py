@@ -18,8 +18,8 @@ from .category import (
     _category_of,
     _derive_biaction,
     _esn_round_trip,
+    _verify_biaction,
     esn_round_trip_category,
-    verify_biaction,
 )
 from .core import (
     LAWS,
@@ -41,6 +41,9 @@ SCHEMA = "ehresmann-report/1"
 _quote = json.encoder.encode_basestring_ascii
 _STR = frozenset((str,))
 _SCALARS = frozenset((str, int, bool, type(None)))
+# scalars whose JSON holds no bracket, and the containers a row may be
+_BARE = frozenset((int, bool, type(None)))
+_ROWS = frozenset((list, tuple))
 
 
 @functools.cache
@@ -57,7 +60,8 @@ def _to_json(value, depth: int = 0) -> str:
     The bytes are the same, but ``indent`` makes ``json`` run its pure-Python
     encoder, so only the nesting is written here: a container whose items are
     all strings, ints, bools or None goes to a compact C encoder whose item
-    separator carries the indent.  Anything else (floats, keys that are not
+    separator carries the indent, and so does a list of non-empty rows of
+    ints, bools and None, in one call.  Anything else (floats, keys that are not
     strings, other types) goes to ``json.dumps`` and is re-indented, which is
     safe as a JSON string holds no raw newline.
     """
@@ -78,6 +82,12 @@ def _to_json(value, depth: int = 0) -> str:
         if _SCALARS.issuperset(map(type, value.values() if is_dict else value)):
             text = _flat_encoder(depth).encode(value)
             return text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
+        if not is_dict and all(type(row) in _ROWS and row and _BARE.issuperset(map(type, row)) for row in value):
+            # a matrix: one encode with the rows' item separator; no string
+            # holds a bracket, so only the joins between rows and the ends change
+            text, sep = _flat_encoder(depth + 1).encode(value), inner + "  "
+            rows = text[2:-2].replace("]," + sep + "[", inner + "]," + inner + "[" + sep)
+            return "[" + inner + "[" + sep + rows + inner + "]" + inner[:-2] + "]"
         if is_dict:
             items = (f"{_quote(k)}: {_to_json(value[k], depth + 1)}" for k in sorted(value))
             return "{" + inner + ("," + inner).join(items) + inner[:-2] + "}"
@@ -247,8 +257,10 @@ def _cmd_cat(args, report: RunReport) -> None:
     laws = _laws_named(args.check, subjects, "OC law name") if args.check else ladder("category")
     report.reports.extend(_decide(laws, subjects, ev))
     if args.biaction:
+        # the tables _derive_biaction built are n x n over 0..n-1 and None,
+        # the shape the public verify_biaction would scan them for
         b = ev.build(_derive_biaction, c)
-        report.reports.append(verify_biaction(c, b))
+        report.reports.append(_verify_biaction(c, b))
         report.artifacts["biaction"] = {
             "left": [
                 [None if v is None else c.name_of(v) for v in row] for row in b.left

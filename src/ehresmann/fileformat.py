@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import zoo
-from .core import FiniteBiunarySemigroup, StructureError
+from .core import FiniteBiunarySemigroup, StructureError, _trusted
 from .orders import OrderedSemigroup, PartialOrder
 from .category import FiniteCategory, FiniteOrderedCategory
 
@@ -40,23 +40,17 @@ class StructureFile:
         return OrderedSemigroup(self.semigroup, self.order)
 
 
-def _strip(line: str) -> str:
-    if "#" in line:
-        line = line[: line.index("#")]
-    return line.strip()
-
-
 def _split_sections(text: str) -> list[tuple[str, str, list[list[str]]]]:
     """Return (header, inline payload, block lines) per section, in file order."""
     sections: list[tuple[str, str, list[list[str]]]] = []
     current: tuple[str, str, list[list[str]]] | None = None
     for raw in text.splitlines():
-        line = _strip(raw)
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        head = line.split(":", 1)
-        if head[0] in _SECTIONS and len(head) == 2:
-            current = (head[0], head[1].strip(), [])
+        head, colon, inline = line.partition(":")
+        if colon and head in _SECTIONS:
+            current = (head, inline.strip(), [])
             sections.append(current)
         else:
             if current is None:
@@ -98,6 +92,17 @@ def parse_structure(text: str) -> StructureFile:
             raise StructureError(f"unknown element token {tok!r} in {where}")
         return index[tok]
 
+    def row(toks: list[str], where: str, lookup=index) -> tuple:
+        """``toks`` through ``lookup`` in one call; an unknown token is
+        worded by ``elem``, at the first one in the row."""
+        try:
+            return tuple(map(lookup.__getitem__, toks))
+        except KeyError:
+            for tok in toks:
+                if tok not in lookup:
+                    elem(tok, where)
+            raise
+
     def vector(section: str) -> tuple[int, ...]:
         if section not in seen:
             raise StructureError(f"missing {section}: section")
@@ -105,7 +110,7 @@ def parse_structure(text: str) -> StructureFile:
         toks = inline.split() + [t for line in block for t in line]
         if len(toks) != n:
             raise StructureError(f"{section} must list {n} tokens")
-        return tuple(elem(t, section) for t in toks)
+        return row(toks, section)
 
     dmap = vector("D")
     rmap = vector("R")
@@ -115,12 +120,16 @@ def parse_structure(text: str) -> StructureFile:
         inline, block = seen["order"]
         if inline:
             raise StructureError("order pairs belong on their own lines")
-        pairs = []
-        for line in block:
-            if len(line) != 3 or line[1] != "<=":
-                raise StructureError(f"order line must read 'a <= b', got {' '.join(line)!r}")
-            pairs.append((elem(line[0], "order"), elem(line[2], "order")))
-        order = PartialOrder.from_pairs(n, pairs)
+        # the tokens of the lines before the first malformed one, mapped in one
+        # call, so an unknown token is worded first when it comes first
+        bad = next((i for i, line in enumerate(block) if len(line) != 3 or line[1] != "<="), len(block))
+        ends = row([tok for line in block[:bad] for tok in (line[0], line[2])], "order")
+        if bad < len(block):
+            raise StructureError(f"order line must read 'a <= b', got {' '.join(block[bad])!r}")
+        up = [1 << a for a in range(n)]
+        for a, b in zip(ends[::2], ends[1::2]):
+            up[a] |= 1 << b
+        order = PartialOrder._closure(up)
 
     if kind == "semigroup":
         if "comp" in seen or "meet" in seen:
@@ -132,8 +141,11 @@ def parse_structure(text: str) -> StructureFile:
             raise StructureError("mul rows belong on their own lines")
         if len(block) != n or any(len(row) != n for row in block):
             raise StructureError(f"mul must be a {n} x {n} table")
-        mul = tuple(tuple(elem(t, "mul") for t in row) for row in block)
-        sgp = FiniteBiunarySemigroup(n, mul, dmap, rmap, tuple(names))
+        mul = tuple(row(toks, "mul") for toks in block)
+        # every entry of mul, D and R is a value of index, so in 0..n-1; mul
+        # is n rows of n, D and R have n entries, and names are n >= 1
+        # distinct strings: FiniteBiunarySemigroup's checks all pass
+        sgp = _trusted(FiniteBiunarySemigroup, n=n, mul=mul, dmap=dmap, rmap=rmap, names=tuple(names))
         return StructureFile("semigroup", semigroup=sgp, order=order)
 
     if "mul" in seen:
@@ -145,9 +157,7 @@ def parse_structure(text: str) -> StructureFile:
         raise StructureError("comp rows belong on their own lines")
     if len(block) != n or any(len(row) != n for row in block):
         raise StructureError(f"comp must be a {n} x {n} table")
-    comp = tuple(
-        tuple(None if t == "." else elem(t, "comp") for t in row) for row in block
-    )
+    comp = tuple(row(toks, "comp", index | {".": None}) for toks in block)
     for x in range(n):
         for y in range(n):
             defined = comp[x][y] is not None

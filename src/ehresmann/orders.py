@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from itertools import chain, compress
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Evaluation,
@@ -133,6 +133,13 @@ class PartialOrder:
             if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < n and 0 <= b < n):
                 raise StructureError(f"order pair ({a}, {b}) out of range")
             up[a] |= 1 << b
+        return cls._closure(up)
+
+    @classmethod
+    def _closure(cls, up: list[int]) -> "PartialOrder":
+        """``from_pairs`` from its start: ``up[a]`` holds bit a and the bit of
+        each b with a pair (a, b), so of the n = len(up) elements only."""
+        n = len(up)
         # a <= k puts k's up-set in a's, until a's up-set gains no new element
         for a in range(n):
             u, done = up[a], 1 << a
@@ -356,21 +363,33 @@ def _product_sets(table, order: PartialOrder) -> list[list[int]]:
     each lower cover c of a and below (a, d) for each lower cover d of b.
     So entry [a][b] is the bit of a*b or'ed with entries [c][b] and [a][d],
     and rows a and, within a row, entries b are made up the order's linear
-    extension ``rising``, each after those it reads.  Equal sets share one
-    int: on rel-3 the 262,144 entries take 4,882 values.
+    extension ``rising``, each after those it reads (``_product_rows``).
+    Equal sets share one int: on rel-3 the 262,144 entries take 4,882
+    values.
     """
+    return list(_product_rows(table, order))
+
+
+def _product_rows(table, order: PartialOrder) -> Iterator[list[int]]:
+    """The rows of ``_product_sets`` in index order.  They are made up the
+    order's linear extension ``rising``, each after those it reads, and only
+    as far as the row asked for: a caller that stops early makes only the
+    rows that come before it there."""
     n, covers, steps = len(table), order.covers, order.cover_steps
     bit = {v: 1 << v for v in range(n)} | {None: 0}
     sets: list = [None] * n
     seen: dict[int, int] = {}
-    for a in order.rising:
-        row = list(map(bit.__getitem__, table[a]))
-        for c in covers[a]:
-            row = list(map(or_, row, sets[c]))
-        for b, d in steps:
-            row[b] |= row[d]
-        sets[a] = list(map(seen.setdefault, row, row))
-    return sets
+    rising = iter(order.rising)
+    for a in range(n):
+        while sets[a] is None:
+            x = next(rising)
+            row = list(map(bit.__getitem__, table[x]))
+            for c in covers[x]:
+                row = list(map(or_, row, sets[c]))
+            for b, d in steps:
+                row[b] |= row[d]
+            sets[x] = list(map(seen.setdefault, row, row))
+        yield sets[a]
 
 
 def _lowest(mask: int) -> int:
@@ -421,38 +440,48 @@ def check_ehresmann_order(os: OrderedSemigroup) -> LawReport:
     return evaluate("ehresmann-order", os)
 
 
-def _matching_pair_witness(n: int, dmap, rmap, rel, need_d: bool, need_r: bool):
-    """Least a < b with D(a) = D(b) when ``need_d`` and R(a) = R(b) when ``need_r``."""
+def _matching_pair_witness(n: int, dmap, rmap, up, need_d: bool, need_r: bool):
+    """Least a < b with D(a) = D(b) when ``need_d`` and R(a) = R(b) when
+    ``need_r``, each a's b read from its up-set in ``up``, lowest first."""
     for a in range(n):
-        for b in range(n):
-            if a == b or not rel[a][b]:
-                continue
-            if need_d and dmap[a] != dmap[b]:
-                continue
-            if need_r and rmap[a] != rmap[b]:
-                continue
-            return (a, b)
+        above = up[a] & ~(1 << a)
+        while above:
+            low = above & -above
+            b = low.bit_length() - 1
+            if (not need_d or dmap[a] == dmap[b]) and (not need_r or rmap[a] == rmap[b]):
+                return (a, b)
+            above ^= low
     return None
 
 
 def _os4_law(name: str, need_d: bool, need_r: bool) -> Law:
     def decide(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
         s = os.base
-        w = _matching_pair_witness(s.n, s.dmap, s.rmap, os.order.rel, need_d, need_r)
+        w = _matching_pair_witness(s.n, s.dmap, s.rmap, os.order.up, need_d, need_r)
         return _leaf(name, w, lambda a, b: f"{s.name_of(a)} < {s.name_of(b)} with matching maps")
 
     return Law(name, "ordered", decide, pre="ehresmann-order", ladder=True)
+
+
+def _os7_witness(mul, order: PartialOrder) -> tuple[int, ...] | None:
+    """The least (a, b, u) with u <= ab outside the product set of (a, b).
+    Rows are made as the scan reaches them, so it stops at the first row
+    that holds a witness, and only then reads that row again for its least b."""
+    down = order.down
+    for a, row in enumerate(_product_rows(mul, order)):
+        for p, made in zip(mul[a], row):
+            if down[p] & ~made:
+                return next((a, b, _lowest(m)) for b, made in enumerate(row)
+                            for m in [down[mul[a][b]] & ~made] if m)
+    return None
 
 
 def _os7(os: OrderedSemigroup, ev: Evaluation) -> LawReport:
     """OS7: every u <= ab is some x*y with x <= a and y <= b.  The least
     witness (a, b, u) is the least u <= ab missing from the product set of
     (a, b), for the least such (a, b)."""
-    s, down = os.base, os.order.down
-    sets = _product_sets(s.mul, os.order)
-    w = next(((a, b, _lowest(m)) for a, row in enumerate(sets) for b, made in enumerate(row)
-              for m in [down[s.mul[a][b]] & ~made] if m), None)
-    return _leaf("OS7", w, lambda a, b, u: (
+    s = os.base
+    return _leaf("OS7", _os7_witness(s.mul, os.order), lambda a, b, u: (
         f"{s.name_of(u)} <= {s.name_of(a)}*{s.name_of(b)} has no factorisation below the factors"))
 
 

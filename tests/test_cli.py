@@ -402,6 +402,15 @@ class TestJsonWriter:
             {1: "a", 2: [1, {"b": None}]},
             {"outer": {3: [True], 1: {"k": [{}]}}},
             [[[[["deep"]]]], {"z": 1, "a": 2, "m": [3]}],
+            # matrices of ints, bools and None go out in one call, at any depth;
+            # an empty row, a string or a float row takes the row-by-row path
+            [[0, 1], [1, 0]],
+            [[7], (True, None, False), [-3, 10, 0]],
+            {"s": [{"mul": [[2, 1], [1, 1]], "D": [1, 1]}], "r": [[None]]},
+            [[1, 2], []],
+            [[1, "]"], [2]],
+            [[1], [2.5]],
+            [[[1]], [[2]]],
             "top",
             7,
             None,

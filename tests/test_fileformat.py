@@ -1,6 +1,9 @@
 """Parsing, emission, and the bit-exact round trip of structure files."""
 
+import dataclasses
+
 import pytest
+import subjects
 
 from ehresmann import StructureError, parse_structure, emit_structure
 from ehresmann import zoo
@@ -152,6 +155,69 @@ class TestParseCategory:
         text = CATEGORY_TEXT.replace("order:\ne1 <= e2\n", "")
         sf = parse_structure(text)
         assert sf.category.order.pairs(strict=True) == []
+
+
+# each malformed file with the message parse_structure gives it: an unknown
+# token in every section that names elements, the first of two unknown tokens,
+# an unknown token and a malformed order line in either order, short and long
+# rows, and each missing section
+MALFORMED = [
+    ("unknown token in mul", MONOID_TEXT.replace("0 0\n0 1", "0 0\n0 x"), "unknown element token 'x' in mul"),
+    ("first of two unknown mul tokens", MONOID_TEXT.replace("0 0\n0 1", "0 y\nx 1"),
+     "unknown element token 'y' in mul"),
+    ("unknown token in D", MONOID_TEXT.replace("D: 1 1", "D: 1 x"), "unknown element token 'x' in D"),
+    ("unknown token in R", MONOID_TEXT.replace("R: 1 1", "R: x 1"), "unknown element token 'x' in R"),
+    ("unknown token first in order", MONOID_TEXT.replace("1 <= 0", "p <= q"), "unknown element token 'p' in order"),
+    ("unknown token second in order", MONOID_TEXT.replace("1 <= 0", "1 <= q"), "unknown element token 'q' in order"),
+    ("unknown token, then a malformed order line", MONOID_TEXT.replace("1 <= 0", "1 <= q\n1 < 0"),
+     "unknown element token 'q' in order"),
+    ("malformed order line, then an unknown token", MONOID_TEXT.replace("1 <= 0", "1 < 0\n1 <= q"),
+     "order line must read 'a <= b', got '1 < 0'"),
+    ("short mul row", MONOID_TEXT.replace("0 0\n0 1", "0 0\n0"), "mul must be a 2 x 2 table"),
+    ("long mul row", MONOID_TEXT.replace("0 0\n0 1", "0 0 0\n0 1"), "mul must be a 2 x 2 table"),
+    ("short D", MONOID_TEXT.replace("D: 1 1", "D: 1"), "D must list 2 tokens"),
+    ("long R", MONOID_TEXT.replace("R: 1 1", "R: 1 1 1"), "R must list 2 tokens"),
+    ("missing mul", MONOID_TEXT.replace("mul:\n0 0\n0 1\n", ""), "missing mul: section"),
+    ("missing D", MONOID_TEXT.replace("D: 1 1\n", ""), "missing D: section"),
+    ("missing R", MONOID_TEXT.replace("R: 1 1\n", ""), "missing R: section"),
+    ("missing elements", MONOID_TEXT.replace("elements: 0 1\n", ""), "missing elements: section"),
+    ("missing kind", MONOID_TEXT.replace("kind: semigroup\n", ""), "missing kind: header"),
+    ("unknown token in comp", CATEGORY_TEXT.replace("e1 . a", "e1 . b"), "unknown element token 'b' in comp"),
+    ("short comp row", CATEGORY_TEXT.replace(". e2 .", ". e2"), "comp must be a 3 x 3 table"),
+    ("long comp row", CATEGORY_TEXT.replace(". a .", ". a . ."), "comp must be a 3 x 3 table"),
+    ("missing comp", CATEGORY_TEXT.replace("comp:\ne1 . a\n. e2 .\n. a .\n", ""), "missing comp: section"),
+    ("unknown token in a category's order", CATEGORY_TEXT.replace("e1 <= e2", "e1 <= b"),
+     "unknown element token 'b' in order"),
+]
+
+
+@pytest.mark.parametrize("text, message", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED])
+def test_malformed_files_give_their_messages(text, message):
+    with pytest.raises(StructureError) as exc:
+        parse_structure(text)
+    assert str(exc.value) == message
+
+
+def named(s):
+    """``s`` with the names its file gives it, its indices, where it has none."""
+    return s if s.names is not None else dataclasses.replace(s, names=tuple(map(str, range(s.n))))
+
+
+def test_every_small_structure_and_zoo_entry_round_trips():
+    """parse(emit(x)) is x for every structure of size at most 3, with and
+    without each of its Ehresmann orders, for every zoo entry under each of
+    its orders and none, and for the category of each of those orders."""
+    files = [semigroup_file(named(s)) for s in subjects.structures(3)]
+    ordered = [dataclasses.replace(osg, base=named(osg.base)) for osg in subjects.ordered(3)]
+    ordered += [entry.ordered(name) for entry in subjects.zoo_entries(512) for name in entry.order_names()]
+    files += [semigroup_file(osg.base, osg.order) for osg in ordered]
+    files += [semigroup_file(entry.structure) for entry in subjects.zoo_entries(512)]
+    files += [category_file(category_of(osg)) for osg in ordered if osg.base.n <= 64]
+    for sf in files:
+        assert parse_structure(emit_structure(sf)) == sf
+    kinds = {(sf.kind, sf.order is None) for sf in files}
+    assert kinds == {("semigroup", True), ("semigroup", False), ("category", False)}
+    assert len(files) > 2 * (1 + 6 + 78) + 204
 
 
 class TestRoundTrip:

@@ -967,3 +967,87 @@ def test_biaction_verifier_matches_the_full_scan_without_a_meet_table():
     for cells in itertools.product((None, 0, 1), repeat=8):
         bad = Biaction((cells[0:2], cells[2:4]), (cells[4:6], cells[6:8]))
         assert verify_biaction(c, bad) == scan_oracle.verify_biaction(c, bad)
+
+
+def factorises(c, b):
+    """e.x = (e meet D(x)).x and x.e = x.(R(x) meet e) at every identity e and element x."""
+    meet, d, r = c.meet, c.dmap, c.rmap
+    return all(b.left[e][x] == b.left[meet[e][d[x]]][x] and b.right[x][e] == b.right[x][meet[r[x]][e]]
+               for e in c.identities() for x in range(c.n))
+
+
+def rotated(osg):
+    """``osg`` with each element x renamed x - 1 and 0 renamed n - 1: pt-2's
+    least identity, below all others, comes last, so that the identity
+    first below D(x) is another."""
+    n = osg.base.n
+    perm = [(x - 1) % n for x in range(n)]
+    old = sorted(range(n), key=perm.__getitem__)
+    base = FiniteBiunarySemigroup(n, *subjects.relabelled(perm, osg.base.mul, osg.base.dmap, osg.base.rmap))
+    return OrderedSemigroup(base, PartialOrder(n, [[osg.order.rel[a][b] for b in old] for a in old]))
+
+
+def assert_e2_e6_fast_path_agrees(c, b, seen):
+    """The fast path says yes exactly when the full scan finds E2 and E6 both
+    hold; ``seen`` counts (clause, E2, E6).  Only action tables total on the
+    identities reach it, under a meet table."""
+    parts = dict(scan_oracle.verify_biaction(c, b).parts)
+    if not parts["E1"] or not all(b.left[e][x] is not None and b.right[x][e] is not None
+                                  for e in c.identities() for x in range(c.n)):
+        return
+    fast = category._e2_e6_hold(c.n, c.identities(), c.meet, category._sides(c, b))
+    assert fast == (parts["E2"] and parts["E6"])
+    seen[factorises(c, b), parts["E2"], parts["E6"]] += 1
+
+
+def test_biaction_fast_path_matches_the_full_scan():
+    """The derived biaction of C(S) for every Ehresmann order of size at most 4
+    and every zoo order, pt-3's included; every single-entry mutation of the
+    sweep categories' biactions and of C(pt-2) relabelled, and seeded ones
+    of pt-3's.  Every verdict of
+    E2 and of E6 occurs, on both sides of the factorisation clause where E2
+    holds."""
+    seen = collections.Counter()
+    for osg in subjects.ordered(4, 64):
+        c = category_of(osg)
+        assert_e2_e6_fast_path_agrees(c, derive_biaction(c), seen)
+    assert seen == {(True, True, True): 10147 + 10}
+    sweep = [zoo.get(name).ordered() for name in zoo.SWEEP_NAMES]
+    for osg in (*sweep, rotated(zoo.get("pt-2").ordered())):
+        c = category_of(osg)
+        for bad in biaction_mutations(c, derive_biaction(c)):
+            assert_e2_e6_fast_path_agrees(c, bad, seen)
+    c, b = pt3_biaction()
+    rng = random.Random(34)
+    for _ in range(60):
+        tables = {"left": [list(row) for row in b.left], "right": [list(row) for row in b.right]}
+        side, e, x = rng.choice(("left", "right")), rng.choice(c.identities()), rng.randrange(c.n)
+        i, j = (e, x) if side == "left" else (x, e)
+        tables[side][i][j] = rng.randrange(c.n)
+        assert_e2_e6_fast_path_agrees(c, Biaction(tables["left"], tables["right"]), seen)
+    # E2 implies the clause, so a mutation that breaks the clause fails E2
+    assert {key for key in seen if not key[0]} == {(False, False, True), (False, False, False)}
+    assert {key for key in seen if key[0]} == {(True, True, True), (True, True, False),
+                                               (True, False, True), (True, False, False)}
+
+
+def test_biaction_fast_path_falls_back_where_the_clause_fails():
+    """On C(pt-2), each e.x with e not below D(x) set to another element
+    breaks the clause: the fast path says no, and the scans report E2's
+    least witness."""
+    c = category_of(zoo.get("pt-2").ordered())
+    b = derive_biaction(c)
+    broken = 0
+    for e in c.identities():
+        for x in range(c.n):
+            if c.meet[e][c.dmap[x]] == e:
+                continue
+            left = [list(row) for row in b.left]
+            left[e][x] = next(v for v in range(c.n) if v != b.left[e][x])
+            bad = Biaction(left, b.right)
+            assert not factorises(c, bad)
+            assert not category._e2_e6_hold(c.n, c.identities(), c.meet, category._sides(c, bad))
+            rep = verify_biaction(c, bad)
+            assert rep == scan_oracle.verify_biaction(c, bad) and not dict(rep.parts)["E2"]
+            broken += 1
+    assert broken > 0

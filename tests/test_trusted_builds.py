@@ -19,6 +19,7 @@ from ehresmann.category import (
     FiniteCategory,
     FiniteOrderedCategory,
     _category_of,
+    _composition_category,
     _derive_biaction,
     _semigroup_of,
     check_ehresmann_category_two_orders,
@@ -26,6 +27,7 @@ from ehresmann.category import (
     partial_product_category,
 )
 from ehresmann.core import Evaluation, FiniteBiunarySemigroup, InternalInconsistency, StructureError
+from ehresmann.fileformat import emit_structure, parse_structure, semigroup_file
 from ehresmann.orders import OrderedSemigroup, PartialOrder, _derived_orders, derive_orders
 
 # the fields compared on each kind; ``base`` and ``order`` are compared in turn
@@ -74,6 +76,21 @@ def public_category(s):
 def test_labelled_structures_are_the_constructors():
     for s in subjects.structures(4):
         assert_same(s, public_semigroup(s))
+
+
+def test_composition_categories_are_the_constructors():
+    # every Ehresmann semigroup of size at most 4 and every zoo entry up to pt-3;
+    # rel-3's is compared in test_rel_3_category_is_the_constructor
+    for s in subjects.structures(4, 64):
+        assert_same(_composition_category(s, Evaluation()), public_category(s))
+
+
+def test_parsed_semigroups_are_the_constructors():
+    # the parse maps each token through the element index, so the semigroup skips the checks
+    for s in (*subjects.structures(3), *(entry.structure for entry in subjects.zoo_entries(512))):
+        parsed = parse_structure(emit_structure(semigroup_file(s))).semigroup
+        assert_same(parsed, public_semigroup(parsed))
+        assert (parsed.n, parsed.mul, parsed.dmap, parsed.rmap) == (s.n, s.mul, s.dmap, s.rmap)
 
 
 def test_closed_pairs_are_the_constructors():
