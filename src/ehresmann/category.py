@@ -47,6 +47,7 @@ from .orders import (
     _bits,
     _composite_up_sets,
     _derived_orders,
+    _greatest,
     _is_natural,
     _lowest,
     _matching_pair_witness,
@@ -155,14 +156,14 @@ def _derive_meet(
 ) -> tuple[tuple[int | None, ...], ...] | None:
     """Greatest lower bounds of identity pairs among the identities, None off
     them; None when some pair has none."""
-    table = [[None] * n for _ in range(n)]
+    down, table = order.down, [[None] * n for _ in range(n)]
+    ids = reduce(or_, (1 << e for e in identities), 0)
     for e in identities:
         for f in identities:
-            g = order.glb(e, f, within=identities)
-            if g is None:
+            if (g := _greatest(down[e] & down[f] & ids, down)) is None:
                 return None
             table[e][f] = g
-    return tuple(tuple(row) for row in table)
+    return tuple(map(tuple, table))
 
 
 def _compare_meet(c: FiniteOrderedCategory, given, derived) -> None:
@@ -404,16 +405,6 @@ def check_omega_structured(c: FiniteOrderedCategory) -> LawReport:
     return evaluate("omega-structured", c)
 
 
-def _max_below(c: FiniteOrderedCategory, idmap, x: int, e: int) -> int | None:
-    """The maximum y <= x with idmap(y) <= e, or None when there is none."""
-    rel = c.order.rel
-    pool = [y for y in range(c.n) if rel[y][x] and rel[idmap[y]][e]]
-    for m in pool:
-        if all(rel[y][m] for y in pool):
-            return m
-    return None
-
-
 def _restrict(c: FiniteOrderedCategory, idmap, x: int, e: int, words: tuple[str, str, str]) -> int:
     """The maximum y <= x with idmap(y) <= e, which must have idmap(y) = e.
 
@@ -428,7 +419,8 @@ def _restrict(c: FiniteOrderedCategory, idmap, x: int, e: int, words: tuple[str,
         raise PreconditionError(f"{c.name_of(e)} is not an identity")
     if not c.order.rel[e][idmap[x]]:
         raise PreconditionError(f"{op} needs {c.name_of(e)} <= {letter}({c.name_of(x)})")
-    m = _max_below(c, idmap, x, e)
+    rel, down = c.order.rel, c.order.down
+    m = _greatest(sum(1 << y for y in _bits(down[x]) if rel[idmap[y]][e]), down)
     if m is None:
         raise OC6Violation(f"no maximum below {c.name_of(x)} with {noun} under {c.name_of(e)}")
     if idmap[m] != e:
@@ -454,25 +446,17 @@ def corestriction(c: FiniteOrderedCategory, x: int, e: int) -> int:
 
 
 def _maxima_below(c: FiniteOrderedCategory, idmap) -> list[list[int | None]]:
-    """``[x][e]`` is ``_max_below(c, idmap, x, e)`` for every x and identity
-    e <= idmap(x), None elsewhere.  The pool of y <= x with idmap(y) <= e is
-    a bitmask, and its maximum is the m in it whose down-set covers it."""
+    """``[x][e]`` is the maximum y <= x with idmap(y) <= e, or None when there
+    is none, for every x and identity e <= idmap(x); None elsewhere."""
     n, rel, down = c.n, c.order.rel, c.order.down
     under = [(e, sum(1 << y for y in range(n) if rel[idmap[y]][e])) for e in c.identities()]
-    table: list[list[int | None]] = [[None] * n for _ in range(n)]
-    for x in range(n):
-        row, down_x, d = table[x], down[x], idmap[x]
+    table: list[list[int | None]] = []
+    for down_x, d in zip(down, idmap):
+        row = [None] * n
         for e, under_e in under:
-            if not rel[e][d]:
-                continue
-            pool = rest = down_x & under_e
-            # a maximum is unique, so the candidates may be tried in any order
-            while rest:
-                m = rest.bit_length() - 1
-                if not pool & ~down[m]:
-                    row[e] = m
-                    break
-                rest ^= 1 << m
+            if rel[e][d]:
+                row[e] = _greatest(down_x & under_e, down)
+        table.append(row)
     return table
 
 
@@ -543,24 +527,31 @@ def _oc7_witnesses(c: FiniteOrderedCategory, ev: Evaluation):
     return best, best_p
 
 
-def _unique_below(n: int, idmap, rel) -> list[dict[int, int | None]]:
-    """Per x, a dict from e to the one y <= x with idmap(y) = e, or to None when
-    there are several: ``[x].get(e)`` is None unless exactly one such y exists."""
-    table: list[dict[int, int | None]] = [{} for _ in range(n)]
-    for y in range(n):
-        e = idmap[y]
-        for x in range(n):
-            if rel[y][x]:
-                table[x][e] = None if e in table[x] else y
+def _unique_below(c: FiniteOrderedCategory, idmap) -> list[list[int | None]]:
+    """``[x][e]`` is the one y <= x with idmap(y) = e, or None when there is
+    none or there are several, for every x and identity e; None elsewhere."""
+    n, down = c.n, c.order.down
+    fibre = [0] * n
+    for y, e in enumerate(idmap):
+        fibre[e] |= 1 << y
+    fibres = [(e, fibre[e]) for e in c.identities()]
+    table: list[list[int | None]] = []
+    for down_x in down:
+        row = [None] * n
+        for e, mask in fibres:
+            # one bit set: exactly one y
+            if (ys := down_x & mask) and not ys & ys - 1:
+                row[e] = ys.bit_length() - 1
+        table.append(row)
     return table
 
 
-def _unique_restrictions(c: FiniteOrderedCategory, ev: Evaluation) -> list[dict[int, int | None]]:
-    return _unique_below(c.n, c.dmap, c.order.rel)
+def _unique_restrictions(c: FiniteOrderedCategory, ev: Evaluation) -> list[list[int | None]]:
+    return _unique_below(c, c.dmap)
 
 
-def _unique_corestrictions(c: FiniteOrderedCategory, ev: Evaluation) -> list[dict[int, int | None]]:
-    return _unique_below(c.n, c.rmap, c.order.rel)
+def _unique_corestrictions(c: FiniteOrderedCategory, ev: Evaluation) -> list[list[int | None]]:
+    return _unique_below(c, c.rmap)
 
 
 def _oc8_witness(c: FiniteOrderedCategory, idmap, unique) -> tuple[int, ...] | None:
@@ -569,7 +560,7 @@ def _oc8_witness(c: FiniteOrderedCategory, idmap, unique) -> tuple[int, ...] | N
     rel, ids = c.order.rel, c.identities()
     for x in range(c.n):
         for e in ids:
-            if rel[e][idmap[x]] and unique[x].get(e) is None:
+            if rel[e][idmap[x]] and unique[x][e] is None:
                 return (x, e)
     return None
 
@@ -1190,8 +1181,8 @@ def _monotone_witness(ids, idmap, unique, rel, meet) -> tuple[int, ...] | None:
             if not rel[x][y]:
                 continue
             for e in ids:
-                u = unique[x].get(meet[idmap[x]][e])
-                v = unique[y].get(meet[idmap[y]][e])
+                u = unique[x][meet[idmap[x]][e]]
+                v = unique[y][meet[idmap[y]][e]]
                 if u is None or v is None or not rel[u][v]:
                     return (x, y, e)
     return None

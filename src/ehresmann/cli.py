@@ -32,7 +32,7 @@ from .core import (
     evaluate,
     ladder,
 )
-from .fileformat import StructureFile, emit_structure, resolve, semigroup_file
+from .fileformat import StructureFile, _order_lines, emit_structure, resolve, semigroup_file
 from .orders import OrderedSemigroup, derive_orders, enumerate_ehresmann_orders
 from .sweep import run_sweep
 
@@ -180,7 +180,7 @@ def _decide(laws: list[Law], subjects: dict, ev: Evaluation) -> list[LawReport]:
 
 
 def _order_pairs_named(s, order) -> list[str]:
-    return [f"{s.name_of(a)} <= {s.name_of(b)}" for a, b in order.pairs(strict=True)]
+    return _order_lines(tuple(map(s.name_of, range(s.n))), order)
 
 
 def _cmd_check(args, report: RunReport) -> None:
@@ -208,12 +208,9 @@ def _cmd_orders(args, report: RunReport) -> None:
     report.artifacts["up_to_iso"] = bool(args.up_to_iso)
     report.text_lines.append(f"ehresmann orders: {len(found)}")
     if not args.count_only:
-        report.artifacts["orders"] = [
-            _order_pairs_named(s, order) for order in found
-        ]
-        for i, order in enumerate(found):
-            pairs = ", ".join(_order_pairs_named(s, order)) or "(equality)"
-            report.text_lines.append(f"  order {i}: {pairs}")
+        report.artifacts["orders"] = [_order_pairs_named(s, order) for order in found]
+        for i, pairs in enumerate(report.artifacts["orders"]):
+            report.text_lines.append(f"  order {i}: {', '.join(pairs) or '(equality)'}")
 
 
 def _cmd_derive(args, report: RunReport) -> None:

@@ -87,21 +87,14 @@ def parse_structure(text: str) -> StructureFile:
     n = len(names)
     index = {tok: i for i, tok in enumerate(names)}
 
-    def elem(tok: str, where: str) -> int:
-        if tok not in index:
-            raise StructureError(f"unknown element token {tok!r} in {where}")
-        return index[tok]
-
     def row(toks: list[str], where: str, lookup=index) -> tuple:
         """``toks`` through ``lookup`` in one call; an unknown token is
-        worded by ``elem``, at the first one in the row."""
+        worded at the first one in the row."""
         try:
             return tuple(map(lookup.__getitem__, toks))
         except KeyError:
-            for tok in toks:
-                if tok not in lookup:
-                    elem(tok, where)
-            raise
+            tok = next(tok for tok in toks if tok not in lookup)
+            raise StructureError(f"unknown element token {tok!r} in {where}") from None
 
     def vector(section: str) -> tuple[int, ...]:
         if section not in seen:
@@ -112,14 +105,26 @@ def parse_structure(text: str) -> StructureFile:
             raise StructureError(f"{section} must list {n} tokens")
         return row(toks, section)
 
+    def lines(section: str, what: str, lookup=None) -> list | tuple:
+        """The block lines of ``section``, whose ``what`` belong on their own
+        lines; with ``lookup``, the n x n table they hold, read through it."""
+        if section not in seen:
+            raise StructureError(f"missing {section}: section")
+        inline, block = seen[section]
+        if inline:
+            raise StructureError(f"{what} belong on their own lines")
+        if lookup is None:
+            return block
+        if len(block) != n or any(len(toks) != n for toks in block):
+            raise StructureError(f"{section} must be a {n} x {n} table")
+        return tuple(row(toks, section, lookup) for toks in block)
+
     dmap = vector("D")
     rmap = vector("R")
 
     order = None
     if "order" in seen:
-        inline, block = seen["order"]
-        if inline:
-            raise StructureError("order pairs belong on their own lines")
+        block = lines("order", "order pairs")
         # the tokens of the lines before the first malformed one, mapped in one
         # call, so an unknown token is worded first when it comes first
         bad = next((i for i, line in enumerate(block) if len(line) != 3 or line[1] != "<="), len(block))
@@ -134,14 +139,7 @@ def parse_structure(text: str) -> StructureFile:
     if kind == "semigroup":
         if "comp" in seen or "meet" in seen:
             raise StructureError("semigroup files take mul:, not comp:/meet:")
-        inline, block = seen.get("mul", ("", []))
-        if "mul" not in seen:
-            raise StructureError("missing mul: section")
-        if inline:
-            raise StructureError("mul rows belong on their own lines")
-        if len(block) != n or any(len(row) != n for row in block):
-            raise StructureError(f"mul must be a {n} x {n} table")
-        mul = tuple(row(toks, "mul") for toks in block)
+        mul = lines("mul", "mul rows", index)
         # every entry of mul, D and R is a value of index, so in 0..n-1; mul
         # is n rows of n, D and R have n entries, and names are n >= 1
         # distinct strings: FiniteBiunarySemigroup's checks all pass
@@ -150,14 +148,7 @@ def parse_structure(text: str) -> StructureFile:
 
     if "mul" in seen:
         raise StructureError("category files take comp:, not mul:")
-    if "comp" not in seen:
-        raise StructureError("missing comp: section")
-    inline, block = seen["comp"]
-    if inline:
-        raise StructureError("comp rows belong on their own lines")
-    if len(block) != n or any(len(row) != n for row in block):
-        raise StructureError(f"comp must be a {n} x {n} table")
-    comp = tuple(row(toks, "comp", index | {".": None}) for toks in block)
+    comp = lines("comp", "comp rows", index | {".": None})
     for x in range(n):
         for y in range(n):
             defined = comp[x][y] is not None
@@ -173,14 +164,11 @@ def parse_structure(text: str) -> StructureFile:
         order = PartialOrder.equality(n)
     meet = None
     if "meet" in seen:
-        inline, block = seen["meet"]
-        if inline:
-            raise StructureError("meet triples belong on their own lines")
         table: dict[tuple[int, int], int] = {}
-        for line in block:
+        for line in lines("meet", "meet triples"):
             if len(line) != 3:
                 raise StructureError(f"meet line must read 'e f g', got {' '.join(line)!r}")
-            e, f, g = (elem(t, "meet") for t in line)
+            e, f, g = row(line, "meet")
             if table.get((e, f), g) != g:
                 raise StructureError(f"conflicting meet entries for ({names[e]}, {names[f]})")
             table[(e, f)] = g

@@ -170,15 +170,14 @@ class PartialOrder:
 
     def glb(self, a: int, b: int, within: Sequence[int] | None = None) -> int | None:
         """Greatest lower bound of a and b, restricted to ``within`` if given."""
-        pool = range(self.n) if within is None else _as_tuple(within, "glb pool must be an iterable of elements")
+        pool = () if within is None else _as_tuple(within, "glb pool must be an iterable of elements")
         for v in (a, b, *pool):
             if not isinstance(v, int) or not 0 <= v < self.n:
                 raise StructureError(f"glb element {v!r} out of range 0..{self.n - 1}")
-        lower = [c for c in pool if self.rel[c][a] and self.rel[c][b]]
-        for m in lower:
-            if all(self.rel[c][m] for c in lower):
-                return m
-        return None
+        lower = self.down[a] & self.down[b]
+        if within is not None:
+            lower &= reduce(or_, (1 << c for c in pool), 0)
+        return _greatest(lower, self.down)
 
 
 # the bits of each byte value, lowest first, as booleans
@@ -395,6 +394,18 @@ def _product_rows(table, order: PartialOrder) -> Iterator[list[int]]:
 def _lowest(mask: int) -> int:
     """The position of the lowest set bit of a nonzero ``mask``."""
     return (mask & -mask).bit_length() - 1
+
+
+def _greatest(pool: int, down: Sequence[int]) -> int | None:
+    """The m in the bitmask ``pool`` whose down-set ``down[m]`` holds all of
+    ``pool``, or None when there is none; being greatest, m is unique."""
+    rest = pool
+    while rest:
+        m = rest.bit_length() - 1
+        if not pool & ~down[m]:
+            return m
+        rest ^= 1 << m
+    return None
 
 
 def _os6_witness(os: OrderedSemigroup, proj: Sequence[int]) -> tuple[int, ...] | None:

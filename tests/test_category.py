@@ -169,6 +169,21 @@ class TestConstruction:
         with pytest.raises(StructureError, match="do not form a meet-semilattice"):
             FiniteOrderedCategory(FiniteCategory(2, (0, 1), (0, 1), comp), PartialOrder.equality(2), meet)
 
+    def test_derived_meet_matches_the_formula_on_every_small_category(self):
+        # greatest lower bounds among the identities of every category on at
+        # most 3 arrows under every order, None where some pair has none
+        seen = set()
+        for c in subjects.ordered_categories(3):
+            want = formulas.view(c).meet
+            meet = category._derive_meet(c.n, c.identities(), c.order)
+            if None in want.values():
+                assert meet is None
+            else:
+                assert meet == tuple(tuple(want.get((e, f)) for f in range(c.n)) for e in range(c.n))
+            assert c.meet == meet
+            seen.add(meet is None)
+        assert seen == {True, False}
+
     @pytest.mark.parametrize("dmap, rmap", [((None, 1), (0, 1)), ((0.0, 1), (0, 1)), ((0, 1), (0, "1"))])
     def test_non_integer_domain_and_range_entries_are_rejected(self, dmap, rmap):
         # an ordered category is ordered on a FiniteCategory, which makes this check
@@ -279,6 +294,17 @@ class TestRestrictionCorestriction:
         mutated = without_order_pair(c, 1, 3)
         with pytest.raises(OC6Violation):
             restriction(mutated, 1, 7)
+
+    def test_oc6_violation_raised_when_maximum_lies_off_e(self):
+        # identities f = 0 < e = 1 < g = 2, m = 3: f -> e and x = 4: g -> g, with
+        # e < m < x: the maximum below x with domain under e is m, of domain f,
+        # though e is the greatest element below x of domain e itself
+        comp = ((0, None, None, 3, None), (None, 1, None, None, None), (None, None, 2, None, 4),
+                (None, 3, None, None, None), (None, None, 4, None, 4))
+        base = FiniteCategory(5, (0, 1, 2, 0, 2), (0, 1, 2, 1, 2), comp)
+        c = FiniteOrderedCategory(base, PartialOrder.from_pairs(5, [(0, 1), (1, 3), (3, 4), (1, 2)]))
+        with pytest.raises(OC6Violation, match="^maximum 3 below 4 has domain 0, not 1$"):
+            restriction(c, 1, 4)
 
 
 class TestOCProperties:

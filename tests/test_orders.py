@@ -1,6 +1,7 @@
 """Derived orders, OS laws, and the Ehresmann order enumerator."""
 
 import itertools
+import random
 
 import formulas
 import pytest
@@ -86,6 +87,21 @@ class TestPartialOrder:
         chain = PartialOrder.from_pairs(3, [(0, 1), (1, 2)])
         assert chain.glb(1, 2) == 1
         assert chain.glb(1, 2, within=(0, 2)) == 0
+
+    def test_glb_matches_brute_force_on_every_poset_of_at_most_4_points(self):
+        # every pair, over the whole carrier and over one seeded sub-pool per poset
+        rng, seen = random.Random(7), set()
+        for n in range(1, 5):
+            for order in subjects.posets(n):
+                sub = [c for c in range(n) if rng.random() < 0.5]
+                for a, b in itertools.product(range(n), repeat=2):
+                    for within in (None, sub):
+                        pool = range(n) if within is None else within
+                        lower = [c for c in pool if order.leq(c, a) and order.leq(c, b)]
+                        want = next((m for m in lower if all(order.leq(c, m) for c in lower)), None)
+                        assert order.glb(a, b, within) == want
+                        seen.add(want is None)
+        assert seen == {True, False}
 
     def test_glb_rejects_out_of_range_elements(self):
         with pytest.raises(StructureError, match="out of range 0..1"):

@@ -17,15 +17,18 @@ import subjects
 from ehresmann import (
     Biaction,
     InternalInconsistency,
+    OC6Violation,
     OrderedSemigroup,
     PartialOrder,
     StructureError,
     automorphisms,
     category_of,
+    corestriction,
     derive_biaction,
     derive_orders,
     enumerate_ehresmann_orders,
     projections,
+    restriction,
     verify_biaction,
     zoo,
 )
@@ -459,15 +462,36 @@ def category_or_none(s, sides=None):
 
 
 def assert_maxima_agree(c):
-    """Both sides' tables of maxima on ``c``, and ``_max_below`` on every (x, e),
-    entry by entry against the greatest y <= x with D(y) <= e (R(y) on the dual)."""
-    for builder, idmap, v in ((category._restrictions, c.dmap, formulas.view(c)),
-                              (category._corestrictions, c.rmap, formulas.view(c).dual)):
+    """Both sides' tables of maxima and of unique parts on ``c``, entry by entry
+    against the greatest y <= x with D(y) <= e and the only y <= x with
+    D(y) = e (R(y) on the dual), and the public restriction and corestriction
+    at every x and identity e <= D(x) (R(x)): they raise OC6Violation exactly
+    where that maximum is missing or lies off e.  Returns the verdicts seen,
+    True where a restriction or corestriction was returned."""
+    seen = set()
+    for maxima, unique, restrict, v in (
+        (category._restrictions, category._unique_restrictions, lambda x, e: restriction(c, e, x), formulas.view(c)),
+        (category._corestrictions, category._unique_corestrictions, lambda x, e: corestriction(c, x, e),
+         formulas.view(c).dual),
+    ):
         expected = [[formulas.greatest_below(v, x, e) if e in v.id_set and v.le[e][v.D[x]] else None
                      for e in range(c.n)] for x in range(c.n)]
-        assert builder(c, Evaluation()) == expected
-        assert all(category._max_below(c, idmap, x, e) == formulas.greatest_below(v, x, e)
-                   for x in range(c.n) for e in v.ids)
+        assert maxima(c, Evaluation()) == expected
+        assert unique(c, Evaluation()) == [[formulas._only(v, x, e) if e in v.id_set else None
+                                            for e in range(c.n)] for x in range(c.n)]
+        for x in range(c.n):
+            for e in v.ids:
+                if not v.le[e][v.D[x]]:
+                    continue
+                m = expected[x][e]
+                defined = m is not None and v.D[m] == e
+                if defined:
+                    assert restrict(x, e) == m
+                else:
+                    with pytest.raises(OC6Violation):
+                        restrict(x, e)
+                seen.add(defined)
+    return seen
 
 
 def assert_category_laws_agree(c0, order, sides, right=None):
@@ -492,9 +516,10 @@ def assert_category_laws_agree(c0, order, sides, right=None):
     meet = category._derive_meet(c0.n, ids, left)
     if meet is not None:
         v = formulas.two_order_view(c, right)
-        for idmap, rel_unique, rel, spec in ((c0.dmap, left.rel, right.rel, formulas.RESTRICTION_MONOTONE),
-                                             (c0.rmap, right.rel, left.rel, formulas.CORESTRICTION_MONOTONE)):
-            w = category._monotone_witness(ids, idmap, category._unique_below(c0.n, idmap, rel_unique), rel, meet)
+        for idmap, unique_order, rel, spec in ((c0.dmap, left, right.rel, formulas.RESTRICTION_MONOTONE),
+                                               (c0.rmap, right, left.rel, formulas.CORESTRICTION_MONOTONE)):
+            unique = category._unique_below(FiniteOrderedCategory(c0, unique_order), idmap)
+            w = category._monotone_witness(ids, idmap, unique, rel, meet)
             assert w == formulas.least(spec, v)
             sides["monotone", w is None] += 1
 
@@ -595,17 +620,17 @@ def test_all_epi_witness_matches_the_triple_scan():
 
 
 def test_oc_laws_match_the_formulas_on_every_small_category():
-    sides, verdicts = collections.Counter(), collections.Counter()
+    sides, verdicts, restricted = collections.Counter(), collections.Counter(), set()
     assert [(len(subjects.categories(n)), len(subjects.posets(n))) for n in (1, 2, 3)] == [(1, 1), (5, 3), (52, 19)]
     for c in subjects.ordered_categories(3):
-        assert_maxima_agree(c)
+        restricted |= assert_maxima_agree(c)
         formulas.compare_all(c, "category", sides)
         # OC7 and OC7' read their witnesses from one pass built in the evaluation
         ev = Evaluation()
         oc7, oc7p = LAWS["oc7"].decide(c, ev), LAWS["oc7'"].decide(c, ev)
         assert (oc7, oc7p) == (formulas.report("oc7", c), formulas.report("oc7'", c))
         verdicts[oc7.holds, oc7p.holds] += 1
-    assert one_sided(sides) == set()
+    assert one_sided(sides) == set() and restricted == {True, False}
     # OC7 implies OC7'; the other three verdict pairs all occur
     assert verdicts == {(True, True): 645, (False, True): 269, (False, False): 90}
 
